@@ -21,9 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .layout import CsrOperator, EndLayout
-from .trace import DivergenceError, RunTrace
-
-_DIVERGENCE_FACTOR = 1e6
+from .trace import RunTrace, divergence_guard
 
 
 class GameError(ValueError):
@@ -409,7 +407,7 @@ def ne_solve(
     hat = np.zeros(layout.stacked_dim) if hat0 is None else np.asarray(hat0, float).copy()
     ref_hat = None if reference is None else layout.embed_consensus(np.asarray(reference, float))
     trace = RunTrace(meta={"alpha": alpha})
-    guard = _DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(hat)))
+    guard = divergence_guard(hat, f"iterate (alpha={alpha})")
     prev_dist = None
     for k in range(max_iters):
         nxt = ne_step(layout, game, hat, alpha)
@@ -426,10 +424,7 @@ def ne_solve(
             prev_dist = dist
         trace.append(**record)
         hat = nxt
-        if float(np.linalg.norm(hat)) > guard:
-            raise DivergenceError(
-                f"iterate norm exceeded {guard:.3e} at iteration {k} (alpha={alpha})"
-            )
+        guard(hat, k)
         if ref_hat is not None and prev_dist is not None and prev_dist < tol:
             break
         if ref_hat is None and step < tol:
@@ -862,7 +857,7 @@ def gne_solve(
         "unicast"
     )
     trace.meta["unicast_cost_per_iter"] = cost
-    guard2 = (_DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))) ** 2
+    guard = divergence_guard(x0, "primal iterate")
     A, a = game.constraint_matrix()
     # |consensus projection of s|^2 = sum over components of (copy sum)^2 / copies
     inv_copies = 1.0 / ops.sigma_layout.copy_counts
@@ -873,8 +868,7 @@ def gne_solve(
         # s_hat is measured after the loop
         x, s_hat, z_hat, lam_hat, s_sums = _gne_round(ops, x, s_hat, z_hat, lam_hat,
                                                       alpha, beta)
-        if not x @ x <= guard2:  # also trips on nan
-            raise DivergenceError(f"primal iterate blew up at iteration {k}")
+        guard(x, k)
         if track_invariant:
             max_invariant2 = max(max_invariant2, s_sums @ (s_sums * inv_copies))
         if (k + 1) % check_every == 0 or k == max_iters - 1:

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .graphs import Graph, WeightedGraph, column_stochastic_weights, intersect, restrict
 from .layout import CsrOperator, EndLayout
-from .trace import DivergenceError, RunTrace
+from .trace import RunTrace, divergence_guard
 
 
 class OptimError(ValueError):
@@ -286,7 +286,8 @@ class LassoSeparable(SeparableProblem):
         )
 
     def _concat(self, i, blocks):
-        return np.concatenate([blocks[p] for p in self.footprint(i)])
+        # an agent that senses nothing has an empty footprint and a 0-wide G_i
+        return np.concatenate([np.zeros(0)] + [blocks[p] for p in self.footprint(i)])
 
     def l1_weight(self, i, p):
         return float(self.l1_weights.get((i, p), 0.0))
@@ -720,12 +721,11 @@ def abc_solve(
         grad_star_norm = float(np.linalg.norm(stacked_gradient(layout, problem, hat_star)))
         f_star = stacked_value(layout, problem, hat_star)
     running = np.zeros_like(y)
-    guard2 = (DIVERGENCE_GUARD * (1.0 + float(np.linalg.norm(y)))) ** 2
+    guard = divergence_guard(y, "stacked iterate")
     ops, stacked = matrices.operators(layout), stacked_form(layout, problem)
     for k in range(1, max_iters + 1):
         y, z = _abc_step(ops, stacked, y, z, gamma)
-        if not y @ y <= guard2:  # also trips on nan
-            raise DivergenceError(f"stacked iterate blew up at iteration {k}")
+        guard(y, k)
         running += y
         if k % merit_every == 0 or k == max_iters:
             record = {"k": k,
@@ -738,9 +738,6 @@ def abc_solve(
             trace.append(**record)
     trace.meta["running_average"] = running / max_iters
     return y, trace
-
-
-DIVERGENCE_GUARD = 1e6
 
 
 # -- gradient tracking (AugDGM instantiation) ------------------------------
@@ -809,10 +806,10 @@ def augdgm_solve(
         grad_star_norm = float(np.linalg.norm(stacked_gradient(layout, problem, hat_star)))
         f_star = stacked_value(layout, problem, hat_star)
     running = np.zeros_like(y)
+    guard = divergence_guard(y, "tracking iterate")
     for k in range(1, max_iters + 1):
         y, v, g = _augdgm_step(w_op, stacked, y, v, g, gamma)
-        if not np.isfinite(y).all():
-            raise DivergenceError(f"tracking iterate diverged at iteration {k}")
+        guard(y, k)
         running += y
         if k % merit_every == 0 or k == max_iters:
             record = {"k": k,
@@ -845,66 +842,72 @@ def power_step_schedule(c: float = 1.0, a: float = 0.51) -> Callable[[int], floa
 
 @dataclass
 class PushSumState:
+    """Numerators ``z``, ratio estimates ``y`` and push-sum weights ``mass``,
+    all stacked: each copy's weight is repeated over its block, so one
+    stacked operator mixes numerators and weights alike."""
+
     z: np.ndarray
-    q: dict[int, np.ndarray]
-    y: np.ndarray | None = None
+    mass: np.ndarray
+    y: np.ndarray
+    layout: EndLayout = field(repr=False)
+
+    @property
+    def q(self) -> dict[int, np.ndarray]:
+        """Per-component weights, one per copy in holder order (views of ``mass``)."""
+        lay = self.layout
+        return {p: self.mass[lay.component_slice(p)][::lay.partition.dim(p)]
+                for p in lay.partition.components}
 
 
 def pushsum_init(layout: EndLayout, z0: np.ndarray | None = None) -> PushSumState:
     z = np.zeros(layout.stacked_dim) if z0 is None else np.asarray(z0, dtype=float).copy()
-    q = {p: np.ones(layout.copies(p)) for p in layout.partition.components}
-    return PushSumState(z=z, q=q, y=z.copy())
+    return PushSumState(z=z, mass=np.ones(layout.stacked_dim), y=z.copy(), layout=layout)
 
 
 def pushsum_dgd_step(
     layout: EndLayout,
-    weights_at_k: Mapping[int, np.ndarray],
+    weights_at_k: CsrOperator,
     problem: SeparableProblem,
     state: PushSumState,
     gamma_k: float,
 ) -> tuple[PushSumState, np.ndarray]:
-    """One push-sum round; returns the new state and the subgradient stack."""
-    q_new = {}
-    w = np.empty_like(state.z)
-    y = np.empty_like(state.z)
-    for p in layout.partition.components:
-        W = np.asarray(weights_at_k[p], dtype=float)
-        q_new[p] = W @ state.q[p]
-        if np.min(q_new[p]) <= 0.0:
-            raise OptimError(f"component {p}: push-sum weight became non-positive")
-        s = layout.component_slice(p)
-        d = layout.partition.dim(p)
-        wp = W @ state.z[s].reshape(layout.copies(p), d)
-        w[s] = wp.ravel()
-        y[s] = (wp / q_new[p][:, None]).ravel()
+    """One push-sum round with the stacked operator of the round's weights;
+    returns the new state and the subgradient stack."""
+    mass = weights_at_k @ state.mass
+    if mass.min() <= 0.0:
+        first = np.flatnonzero(layout.component_sums(mass <= 0.0))[0]
+        p = int(np.searchsorted(np.cumsum(layout.partition.dims), first, side="right")) + 1
+        raise OptimError(f"component {p}: push-sum weight became non-positive")
+    w = weights_at_k @ state.z
+    y = w / mass
     g = stacked_gradient(layout, problem, y, sub=True)
-    z_new = w - gamma_k * g
-    return PushSumState(z=z_new, q=q_new, y=y), g
+    return PushSumState(z=w - gamma_k * g, mass=mass, y=y, layout=layout), g
 
 
-def constant_design_weights(layout: EndLayout) -> dict[int, np.ndarray]:
-    return {p: layout.design[p].matrix() for p in layout.partition.components}
+def constant_design_weights(layout: EndLayout) -> CsrOperator:
+    """The layout's own design weights as a schedule value for every round."""
+    return layout.weight_operator
 
 
 def example_design_schedule(
     layout: EndLayout, comm_sequence: Sequence[Graph]
-) -> Callable[[int], dict[int, np.ndarray]]:
+) -> Callable[[int], CsrOperator]:
     """Periodic time-varying designs: the fixed design graph intersected with
     the communication snapshot of the round, self-loops kept, column-stochastic
-    weights."""
+    weights, as a stacked operator compiled on the first call of each slot."""
     period = len(comm_sequence)
-    cache: dict[int, dict[int, np.ndarray]] = {}
+    cache: dict[int, CsrOperator] = {}
 
-    def at(k: int) -> dict[int, np.ndarray]:
+    def at(k: int) -> CsrOperator:
         t = k % period
         if t not in cache:
-            out = {}
+            blocks = {}
             for p in layout.partition.components:
                 base = layout.design[p].graph
                 snap = restrict(comm_sequence[t], list(base.nodes))
                 g = intersect(base, snap.with_self_loops()).with_self_loops()
-                out[p] = column_stochastic_weights(g).matrix()
-            cache[t] = out
+                blocks[p] = column_stochastic_weights(g).matrix()
+            cache[t] = layout.block_operator(blocks)
         return cache[t]
 
     return at
@@ -912,7 +915,7 @@ def example_design_schedule(
 
 def pushsum_solve(
     layout: EndLayout,
-    design_schedule: Callable[[int], Mapping[int, np.ndarray]],
+    design_schedule: Callable[[int], CsrOperator],
     problem: SeparableProblem,
     gamma: Callable[[int], float],
     max_iters: int = 100000,
@@ -922,45 +925,35 @@ def pushsum_solve(
     check_every: int = 100,
     record_invariants: bool = True,
 ) -> tuple[PushSumState, RunTrace]:
-    """Iterate the push-sum subgradient scheme with a step-size schedule.
+    """Iterate the push-sum subgradient scheme with a step-size schedule;
+    ``design_schedule(k)`` is round k's stacked weight operator.
 
     The trace records the consensus residual of the ratio estimates against
-    the mass-weighted component means, the objective gap at the means when a
-    reference optimum is supplied, and (optionally) the worst per-step
-    deviations of the conserved q-mass and of the averaged-process identity.
+    the component means, the objective gap at the means when a reference
+    optimum is supplied, and (optionally) the worst per-step deviations of
+    the conserved mass and of the averaged-process identity. Diminishing
+    steps can carry the iterate far beyond the divergence guard and back, so
+    the guard tests the iterate the run ends with.
     """
+    if max_iters < 1:
+        raise OptimError("push-sum needs max_iters >= 1")
     state = pushsum_init(layout)
     trace = RunTrace()
     f_star = problem.total_value(np.asarray(reference, float)) if reference is not None else None
-    mass_err = 0.0
-    avg_err = 0.0
-    zbar = {p: np.zeros(layout.partition.dim(p)) for p in layout.partition.components}
+    guard = divergence_guard(state.z, "push-sum iterate")
+    mass_err = avg_err = 0.0
+    zbar = np.zeros(layout.partition.total_dim)
     for k in range(max_iters):
         gk = gamma(k)
         state, g = pushsum_dgd_step(layout, design_schedule(k), problem, state, gk)
-        if not np.isfinite(state.z).all():
-            # without this check the nan would silently vanish in the
-            # max-reductions below
-            raise DivergenceError(f"push-sum iterate became non-finite at iteration {k}")
         if record_invariants:
-            for p in layout.partition.components:
-                n = layout.copies(p)
-                mass_err = max(mass_err, abs(float(np.sum(state.q[p])) - n))
-                s = layout.component_slice(p)
-                d = layout.partition.dim(p)
-                zbar[p] = zbar[p] - gk * g[s].reshape(n, d).mean(axis=0)
-                actual = state.z[s].reshape(n, d).mean(axis=0)
-                avg_err = max(avg_err, float(np.max(np.abs(actual - zbar[p]))))
+            mass_err = max(mass_err, float(np.max(np.abs(
+                layout.component_sums(state.mass) - layout.copy_counts))))
+            zbar -= gk * layout.component_means(g)
+            avg_err = max(avg_err, float(np.max(np.abs(layout.component_means(state.z) - zbar))))
         if (k + 1) % check_every == 0 or k == max_iters - 1:
-            res = 0.0
-            means = np.empty(layout.partition.total_dim)
-            for p in layout.partition.components:
-                s = layout.component_slice(p)
-                d = layout.partition.dim(p)
-                m = state.z[s].reshape(layout.copies(p), d).mean(axis=0)
-                means[problem.component_slice(p)] = m
-                res = max(res, float(np.max(np.abs(
-                    state.y[s].reshape(layout.copies(p), d) - m))))
+            means = layout.component_means(state.z)
+            res = float(np.max(np.abs(state.y - layout.embed_consensus(means))))
             record = {"k": k, "consensus_err": res, "gamma": gk}
             if f_star is not None:
                 record["f_gap"] = problem.total_value(means) - f_star
@@ -969,6 +962,7 @@ def pushsum_solve(
             trace.append(**record)
             if stop_tol is not None and merit is not None and record["merit"] <= stop_tol:
                 break
+    guard(state.z, k)
     trace.meta["max_mass_error"] = mass_err
     trace.meta["max_averaged_process_error"] = avg_err
     return state, trace
@@ -1056,7 +1050,7 @@ class _NegatedDual(SeparableProblem):
 def constraint_coupled_solve(
     layout: EndLayout,
     ccp: ConstraintCoupledProblem,
-    design_schedule: Callable[[int], Mapping[int, np.ndarray]],
+    design_schedule: Callable[[int], CsrOperator],
     gamma: Callable[[int], float],
     max_iters: int = 50000,
     reference_dual: np.ndarray | None = None,
@@ -1065,11 +1059,15 @@ def constraint_coupled_solve(
 
     Returns the consensus dual estimate, the inner minimizers evaluated at
     that dual (the step-weighted ergodic averages are kept in the trace
-    metadata), and the run trace.
+    metadata), and the run trace. As in :func:`pushsum_solve`, the
+    divergence guard tests the iterate the run ends with.
     """
+    if max_iters < 1:
+        raise OptimError("push-sum needs max_iters >= 1")
     dual = _NegatedDual(ccp)
     state = pushsum_init(layout)
     trace = RunTrace()
+    guard = divergence_guard(state.z, "push-sum dual iterate")
     x_acc = {i: np.zeros(ccp.x_dims[i - 1]) for i in range(1, ccp.num_agents + 1)}
     weight_acc = 0.0
     for k in range(max_iters):
@@ -1091,6 +1089,7 @@ def constraint_coupled_solve(
             )
             record["primal_gap"] = gap
             trace.append(**record)
+    guard(state.z, k)
     trace.meta["x_ergodic"] = {i: v / weight_acc for i, v in x_acc.items()}
     y_mean = layout.component_means(state.z)
     x_final = {}
@@ -1110,9 +1109,7 @@ def merit_v(layout: EndLayout, problem: SeparableProblem, hat: np.ndarray,
     hat = np.asarray(hat, dtype=float)
     hat_star = layout.embed_consensus(np.asarray(reference, dtype=float))
     grad_star = stacked_gradient(layout, problem, hat_star, sub=True)
-    scaled = layout.disagreement(hat).copy()
-    for p in layout.partition.components:
-        scaled[layout.component_slice(p)] /= layout.copies(p)
+    scaled = layout.disagreement(hat) / layout.embed_consensus(layout.copy_counts)
     proj = layout.component_means(hat)
     return max(
         float(np.linalg.norm(scaled)) * float(np.linalg.norm(grad_star)),

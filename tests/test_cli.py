@@ -13,6 +13,7 @@ from endnet.cli import (
     EXIT_OK,
     main,
 )
+from endnet.scenarios import SensorScenario, build_lasso
 
 
 def _write_config(tmp_path, name, obj):
@@ -232,6 +233,32 @@ def test_divergent_step_size_is_divergence_error(tmp_path):
         warnings.simplefilter("ignore", RuntimeWarning)
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == EXIT_DIVERGENCE
+
+
+def test_pushsum_blow_up_is_divergence_error(tmp_path):
+    # the standard arm's iterate is ~1e38 when this budget runs out
+    cfg = _write_config(tmp_path, "div.json", {
+        "scenario": {"kind": "regression", "num_sensors": 40, "num_sources": 20,
+                     "comm_radius_min": 0.25, "output_dim": 3, "seed": 0},
+        "arm": "standard",
+        "run": {"max_iters": 100},
+    })
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGENCE
+
+
+def test_run_lasso_with_sensors_that_sense_nothing(tmp_path):
+    scenario = {"kind": "lasso", "num_sensors": 20, "num_sources": 8,
+                "comm_radius_min": 0.35, "seed": 0}
+    inst = build_lasso(SensorScenario(**{k: v for k, v in scenario.items() if k != "kind"}))
+    assert () in inst.problem.footprints
+    cfg = _write_config(tmp_path, "lasso.json", {
+        "scenario": scenario, "arm": "customized", "run": {"max_iters": 200},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["algorithm"] == "pushsum"
+    assert summary["iterations"] == 200
 
 
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch, sep_config):

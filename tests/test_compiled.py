@@ -28,10 +28,11 @@ from endnet.games import (
     ne_step,
     true_pseudo_gradient,
 )
-from endnet.graphs import Graph
+from endnet.graphs import Graph, column_stochastic_weights, intersect, restrict
 from endnet.layout import (
     ConnectivityMode,
     CsrOperator,
+    EndLayout,
     Partition,
     _csr_matvec_fallback,
     _kernel_agrees,
@@ -40,9 +41,17 @@ from endnet.layout import (
 )
 from endnet.optim import (
     AgentLoopStacked,
+    ConstraintCoupledProblem,
     QuadraticSeparable,
     StackedQuadratic,
+    _NegatedDual,
     augdgm_matrices,
+    constraint_coupled_solve,
+    example_design_schedule,
+    power_step_schedule,
+    pushsum_dgd_step,
+    pushsum_init,
+    pushsum_solve,
     stacked_gradient,
     stacked_value,
 )
@@ -403,3 +412,194 @@ def test_gne_solve_records_match_loop_reference(arm):
         if arm == "row":
             assert invariant > 1e-3, label
         assert close(trace.meta["max_consensus_invariant"], invariant), label
+
+
+# -- push-sum ---------------------------------------------------------------
+
+
+def loop_design_weights(layout, snapshot):
+    """One slot of example_design_schedule as dense per-component blocks."""
+    out = {}
+    for p in layout.partition.components:
+        base = layout.design[p].graph
+        snap = restrict(snapshot, list(base.nodes))
+        g = intersect(base, snap.with_self_loops()).with_self_loops()
+        out[p] = column_stochastic_weights(g).matrix()
+    return out
+
+
+def loop_pushsum_step(layout, weights, problem, z, q, gamma_k):
+    """The per-component push-sum round: each W_p applied by a dense matmul
+    to its reshaped slice, and one mass vector per component."""
+    q_new, w, y = {}, np.empty_like(z), np.empty_like(z)
+    for p in layout.partition.components:
+        W = np.asarray(weights[p], dtype=float)
+        q_new[p] = W @ q[p]
+        s, d = layout.component_slice(p), layout.partition.dim(p)
+        wp = W @ z[s].reshape(layout.copies(p), d)
+        w[s] = wp.ravel()
+        y[s] = (wp / q_new[p][:, None]).ravel()
+    g = stacked_gradient(layout, problem, y, sub=True)
+    return w - gamma_k * g, q_new, y, g
+
+
+def loop_pushsum_records(layout, weights_at, problem, gamma, max_iters, reference,
+                         check_every):
+    """pushsum_solve's records and invariants through the component loops."""
+    comps = layout.partition.components
+    z = np.zeros(layout.stacked_dim)
+    q = {p: np.ones(layout.copies(p)) for p in comps}
+    zbar = {p: np.zeros(layout.partition.dim(p)) for p in comps}
+    f_star = problem.total_value(reference)
+    mass_err = avg_err = 0.0
+    rows = []
+    for k in range(max_iters):
+        gk = gamma(k)
+        z, q, y, g = loop_pushsum_step(layout, weights_at(k), problem, z, q, gk)
+        for p in comps:
+            n, d, s = layout.copies(p), layout.partition.dim(p), layout.component_slice(p)
+            mass_err = max(mass_err, abs(float(np.sum(q[p])) - n))
+            zbar[p] = zbar[p] - gk * g[s].reshape(n, d).mean(axis=0)
+            avg_err = max(avg_err, float(np.max(np.abs(z[s].reshape(n, d).mean(axis=0)
+                                                        - zbar[p]))))
+        if (k + 1) % check_every == 0:
+            means = loop_component_means(layout, z)
+            res = max(float(np.max(np.abs(
+                y[layout.component_slice(p)].reshape(layout.copies(p), -1)
+                - means[layout.partition.component_slice(p)]))) for p in comps)
+            rows.append((res, problem.total_value(means) - f_star))
+    return rows, mass_err, avg_err, z
+
+
+def pushsum_layouts(seed, dims=(2, 1, 3, 2), num_agents=7):
+    """Both arms on a ring with column-stochastic weights, a quadratic on
+    the interference pattern and the ring's edges split into 3 snapshots."""
+    rng = np.random.default_rng(seed)
+    comm = ring(num_agents)
+    interference = random_interference(rng, len(dims), num_agents)
+    footprints = [tuple(sorted(p for p, j in interference if j == i))
+                  for i in range(1, num_agents + 1)]
+    problem = random_quadratic(rng, dims, footprints)
+    crit = DesignCriterion(ConnectivityMode.strongly_connected(), objective="min_nodes",
+                           augment=True)
+    arms = {"standard": standard_layout(comm, interference, Partition(dims),
+                                        weight_scheme="column"),
+            "customized": design_layout(comm, interference, Partition(dims), crit,
+                                        weight_scheme="column")}
+    edges = sorted(e for e in comm.edges if e[0] != e[1])
+    snapshots = [Graph.directed_graph(comm.nodes, edges[t::3]) for t in range(3)]
+    return arms, problem, snapshots
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_pushsum_step_matches_component_loop(arm, monkeypatch):
+    arms, problem, snapshots = pushsum_layouts(7)
+    layout = arms[arm]
+    assert max(layout.copies(p) for p in layout.partition.components) > 1
+    compiles = []
+    compile_blocks = EndLayout.block_operator
+    monkeypatch.setattr(EndLayout, "block_operator",
+                        lambda self, blocks: compiles.append(1) or compile_blocks(self, blocks))
+    schedule = example_design_schedule(layout, snapshots)
+    assert not compiles  # slots compile on their first round, inside the solve
+    gamma = power_step_schedule(0.05, 0.6)
+    state = pushsum_init(layout)
+    z = np.zeros(layout.stacked_dim)
+    q = {p: np.ones(layout.copies(p)) for p in layout.partition.components}
+    for k in range(60):
+        state, g = pushsum_dgd_step(layout, schedule(k), problem, state, gamma(k))
+        z, q, y, g_ref = loop_pushsum_step(layout, loop_design_weights(layout, snapshots[k % 3]),
+                                           problem, z, q, gamma(k))
+        assert close(state.z, z), k
+        assert close(state.y, y), k
+        assert close(g, g_ref), k
+        for p in layout.partition.components:
+            assert close(state.q[p], q[p]), (k, p)
+    assert len(compiles) == 3 and schedule(3) is schedule(0)
+
+
+@pytest.mark.parametrize("weights", ["column", "perturbed"])
+def test_pushsum_solve_records_match_loop_reference(weights):
+    """Records and invariants of pushsum_solve against the component loops;
+    perturbed weights are not column-stochastic, so the mass and the
+    averaged process drift and both invariants are far from roundoff."""
+    arms, problem, snapshots = pushsum_layouts(8)
+    layout = arms["customized"]
+    rng = np.random.default_rng(9)
+    slots = [loop_design_weights(layout, snap) for snap in snapshots]
+    if weights == "perturbed":
+        slots = [{p: W * rng.uniform(0.97, 1.03, W.shape) for p, W in slot.items()}
+                 for slot in slots]
+    ops = [layout.block_operator(slot) for slot in slots]
+    gamma, iters, every = power_step_schedule(0.05, 0.6), 300, 20
+    reference = problem.solve_reference()
+    state, trace = pushsum_solve(layout, lambda k: ops[k % 3], problem, gamma,
+                                 max_iters=iters, reference=reference, check_every=every)
+    rows, mass_err, avg_err, z = loop_pushsum_records(
+        layout, lambda k: slots[k % 3], problem, gamma, iters, reference, every)
+    consensus, f_gap = (list(c) for c in zip(*rows))
+    assert close(trace.columns["consensus_err"], consensus)
+    assert close(trace.columns["f_gap"], f_gap)
+    assert close(trace.meta["max_mass_error"], mass_err)
+    assert close(trace.meta["max_averaged_process_error"], avg_err)
+    assert close(state.z, z)
+    if weights == "perturbed":
+        assert mass_err > 1e-3 and avg_err > 1e-3
+    else:
+        assert mass_err <= 1e-12 and avg_err <= 1e-12
+
+
+def coupled_problem():
+    """Three agents with actions in R^2 sharing a 2-dim and a 1-dim resource
+    row; agent i minimizes |x_i - c_i|^2 on the box [-5, 5]^2."""
+    rng = np.random.default_rng(10)
+    footprints = ((1,), (1, 2), (2,))
+    dims = (2, 1)
+    con_blocks = {(p, i): rng.standard_normal((dims[p - 1], 2))
+                  for i, fp in enumerate(footprints, start=1) for p in fp}
+    con_offsets = {(1, 1): rng.standard_normal(2), (2, 3): rng.standard_normal(1)}
+    centers = rng.standard_normal((3, 2))
+
+    def oracle(i, blocks):
+        pull = sum(con_blocks[(p, i)].T @ blocks[p] for p in footprints[i - 1])
+        return np.clip(centers[i - 1] - pull / 2.0, -5.0, 5.0)
+
+    return ConstraintCoupledProblem(
+        x_dims=(2, 2, 2), component_dims=dims, footprints=footprints,
+        con_blocks=con_blocks, con_offsets=con_offsets, argmin_oracle=oracle,
+        cost=lambda i, x: float(np.sum((x - centers[i - 1]) ** 2)))
+
+
+def test_constraint_coupled_solve_matches_component_loop():
+    ccp = coupled_problem()
+    interference = frozenset((p, i) for i, fp in enumerate(ccp.footprints, start=1)
+                             for p in fp)
+    comm = ring(3)
+    crit = DesignCriterion(ConnectivityMode.strongly_connected(), objective="min_nodes",
+                           augment=True)
+    layout = design_layout(comm, interference, Partition(ccp.component_dims), crit,
+                           weight_scheme="column")
+    edges = sorted(e for e in comm.edges if e[0] != e[1])
+    snapshots = [Graph.directed_graph(comm.nodes, edges[t::3]) for t in range(3)]
+    gamma, iters = power_step_schedule(0.5, 0.6), 300
+    y_mean, x_final, trace = constraint_coupled_solve(
+        layout, ccp, example_design_schedule(layout, snapshots), gamma, max_iters=iters)
+
+    dual = _NegatedDual(ccp)
+    z = np.zeros(layout.stacked_dim)
+    q = {p: np.ones(layout.copies(p)) for p in layout.partition.components}
+    x_acc = {i: np.zeros(2) for i in (1, 2, 3)}
+    for k in range(iters):
+        z, q, y, _ = loop_pushsum_step(layout, loop_design_weights(layout, snapshots[k % 3]),
+                                       dual, z, q, gamma(k))
+        for i, x in dual.last_primal.items():
+            x_acc[i] += gamma(k) * x
+    y_ref = loop_component_means(layout, z)
+    weight = sum(gamma(k) for k in range(iters))
+    assert close(y_mean, y_ref)
+    assert close(trace.last("consensus_err"),
+                 np.linalg.norm(y - loop_consensus_projection(layout, y)))
+    for i in (1, 2, 3):
+        assert close(trace.meta["x_ergodic"][i], x_acc[i] / weight), i
+        blocks = {p: y_ref[layout.partition.component_slice(p)] for p in ccp.footprints[i - 1]}
+        assert close(x_final[i], ccp.argmin_oracle(i, blocks)), i

@@ -33,7 +33,7 @@ from endnet.optim import (
     stacked_value,
     tracking_sum_residual,
 )
-from endnet.trace import DivergenceError
+from endnet.trace import DivergenceError, divergence_guard
 
 
 def ring(n):
@@ -378,7 +378,20 @@ class TestPushSum:
         state = pushsum_init(lay)
         bad = {1: np.array([[0.0, 0.0], [1.0, 1.0]])}
         with pytest.raises(OptimError):
-            pushsum_dgd_step(lay, bad, prob, state, 0.1)
+            pushsum_dgd_step(lay, lay.block_operator(bad), prob, state, 0.1)
+
+    def test_nonpositive_mass_names_its_component(self):
+        comm = Graph.directed_graph([1, 2], [(1, 2), (2, 1)])
+        lay = standard_layout(comm, full_interference(2, 2), Partition([2, 1]),
+                              weight_scheme="column")
+        prob = QuadraticSeparable(
+            [2, 1], [(1, 2)] * 2,
+            [{(1, 1): np.eye(2), (2, 2): np.eye(1)}] * 2,
+            [{1: np.zeros(2), 2: np.zeros(1)}] * 2)
+        good, bad = np.full((2, 2), 0.5), np.array([[0.0, 0.0], [1.0, 1.0]])
+        for blocks, p in (({1: good, 2: bad}, 2), ({1: bad, 2: bad}, 1)):
+            with pytest.raises(OptimError, match=f"component {p}:"):
+                pushsum_dgd_step(lay, lay.block_operator(blocks), prob, pushsum_init(lay), 0.1)
 
     def test_matches_straightline_pushsum_constant_design(self):
         # independent transcription of the classic scalar recursion at N=3
@@ -396,7 +409,7 @@ class TestPushSum:
         z = np.zeros(n)
         q = np.ones(n)
         for k in range(200):
-            state, _ = pushsum_dgd_step(lay, {1: W}, prob, state, gamma(k))
+            state, _ = pushsum_dgd_step(lay, lay.block_operator({1: W}), prob, state, gamma(k))
             q = W @ q
             w = W @ z
             y = w / q
@@ -454,6 +467,15 @@ class TestConstraintCoupled:
             power_step_schedule(), max_iters=200)
         assert y[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_blown_up_dual_is_divergence_error(self):
+        comm = Graph.directed_graph([1, 2], [(1, 2), (2, 1)]).with_self_loops()
+        lay = standard_layout(comm, {(1, 1), (1, 2)}, Partition([1]),
+                              weight_scheme="column")
+        with pytest.raises(DivergenceError):
+            constraint_coupled_solve(lay, self.make_problem(),
+                                     lambda k: constant_design_weights(lay),
+                                     power_step_schedule(1e9, 0.6), max_iters=5)
+
     def test_off_pattern_block_rejected(self):
         with pytest.raises(OptimError):
             ConstraintCoupledProblem(
@@ -481,3 +503,11 @@ class TestMeritV:
         v = merit_v(lay, prob, hat, ref)
         gap = abs(prob.total_value(lay.component_means(hat)) - prob.total_value(ref))
         assert v == pytest.approx(max(expected, gap), rel=1e-9)
+
+
+def test_divergence_guard_trips_on_norm_and_nonfinite():
+    guard = divergence_guard(np.array([3.0, 4.0]), "iterate")  # limit 6e6
+    guard(np.array([6e6, 0.0]), 1)
+    for bad in ([6.1e6, 0.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(DivergenceError, match="iteration 7"):
+            guard(np.array(bad), 7)
