@@ -440,17 +440,18 @@ class AggregativeGameSpec:
     """Aggregative game with affine aggregation and affine coupling constraints.
 
     Matrices are given blockwise and must vanish off the two interference
-    patterns. ``grad_x(i, x_i, sigma)`` / ``grad_sigma(i, x_i, sigma)`` take
-    the agent's estimates of the aggregation blocks it needs (dict keyed by
-    component) and return the partial gradients; ``grad_sigma`` returns a
-    dict over the same keys.
+    patterns. The gradient is indexed by the pairs (q, i) of the sorted
+    ``interference_sigma``, the pair being agent i's value of aggregation
+    block q: ``gradient(x, sigma)`` takes the stacked actions and the pairs'
+    values stacked in that order (``sigma_dims[q]`` entries per pair), and
+    returns the stacked extended pseudo-gradient, whose block i is
+    ∇_{x_i} f_i + Σ_q B_{q,i}ᵀ ∇_{σ_q} f_i at agent i's values.
     """
 
     action_dims: tuple[int, ...]
     sigma_dims: Mapping[int, int]
     lambda_dims: Mapping[int, int]
-    grad_x: Callable[[int, np.ndarray, Mapping[int, np.ndarray]], np.ndarray]
-    grad_sigma: Callable[[int, np.ndarray, Mapping[int, np.ndarray]], Mapping[int, np.ndarray]]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
     agg_blocks: Mapping[tuple[int, int], np.ndarray]
     agg_offsets: Mapping[tuple[int, int], np.ndarray]
     con_blocks: Mapping[tuple[int, int], np.ndarray]
@@ -459,11 +460,15 @@ class AggregativeGameSpec:
     interference_lambda: frozenset[tuple[int, int]]
     sense: str = "equality"
     domains: Mapping[int, object] = field(default_factory=dict)
-    # optional vectorized replacement for the per-agent gradient loop:
-    # called as extended_gradient(ops, x, sigma_hat) and must return the
-    # same vector as the generic path; ops.sigma_pair_starts locates the
-    # copy each interference pair (q, i) reads
-    extended_gradient: Callable | None = None
+    # compiled once in __post_init__: the stacked aggregation (blocks in
+    # sorted order) and the rows of it each pair reads, the stacked
+    # constraints, elementwise bounds of the box and unconstrained domains,
+    # and the (slice, set) of every other domain
+    _aggregation: tuple[CsrOperator, np.ndarray] = field(init=False, repr=False, compare=False)
+    _pair_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _constraints: tuple[CsrOperator, np.ndarray] = field(init=False, repr=False, compare=False)
+    _bounds: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _other_domains: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("agg_blocks", "agg_offsets", "con_blocks", "con_offsets", "domains",
@@ -473,12 +478,51 @@ class AggregativeGameSpec:
         object.__setattr__(self, "interference_lambda", frozenset(self.interference_lambda))
         if self.sense not in ("equality", "inequality"):
             raise GameError("constraint sense must be equality or inequality")
-        for key in self.agg_blocks:
-            if key not in self.interference_sigma:
-                raise GameError(f"aggregation block {key} off the interference pattern")
-        for key in self.con_blocks:
-            if key not in self.interference_lambda:
-                raise GameError(f"constraint block {key} off the interference pattern")
+        for what, table, pattern in (
+            ("aggregation block", self.agg_blocks, self.interference_sigma),
+            ("aggregation offset", self.agg_offsets, self.interference_sigma),
+            ("constraint block", self.con_blocks, self.interference_lambda),
+            ("constraint offset", self.con_offsets, self.interference_lambda),
+        ):
+            for key in table:
+                if key not in pattern:
+                    raise GameError(f"{what} {key} off the interference pattern")
+        object.__setattr__(self, "_aggregation",
+                           self._stack(self.sigma_dims, self.agg_blocks, self.agg_offsets))
+        starts = _block_starts(self.sigma_dims)
+        pairs = sorted(self.interference_sigma)
+        object.__setattr__(self, "_pair_rows", _ranges([starts[q] for q, _ in pairs],
+                                                       [self.sigma_dims[q] for q, _ in pairs]))
+        object.__setattr__(self, "_constraints",
+                           self._stack(self.lambda_dims, self.con_blocks, self.con_offsets))
+        lower = np.full(self.total_action_dim, -np.inf)
+        upper = np.full(self.total_action_dim, np.inf)
+        others = []
+        for i in range(1, self.num_agents + 1):
+            dom, sl = self.domain(i), self.action_slice(i)
+            if isinstance(dom, BoxSet):
+                lower[sl], upper[sl] = dom.lower, dom.upper
+            elif not isinstance(dom, RealsSet):
+                others.append((sl, dom))
+        object.__setattr__(self, "_bounds", (lower, upper))
+        object.__setattr__(self, "_other_domains", tuple(others))
+
+    def _stack(self, dims, blocks, offsets) -> tuple[CsrOperator, np.ndarray]:
+        """(M, m) with M x + m stacking Σ_i (M_{q,i} x_i + m_{q,i}) over the
+        blocks q in sorted order."""
+        starts = _block_starts(dims)
+        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for (q, i), blk in blocks.items():
+            r, c = np.nonzero(blk)
+            rows.append(starts[q] + r)
+            cols.append(self.action_slice(i).start + c)
+            vals.append(blk[r, c])
+        offset = np.zeros(sum(dims.values()))
+        for (q, _), vec in offsets.items():
+            offset[starts[q]:starts[q] + dims[q]] += vec
+        op = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(offset.shape[0], self.total_action_dim))
+        return CsrOperator(op), offset
 
     @property
     def num_agents(self) -> int:
@@ -495,55 +539,42 @@ class AggregativeGameSpec:
     def total_action_dim(self) -> int:
         return sum(self.action_dims)
 
-    def sigma_footprint(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(q for (q, j) in self.interference_sigma if j == i))
-
     def aggregation(self, x: np.ndarray) -> dict[int, np.ndarray]:
         """True aggregation values, one block per component."""
-        out = {}
-        for q, dim in self.sigma_dims.items():
-            acc = np.zeros(dim)
-            for (qq, i), B in self.agg_blocks.items():
-                if qq == q:
-                    acc += B @ x[self.action_slice(i)]
-            for (qq, i), b in self.agg_offsets.items():
-                if qq == q:
-                    acc += b
-            out[q] = acc
-        return out
+        M, m = self._aggregation
+        values = M.affine(x, m)
+        starts = _block_starts(self.sigma_dims)
+        return {q: values[starts[q]:starts[q] + d] for q, d in self.sigma_dims.items()}
 
     def constraint_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense stacked (A, a) of the coupling constraints A x = a (or <=)."""
-        mdims = dict(self.lambda_dims)
-        rows = sum(mdims.values())
-        A = np.zeros((rows, self.total_action_dim))
-        a = np.zeros(rows)
-        ofs = 0
-        for m in sorted(mdims):
-            for (mm, i), blk in self.con_blocks.items():
-                if mm == m:
-                    A[ofs:ofs + mdims[m], self.action_slice(i)] = blk
-            for (mm, i), vec in self.con_offsets.items():
-                if mm == m:
-                    a[ofs:ofs + mdims[m]] += vec
-            ofs += mdims[m]
-        return A, a
+        A, a = self._constraints
+        return A.toarray(), a.copy()
 
     def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
-        """True pseudo-gradient (estimates exact and at consensus)."""
-        sigma = self.aggregation(x)
-        out = np.empty(self.total_action_dim)
-        for i in range(1, self.num_agents + 1):
-            xi = x[self.action_slice(i)]
-            local = {q: sigma[q] for q in self.sigma_footprint(i)}
-            g = self.grad_x(i, xi, local).astype(float).copy()
-            gs = self.grad_sigma(i, xi, local)
-            for q, gq in gs.items():
-                B = self.agg_blocks.get((q, i))
-                if B is not None:
-                    g += B.T @ gq
-            out[self.action_slice(i)] = g
+        """True pseudo-gradient: every pair reads the exact aggregation."""
+        M, m = self._aggregation
+        return self.gradient(x, M.affine(x, m)[self._pair_rows])
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Projection of a stacked action vector onto the product of domains."""
+        lower, upper = self._bounds
+        out = np.minimum(np.maximum(v, lower), upper)
+        for sl, dom in self._other_domains:
+            out[sl] = dom.project(v[sl])
         return out
+
+
+def _block_starts(dims: Mapping[int, int]) -> dict[int, int]:
+    """Start of each block in a vector stacking the blocks in sorted order."""
+    order = sorted(dims)
+    return dict(zip(order, np.cumsum([0] + [dims[q] for q in order]).tolist()))
+
+
+def _ranges(starts, lengths) -> np.ndarray:
+    """The ranges [start, start + length) concatenated into one index array."""
+    return np.concatenate([np.zeros(0, dtype=int)]
+                          + [np.arange(s, s + n) for s, n in zip(starts, lengths)])
 
 
 @dataclass
@@ -563,13 +594,9 @@ class GneOperators:
     a_hat: np.ndarray
     L_sigma: CsrOperator
     L_lambda: CsrOperator
-    # start of agent i's copy of component q in the aggregation stack, one
-    # entry per pair (q, i) of the sorted aggregation interference pattern
-    sigma_pair_starts: np.ndarray
-    # elementwise bounds when every domain is a box, for a loop-free
-    # projection in the hot path; None otherwise
-    box_lower: np.ndarray | None = None
-    box_upper: np.ndarray | None = None
+    # the copies the game's gradient reads: agent i's copy of block q for
+    # each pair (q, i) of the sorted aggregation interference pattern
+    sigma_pair_index: np.ndarray
     # the linear part of a step for the last step size used; see _Stage
     _stage: "_Stage | None" = field(default=None, init=False, repr=False, compare=False)
 
@@ -578,20 +605,6 @@ class GneOperators:
         if self._stage is None or self._stage.beta != beta:
             self._stage = _Stage.build(self, beta)
         return self._stage
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Projection of a stacked action vector onto the product of domains."""
-        if self.box_lower is not None:
-            return np.minimum(np.maximum(v, self.box_lower), self.box_upper)
-        return _project_actions(self.game, v)
-
-
-def _project_actions(game: AggregativeGameSpec, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    for i in range(1, game.num_agents + 1):
-        sl = game.action_slice(i)
-        out[sl] = game.domain(i).project(v[sl])
-    return out
 
 
 def _scatter_blocks(layout: EndLayout, blocks: Mapping[tuple[int, int], np.ndarray],
@@ -677,7 +690,6 @@ class _Stage(NamedTuple):
 def build_gne_operators(
     game: AggregativeGameSpec, sigma_layout: EndLayout, lambda_layout: EndLayout
 ) -> GneOperators:
-    n_x = game.total_action_dim
     # aggregation operator: block (q, i) of B_hat x is N_q * B_{q,i} x_i
     B_hat, b_hat = _scatter_blocks(
         sigma_layout, game.agg_blocks, game.agg_offsets,
@@ -685,14 +697,7 @@ def build_gne_operators(
     A_hat, a_hat = _scatter_blocks(
         lambda_layout, game.con_blocks, game.con_offsets,
         {m: 1.0 for m in lambda_layout.partition.components}, game)
-    box_lower = box_upper = None
-    if all(isinstance(game.domain(i), BoxSet) for i in range(1, game.num_agents + 1)):
-        box_lower = np.empty(n_x)
-        box_upper = np.empty(n_x)
-        for i in range(1, game.num_agents + 1):
-            dom = game.domain(i)
-            box_lower[game.action_slice(i)] = dom.lower
-            box_upper[game.action_slice(i)] = dom.upper
+    pairs = sorted(game.interference_sigma)
     return GneOperators(
         game=game,
         sigma_layout=sigma_layout,
@@ -703,11 +708,8 @@ def build_gne_operators(
         a_hat=a_hat,
         L_sigma=sigma_layout.laplacian_operator,
         L_lambda=lambda_layout.laplacian_operator,
-        sigma_pair_starts=np.array(
-            [sigma_layout.block_slice(q, i).start for q, i in sorted(game.interference_sigma)],
-            dtype=int),
-        box_lower=box_lower,
-        box_upper=box_upper,
+        sigma_pair_index=_ranges([sigma_layout.block_slice(q, i).start for q, i in pairs],
+                                 [game.sigma_dims[q] for q, _ in pairs]),
     )
 
 
@@ -733,35 +735,9 @@ def initial_gne_state(ops: GneOperators, x0: np.ndarray) -> GneState:
 
 
 def extended_pseudo_gradient(ops: GneOperators, x: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
-    """Per-agent gradients evaluated on the local aggregation estimates."""
-    game = ops.game
-    if game.extended_gradient is not None:
-        return game.extended_gradient(ops, x, sigma_hat)
-    out = np.empty(game.total_action_dim)
-    for i in range(1, game.num_agents + 1):
-        xi = x[game.action_slice(i)]
-        local = {
-            q: sigma_hat[ops.sigma_layout.block_slice(q, i)] for q in game.sigma_footprint(i)
-        }
-        g = game.grad_x(i, xi, local).astype(float).copy()
-        # no N_q scaling here: the chain rule runs through the agent's own copy
-        for q, gq in game.grad_sigma(i, xi, local).items():
-            B = game.agg_blocks.get((q, i))
-            if B is not None:
-                g += B.T @ gq
-        out[game.action_slice(i)] = g
-    return out
-
-
-def true_pseudo_gradient(ops: GneOperators, x: np.ndarray) -> np.ndarray:
-    """The game's pseudo-gradient, through the extended one at exact estimates.
-
-    Every copy of the aggregation set to its true value (the consensus
-    projection of B̂x + b̂) makes the extended pseudo-gradient equal
-    :meth:`AggregativeGameSpec.pseudo_gradient`.
-    """
-    exact = ops.sigma_layout.consensus_projection(ops.B_hat @ x + ops.b_hat)
-    return extended_pseudo_gradient(ops, x, exact)
+    """The game's gradient with every pair (q, i) reading agent i's copy of
+    block q from the local aggregation estimates."""
+    return ops.game.gradient(x, sigma_hat[ops.sigma_pair_index])
 
 
 def gne_step(ops: GneOperators, state: GneState, alpha: float, beta: float) -> GneState:
@@ -777,8 +753,8 @@ def _gne_round(ops, x, s_hat, z_hat, lam_hat, alpha, beta):
     stage = ops.stage(beta)
     out = stage.linear.affine(np.concatenate((x, s_hat, z_hat, lam_hat)), stage.offset)
     part = stage.parts
-    x_new = ops.project(out[part.x_drift]
-                        - (alpha * beta) * extended_pseudo_gradient(ops, x, out[part.sigma_hat]))
+    x_new = ops.game.project(
+        out[part.x_drift] - (alpha * beta) * extended_pseudo_gradient(ops, x, out[part.sigma_hat]))
     lam_new = out[part.lam_pre] + stage.dual_push @ x_new
     if ops.game.sense == "inequality":
         np.maximum(lam_new, 0.0, out=lam_new)
@@ -786,21 +762,23 @@ def _gne_round(ops, x, s_hat, z_hat, lam_hat, alpha, beta):
 
 
 def preconditioner_positive(ops: GneOperators, beta: float) -> bool:
-    """Positive-definiteness of the symmetric primal-dual preconditioner."""
-    n_x = ops.game.total_action_dim
-    n_s = ops.sigma_layout.stacked_dim
-    n_l = ops.lambda_layout.stacked_dim
-    n = n_x + n_s + 2 * n_l
-    Phi = np.zeros((n, n))
-    np.fill_diagonal(Phi, 1.0 / beta)
-    A = ops.A_hat.toarray()
-    L = ops.L_lambda.matrix.toarray()
-    x0, z0, l0 = 0, n_x + n_s, n_x + n_s + n_l
-    Phi[x0:n_x, l0:] = -A.T
-    Phi[l0:, x0:n_x] = -A
-    Phi[z0:l0, l0:] = L
-    Phi[l0:, z0:l0] = L.T
-    return float(np.min(np.linalg.eigvalsh((Phi + Phi.T) / 2.0))) > 0.0
+    """Positive-definiteness of the symmetric primal-dual preconditioner.
+
+    Over [x; s; z; lam] the preconditioner is I/beta + [[0, Mᵀ], [M, 0]] with
+    M = [-Â, 0, L̂_λᵀ], so it is positive definite exactly when 1/beta exceeds
+    the largest singular value of M: the largest eigenvalue of the sparse
+    symmetric [[0, Mᵀ], [M, 0]] with the zero s block left out, found by
+    Lanczos from a fixed start.
+    """
+    # imported here, not with the module: it adds ~2 MB of resident memory
+    # to every run, also to those that never check a preconditioner
+    from scipy.sparse.linalg import eigsh
+
+    M = sp.hstack([-ops.A_hat.matrix, ops.L_lambda.matrix.T], format="csr")
+    sym = sp.bmat([[None, M.T], [M, None]], format="csr")
+    start = np.random.default_rng(0).standard_normal(sym.shape[0])
+    top = eigsh(sym, k=1, which="LA", v0=start, return_eigenvectors=False)[0]
+    return 1.0 / beta - float(top) > 0.0
 
 
 def skew_part_pairing(ops: GneOperators, x, s, z, lam) -> float:
@@ -817,14 +795,9 @@ def consensus_dual(ops: GneOperators, lam_hat: np.ndarray) -> np.ndarray:
 
 
 def kkt_residual(game: AggregativeGameSpec, x: np.ndarray, lam: np.ndarray) -> float:
-    A, a = game.constraint_matrix()
-    return _kkt_residual(game, A, a, x, lam, game.pseudo_gradient(x),
-                         lambda v: _project_actions(game, v))
-
-
-def _kkt_residual(game, A, a, x, lam, pseudo_gradient, project) -> float:
-    drive = pseudo_gradient + A.T @ lam
-    stat = float(np.linalg.norm(project(x - drive) - x))
+    A, a = game._constraints
+    drive = game.pseudo_gradient(x) + A.T @ lam
+    stat = float(np.linalg.norm(game.project(x - drive) - x))
     gap = A @ x - a
     if game.sense == "equality":
         return stat + float(np.linalg.norm(gap))
@@ -858,7 +831,6 @@ def gne_solve(
     )
     trace.meta["unicast_cost_per_iter"] = cost
     guard = divergence_guard(x0, "primal iterate")
-    A, a = game.constraint_matrix()
     # |consensus projection of s|^2 = sum over components of (copy sum)^2 / copies
     inv_copies = 1.0 / ops.sigma_layout.copy_counts
     max_invariant2 = 0.0
@@ -875,8 +847,7 @@ def gne_solve(
             # the primal step drives alpha*F + A^T lam_hat to zero, so the
             # copies track alpha-scaled multipliers
             lam = consensus_dual(ops, lam_hat) / alpha
-            residual = _kkt_residual(game, A, a, x, lam, true_pseudo_gradient(ops, x),
-                                     ops.project)
+            residual = kkt_residual(game, x, lam)
             sigma_hat = s_hat + ops.B_hat @ x + ops.b_hat
             record = {"k": k, "residual": residual,
                       "sigma_disagreement": float(
@@ -937,21 +908,22 @@ def solve_vgne_centralized(
     max_iters: int = 2000000,
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference equilibrium via a centralized projected primal-dual loop."""
-    A, a = game.constraint_matrix()
+    """Reference equilibrium via a centralized projected primal-dual loop.
+
+    Raises :class:`~endnet.trace.DivergenceError` when the iterate blows up.
+    """
+    A, a = game._constraints
     x = np.asarray(x0, dtype=float).copy()
     lam = np.zeros(A.shape[0])
-    for _ in range(max_iters):
-        drive = game.pseudo_gradient(x) + A.T @ lam
-        x_new = np.empty_like(x)
-        for i in range(1, game.num_agents + 1):
-            sl = game.action_slice(i)
-            x_new[sl] = game.domain(i).project(x[sl] - step * drive[sl])
+    guard = divergence_guard(x, "reference primal iterate")
+    for k in range(max_iters):
+        x_new = game.project(x - step * (game.pseudo_gradient(x) + A.T @ lam))
         lam_new = lam + step * (A @ (2 * x_new - x) - a)
         if game.sense == "inequality":
             lam_new = np.maximum(lam_new, 0.0)
         delta = max(float(np.max(np.abs(x_new - x))), float(np.max(np.abs(lam_new - lam))))
         x, lam = x_new, lam_new
+        guard(x, k)
         if delta < tol:
             break
     return x, lam

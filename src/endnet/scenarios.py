@@ -179,28 +179,14 @@ def build_unicast(sc: UnicastScenario, weight_scheme: str = "metropolis") -> Uni
     psi_by_label = {p: sc.psi[inv[p]] for p in inv}
     scale = sc.utility_scale
 
-    def grad_x(i: int, xi: np.ndarray, sigma: Mapping[int, np.ndarray]) -> np.ndarray:
-        g = -scale / (float(xi[0]) + 1.0)
-        for p in footprints[i]:
-            g += psi_by_label[p] * _sigmoid(float(sigma[p][0]))
-        return np.array([g])
-
-    def grad_sigma(i: int, xi: np.ndarray, sigma: Mapping[int, np.ndarray]) -> dict:
-        out = {}
-        for p in footprints[i]:
-            s = _sigmoid(float(sigma[p][0]))
-            out[p] = np.array([psi_by_label[p] * float(xi[0]) * s * (1.0 - s)])
-        return out
-
     pairs = sorted(interference)
     owner_idx = np.array([i - 1 for _, i in pairs], dtype=int)
     psi_pairs = np.array([psi_by_label[p] for p, _ in pairs])
 
-    def extended_gradient(ops, x: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
-        # vectorized twin of the generic per-agent loop (scalar actions,
-        # unit aggregation blocks); the copies it reads are those of the
-        # sorted interference pairs, located once when ops was built
-        s = expit(sigma_hat[ops.sigma_pair_starts])
+    def gradient(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        # scalar actions and unit aggregation blocks: pair (p, i) adds
+        # psi_p (s + x_i s (1 - s)) with s = sig(sigma) to user i's entry
+        s = expit(sigma)
         contrib = psi_pairs * s * (1.0 + x[owner_idx] * (1.0 - s))
         return -scale / (x + 1.0) + np.bincount(owner_idx, weights=contrib,
                                                 minlength=x.shape[0])
@@ -217,8 +203,7 @@ def build_unicast(sc: UnicastScenario, weight_scheme: str = "metropolis") -> Uni
         action_dims=(1,) * sc.num_users,
         sigma_dims={p: 1 for p in inv},
         lambda_dims={p: 1 for p in inv},
-        grad_x=grad_x,
-        grad_sigma=grad_sigma,
+        gradient=gradient,
         agg_blocks=agg_blocks,
         agg_offsets=agg_offsets,
         con_blocks=con_blocks,
@@ -227,7 +212,6 @@ def build_unicast(sc: UnicastScenario, weight_scheme: str = "metropolis") -> Uni
         interference_lambda=interference,
         sense="inequality",
         domains={i: BoxSet(0.0, 1.0) for i in sc.paths},
-        extended_gradient=extended_gradient,
     )
     partition = Partition((1,) * num_links)
     std = standard_layout(sc.comm, interference, partition, weight_scheme=weight_scheme)

@@ -10,14 +10,20 @@ to roundoff, not bit for bit.
 import dataclasses
 import gc
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from endnet.design import DesignCriterion, design_layout
 from endnet.games import (
+    AggregativeGameSpec,
+    BallSet,
+    BoxSet,
     GneState,
+    HalfspaceSet,
     build_gne_operators,
     certify_theorem1,
     extended_pseudo_gradient,
@@ -26,7 +32,8 @@ from endnet.games import (
     initial_gne_state,
     kkt_residual,
     ne_step,
-    true_pseudo_gradient,
+    preconditioner_positive,
+    solve_vgne_centralized,
 )
 from endnet.graphs import Graph, column_stochastic_weights, intersect, restrict
 from endnet.layout import (
@@ -55,7 +62,12 @@ from endnet.optim import (
     stacked_gradient,
     stacked_value,
 )
-from endnet.scenarios import build_random_quadratic_game, build_unicast, sample_unicast
+from endnet.scenarios import (
+    build_random_quadratic_game,
+    build_unicast,
+    reference_scheme_unicast,
+    sample_unicast,
+)
 
 RTOL = 1e-12
 
@@ -172,6 +184,126 @@ def project_each(game, v):
         sl = game.action_slice(i)
         out[sl] = game.domain(i).project(v[sl])
     return out
+
+
+def sigma_footprint(game, i):
+    return tuple(sorted(q for (q, j) in game.interference_sigma if j == i))
+
+
+def loop_agent_gradients(game, grad_x, grad_sigma, x, estimate):
+    """Each agent's partial gradients at its estimates ``estimate(q, i)`` of
+    the aggregation blocks it needs, the aggregation part chained through
+    B_{q,i}: the per-agent loop the pair-indexed gradient replaced."""
+    out = np.empty(game.total_action_dim)
+    for i in range(1, game.num_agents + 1):
+        xi = x[game.action_slice(i)]
+        local = {q: estimate(q, i) for q in sigma_footprint(game, i)}
+        g = grad_x(i, xi, local).astype(float).copy()
+        # no N_q scaling here: the chain rule runs through the agent's own copy
+        for q, gq in grad_sigma(i, xi, local).items():
+            B = game.agg_blocks.get((q, i))
+            if B is not None:
+                g += B.T @ gq
+        out[game.action_slice(i)] = g
+    return out
+
+
+def loop_aggregation(game, x):
+    out = {}
+    for q, dim in game.sigma_dims.items():
+        acc = np.zeros(dim)
+        for (qq, i), B in game.agg_blocks.items():
+            if qq == q:
+                acc += B @ x[game.action_slice(i)]
+        for (qq, i), b in game.agg_offsets.items():
+            if qq == q:
+                acc += b
+        out[q] = acc
+    return out
+
+
+def loop_pseudo_gradient(game, grad_x, grad_sigma, x):
+    sigma = loop_aggregation(game, x)
+    return loop_agent_gradients(game, grad_x, grad_sigma, x, lambda q, i: sigma[q])
+
+
+def loop_extended_pseudo_gradient(ops, grad_x, grad_sigma, x, sigma_hat):
+    return loop_agent_gradients(ops.game, grad_x, grad_sigma, x,
+                                lambda q, i: sigma_hat[ops.sigma_layout.block_slice(q, i)])
+
+
+def pair_loop_gradient(game, grad_x, grad_sigma):
+    """The per-agent loop behind the pair-indexed contract: agent i reads
+    pair (q, i)'s entries of ``sigma``."""
+    where, at = {}, 0
+    for q, i in sorted(game.interference_sigma):
+        where[q, i] = slice(at, at + game.sigma_dims[q])
+        at += game.sigma_dims[q]
+    return lambda x, sigma: loop_agent_gradients(game, grad_x, grad_sigma, x,
+                                                 lambda q, i: sigma[where[q, i]])
+
+
+def loop_constraint_matrix(game):
+    mdims = dict(game.lambda_dims)
+    rows = sum(mdims.values())
+    A = np.zeros((rows, game.total_action_dim))
+    a = np.zeros(rows)
+    ofs = 0
+    for m in sorted(mdims):
+        for (mm, i), blk in game.con_blocks.items():
+            if mm == m:
+                A[ofs:ofs + mdims[m], game.action_slice(i)] = blk
+        for (mm, i), vec in game.con_offsets.items():
+            if mm == m:
+                a[ofs:ofs + mdims[m]] += vec
+        ofs += mdims[m]
+    return A, a
+
+
+def loop_kkt_residual(game, grad_x, grad_sigma, x, lam):
+    A, a = loop_constraint_matrix(game)
+    drive = loop_pseudo_gradient(game, grad_x, grad_sigma, x) + A.T @ lam
+    stat = float(np.linalg.norm(project_each(game, x - drive) - x))
+    gap = A @ x - a
+    if game.sense == "equality":
+        return stat + float(np.linalg.norm(gap))
+    return stat + float(np.linalg.norm(np.maximum(gap, 0.0))) + abs(float(lam @ gap))
+
+
+def loop_solve_vgne(game, grad_x, grad_sigma, x0, step, iters):
+    """The centralized projected primal-dual loop for a fixed number of steps."""
+    A, a = loop_constraint_matrix(game)
+    x = np.asarray(x0, dtype=float).copy()
+    lam = np.zeros(A.shape[0])
+    for _ in range(iters):
+        drive = loop_pseudo_gradient(game, grad_x, grad_sigma, x) + A.T @ lam
+        x_new = np.empty_like(x)
+        for i in range(1, game.num_agents + 1):
+            sl = game.action_slice(i)
+            x_new[sl] = game.domain(i).project(x[sl] - step * drive[sl])
+        lam_new = lam + step * (A @ (2 * x_new - x) - a)
+        if game.sense == "inequality":
+            lam_new = np.maximum(lam_new, 0.0)
+        x, lam = x_new, lam_new
+    return x, lam
+
+
+def dense_preconditioner_min_eig(ops, beta):
+    """Smallest eigenvalue of the primal-dual preconditioner, built dense."""
+    n_x = ops.game.total_action_dim
+    n_s = ops.sigma_layout.stacked_dim
+    n_l = ops.lambda_layout.stacked_dim
+    n = n_x + n_s + 2 * n_l
+    Phi = np.zeros((n, n))
+    np.fill_diagonal(Phi, 1.0 / beta)
+    A = ops.A_hat.toarray()
+    L = ops.L_lambda.matrix.toarray()
+    x0, z0, l0 = 0, n_x + n_s, n_x + n_s + n_l
+    Phi[x0:n_x, l0:] = -A.T
+    Phi[l0:, x0:n_x] = -A
+    Phi[z0:l0, l0:] = L
+    Phi[l0:, z0:l0] = L.T
+    return float(np.min(np.linalg.eigvalsh((Phi + Phi.T) / 2.0)))
 
 
 def close(a, b):
@@ -340,10 +472,41 @@ def test_ne_step_and_xi_norm_match_loops():
             assert close(cert.xi_norm(layout, hat), loop_xi_norm(cert, layout, hat))
 
 
+def unicast_callbacks(sc):
+    """The unicast game's per-agent partial gradients: user i pays
+    -s log(x_i + 1) + x_i sum_p psi_p sig(sigma_p) over the links p it routes
+    over."""
+    labels = sc.link_labels()
+    footprints = {i: tuple(sorted({labels[tuple(sorted(e))] for e in seq}))
+                  for i, seq in sc.paths.items()}
+    psi = {p: sc.psi[link] for link, p in labels.items()}
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    def grad_x(i, xi, sigma):
+        g = -sc.utility_scale / (float(xi[0]) + 1.0)
+        for p in footprints[i]:
+            g += psi[p] * sig(float(sigma[p][0]))
+        return np.array([g])
+
+    def grad_sigma(i, xi, sigma):
+        out = {}
+        for p in footprints[i]:
+            s = sig(float(sigma[p][0]))
+            out[p] = np.array([psi[p] * float(xi[0]) * s * (1.0 - s)])
+        return out
+
+    return grad_x, grad_sigma
+
+
 def unicast_games():
+    """The unicast game with its own pair-indexed gradient ("fast") and with
+    the per-agent loop of its callbacks behind the same contract ("generic")."""
     inst = build_unicast(sample_unicast(9, seed=4))
-    generic = dataclasses.replace(inst.game, extended_gradient=None)
-    return inst, [("fast", inst.game), ("generic", generic)]
+    callbacks = unicast_callbacks(inst.scenario)
+    generic = dataclasses.replace(inst.game, gradient=pair_loop_gradient(inst.game, *callbacks))
+    return inst, callbacks, [("fast", inst.game), ("generic", generic)]
 
 
 def unicast_layouts(inst, arm):
@@ -358,7 +521,7 @@ def unicast_layouts(inst, arm):
 
 @pytest.mark.parametrize("arm", ["standard", "customized", "row"])
 def test_gne_round_matches_operator_by_operator_step(arm):
-    inst, games = unicast_games()
+    inst, _, games = unicast_games()
     rng = np.random.default_rng(5)
     for _, game in games:
         ops = build_gne_operators(game, *unicast_layouts(inst, arm))
@@ -377,9 +540,9 @@ def test_gne_round_matches_operator_by_operator_step(arm):
 @pytest.mark.parametrize("arm", ["standard", "customized", "row"])
 def test_gne_solve_records_match_loop_reference(arm):
     """Residual, disagreement and invariant records of gne_solve against the
-    dict-built constraint matrix, the per-agent pseudo-gradient, the
-    component loops and the dense consensus projector."""
-    inst, games = unicast_games()
+    dict-built constraint matrix, the per-agent pseudo-gradient of the
+    callbacks, the component loops and the dense consensus projector."""
+    inst, callbacks, games = unicast_games()
     alpha, beta, iters, every = 0.1, 1e-3, 300, 25
     x0 = np.full(9, 0.3)
     for label, game in games:
@@ -397,14 +560,14 @@ def test_gne_solve_records_match_loop_reference(arm):
                 lam = loop_component_means(ops.lambda_layout, state.lam_hat) / alpha
                 sigma_hat = state.sigma_hat(ops)
                 rows.append((
-                    kkt_residual(game, state.x, lam),
+                    loop_kkt_residual(game, *callbacks, state.x, lam),
                     np.linalg.norm(sigma_hat - loop_consensus_projection(ops.sigma_layout,
                                                                          sigma_hat)),
                     np.linalg.norm(state.lam_hat - loop_consensus_projection(
                         ops.lambda_layout, state.lam_hat)),
                 ))
-                assert close(true_pseudo_gradient(ops, state.x),
-                             game.pseudo_gradient(state.x)), label
+                assert close(game.pseudo_gradient(state.x),
+                             loop_pseudo_gradient(game, *callbacks, state.x)), label
         residual, sigma_dis, lambda_dis = (list(c) for c in zip(*rows))
         assert close(trace.columns["residual"], residual), label
         assert close(trace.columns["sigma_disagreement"], sigma_dis), label
@@ -412,6 +575,161 @@ def test_gne_solve_records_match_loop_reference(arm):
         if arm == "row":
             assert invariant > 1e-3, label
         assert close(trace.meta["max_consensus_invariant"], invariant), label
+
+
+def blocks_game(seed=3):
+    """A game with 2-dimensional aggregation blocks, random non-identity
+    B_{q,i}, nonzero offsets and box, ball, halfspace and free domains:
+    f_i = x_i'Q_i x_i / 2 + sum_q x_i'C_{q,i} tanh(sigma_q). Its pair-indexed
+    gradient is written with stacked matrices; the per-agent callbacks are
+    returned beside the game."""
+    rng = np.random.default_rng(seed)
+    action_dims, sigma_dims, lambda_dims = (1, 2, 1, 2, 1), {1: 2, 2: 2, 3: 2}, {1: 2, 2: 1}
+    inter_s, inter_l = random_interference(rng, 3, 5), random_interference(rng, 2, 5)
+    starts = np.cumsum((0,) + action_dims)
+
+    def own(i):
+        return slice(starts[i - 1], starts[i])
+
+    agg_blocks = {(q, i): rng.standard_normal((sigma_dims[q], action_dims[i - 1]))
+                  for q, i in inter_s}
+    agg_offsets = {(q, i): rng.standard_normal(sigma_dims[q]) for q, i in inter_s}
+    con_blocks = {(m, i): rng.standard_normal((lambda_dims[m], action_dims[i - 1]))
+                  for m, i in inter_l}
+    con_offsets = {(m, i): rng.standard_normal(lambda_dims[m]) for m, i in inter_l}
+    Q = {i: np.eye(d) + (lambda R: R @ R.T)(rng.standard_normal((d, d)))
+         for i, d in enumerate(action_dims, start=1)}
+    C = {(q, i): rng.standard_normal((action_dims[i - 1], sigma_dims[q])) for q, i in inter_s}
+
+    pairs = sorted(inter_s)
+    pair_starts = np.cumsum([0] + [sigma_dims[q] for q, _ in pairs])
+    C_hat = np.zeros((starts[-1], pair_starts[-1]))
+    B_hat = np.zeros((pair_starts[-1], starts[-1]))
+    for k, (q, i) in enumerate(pairs):
+        rows = slice(pair_starts[k], pair_starts[k + 1])
+        C_hat[own(i), rows] = C[q, i]
+        B_hat[rows, own(i)] = agg_blocks[q, i]
+    Q_hat = scipy.linalg.block_diag(*(Q[i] for i in sorted(Q)))
+
+    def gradient(x, sigma):
+        t = np.tanh(sigma)
+        return Q_hat @ x + C_hat @ t + B_hat.T @ ((1.0 - t**2) * (C_hat.T @ x))
+
+    def grad_x(i, xi, sigma):
+        return Q[i] @ xi + sum(C[q, i] @ np.tanh(s) for q, s in sigma.items())
+
+    def grad_sigma(i, xi, sigma):
+        return {q: (1.0 - np.tanh(s) ** 2) * (C[q, i].T @ xi) for q, s in sigma.items()}
+
+    game = AggregativeGameSpec(
+        action_dims=action_dims, sigma_dims=sigma_dims, lambda_dims=lambda_dims,
+        gradient=gradient, agg_blocks=agg_blocks, agg_offsets=agg_offsets,
+        con_blocks=con_blocks, con_offsets=con_offsets,
+        interference_sigma=inter_s, interference_lambda=inter_l,
+        domains={1: BoxSet(-1.0, 1.0), 2: BallSet(np.zeros(2), 1.5),
+                 4: BoxSet(np.array([-1.0, 0.0]), np.array([0.5, 2.0])),
+                 5: HalfspaceSet(np.array([1.0]), 0.2)})
+    return game, (grad_x, grad_sigma)
+
+
+def blocks_layouts(game, arm):
+    """Standard, designed and row-reweighted designed layout pairs on a ring."""
+    crit = DesignCriterion(ConnectivityMode.undirected_connected(), objective="min_edges")
+
+    def make(pattern, dims):
+        part = Partition(tuple(dims[q] for q in sorted(dims)))
+        if arm == "standard":
+            return standard_layout(ring(5), pattern, part)
+        lay = design_layout(ring(5), pattern, part, crit, weight_scheme="metropolis")
+        return reweight(lay, "row") if arm == "row" else lay
+
+    return (make(game.interference_sigma, game.sigma_dims),
+            make(game.interference_lambda, game.lambda_dims))
+
+
+def gne_case(name, arm):
+    """(operators, per-agent callbacks) of the unicast or the blocks game."""
+    if name == "unicast":
+        inst, callbacks, _ = unicast_games()
+        return build_gne_operators(inst.game, *unicast_layouts(inst, arm)), callbacks
+    game, callbacks = blocks_game()
+    return build_gne_operators(game, *blocks_layouts(game, arm)), callbacks
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized", "row"])
+@pytest.mark.parametrize("name", ["unicast", "blocks"])
+def test_pair_gradient_matches_agent_loop(name, arm):
+    """The pair-indexed gradient at local estimates far from consensus and
+    at the exact aggregation, and the compiled aggregation, constraints,
+    projection and KKT residual, against the per-agent loops and dict scans
+    they replaced; then one fused step."""
+    ops, callbacks = gne_case(name, arm)
+    game = ops.game
+    A, a = game.constraint_matrix()
+    A_ref, a_ref = loop_constraint_matrix(game)
+    assert close(A, A_ref) and close(a, a_ref)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.uniform(0.0, 1.0, game.total_action_dim)
+        sigma_hat = 3.0 * rng.standard_normal(ops.sigma_layout.stacked_dim)
+        assert close(extended_pseudo_gradient(ops, x, sigma_hat),
+                     loop_extended_pseudo_gradient(ops, *callbacks, x, sigma_hat))
+        assert close(game.pseudo_gradient(x), loop_pseudo_gradient(game, *callbacks, x))
+        exact, ref = game.aggregation(x), loop_aggregation(game, x)
+        assert exact.keys() == ref.keys() and all(close(exact[q], ref[q]) for q in ref)
+        v = 3.0 * rng.standard_normal(game.total_action_dim)
+        assert close(game.project(v), project_each(game, v))
+        lam = rng.uniform(0.0, 1.0, A.shape[0])
+        assert close(kkt_residual(game, x, lam), loop_kkt_residual(game, *callbacks, x, lam))
+        state = GneState(x=x, s_hat=sigma_hat,
+                         z_hat=rng.standard_normal(ops.lambda_layout.stacked_dim),
+                         lam_hat=rng.uniform(0.0, 1.0, ops.lambda_layout.stacked_dim))
+        fused, loop = gne_step(ops, state, 0.1, 1e-2), loop_gne_step(ops, state, 0.1, 1e-2)
+        for part in ("x", "s_hat", "z_hat", "lam_hat"):
+            assert close(getattr(fused, part), getattr(loop, part)), part
+
+
+@pytest.mark.parametrize("name", ["unicast", "blocks"])
+def test_reference_solve_matches_agent_loop(name):
+    """A fixed number of centralized primal-dual steps (tol=0) against the
+    per-agent loop, on the 7-node reference scheme and the blocks game."""
+    if name == "unicast":
+        inst = build_unicast(reference_scheme_unicast(0))
+        game, callbacks, step = inst.game, unicast_callbacks(inst.scenario), 0.2
+    else:
+        (game, callbacks), step = blocks_game(), 0.05
+    x0 = np.zeros(game.total_action_dim)
+    x, lam = solve_vgne_centralized(game, x0, step=step, max_iters=1500, tol=0.0)
+    x_ref, lam_ref = loop_solve_vgne(game, *callbacks, x0, step, 1500)
+    assert close(x, x_ref) and close(lam, lam_ref)
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized", "row"])
+@pytest.mark.parametrize("name", ["unicast", "blocks"])
+def test_preconditioner_check_matches_dense_reference(name, arm):
+    ops, _ = gne_case(name, arm)
+    for beta in np.geomspace(1e-4, 10.0, 41):
+        assert preconditioner_positive(ops, beta) == (dense_preconditioner_min_eig(ops, beta) > 0)
+    # the smallest eigenvalue is 1/beta - sigma_max, so the check flips at 1/sigma_max
+    threshold = 1.0 / (1.0 - dense_preconditioner_min_eig(ops, 1.0))
+    assert preconditioner_positive(ops, threshold * (1.0 - 1e-9))
+    assert not preconditioner_positive(ops, threshold * (1.0 + 1e-9))
+
+
+def test_preconditioner_check_memory_is_linear():
+    """The standard arm of a 20-user network stacks n = 1,700 entries; the
+    dense preconditioner alone would take n^2 doubles (23 MB)."""
+    inst = build_unicast(sample_unicast(20, 0))
+    ops = build_gne_operators(inst.game, *inst.standard)
+    n = (ops.game.total_action_dim + ops.sigma_layout.stacked_dim
+         + 2 * ops.lambda_layout.stacked_dim)
+    tracemalloc.start()
+    try:
+        assert preconditioner_positive(ops, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * n * n
 
 
 # -- push-sum ---------------------------------------------------------------

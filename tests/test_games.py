@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -355,16 +357,15 @@ def two_agent_aggregative(sense="equality", target=1.0):
     """f_i = (x_i - 1)^2 + x_i * sigma with sigma = x_1 + x_2, coupled by
     x_1 + x_2 = target (or <=)."""
 
-    def gx(i, xi, s):
-        return np.array([2 * xi[0] - 2 + s[1][0]])
-
-    def gs(i, xi, s):
-        return {1: np.array([xi[0]])}
+    def gradient(x, sigma):
+        # 2 x_i - 2 + sigma_i from x_i, and x_i from sigma_i through B = 1;
+        # the pairs (1, 1) and (1, 2) hold agent 1's and agent 2's sigma
+        return 3 * x - 2 + sigma
 
     one = np.array([[1.0]])
     return AggregativeGameSpec(
         action_dims=(1, 1), sigma_dims={1: 1}, lambda_dims={1: 1},
-        grad_x=gx, grad_sigma=gs,
+        gradient=gradient,
         agg_blocks={(1, 1): one, (1, 2): one},
         agg_offsets={(1, 1): np.zeros(1), (1, 2): np.zeros(1)},
         con_blocks={(1, 1): one, (1, 2): one},
@@ -389,11 +390,20 @@ class TestAggregativeSpec:
         with pytest.raises(GameError):
             AggregativeGameSpec(
                 action_dims=(1,), sigma_dims={1: 1}, lambda_dims={},
-                grad_x=lambda i, xi, s: np.zeros(1),
-                grad_sigma=lambda i, xi, s: {},
+                gradient=lambda x, sigma: np.zeros(1),
                 agg_blocks={(1, 1): one}, agg_offsets={},
                 con_blocks={}, con_offsets={},
                 interference_sigma=frozenset(), interference_lambda=frozenset())
+
+    @pytest.mark.parametrize("kind", ["agg", "con"])
+    def test_offset_off_pattern_rejected(self, kind):
+        # agent 2 drops out of the pattern and its block, but its offset stays
+        game = two_agent_aggregative()
+        shrunk = {f"{kind}_blocks": {(1, 1): np.array([[1.0]])},
+                  "interference_sigma" if kind == "agg" else "interference_lambda":
+                      frozenset({(1, 1)})}
+        with pytest.raises(GameError, match=r"offset \(1, 2\) off the interference pattern"):
+            dataclasses.replace(game, **shrunk)
 
     def test_pseudo_gradient_hand_value(self):
         game = two_agent_aggregative()
@@ -483,3 +493,9 @@ class TestGneIteration:
         ops = build_gne_operators(game, self.layout, self.layout)
         with pytest.raises(DivergenceError):
             gne_solve(ops, np.zeros(2), alpha=0.1, beta=50.0, max_iters=5000)
+
+    def test_reference_solve_divergence_guard(self):
+        # step 2.0 blows the centralized loop up to nan within its budget
+        with pytest.raises(DivergenceError):
+            solve_vgne_centralized(two_agent_aggregative(), np.zeros(2), step=2.0,
+                                   max_iters=20000)

@@ -83,14 +83,22 @@ def test_unicast_gradient_matches_finite_differences():
 
 def test_unicast_fast_gradient_matches_generic():
     inst = build_unicast(sample_unicast(9, seed=4))
+    sc, labels = inst.scenario, inst.labels
     ops = build_gne_operators(inst.game, *inst.standard)
     state = initial_gne_state(ops, np.full(9, 0.3))
     for _ in range(25):
         state = gne_step(ops, state, 0.1, 1e-3)
     sigma_hat = state.sigma_hat(ops)
     fast = extended_pseudo_gradient(ops, state.x, sigma_hat)
-    object.__setattr__(inst.game, "extended_gradient", None)
-    generic = extended_pseudo_gradient(ops, state.x, sigma_hat)
+    # per user, from its own copies: -s / (x_i + 1) + sum_p psi_p (g + x_i g (1 - g))
+    # over its links p, with g the sigmoid of its copy of link p's total
+    generic = np.empty(9)
+    for i in range(1, 10):
+        xi = state.x[i - 1]
+        generic[i - 1] = -sc.utility_scale / (xi + 1.0)
+        for link in {tuple(sorted(e)) for e in sc.paths[i]}:
+            g = 1.0 / (1.0 + np.exp(-sigma_hat[ops.sigma_layout.block_slice(labels[link], i)][0]))
+            generic[i - 1] += sc.psi[link] * (g + xi * g * (1.0 - g))
     assert np.max(np.abs(fast - generic)) <= 1e-12
 
 
