@@ -134,18 +134,20 @@ def _prune_leaves(tree: nx.Graph, keep: set[int]) -> None:
 
 def solve_st(inst: SteinerInstance) -> Graph:
     """Weighted Steiner tree 2-approximation (metric closure MST + expansion)."""
-    return _steiner_tree(inst, weighted_cost=True)
+    if inst.host.directed:
+        raise GraphError("Steiner tree requires an undirected host")
+    return _steiner_tree(_nx_undirected(inst.host, inst.weights), inst)
 
 
 def solve_ust(inst: SteinerInstance) -> Graph:
     """Unweighted Steiner tree: minimize edge count heuristically."""
-    return _steiner_tree(inst, weighted_cost=False)
-
-
-def _steiner_tree(inst: SteinerInstance, weighted_cost: bool) -> Graph:
     if inst.host.directed:
         raise GraphError("Steiner tree requires an undirected host")
-    host = _nx_undirected(inst.host, inst.weights if weighted_cost else None)
+    return _steiner_tree(_nx_undirected(inst.host), inst)
+
+
+def _steiner_tree(host: nx.Graph, inst: SteinerInstance) -> Graph:
+    """KMB on ``host``, the networkx form of ``inst.host``."""
     terminals = sorted(inst.terminals)
     if len(terminals) == 1:
         return Graph.undirected_graph(terminals, [])
@@ -174,7 +176,10 @@ def solve_hub_tree(inst: SteinerInstance, hub: int | None = None) -> Graph:
     """
     if inst.host.directed:
         raise GraphError("hub tree requires an undirected host")
-    host = _nx_undirected(inst.host)
+    return _hub_tree(_nx_undirected(inst.host), inst, hub)
+
+
+def _hub_tree(host: nx.Graph, inst: SteinerInstance, hub: int | None) -> Graph:
     terminals = sorted(inst.terminals)
     if hub is None:
         hub = terminals[0]
@@ -199,21 +204,7 @@ def solve_udst(inst: SteinerInstance) -> Graph:
     """
     if inst.root is None:
         raise GraphError("rooted Steiner instance needs a root")
-    host = _nx_directed(inst.host)
-    sub = nx.DiGraph()
-    sub.add_node(inst.root)
-    for t in sorted(inst.terminals):
-        if t == inst.root:
-            continue
-        try:
-            path = nx.shortest_path(host, inst.root, t)
-        except nx.NetworkXNoPath:
-            raise DesignInfeasible(
-                f"terminal {t} unreachable from root {inst.root}", components=()
-            ) from None
-        sub.add_edges_from(zip(path[:-1], path[1:]))
-    _prune_redundant_directed(sub, inst.root, set(inst.terminals))
-    return Graph.directed_graph(sorted(sub.nodes), sorted(sub.edges))
+    return _rooted_paths(_nx_directed(inst.host), inst, weight=None)
 
 
 def solve_dst(inst: SteinerInstance) -> Graph:
@@ -225,13 +216,18 @@ def solve_dst(inst: SteinerInstance) -> Graph:
         for (u, v), w in inst.weights.items():
             if host.has_edge(u, v):
                 host[u][v]["weight"] = w
+    return _rooted_paths(host, inst, weight="weight")
+
+
+def _rooted_paths(host: nx.DiGraph, inst: SteinerInstance, weight: str | None) -> Graph:
+    """Union of shortest root-to-terminal paths in ``host``, pruned."""
     sub = nx.DiGraph()
     sub.add_node(inst.root)
     for t in sorted(inst.terminals):
         if t == inst.root:
             continue
         try:
-            path = nx.shortest_path(host, inst.root, t, weight="weight")
+            path = nx.shortest_path(host, inst.root, t, weight=weight)
         except nx.NetworkXNoPath:
             raise DesignInfeasible(f"terminal {t} unreachable from root {inst.root}") from None
         sub.add_edges_from(zip(path[:-1], path[1:]))
@@ -256,7 +252,10 @@ def solve_scss(inst: SteinerInstance) -> Graph:
     Hub heuristic: union of shortest hub-to-terminal and terminal-to-hub
     paths; strongly connected by construction.
     """
-    host = _nx_directed(inst.host)
+    return _hub_scss(_nx_directed(inst.host), inst)
+
+
+def _hub_scss(host: nx.DiGraph, inst: SteinerInstance) -> Graph:
     terminals = sorted(inst.terminals)
     hub = inst.root if inst.root is not None else terminals[0]
     sub = nx.DiGraph()
@@ -351,6 +350,10 @@ def design_layout(
     if all(criterion.objective_for(p) == "none" for p in partition.components):
         return standard_layout(comm, interference, partition, weight_scheme=scheme)
 
+    # every component is designed on the same host, so its symmetric view
+    # and its networkx form are built once per call
+    host = comm.undirected_closure() if mode.kind == "undirected" and comm.directed else comm
+    nx_host = _nx_undirected(host) if mode.kind == "undirected" else _nx_directed(host)
     loads: dict[int, int] = {v: 0 for v in comm.nodes}
     design = {}
     failures: list[int] = []
@@ -362,15 +365,13 @@ def design_layout(
             messages.append(f"component {p}: no agent needs it")
             continue
         try:
-            sub = _solve_component(comm, p, terminals, criterion, loads)
+            sub = _solve_component(comm, host, nx_host, p, terminals, criterion, loads)
         except DesignInfeasible as exc:
             failures.append(p)
             messages.append(f"component {p}: {exc}")
             continue
         if criterion.augment:
-            sub = restrict(
-                comm if mode.kind != "undirected" else comm.undirected_closure(), sub.nodes
-            )
+            sub = restrict(host, sub.nodes)
         for v in sub.nodes:
             loads[v] += 1
         design[p] = weighted(sub, scheme)
@@ -391,32 +392,36 @@ def design_layout(
 
 def _solve_component(
     comm: Graph,
+    host: Graph,
+    nx_host: nx.Graph | nx.DiGraph,
     p: int,
     terminals: frozenset[int],
     criterion: DesignCriterion,
     loads: Mapping[int, int],
 ) -> Graph:
+    """Exchange graph of component p on ``host`` (``comm``, made symmetric in
+    undirected mode); ``nx_host`` is host's unweighted networkx form, shared
+    by every component and never mutated."""
     mode = criterion.connectivity
     objective = criterion.objective_for(p)
     if objective == "none":
         return comm
-    host = comm.undirected_closure() if mode.kind == "undirected" and comm.directed else comm
     if mode.kind == "rooted":
         root = mode.roots.get(p)
         if root is None:
             raise DesignInfeasible("no root specified")
-        return solve_udst(SteinerInstance(host, terminals | {root}, root=root))
+        return _rooted_paths(nx_host, SteinerInstance(host, terminals | {root}, root=root),
+                             weight=None)
     if mode.kind == "strong":
         hub = p if p in terminals else None
-        return solve_scss(SteinerInstance(host, terminals, root=hub))
+        return _hub_scss(nx_host, SteinerInstance(host, terminals, root=hub))
     # undirected
     if objective == "min_nodes":
         hub = p if p in terminals else min(terminals)
-        return solve_hub_tree(SteinerInstance(host, terminals), hub=hub)
-    if objective == "min_edges":
-        return solve_ust(SteinerInstance(host, terminals))
-    if objective == "min_weight":
-        return solve_st(SteinerInstance(host, terminals))
+        return _hub_tree(nx_host, SteinerInstance(host, terminals), hub)
+    if objective in ("min_edges", "min_weight"):
+        # min_weight has unit weights here, so both run KMB on the same host
+        return _steiner_tree(nx_host, SteinerInstance(host, terminals))
     # balanced: Steiner tree with load-inflated edge weights
     w = {
         (u, v): 1.0 + criterion.balance_penalty * (loads[u] + loads[v]) / 2.0
@@ -440,12 +445,13 @@ def try_minimal_layout(
     """
     interference = frozenset(interference)
     scheme = weight_scheme or _default_scheme(mode)
+    host = comm if mode.kind != "undirected" else comm.undirected_closure()
     design = {}
     for p in partition.components:
         needers = {i for (q, i) in interference if q == p}
         if not needers:
             return None, [f"component {p}: no agent needs it"]
-        sub = restrict(comm if mode.kind != "undirected" else comm.undirected_closure(), needers)
+        sub = restrict(host, needers)
         design[p] = weighted(sub, scheme)
     layout = EndLayout(
         agents=comm.nodes,

@@ -9,14 +9,21 @@ indexed by the receiver and columns by the sender.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 
 class GraphError(ValueError):
     """Raised on malformed graph data or precondition violations."""
+
+
+class _AdjacencyIndex(NamedTuple):
+    position: dict[int, int]  # node id -> position in the ascending ordering
+    inbound: dict[int, tuple[int, ...]]  # node id -> senders, ascending
+    outbound: dict[int, tuple[int, ...]]  # node id -> receivers, ascending
 
 
 @dataclass(frozen=True)
@@ -67,26 +74,47 @@ class Graph:
         edges = {(u, v) for u in ns for v in ns if self_loops or u != v}
         return cls(ns, frozenset(edges), directed=False)
 
+    def __getstate__(self):
+        # the adjacency index is derived state, rebuilt on demand after unpickling
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def _index(self) -> _AdjacencyIndex:
+        """Node positions and sorted neighbour tuples, built in one pass over
+        the sorted edges (so each neighbour list comes out ascending)."""
+        inbound: dict[int, list[int]] = {v: [] for v in self.nodes}
+        outbound: dict[int, list[int]] = {v: [] for v in self.nodes}
+        for u, v in sorted(self.edges):
+            outbound[u].append(v)
+            inbound[v].append(u)
+        return _AdjacencyIndex(
+            {v: k for k, v in enumerate(self.nodes)},
+            {v: tuple(us) for v, us in inbound.items()},
+            {u: tuple(vs) for u, vs in outbound.items()},
+        )
+
     def index(self, v: int) -> int:
         """Position of v in the ascending node ordering."""
         try:
-            return self.nodes.index(v)
-        except ValueError:
+            return self._index.position[v]
+        except KeyError:
             raise GraphError(f"unknown node id {v}") from None
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        if v not in set(self.nodes):
-            raise GraphError(f"unknown node id {v}")
-        return tuple(sorted(u for (u, w) in self.edges if w == v))
+        try:
+            return self._index.inbound[v]
+        except KeyError:
+            raise GraphError(f"unknown node id {v}") from None
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        if v not in set(self.nodes):
-            raise GraphError(f"unknown node id {v}")
-        return tuple(sorted(w for (u, w) in self.edges if u == v))
+        try:
+            return self._index.outbound[v]
+        except KeyError:
+            raise GraphError(f"unknown node id {v}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
@@ -94,7 +122,7 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix A with A[recv, send] = 1 iff (send, recv) is an edge."""
         n = self.num_nodes
-        pos = {v: k for k, v in enumerate(self.nodes)}
+        pos = self._index.position
         a = np.zeros((n, n))
         for u, v in self.edges:
             a[pos[v], pos[u]] = 1.0
@@ -174,7 +202,7 @@ class WeightedGraph:
     def matrix(self) -> np.ndarray:
         """Dense weight matrix W with W[recv, send] ordering by ascending node id."""
         n = self.graph.num_nodes
-        pos = {v: k for k, v in enumerate(self.graph.nodes)}
+        pos = self.graph._index.position
         w = np.zeros((n, n))
         for (recv, send), val in self.weights.items():
             w[pos[recv], pos[send]] = val
@@ -243,13 +271,11 @@ def laplacian(wg: WeightedGraph) -> np.ndarray:
 
 def is_rooted(g: Graph, r: int) -> bool:
     """True iff every node is reachable from r along directed edges."""
-    if r not in set(g.nodes):
+    succ = g._index.outbound
+    if r not in succ:
         raise GraphError(f"unknown node id {r}")
     seen = {r}
     frontier = [r]
-    succ: dict[int, list[int]] = {v: [] for v in g.nodes}
-    for u, v in g.edges:
-        succ[u].append(v)
     while frontier:
         u = frontier.pop()
         for v in succ[u]:
@@ -314,11 +340,12 @@ def metropolis_hastings_weights(g: Graph) -> WeightedGraph:
     """
     if g.directed:
         raise GraphError("Metropolis-Hastings weights require an undirected graph")
-    deg = {v: len([u for u in g.in_neighbors(v) if u != v]) for v in g.nodes}
+    inbound = g._index.inbound
+    deg = {v: len(us) - (v in us) for v, us in inbound.items()}
     w = {}
-    for v in g.nodes:
+    for v, us in inbound.items():
         off = 0.0
-        for u in g.in_neighbors(v):
+        for u in us:
             if u == v:
                 continue
             w[(v, u)] = 1.0 / (1.0 + max(deg[v], deg[u]))
@@ -331,8 +358,7 @@ def row_stochastic_weights(g: Graph) -> WeightedGraph:
     """Uniform row-stochastic weights over in-neighborhoods (self-loops added)."""
     gl = g.with_self_loops()
     w = {}
-    for v in gl.nodes:
-        nbrs = gl.in_neighbors(v)
+    for v, nbrs in gl._index.inbound.items():
         for u in nbrs:
             w[(v, u)] = 1.0 / len(nbrs)
     return WeightedGraph(gl, w)
@@ -342,8 +368,7 @@ def column_stochastic_weights(g: Graph) -> WeightedGraph:
     """Uniform column-stochastic weights over out-neighborhoods (self-loops added)."""
     gl = g.with_self_loops()
     w = {}
-    for u in gl.nodes:
-        outs = gl.out_neighbors(u)
+    for u, outs in gl._index.outbound.items():
         for v in outs:
             w[(v, u)] = 1.0 / len(outs)
     return WeightedGraph(gl, w)

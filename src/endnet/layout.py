@@ -544,8 +544,9 @@ class EndLayout:
         if mode == "unicast":
             total = 0
             for p in self.partition.components:
-                edges = [(u, v) for (u, v) in self.design[p].graph.edges if u != v]
-                total += len(edges) * self.partition.dim(p)
+                g = self.design[p].graph
+                loops = sum((v, v) in g.edges for v in g.nodes)
+                total += (len(g.edges) - loops) * self.partition.dim(p)
             return float(total)
         if mode == "broadcast":
             total = 0
@@ -609,8 +610,13 @@ def standard_layout(
     weight_scheme: str = "metropolis",
 ) -> EndLayout:
     """The sparsity-unaware baseline: every agent holds every component and
-    all exchange graphs equal the communication graph."""
-    design = {p: weighted(comm, weight_scheme) for p in partition.components}
+    all exchange graphs equal the communication graph.
+
+    ``comm`` is weighted once and every component shares that one
+    ``WeightedGraph``.
+    """
+    shared = weighted(comm, weight_scheme)
+    design = {p: shared for p in partition.components}
     return EndLayout(
         agents=comm.nodes,
         partition=partition,
@@ -623,9 +629,13 @@ def standard_layout(
 def reweight(layout: EndLayout, scheme: str) -> EndLayout:
     """Same topology, fresh weights per the named scheme.
 
-    Row/column schemes add self-loops to the exchange graphs.
+    Row/column schemes add self-loops to the exchange graphs.  Each distinct
+    exchange graph is weighted once, and components with equal exchange
+    graphs share the result.
     """
-    design = {p: weighted(layout.design[p].graph, scheme) for p in layout.partition.components}
+    graphs = {p: layout.design[p].graph for p in layout.partition.components}
+    fresh = {g: weighted(g, scheme) for g in dict.fromkeys(graphs.values())}
+    design = {p: fresh[g] for p, g in graphs.items()}
     return EndLayout(
         agents=layout.agents,
         partition=layout.partition,

@@ -26,7 +26,15 @@ from endnet.graphs import (
     is_strongly_connected,
     restrict,
 )
-from endnet.layout import ConnectivityMode, Partition, standard_layout
+from endnet.layout import (
+    ConnectivityMode,
+    EndLayout,
+    Partition,
+    reweight,
+    standard_layout,
+    weighted,
+)
+from endnet.scenarios import build_random_separable
 
 
 def random_undirected(rng, n, p):
@@ -281,3 +289,102 @@ class TestTryMinimalLayout:
             comm, {(1, 1), (1, 4)}, part, ConnectivityMode.rooted({1: 1}))
         assert lay is None
         assert violations
+
+
+def per_component_design(comm, interference, partition, criterion, scheme):
+    """design_layout's undirected loop written with the public solvers, each
+    converting a fresh copy of the host to networkx."""
+    loads = {v: 0 for v in comm.nodes}
+    design = {}
+    for p in partition.components:
+        host = comm.undirected_closure() if comm.directed else comm
+        terminals = frozenset(i for (q, i) in interference if q == p)
+        objective = criterion.objective_for(p)
+        if objective == "min_nodes":
+            hub = p if p in terminals else min(terminals)
+            sub = solve_hub_tree(SteinerInstance(host, terminals), hub=hub)
+        elif objective == "min_edges":
+            sub = solve_ust(SteinerInstance(host, terminals))
+        elif objective == "min_weight":
+            sub = solve_st(SteinerInstance(host, terminals))
+        else:
+            w = {(u, v): 1.0 + criterion.balance_penalty * (loads[u] + loads[v]) / 2.0
+                 for (u, v) in host.edges}
+            sub = solve_st(SteinerInstance(host, terminals, weights=w))
+        for v in sub.nodes:
+            loads[v] += 1
+        design[p] = weighted(sub, scheme)
+    return design
+
+
+def connected_comm(rng, n, p, directed):
+    """A ring plus random chords, both directions of each link stored; with
+    ``directed`` the graph is flagged directed, so design symmetrizes it."""
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    chords = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+              if rng.random() < p]
+    links = ring + chords
+    if directed:
+        return Graph.directed_graph(range(1, n + 1), links + [(v, u) for u, v in links])
+    return Graph.undirected_graph(range(1, n + 1), links)
+
+
+class TestSharedHost:
+    def test_random_separable_matches_per_component_solves(self):
+        problem, _ = build_random_separable(30, 60, 0.1, 0)
+        interference = frozenset(
+            (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp)
+        partition = Partition(problem.component_dims)
+        comm = connected_comm(np.random.default_rng(4), 30, 0.08, directed=False)
+        # min_edges everywhere but a few components, so that all three
+        # undirected solvers share the host
+        crit = DesignCriterion(
+            ConnectivityMode.undirected_connected(), "min_edges",
+            overrides={p: ("min_nodes", "min_weight")[p % 2] for p in range(1, 61, 7)})
+        lay = design_layout(comm, interference, partition, crit, weight_scheme="metropolis")
+        ref = per_component_design(comm, interference, partition, crit, "metropolis")
+        assert {p: lay.design[p] for p in partition.components} == ref
+        assert sum(len(wg.graph.edges) for wg in ref.values()) > 2 * 60  # not all stars
+
+    def test_directed_comm_balanced_matches_per_component_solves(self):
+        rng = np.random.default_rng(11)
+        comm = connected_comm(rng, 12, 0.12, directed=True)
+        assert comm.directed
+        partition = Partition((1,) * 10)
+        interference = frozenset((p, int(i)) for p in partition.components
+                                 for i in rng.choice(comm.nodes, size=4, replace=False))
+        crit = DesignCriterion(ConnectivityMode.undirected_connected(), "balanced",
+                               balance_penalty=2.0)
+        lay = design_layout(comm, interference, partition, crit)
+        ref = per_component_design(comm, interference, partition, crit, "metropolis")
+        assert {p: lay.design[p] for p in partition.components} == ref
+
+    @pytest.mark.parametrize("scheme", ["metropolis", "row", "column"])
+    def test_standard_layout_shares_one_weighted_graph(self, scheme):
+        comm = connected_comm(np.random.default_rng(2), 9, 0.2, directed=False)
+        partition = Partition((1, 2, 1, 3))
+        interference = frozenset((p, i) for p in partition.components for i in comm.nodes)
+        lay = standard_layout(comm, interference, partition, weight_scheme=scheme)
+        assert len({id(wg) for wg in lay.design.values()}) == 1
+        fresh = EndLayout(agents=comm.nodes, partition=partition, comm=comm,
+                          interference=interference,
+                          design={p: weighted(comm, scheme) for p in partition.components})
+        a, b = lay.weight_matrix(), fresh.weight_matrix()
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+        assert a.shape == b.shape
+
+    def test_reweight_weights_each_distinct_graph_once(self):
+        comm = connected_comm(np.random.default_rng(5), 8, 0.2, directed=False)
+        partition = Partition((1, 1, 1))
+        interference = frozenset((p, i) for p in partition.components for i in comm.nodes)
+        std = reweight(standard_layout(comm, interference, partition), "row")
+        assert len({id(wg) for wg in std.design.values()}) == 1
+        assert std.design[1] == weighted(comm, "row")
+        interference = {(1, 1), (1, 5), (2, 1), (2, 5), (3, 2), (3, 3)}
+        cust = design_layout(comm, interference, partition,
+                             DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges"))
+        back = reweight(cust, "column")
+        for p in partition.components:
+            assert back.design[p] == weighted(cust.design[p].graph, "column")
+        assert (back.design[1] is back.design[2]) == (cust.design[1].graph == cust.design[2].graph)

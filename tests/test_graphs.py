@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -230,3 +231,60 @@ def test_undirected_graph_is_symmetric(n, rnd):
     g = Graph.undirected_graph(range(1, n + 1), edges)
     for u, v in g.edges:
         assert (v, u) in g.edges
+
+
+@given(st.integers(min_value=1, max_value=8), st.booleans(), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_adjacency_index_matches_edge_scan(n, directed, self_loops, rnd):
+    # odd ids, so that positions and ids differ and 0 is unknown
+    nodes = list(range(1, 2 * n, 2))
+    edges = [(u, v) for u in nodes for v in nodes
+             if (u != v or self_loops) and rnd.random() < 0.4]
+    build = Graph.directed_graph if directed else Graph.undirected_graph
+    g = build(nodes, edges)
+    twin = build(nodes, edges)  # same value, index never built
+
+    for k, v in enumerate(g.nodes):
+        assert g.in_neighbors(v) == tuple(sorted(u for (u, w) in g.edges if w == v))
+        assert g.out_neighbors(v) == tuple(sorted(w for (u, w) in g.edges if u == v))
+        assert g.index(v) == k
+    for lookup in (g.in_neighbors, g.out_neighbors, g.index):
+        with pytest.raises(GraphError, match="unknown node id 0"):
+            lookup(0)
+
+    # weights against their formulas on the 0/1 adjacency A[recv, send]
+    a = g.adjacency()
+    looped = a.copy()
+    np.fill_diagonal(looped, 1.0)
+    row = row_stochastic_weights(g)
+    col = column_stochastic_weights(g)
+    assert row.graph == col.graph == g.with_self_loops()
+    assert np.array_equal(row.matrix(), looped / looped.sum(axis=1, keepdims=True))
+    assert np.array_equal(col.matrix(), looped / looped.sum(axis=0, keepdims=True))
+    if directed:
+        with pytest.raises(GraphError):
+            metropolis_hastings_weights(g)
+    else:
+        off = a * (1.0 - np.eye(n))
+        deg = off.sum(axis=1)
+        expected = np.zeros((n, n))
+        for i in range(n):
+            total = 0.0
+            for j in range(n):  # ascending senders, the library's summation order
+                if off[i, j]:
+                    expected[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+                    total += expected[i, j]
+            expected[i, i] = 1.0 - total
+        mh = metropolis_hastings_weights(g)
+        assert mh.graph == g.with_self_loops()
+        assert np.array_equal(mh.matrix(), expected)
+
+    # the built index is derived state: equality, hash and pickling ignore it
+    assert "_index" in vars(g) and "_index" not in vars(twin)
+    assert g == twin and hash(g) == hash(twin)
+    back = pickle.loads(pickle.dumps(g))
+    assert "_index" not in vars(back)
+    assert back == g and hash(back) == hash(g)
+    assert [back.out_neighbors(v) for v in nodes] == [g.out_neighbors(v) for v in nodes]
+    assert back.to_json_dict() == twin.to_json_dict()
