@@ -77,6 +77,35 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
+_REQUIRED = object()
+
+
+def _read(cfg: dict, key: str, kind, default=_REQUIRED):
+    """``kind(cfg.get(key, default))``, where a missing required key or a
+    value ``kind`` cannot convert is a ConfigError that names the key. A
+    default of None makes the field optional and passes None through."""
+    if key in cfg:
+        value = cfg[key]
+    elif default is _REQUIRED:
+        raise ConfigError(f"missing field {key!r}")
+    else:
+        value = default
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {key!r}: expected {kind.__name__}, got {value!r}") from exc
+
+
+def _block(cfg: dict, key: str) -> dict:
+    """The JSON object under ``key`` (empty when absent)."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object")
+    return value
+
+
 # -- output helpers ---------------------------------------------------------
 
 
@@ -167,11 +196,11 @@ def emit_plot_script(csv_path: str, columns: list[str]) -> str:
 
 # -- scenario construction --------------------------------------------------
 
-_SENSOR_FIELDS = (
-    "num_sensors", "num_sources", "sensing_radius", "comm_radius_min",
-    "comm_radius_width", "output_dim", "noise_var", "emit_fraction",
-    "seed", "max_resample",
-)
+_SENSOR_FIELDS = {
+    "num_sensors": int, "num_sources": int, "sensing_radius": float,
+    "comm_radius_min": float, "comm_radius_width": float, "output_dim": int,
+    "noise_var": float, "emit_fraction": float, "seed": int, "max_resample": int,
+}
 
 
 def _comm_graph(topology: str, n: int) -> Graph:
@@ -197,9 +226,9 @@ def _undirected_arms(comm, interference, partition, scheme="metropolis"):
 def _build_coupled_qp(cfg: dict, seed: int) -> dict:
     """Seeded quadratic resource-allocation problem with one coupling row
     per component and a closed-form multiplier for reference."""
-    n = int(cfg.get("num_agents", 4))
-    d = int(cfg.get("dim", 1))
-    bound = float(cfg.get("box_bound", 10.0))
+    n = _read(cfg, "num_agents", int, 4)
+    d = _read(cfg, "dim", int, 1)
+    bound = _read(cfg, "box_bound", float, 10.0)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-1.0, 1.0, size=(n, d))
     y_star = rng.uniform(-0.2, 0.2, size=d)
@@ -233,25 +262,26 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("scenario block must be an object with a 'kind' field")
     kind = cfg["kind"]
-    seed = int(seed_override if seed_override is not None else cfg.get("seed", 0))
+    seed = int(seed_override) if seed_override is not None else _read(cfg, "seed", int, 0)
     if kind == "unicast":
         if cfg.get("preset") == "reference":
             sc = reference_scheme_unicast(seed)
         else:
             sc = sample_unicast(
-                int(cfg["num_users"]), seed,
-                max_path_len=int(cfg.get("max_path_len", 4)),
-                extra_edge_prob=float(cfg.get("extra_edge_prob", 0.25)),
-                relay_prob=float(cfg.get("relay_prob", 0.1)),
-                alpha=float(cfg.get("alpha", 0.1)),
-                beta=float(cfg.get("beta", 1e-3)),
+                _read(cfg, "num_users", int), seed,
+                max_path_len=_read(cfg, "max_path_len", int, 4),
+                extra_edge_prob=_read(cfg, "extra_edge_prob", float, 0.25),
+                relay_prob=_read(cfg, "relay_prob", float, 0.1),
+                alpha=_read(cfg, "alpha", float, 0.1),
+                beta=_read(cfg, "beta", float, 1e-3),
             )
         inst = build_unicast(sc)
         return {"kind": kind, "instance": inst,
                 "layouts": (inst.standard[0], inst.customized[0]),
                 "mode": ConnectivityMode.undirected_connected()}
     if kind in ("regression", "lasso"):
-        fields = {k: cfg[k] for k in _SENSOR_FIELDS if k in cfg}
+        fields = {k: _read(cfg, k, convert) for k, convert in _SENSOR_FIELDS.items()
+                  if k in cfg}
         fields["seed"] = seed
         sc = SensorScenario(**fields)
         inst = build_regression(sc) if kind == "regression" else build_lasso(sc)
@@ -259,20 +289,19 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
                 "layouts": (inst.standard, inst.customized),
                 "mode": ConnectivityMode.strongly_connected()}
     if kind == "random_game":
-        n = int(cfg.get("num_agents", 5))
+        n = _read(cfg, "num_agents", int, 5)
         game, x_star = build_random_quadratic_game(
-            n, float(cfg.get("sparsity", 0.4)), seed,
-            shift=float(cfg.get("shift", 1.0)))
+            n, _read(cfg, "sparsity", float, 0.4), seed,
+            shift=_read(cfg, "shift", float, 1.0))
         comm = _comm_graph(cfg.get("topology", "ring"), n)
         std, cust = _undirected_arms(comm, game.interference, Partition((1,) * n))
         return {"kind": kind, "game": game, "reference": x_star,
                 "layouts": (std, cust),
                 "mode": ConnectivityMode.undirected_connected()}
     if kind == "random_separable":
-        n = int(cfg.get("num_agents", 6))
-        m = int(cfg.get("num_components", 8))
-        problem, y_star = build_random_separable(
-            n, m, float(cfg.get("sparsity", 0.5)), seed)
+        n = _read(cfg, "num_agents", int, 6)
+        m = _read(cfg, "num_components", int, 8)
+        problem, y_star = build_random_separable(n, m, _read(cfg, "sparsity", float, 0.5), seed)
         comm = _comm_graph(cfg.get("topology", "ring"), n)
         interference = frozenset(
             (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp
@@ -327,23 +356,23 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         pair = inst.standard if arm == "standard" else inst.customized
         ops = build_gne_operators(inst.game, pair[0], pair[1])
         sc = inst.scenario
-        alpha = float(run_cfg.get("alpha", sc.alpha))
-        beta = float(run_cfg.get("beta", sc.beta))
+        alpha = _read(run_cfg, "alpha", float, sc.alpha)
+        beta = _read(run_cfg, "beta", float, sc.beta)
         x0 = np.zeros(inst.game.total_action_dim)
         reference = None
         if run_cfg.get("reference", True):
             reference, _ = solve_vgne_centralized(
                 inst.game, x0,
-                step=float(run_cfg.get("reference_step", 0.05)),
-                max_iters=int(run_cfg.get("reference_max_iters", 500000)),
+                step=_read(run_cfg, "reference_step", float, 0.05),
+                max_iters=_read(run_cfg, "reference_max_iters", int, 500000),
             )
         state, trace = gne_solve(
             ops, x0, alpha, beta,
-            max_iters=int(run_cfg.get("max_iters", 200000)),
-            tol=float(run_cfg.get("tol", 1e-2)),
+            max_iters=_read(run_cfg, "max_iters", int, 200000),
+            tol=_read(run_cfg, "tol", float, 1e-2),
             reference=reference,
-            residual_tol=run_cfg.get("residual_tol"),
-            check_every=int(run_cfg.get("check_every", 50)),
+            residual_tol=_read(run_cfg, "residual_tol", float, None),
+            check_every=_read(run_cfg, "check_every", int, 50),
         )
         # both exchange layers talk every iteration
         result["unicast_cost"] = trace.meta["unicast_cost_per_iter"]
@@ -361,12 +390,12 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
             raise ConfigError("ne solver requires a random_game scenario")
         game = bundle["game"]
         if "alpha" in run_cfg:
-            alpha = float(run_cfg["alpha"])
+            alpha = _read(run_cfg, "alpha", float)
             cert = None
         else:
             # sparse designs can push the best certifiable rate close to 1;
             # loosen the target rather than fail outright
-            target = float(run_cfg.get("rho_target", 0.999))
+            target = _read(run_cfg, "rho_target", float, 0.999)
             cert = None
             for _ in range(4):
                 try:
@@ -379,8 +408,8 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
             alpha = cert.alpha
         hat, trace = ne_solve(
             layout, game, alpha,
-            max_iters=int(run_cfg.get("max_iters", 10000)),
-            tol=float(run_cfg.get("tol", 1e-10)),
+            max_iters=_read(run_cfg, "max_iters", int, 10000),
+            tol=_read(run_cfg, "tol", float, 1e-10),
             reference=bundle["reference"],
             certificate=cert,
         )
@@ -396,12 +425,12 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         problem = bundle["problem"]
         matrices = augdgm_matrices(layout)
         bound = matrices.gamma_bound(problem)
-        gamma = float(run_cfg.get("gamma", 0.5 * bound))
+        gamma = _read(run_cfg, "gamma", float, 0.5 * bound)
         common = dict(
             gamma=gamma,
-            max_iters=int(run_cfg.get("max_iters", 2000)),
+            max_iters=_read(run_cfg, "max_iters", int, 2000),
             reference=bundle["reference"],
-            merit_every=int(run_cfg.get("merit_every", 10)),
+            merit_every=_read(run_cfg, "merit_every", int, 10),
         )
         if algorithm == "augdgm":
             hat, trace = augdgm_solve(layout, problem, **common)
@@ -415,11 +444,11 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         if kind != "random_separable":
             raise ConfigError("admm solver requires a random_separable scenario")
         problem = bundle["problem"]
-        alpha = float(run_cfg.get("alpha", 0.5))
+        alpha = _read(run_cfg, "alpha", float, 0.5)
         hat, trace = admm_solve(
             layout, problem, alpha,
-            max_iters=int(run_cfg.get("max_iters", 5000)),
-            tol=float(run_cfg.get("tol", 1e-10)),
+            max_iters=_read(run_cfg, "max_iters", int, 5000),
+            tol=_read(run_cfg, "tol", float, 1e-10),
             reference=bundle["reference"],
         )
         result["certified"] = {"alpha": alpha}
@@ -433,21 +462,21 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         problem = inst.problem
         reference = problem.solve_reference()
         gamma = power_step_schedule(
-            float(run_cfg.get("step_scale", 1.0)),
-            float(run_cfg.get("step_exponent", 0.51)),
+            _read(run_cfg, "step_scale", float, 1.0),
+            _read(run_cfg, "step_exponent", float, 0.51),
         )
         weights = constant_design_weights(layout)
         state, trace = pushsum_solve(
             layout, lambda k: weights, problem, gamma,
-            max_iters=int(run_cfg.get("max_iters", 20000)),
+            max_iters=_read(run_cfg, "max_iters", int, 20000),
             reference=reference,
-            stop_tol=float(run_cfg.get("stop_tol", 1e-2)),
+            stop_tol=_read(run_cfg, "stop_tol", float, 1e-2),
             merit=lambda hat: merit_v(layout, problem, hat, reference),
-            check_every=int(run_cfg.get("check_every", 100)),
+            check_every=_read(run_cfg, "check_every", int, 100),
         )
         result["certified"] = {
-            "step_scale": float(run_cfg.get("step_scale", 1.0)),
-            "step_exponent": float(run_cfg.get("step_exponent", 0.51)),
+            "step_scale": _read(run_cfg, "step_scale", float, 1.0),
+            "step_exponent": _read(run_cfg, "step_exponent", float, 0.51),
         }
         result["final_merit"] = trace.last("merit")
         result["solution"] = layout.component_means(state.y)
@@ -457,18 +486,18 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
             raise ConfigError("dual solver requires a coupled_qp scenario")
         ccp = bundle["problem"]
         gamma = power_step_schedule(
-            float(run_cfg.get("step_scale", 1.0)),
-            float(run_cfg.get("step_exponent", 0.51)),
+            _read(run_cfg, "step_scale", float, 1.0),
+            _read(run_cfg, "step_exponent", float, 0.51),
         )
         weights = constant_design_weights(layout)
         y_mean, x_final, trace = constraint_coupled_solve(
             layout, ccp, lambda k: weights, gamma,
-            max_iters=int(run_cfg.get("max_iters", 5000)),
+            max_iters=_read(run_cfg, "max_iters", int, 5000),
             reference_dual=bundle["reference_dual"],
         )
         result["certified"] = {
-            "step_scale": float(run_cfg.get("step_scale", 1.0)),
-            "step_exponent": float(run_cfg.get("step_exponent", 0.51)),
+            "step_scale": _read(run_cfg, "step_scale", float, 1.0),
+            "step_exponent": _read(run_cfg, "step_exponent", float, 0.51),
         }
         result["final_merit"] = trace.last("dual_distance")
         result["solution"] = y_mean
@@ -547,7 +576,7 @@ def cmd_run(args) -> int:
     scenario_cfg = cfg.get("scenario")
     if scenario_cfg is None:
         raise ConfigError("run config needs a 'scenario' block")
-    run_cfg = cfg.get("run", {})
+    run_cfg = _block(cfg, "run")
     arm = cfg.get("arm", "customized")
     bundle = build_scenario(scenario_cfg, args.seed)
     if args.dry_run:
@@ -605,21 +634,25 @@ _EXPERIMENT_COLUMNS = [
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
-    base = cfg.get("scenario")
-    if base is None:
+    if "scenario" not in cfg:
         raise ConfigError("experiment config needs a 'scenario' block")
-    sweep = cfg.get("sweep", {})
-    parameter = sweep.get("parameter")
-    values = sweep.get("values", [None])
-    seeds = cfg.get("seeds", [int(args.seed) if args.seed is not None else 0])
-    run_cfg = cfg.get("run", {})
+    base = _block(cfg, "scenario")
+    sweep = _block(cfg, "sweep")
+    parameter = _read(sweep, "parameter", str, None)
+    values = _read(sweep, "values", list, [None])
+    seeds = _read(cfg, "seeds", list, [int(args.seed) if args.seed is not None else 0])
+    try:
+        seeds = [int(seed) for seed in seeds]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'seeds': expected integers, got {seeds!r}") from exc
+    run_cfg = _block(cfg, "run")
     jobs = []
     for value in values:
         scenario_cfg = dict(base)
         if parameter is not None:
             scenario_cfg[parameter] = value
         for seed in seeds:
-            jobs.append((scenario_cfg, run_cfg, int(seed), value))
+            jobs.append((scenario_cfg, run_cfg, seed, value))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_experiment_cell, jobs))
@@ -678,7 +711,10 @@ def cmd_validate(args) -> int:
         roots = cfg.get("roots")
         if not isinstance(roots, dict):
             raise ConfigError("rooted mode needs a 'roots' mapping {component: root}")
-        mode = ConnectivityMode.rooted({int(p): int(r) for p, r in roots.items()})
+        try:
+            mode = ConnectivityMode.rooted({int(p): int(r) for p, r in roots.items()})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'roots' must map component ids to agent ids: {exc}") from exc
     elif mode_name in _MODES:
         mode = _MODES[mode_name]()
     else:
@@ -747,8 +783,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"affected components: {list(exc.components)}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, ScenarioError, GameError, OptimError, LayoutError,
-            GraphError, KeyError, TypeError) as exc:
-        # scenario/game/optim errors at this level mean bad parameters
+            GraphError) as exc:
+        # scenario/game/optim errors at this level mean bad parameters; any
+        # other exception is a fault of the program and keeps its traceback
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

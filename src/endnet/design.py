@@ -24,6 +24,7 @@ import networkx as nx
 from .graphs import (
     Graph,
     GraphError,
+    WeightedGraph,
     is_connected_undirected,
     is_rooted,
     is_strongly_connected,
@@ -356,6 +357,9 @@ def design_layout(
     nx_host = _nx_undirected(host) if mode.kind == "undirected" else _nx_directed(host)
     loads: dict[int, int] = {v: 0 for v in comm.nodes}
     design = {}
+    # components whose exchange graph is all of comm share one weighted comm,
+    # as in the standard layout, so that they form one component group
+    shared: WeightedGraph | None = None
     failures: list[int] = []
     messages: list[str] = []
     for p in partition.components:
@@ -374,7 +378,11 @@ def design_layout(
             sub = restrict(host, sub.nodes)
         for v in sub.nodes:
             loads[v] += 1
-        design[p] = weighted(sub, scheme)
+        if sub == comm:
+            shared = shared or weighted(comm, scheme)
+            design[p] = shared
+        else:
+            design[p] = weighted(sub, scheme)
     if failures:
         raise DesignInfeasible("; ".join(messages), components=failures)
     layout = EndLayout(

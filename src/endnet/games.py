@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .layout import CsrOperator, EndLayout
+from .layout import BlockOperator, CsrOperator, EndLayout
 from .trace import RunTrace, divergence_guard
 
 
@@ -581,8 +581,10 @@ def _ranges(starts, lengths) -> np.ndarray:
 class GneOperators:
     """Stacked operators for the primal-dual iteration, built once.
 
-    Aggregation, constraint and Laplacian operators are all compiled
-    :class:`~endnet.layout.CsrOperator` matrices.
+    Aggregation and constraint operators are compiled
+    :class:`~endnet.layout.CsrOperator` matrices; the Laplacians are the
+    layouts' :class:`~endnet.layout.BlockOperator` objects, whose ``matrix``
+    the fused step composes.
     """
 
     game: AggregativeGameSpec
@@ -592,8 +594,8 @@ class GneOperators:
     b_hat: np.ndarray
     A_hat: CsrOperator
     a_hat: np.ndarray
-    L_sigma: CsrOperator
-    L_lambda: CsrOperator
+    L_sigma: BlockOperator
+    L_lambda: BlockOperator
     # the copies the game's gradient reads: agent i's copy of block q for
     # each pair (q, i) of the sorted aggregation interference pattern
     sigma_pair_index: np.ndarray

@@ -29,7 +29,6 @@ from .graphs import (
     is_connected_undirected,
     is_rooted,
     is_strongly_connected,
-    laplacian,
     metropolis_hastings_weights,
     row_stochastic_weights,
     uniform_weights,
@@ -147,6 +146,10 @@ class CsrOperator:
     matrices to float vectors hundreds of thousands of times, so they call
     the compiled kernel directly. ``matvec`` substitutes another function
     with the kernel's signature, such as the public-interface fallback.
+
+    Stacked exchange operators are :class:`BlockOperator` objects, which
+    keep one of these for the components they do not apply densely; fused
+    solver maps and problem Hessians are plain ``CsrOperator`` objects.
     """
 
     def __init__(self, matrix, matvec: Callable | None = None):
@@ -177,6 +180,139 @@ class CsrOperator:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
+
+
+@dataclass(frozen=True, eq=False)
+class ComponentGroup:
+    """Components of a layout that share one ``WeightedGraph`` object and one
+    dimension. Their part of a stacked operator is I_m ⊗ M ⊗ I_d for one
+    holders × holders block M, so every derived block is built once for the
+    group and shared by its members.
+    """
+
+    members: tuple[int, ...]  # ascending
+    weights: WeightedGraph
+    dim: int
+    starts: tuple[int, ...]  # where each member's copies start in a stacked vector
+
+    @property
+    def lead(self) -> int:
+        """The first member; per-group blocks are keyed by it."""
+        return self.members[0]
+
+    @property
+    def copies(self) -> int:
+        return self.weights.graph.num_nodes
+
+    @property
+    def label(self) -> str:
+        """'component p', or the members of a shared group, for messages."""
+        if len(self.members) == 1:
+            return f"component {self.lead}"
+        shown = ", ".join(map(str, self.members[:3]))
+        more = f", ... ({len(self.members)} in all)" if len(self.members) > 3 else ""
+        return f"components {shown}{more}"
+
+    @cached_property
+    def index(self) -> slice | np.ndarray:
+        """The members' entries of a stacked vector, member by member: a
+        slice when they are contiguous."""
+        width = self.copies * self.dim
+        if all(b - a == width for a, b in zip(self.starts, self.starts[1:])):
+            return slice(self.starts[0], self.starts[-1] + width)
+        return (np.asarray(self.starts)[:, None] + np.arange(width)).ravel()
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The shared weight block W, read-only."""
+        return _read_only(self.weights.matrix())
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """The shared in-degree Laplacian D - W, read-only."""
+        w = self.matrix
+        return _read_only(np.diag(w.sum(axis=1)) - w)
+
+    def blocks(self, hat: np.ndarray) -> np.ndarray:
+        """The members' copies in a stacked vector as (members, holders, dim)."""
+        return np.asarray(hat)[self.index].reshape(len(self.members), self.copies, self.dim)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _kron_csr(n: int, parts) -> sp.csr_matrix:
+    """⊕ (M ⊗ I_dim) as an n × n CSR matrix, from (start, dim, M) per component."""
+    rows, cols, vals = [], [], []
+    for start, dim, m in parts:
+        # entry (r, c) of M becomes the dim x dim identity block (r, c)
+        r, c = np.nonzero(m)
+        k = np.arange(dim)
+        rows.append((start + r[:, None] * dim + k).ravel())
+        cols.append((start + c[:, None] * dim + k).ravel())
+        vals.append(np.repeat(m[r, c], dim))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+
+
+class BlockOperator:
+    """The stacked operator ⊕_p (M_p ⊗ I) of a layout; see
+    :meth:`EndLayout.block_operator`.
+
+    Each entry of ``dense`` is a component group with the one block all of
+    its members were given; it is applied as one dense product on the
+    (members·dim, holders) reshape of the group's entries. Every other
+    component is in the CSR operator ``sparse`` (None when there is none).
+    ``matrix``, the whole operator in CSR, is built on first use, for
+    composing with other sparse matrices.
+    """
+
+    def __init__(self, n: int, sparse: CsrOperator | None,
+                 dense: list[tuple[ComponentGroup, np.ndarray]]):
+        self.shape = (n, n)
+        self._sparse = sparse
+        self._dense = dense
+        self._transpose: BlockOperator | None = None
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        if not self._dense:
+            return self._sparse.matrix
+        full = _kron_csr(self.shape[0], ((start, g.dim, m) for g, m in self._dense
+                                         for start in g.starts))
+        return full if self._sparse is None else full + self._sparse.matrix
+
+    @property
+    def T(self) -> "BlockOperator":
+        if self._transpose is None:
+            t = BlockOperator(self.shape[0], None if self._sparse is None else self._sparse.T,
+                              [(g, m.T) for g, m in self._dense])
+            t._transpose, self._transpose = self, t
+        return self._transpose
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self._accumulate(v, np.zeros(self.shape[0]))
+
+    def affine(self, v: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """M v + offset, accumulated into a copy of ``offset``."""
+        return self._accumulate(v, np.array(offset, dtype=float))
+
+    def _accumulate(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.shape[1],) or out.shape != (self.shape[0],):
+            # the CSR kernel does not check
+            raise ValueError(f"vector of shape {v.shape} or offset of shape {out.shape} "
+                             f"for an operator of shape {self.shape}")
+        if self._sparse is not None:
+            m = self._sparse.matrix
+            self._sparse._matvec(*self.shape, m.indptr, m.indices, m.data, v, out)
+        for g, m in self._dense:
+            # rows of x are (member, coordinate) pairs, columns are holders
+            x = g.blocks(v).swapaxes(1, 2).reshape(-1, g.copies)
+            out[g.index] += (x @ m.T).reshape(-1, g.dim, g.copies).swapaxes(1, 2).ravel()
+        return out
 
 
 @dataclass(frozen=True)
@@ -225,32 +361,30 @@ class EndLayout:
     def estimate_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((p, i) for p in self.partition.components for i in self.holders(p))
 
-    @cached_property
+    @property
     def stacked_dim(self) -> int:
-        return sum(self.copies(p) * self.partition.dim(p) for p in self.partition.components)
+        return self._component_starts[-1]
 
     @cached_property
-    def _offsets(self) -> dict[tuple[int, int], int]:
-        off: dict[tuple[int, int], int] = {}
-        cur = 0
+    def _component_starts(self) -> tuple[int, ...]:
+        """Where each component's copies start in a stacked vector, then its length."""
+        starts = [0]
         for p in self.partition.components:
-            n_p = self.partition.dim(p)
-            for i in self.holders(p):
-                off[(p, i)] = cur
-                cur += n_p
-        return off
+            starts.append(starts[-1] + self.copies(p) * self.partition.dim(p))
+        return tuple(starts)
 
     def block_slice(self, p: int, i: int) -> slice:
         """Slice of agent i's copy of component p in a stacked vector."""
         try:
-            start = self._offsets[(p, i)]
-        except KeyError:
+            position = self.design[p].graph.index(i)
+        except (KeyError, GraphError):
             raise LayoutError(f"agent {i} holds no copy of component {p}") from None
-        return slice(start, start + self.partition.dim(p))
+        dim = self.partition.dim(p)
+        start = self._component_starts[p - 1] + position * dim
+        return slice(start, start + dim)
 
     def component_slice(self, p: int) -> slice:
-        start = self._offsets[(p, self.holders(p)[0])]
-        return slice(start, start + self.copies(p) * self.partition.dim(p))
+        return slice(self._component_starts[p - 1], self._component_starts[p])
 
     @cached_property
     def _footprint_plans(self) -> dict:
@@ -289,12 +423,39 @@ class EndLayout:
             return value
 
     @cached_property
+    def groups(self) -> tuple[ComponentGroup, ...]:
+        """The components grouped by shared ``WeightedGraph`` object and
+        dimension (so also by holders), in order of their first members.
+
+        ``standard_layout`` and ``reweight`` share one weighted graph among
+        components; ``design_layout`` weights each component on its own
+        unless its exchange graph is the whole communication graph, so its
+        other groups are single components. Layouts that are equal but share
+        differently compute the same operators with different roundoff.
+        """
+        members: dict[tuple[int, int], list[int]] = {}
+        for p in self.partition.components:
+            # the design mapping holds every key object for as long as this runs
+            members.setdefault((id(self.design[p]), self.partition.dim(p)), []).append(p)
+        return tuple(
+            ComponentGroup(tuple(ms), self.design[ms[0]], self.partition.dim(ms[0]),
+                           tuple(self.component_slice(p).start for p in ms))
+            for ms in members.values())
+
+    def group_blocks(self, blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """Per-component blocks from one block per group, keyed by its lead."""
+        if set(blocks) != {g.lead for g in self.groups}:
+            raise LayoutError("expected one block per component group, keyed by its "
+                              "first component")
+        return {p: blocks[g.lead] for g in self.groups for p in g.members}
+
+    @cached_property
     def _weight_blocks(self) -> dict[int, np.ndarray]:
-        return {p: self.design[p].matrix() for p in self.partition.components}
+        return self.group_blocks({g.lead: g.matrix for g in self.groups})
 
     @cached_property
     def _laplacian_blocks(self) -> dict[int, np.ndarray]:
-        return {p: laplacian(self.design[p]) for p in self.partition.components}
+        return self.group_blocks({g.lead: g.laplacian for g in self.groups})
 
     # -- permutation between variable-major and agent-major orderings -----
 
@@ -333,28 +494,37 @@ class EndLayout:
 
     # -- stacked linear operators -----------------------------------------
 
-    def block_operator(self, blocks: Mapping[int, np.ndarray]) -> CsrOperator:
-        """Compile per-component blocks into the stacked operator ⊕_p (M_p ⊗ I)."""
-        rows, cols, vals = [], [], []
-        for p in self.partition.components:
-            # entry (r, c) of M_p becomes the dim x dim identity block (r, c)
-            m = np.asarray(blocks[p], dtype=float)
-            dim, start = self.partition.dim(p), self.component_slice(p).start
-            r, c = np.nonzero(m)
-            k = np.arange(dim)
-            rows.append((start + r[:, None] * dim + k).ravel())
-            cols.append((start + c[:, None] * dim + k).ravel())
-            vals.append(np.repeat(m[r, c], dim))
+    def block_operator(self, blocks: Mapping[int, np.ndarray]) -> BlockOperator:
+        """Compile per-component blocks into the stacked operator ⊕_p (M_p ⊗ I).
+
+        A group of several components (see :attr:`groups`) whose members are
+        all given one block is applied as one dense product; every other
+        component goes into one CSR matrix. Which path a component takes
+        follows from the layout and the blocks, never from a size.
+        """
+        dense, sparse = [], []
+        for g in self.groups:
+            first = blocks[g.lead]
+            if len(g.members) > 1 and all(
+                    blocks[p] is first or np.array_equal(blocks[p], first)
+                    for p in g.members[1:]):
+                dense.append((g, np.array(first, dtype=float)))
+            else:
+                sparse.extend(g.members)
         n = self.stacked_dim
-        return CsrOperator(sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)))
+        csr = None
+        if sparse:
+            csr = CsrOperator(_kron_csr(n, [
+                (self.component_slice(p).start, self.partition.dim(p),
+                 np.asarray(blocks[p], dtype=float)) for p in sorted(sparse)]))
+        return BlockOperator(n, csr, dense)
 
     @cached_property
-    def weight_operator(self) -> CsrOperator:
+    def weight_operator(self) -> BlockOperator:
         return self.block_operator(self._weight_blocks)
 
     @cached_property
-    def laplacian_operator(self) -> CsrOperator:
+    def laplacian_operator(self) -> BlockOperator:
         return self.block_operator(self._laplacian_blocks)
 
     def apply_weight(self, hat: np.ndarray) -> np.ndarray:
@@ -509,17 +679,15 @@ class EndLayout:
         disagreement is identically zero).
         """
         lam = np.inf
-        for p in self.partition.components:
-            g = self.design[p]
-            if not is_strongly_connected(g.graph):
-                raise LayoutError(f"component {p} not strongly connected")
-            w = g.matrix()
+        for g in self.groups:
+            if not is_strongly_connected(g.weights.graph):
+                raise LayoutError(f"{g.label} not strongly connected")
+            w = g.matrix
             if np.linalg.norm(w.sum(axis=0) - w.sum(axis=1)) > 1e-10:
-                raise LayoutError(f"component {p} weights are not balanced")
-            if self.copies(p) < 2:
+                raise LayoutError(f"{g.label} weights are not balanced")
+            if g.copies < 2:
                 continue
-            lp = self._laplacian_blocks[p]
-            eigs = np.linalg.eigvalsh(lp + lp.T)
+            eigs = np.linalg.eigvalsh(g.laplacian + g.laplacian.T)
             lam = min(lam, eigs[1])
         rng = np.random.default_rng(seed)
         for _ in range(num_samples):

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Graph, WeightedGraph, column_stochastic_weights, intersect, restrict
-from .layout import CsrOperator, EndLayout
+from .layout import BlockOperator, CsrOperator, EndLayout
 from .trace import RunTrace, divergence_guard
 
 
@@ -546,17 +546,19 @@ def admm_solve(
 
 @dataclass(eq=False)
 class AbcMatrices:
-    """Per-component mixing matrices for the generic first-order family."""
+    """Mixing matrices for the generic first-order family: one block per
+    component group of the layout (:attr:`EndLayout.groups`), keyed by the
+    group's first component."""
 
     a_blocks: dict[int, np.ndarray]
     b_blocks: dict[int, np.ndarray]
     c_blocks: dict[int, np.ndarray]
     d_blocks: dict[int, np.ndarray]
 
-    def operators(self, layout: EndLayout) -> tuple[CsrOperator, CsrOperator, CsrOperator]:
+    def operators(self, layout: EndLayout) -> tuple[BlockOperator, BlockOperator, BlockOperator]:
         """Stacked A, B and C on ``layout``, compiled once per layout."""
         return layout.compiled_for(self, lambda: tuple(
-            layout.block_operator(blocks)
+            layout.block_operator(layout.group_blocks(blocks))
             for blocks in (self.a_blocks, self.b_blocks, self.c_blocks)))
 
     def gamma_bound(self, problem: SeparableProblem) -> float:
@@ -578,38 +580,38 @@ def _psd_sqrt(M: np.ndarray) -> np.ndarray:
 def abc_check(matrices: AbcMatrices, layout: EndLayout, tol: float = 1e-8) -> list[str]:
     """Check the five structural conditions; returns human-readable failures."""
     failures = []
-    for p in layout.partition.components:
-        n = layout.copies(p)
-        A, B = matrices.a_blocks[p], matrices.b_blocks[p]
-        C, D = matrices.c_blocks[p], matrices.d_blocks[p]
+    for g in layout.groups:
+        n, name = g.copies, g.label
+        A, B = matrices.a_blocks[g.lead], matrices.b_blocks[g.lead]
+        C, D = matrices.c_blocks[g.lead], matrices.d_blocks[g.lead]
         one = np.ones(n)
         if np.max(np.abs(A - B @ D)) > tol:
-            failures.append(f"C1: component {p}: A != B D")
+            failures.append(f"C1: {name}: A != B D")
         if np.max(np.abs(B - B.T)) > tol or np.min(np.linalg.eigvalsh((B + B.T) / 2)) < -tol:
-            failures.append(f"C1: component {p}: B not symmetric PSD")
+            failures.append(f"C1: {name}: B not symmetric PSD")
         if np.min(np.linalg.eigvalsh((D + D.T) / 2)) <= tol:
-            failures.append(f"C1: component {p}: D not positive definite")
+            failures.append(f"C1: {name}: D not positive definite")
         if np.max(np.abs(D @ one - one)) > tol or np.max(np.abs(B @ one - one)) > tol:
-            failures.append(f"C2: component {p}: consensus not fixed by D or B")
+            failures.append(f"C2: {name}: consensus not fixed by D or B")
         cvals = np.linalg.eigvalsh((C + C.T) / 2)
         if np.max(np.abs(C - C.T)) > tol or cvals[0] < -tol:
-            failures.append(f"C3: component {p}: C not symmetric PSD")
+            failures.append(f"C3: {name}: C not symmetric PSD")
         else:
             sv = np.linalg.svd(C, compute_uv=False)
             scale = max(sv[0], 1.0)
             rank = int(np.sum(sv > tol * scale))
             null_ok = float(np.max(np.abs(C @ one))) <= tol * scale
             if rank != n - 1 or not null_ok:
-                failures.append(f"C3: component {p}: null space of C is not the consensus line")
+                failures.append(f"C3: {name}: null space of C is not the consensus line")
         if np.max(np.abs(B @ C - C @ B)) > tol:
-            failures.append(f"C4: component {p}: B and C do not commute")
+            failures.append(f"C4: {name}: B and C do not commute")
         try:
             rootB = _psd_sqrt(B)
             M = np.eye(n) - 0.5 * C - rootB @ D @ rootB
             if np.min(np.linalg.eigvalsh((M + M.T) / 2)) < -tol:
-                failures.append(f"C5: component {p}: I - C/2 - sqrt(B) D sqrt(B) not PSD")
+                failures.append(f"C5: {name}: I - C/2 - sqrt(B) D sqrt(B) not PSD")
         except OptimError:
-            failures.append(f"C5: component {p}: B has no PSD square root")
+            failures.append(f"C5: {name}: B has no PSD square root")
     return failures
 
 
@@ -652,28 +654,26 @@ def abc_bound_constant(
     z_arg = 2.0 * z_star
     diff = np.asarray(y0, dtype=float) - hat_star
     d_norm2 = 0.0
-    for p in layout.partition.components:
-        s = layout.component_slice(p)
-        block = diff[s].reshape(layout.copies(p), -1)
-        d_norm2 += float(np.sum(block * (matrices.d_blocks[p] @ block)))
-    # ||B - consensus projector|| over the stacked space: per component the
-    # candidate values are the singular values of B_p - (1/n) 1 1', so take
-    # the max across components (Kronecker with I preserves them)
+    for g in layout.groups:
+        block = g.blocks(diff)
+        d_norm2 += float(np.sum(block * np.matmul(matrices.d_blocks[g.lead], block)))
+    # ||B - consensus projector|| over the stacked space: per group the
+    # candidate values are the singular values of B_g - (1/n) 1 1', so take
+    # the max across groups (Kronecker with I preserves them)
     # single-copy components have identically zero disagreement and a 1x1
     # zero C block, so they cannot contribute to either constant
-    multi = [p for p in layout.partition.components if layout.copies(p) >= 2]
+    multi = [g for g in layout.groups if g.copies >= 2]
     if not multi:
         return d_norm2 / gamma
     b_dev = max(
         float(np.linalg.norm(
-            matrices.b_blocks[p]
-            - np.full((layout.copies(p),) * 2, 1.0 / layout.copies(p)), 2))
-        for p in multi
+            matrices.b_blocks[g.lead] - np.full((g.copies,) * 2, 1.0 / g.copies), 2))
+        for g in multi
     )
     lam_lower = min(
         float(np.sort(np.linalg.eigvalsh(
-            (matrices.c_blocks[p] + matrices.c_blocks[p].T) / 2))[1])
-        for p in multi
+            (matrices.c_blocks[g.lead] + matrices.c_blocks[g.lead].T) / 2))[1])
+        for g in multi
     )
     if lam_lower <= 0:
         raise OptimError("ergodic bound needs C with one-dimensional null space")
@@ -683,15 +683,13 @@ def abc_bound_constant(
 def abc_range_residual(layout: EndLayout, matrices: AbcMatrices, z: np.ndarray) -> float:
     """Norm of the part of z outside range(B) (should stay ~0 from z0 = 0)."""
     total = 0.0
-    for p in layout.partition.components:
-        B = matrices.b_blocks[p]
+    for g in layout.groups:
+        B = matrices.b_blocks[g.lead]
         vals, vecs = np.linalg.eigh((B + B.T) / 2.0)
         null = vecs[:, np.abs(vals) <= 1e-12]
         if null.size == 0:
             continue
-        s = layout.component_slice(p)
-        block = z[s].reshape(layout.copies(p), -1)
-        total += float(np.sum((null.T @ block) ** 2))
+        total += float(np.sum(np.matmul(null.T, g.blocks(z)) ** 2))
     return float(np.sqrt(total))
 
 
@@ -744,25 +742,25 @@ def abc_solve(
 
 
 def _check_symmetric_doubly_stochastic(layout: EndLayout, tol: float = 1e-10) -> None:
-    for p in layout.partition.components:
-        W = layout.design[p].matrix()
+    for g in layout.groups:
+        W = g.matrix
         n = W.shape[0]
         if np.max(np.abs(W - W.T)) > tol or np.max(np.abs(W @ np.ones(n) - 1.0)) > tol:
             raise OptimError(
-                f"component {p}: gradient tracking needs symmetric doubly "
+                f"{g.label}: gradient tracking needs symmetric doubly "
                 "stochastic exchange weights"
             )
 
 
 def augdgm_matrices(layout: EndLayout) -> AbcMatrices:
-    """The gradient-tracking choice A = B = W^2, C = (I - W)^2, D = I."""
+    """The gradient-tracking choice A = B = W^2, C = (I - W)^2, D = I, one
+    block per component group."""
     a, b, c, d = {}, {}, {}, {}
-    for p in layout.partition.components:
-        W = layout.design[p].matrix()
-        n = W.shape[0]
-        a[p] = b[p] = W @ W
-        c[p] = (np.eye(n) - W) @ (np.eye(n) - W)
-        d[p] = np.eye(n)
+    for g in layout.groups:
+        W, eye = g.matrix, np.eye(g.copies)
+        a[g.lead] = b[g.lead] = W @ W
+        c[g.lead] = (eye - W) @ (eye - W)
+        d[g.lead] = eye
     return AbcMatrices(a, b, c, d)
 
 
@@ -866,7 +864,7 @@ def pushsum_init(layout: EndLayout, z0: np.ndarray | None = None) -> PushSumStat
 
 def pushsum_dgd_step(
     layout: EndLayout,
-    weights_at_k: CsrOperator,
+    weights_at_k: BlockOperator,
     problem: SeparableProblem,
     state: PushSumState,
     gamma_k: float,
@@ -884,30 +882,31 @@ def pushsum_dgd_step(
     return PushSumState(z=w - gamma_k * g, mass=mass, y=y, layout=layout), g
 
 
-def constant_design_weights(layout: EndLayout) -> CsrOperator:
+def constant_design_weights(layout: EndLayout) -> BlockOperator:
     """The layout's own design weights as a schedule value for every round."""
     return layout.weight_operator
 
 
 def example_design_schedule(
     layout: EndLayout, comm_sequence: Sequence[Graph]
-) -> Callable[[int], CsrOperator]:
+) -> Callable[[int], BlockOperator]:
     """Periodic time-varying designs: the fixed design graph intersected with
     the communication snapshot of the round, self-loops kept, column-stochastic
-    weights, as a stacked operator compiled on the first call of each slot."""
+    weights (one block per component group), as a stacked operator compiled
+    on the first call of each slot."""
     period = len(comm_sequence)
-    cache: dict[int, CsrOperator] = {}
+    cache: dict[int, BlockOperator] = {}
 
-    def at(k: int) -> CsrOperator:
+    def at(k: int) -> BlockOperator:
         t = k % period
         if t not in cache:
             blocks = {}
-            for p in layout.partition.components:
-                base = layout.design[p].graph
+            for group in layout.groups:
+                base = group.weights.graph
                 snap = restrict(comm_sequence[t], list(base.nodes))
                 g = intersect(base, snap.with_self_loops()).with_self_loops()
-                blocks[p] = column_stochastic_weights(g).matrix()
-            cache[t] = layout.block_operator(blocks)
+                blocks[group.lead] = column_stochastic_weights(g).matrix()
+            cache[t] = layout.block_operator(layout.group_blocks(blocks))
         return cache[t]
 
     return at
@@ -915,7 +914,7 @@ def example_design_schedule(
 
 def pushsum_solve(
     layout: EndLayout,
-    design_schedule: Callable[[int], CsrOperator],
+    design_schedule: Callable[[int], BlockOperator],
     problem: SeparableProblem,
     gamma: Callable[[int], float],
     max_iters: int = 100000,
@@ -1050,7 +1049,7 @@ class _NegatedDual(SeparableProblem):
 def constraint_coupled_solve(
     layout: EndLayout,
     ccp: ConstraintCoupledProblem,
-    design_schedule: Callable[[int], CsrOperator],
+    design_schedule: Callable[[int], BlockOperator],
     gamma: Callable[[int], float],
     max_iters: int = 50000,
     reference_dual: np.ndarray | None = None,

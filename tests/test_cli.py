@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from endnet import cli
 from endnet.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -259,6 +260,37 @@ def test_run_lasso_with_sensors_that_sense_nothing(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["algorithm"] == "pushsum"
     assert summary["iterations"] == 200
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("scenario", "num_agents", "many"),
+    ("scenario", "sparsity", None),
+    ("run", "max_iters", [400]),
+    ("run", "gamma", "small"),
+])
+def test_ill_typed_field_is_config_error_naming_it(tmp_path, capsys, block, key, value):
+    cfg = {"scenario": dict(SEP_SCENARIO), "arm": "standard",
+           "run": {"algorithm": "augdgm", "max_iters": 50}}
+    cfg[block][key] = value
+    path = _write_config(tmp_path, "typed.json", cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_run_block_that_is_not_an_object_is_config_error(tmp_path):
+    cfg = _write_config(tmp_path, "bad.json", {"scenario": SEP_SCENARIO, "run": ["augdgm"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_program_error_inside_a_solver_is_not_config_error(tmp_path, monkeypatch, sep_config,
+                                                           error):
+    def broken(*args, **kwargs):
+        raise error("raised inside the solver")
+
+    monkeypatch.setattr(cli, "augdgm_solve", broken)
+    with pytest.raises(error, match="inside the solver"):
+        main(["run", "--config", sep_config, "--out", str(tmp_path / "out")])
 
 
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch, sep_config):

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endnet.design import DesignCriterion, design_layout
 from endnet.games import (
@@ -35,7 +37,13 @@ from endnet.games import (
     preconditioner_positive,
     solve_vgne_centralized,
 )
-from endnet.graphs import Graph, column_stochastic_weights, intersect, restrict
+from endnet.graphs import (
+    Graph,
+    WeightedGraph,
+    column_stochastic_weights,
+    intersect,
+    restrict,
+)
 from endnet.layout import (
     ConnectivityMode,
     CsrOperator,
@@ -45,6 +53,7 @@ from endnet.layout import (
     _kernel_agrees,
     reweight,
     standard_layout,
+    weighted,
 )
 from endnet.optim import (
     AgentLoopStacked,
@@ -52,13 +61,18 @@ from endnet.optim import (
     QuadraticSeparable,
     StackedQuadratic,
     _NegatedDual,
+    abc_solve,
+    abc_step,
     augdgm_matrices,
+    augdgm_solve,
+    augdgm_step,
     constraint_coupled_solve,
     example_design_schedule,
     power_step_schedule,
     pushsum_dgd_step,
     pushsum_init,
     pushsum_solve,
+    stacked_form,
     stacked_gradient,
     stacked_value,
 )
@@ -340,6 +354,205 @@ def test_block_operators_match_component_loop(layout):
                      loop_apply_blocks(layout, random_blocks, hat))
         assert close(layout.weight_matrix() @ hat,
                      loop_apply_blocks(layout, layout._weight_blocks, hat))
+
+
+def grouped_layout(kind, dims, num_agents, seed):
+    """A layout on a ring whose components group in the named way:
+    "standard" (one shared weighted graph, split by dimension), "designed"
+    (single components), "mixed" (a random subset of a designed layout's
+    components moved onto one shared weighted ring) and "reweight" (the
+    mixed layout reweighted, so equal exchange graphs share weights)."""
+    rng = np.random.default_rng(seed)
+    if kind == "standard":
+        return standard_layout(ring(num_agents), random_interference(rng, len(dims), num_agents),
+                               Partition(dims))
+    lay = designed_layout(rng, dims, num_agents)
+    if kind == "designed":
+        return lay
+    shared = weighted(ring(num_agents), "metropolis")
+    mixed = dataclasses.replace(lay, design={p: shared if rng.uniform() < 0.5 else wg
+                                             for p, wg in lay.design.items()})
+    return mixed if kind == "mixed" else reweight(mixed, "column")
+
+
+def dense_block_matrix(layout, blocks):
+    """⊕_p (M_p ⊗ I) built densely, component by component."""
+    return scipy.linalg.block_diag(*(np.kron(blocks[p], np.eye(layout.partition.dim(p)))
+                                     for p in layout.partition.components))
+
+
+def old_block_csr(layout, blocks):
+    """The stacked CSR matrix as block_operator compiled it for every
+    component before components were grouped."""
+    rows, cols, vals = [], [], []
+    for p in layout.partition.components:
+        m = np.asarray(blocks[p], dtype=float)
+        dim, start = layout.partition.dim(p), layout.component_slice(p).start
+        r, c = np.nonzero(m)
+        k = np.arange(dim)
+        rows.append((start + r[:, None] * dim + k).ravel())
+        cols.append((start + c[:, None] * dim + k).ravel())
+        vals.append(np.repeat(m[r, c], dim))
+    n = layout.stacked_dim
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def same_csr_bytes(a, b):
+    return all(getattr(a, name).dtype == getattr(b, name).dtype
+               and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("data", "indices", "indptr"))
+
+
+@given(st.sampled_from(["standard", "designed", "mixed", "reweight"]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       st.integers(3, 6), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_grouped_operator_matches_component_loop(kind, dims, num_agents, seed):
+    """The grouped operator's products, transpose, affine form and matrix
+    against the per-component loop, for one block per group (the groups of
+    several take the dense path), one random block per component, and the
+    layout's weights and Laplacians."""
+    layout = grouped_layout(kind, tuple(dims), num_agents, seed)
+    covered = sorted(p for g in layout.groups for p in g.members)
+    assert covered == list(layout.partition.components)
+    everything = np.arange(layout.stacked_dim)
+    for g in layout.groups:
+        assert all(layout.design[p] is g.weights and layout.partition.dim(p) == g.dim
+                   for p in g.members)
+        assert np.array_equal(everything[g.index], np.concatenate(
+            [everything[layout.component_slice(p)] for p in g.members]))
+    rng = np.random.default_rng(seed)
+    per_group = layout.group_blocks({g.lead: rng.standard_normal((g.copies,) * 2)
+                                     for g in layout.groups})
+    per_component = {p: rng.standard_normal((layout.copies(p),) * 2)
+                     for p in layout.partition.components}
+    shared = {g.lead for g in layout.groups if len(g.members) > 1}
+    for blocks in (per_group, per_component, layout._weight_blocks, layout._laplacian_blocks):
+        op = layout.block_operator(blocks)
+        assert {g.lead for g, _ in op._dense} == (set() if blocks is per_component else shared)
+        transposed = {p: b.T for p, b in blocks.items()}
+        v, w, offset = (rng.standard_normal(layout.stacked_dim) for _ in range(3))
+        assert close(op @ v, loop_apply_blocks(layout, blocks, v))
+        assert close(op.T @ w, loop_apply_blocks(layout, transposed, w))
+        assert close(op.affine(v, offset), loop_apply_blocks(layout, blocks, v) + offset)
+        dense = dense_block_matrix(layout, blocks)
+        assert np.array_equal(op.matrix.toarray(), dense)
+        assert np.array_equal(op.T.matrix.toarray(), dense.T)
+        assert op.T.T is op
+
+
+@pytest.mark.parametrize("dims", [(1,) * 6, (2, 1, 2, 3, 1, 2)])
+def test_tracking_solvers_on_shared_blocks_match_the_csr_path(dims):
+    """augdgm and abc on a standard layout, whose components share one
+    weight block, against the same layout loaded from JSON, whose components
+    each weight their own copy and so all run through CSR: 200 steps and
+    both solves' records."""
+    rng = np.random.default_rng(12)
+    interference = random_interference(rng, len(dims), 7)
+    footprints = [tuple(sorted(p for p, j in interference if j == i)) for i in range(1, 8)]
+    problem = random_quadratic(rng, dims, footprints)
+    reference = problem.solve_reference()
+    grouped = standard_layout(ring(7), interference, Partition(dims))
+    csr = EndLayout.from_json_dict(grouped.to_json_dict())
+    assert len(grouped.weight_operator._dense) == sum(len(g.members) > 1 for g in grouped.groups)
+    assert not csr.weight_operator._dense and len(csr.groups) == len(dims)
+    arms = (grouped, csr)
+    matrices = [augdgm_matrices(lay) for lay in arms]
+    gamma = 0.5 * matrices[0].gamma_bound(problem)
+    states = []
+    for lay in arms:
+        zero = np.zeros(lay.stacked_dim)
+        states.append((zero, lay.apply_weight(stacked_gradient(lay, problem, zero)), zero, zero))
+    for k in range(200):
+        states = [(*augdgm_step(lay, problem, y, v, gamma),
+                   *abc_step(lay, m, problem, y_abc, z, gamma))
+                  for lay, m, (y, v, y_abc, z) in zip(arms, matrices, states)]
+        for a, b in zip(*states):
+            assert close(a, b), k
+    for solve in (augdgm_solve, abc_solve):
+        runs = []
+        for lay, m in zip(arms, matrices):
+            args = (lay, problem) if solve is augdgm_solve else (lay, m, problem)
+            runs.append(solve(*args, gamma, max_iters=200, reference=reference, merit_every=10))
+        (y_g, trace_g), (y_c, trace_c) = runs
+        assert close(y_g, y_c)
+        assert close(trace_g.meta["running_average"], trace_c.meta["running_average"])
+        for name in ("consensus_err", "merit", "merit_avg"):
+            assert close(trace_g.columns[name], trace_c.columns[name]), name
+
+
+def test_single_component_groups_keep_their_csr_bit_for_bit(monkeypatch):
+    """A designed layout groups nothing: its operators are the CSR matrices
+    compiled before grouping, byte for byte, and so are its tracking
+    iterates. Each group builds its weight block once."""
+    calls = []
+    matrix = WeightedGraph.matrix
+    monkeypatch.setattr(WeightedGraph, "matrix", lambda self: calls.append(1) or matrix(self))
+    rng = np.random.default_rng(13)
+    layout = designed_layout(rng, (1, 2, 1, 3, 1, 2))
+    footprints = [layout.needed_by(i) for i in layout.agents]
+    problem = random_quadratic(rng, layout.partition.dims, footprints)
+    assert all(len(g.members) == 1 for g in layout.groups)
+    matrices = augdgm_matrices(layout)
+    gamma = 0.5 * matrices.gamma_bound(problem)
+    y, _ = augdgm_solve(layout, problem, gamma, max_iters=200)
+    y_abc, _ = abc_solve(layout, matrices, problem, gamma, max_iters=200)
+    assert len(calls) == len(layout.groups)
+
+    old_w = CsrOperator(old_block_csr(layout, layout._weight_blocks))
+    assert same_csr_bytes(layout.weight_operator.matrix, old_w.matrix)
+    assert same_csr_bytes(layout.weight_operator.T.matrix, old_w.T.matrix)
+    assert same_csr_bytes(layout.laplacian_operator.matrix,
+                          old_block_csr(layout, layout._laplacian_blocks))
+    stacked = stacked_form(layout, problem)
+    ref = np.zeros(layout.stacked_dim)
+    g = stacked.gradient(ref)
+    v = old_w @ g
+    for _ in range(200):
+        ref = old_w @ (ref - gamma * v)
+        g_new = stacked.gradient(ref)
+        v, g = old_w @ (v + g_new - g), g_new
+    assert np.array_equal(y, ref)
+    old_abc = [CsrOperator(old_block_csr(layout, layout.group_blocks(blocks)))
+               for blocks in (matrices.a_blocks, matrices.b_blocks, matrices.c_blocks)]
+    ref, z = np.zeros(layout.stacked_dim), np.zeros(layout.stacked_dim)
+    for _ in range(200):
+        ref = old_abc[0] @ ref - gamma * (old_abc[1] @ stacked.gradient(ref)) - z
+        z = z + old_abc[2] @ ref
+    assert np.array_equal(y_abc, ref)
+
+
+def test_tracking_setup_memory_is_linear_on_a_shared_layout(monkeypatch):
+    """2,000 scalar components on a 200-node ring share one weight block:
+    one W², (I - W)² and I per component would take 3 P N² doubles (1.9 GB),
+    and one CSR weight operator per component took ~830 MB of traced peak.
+    Matrices, step bound, weight operator and one tracking step stay within
+    16 doubles per entry of N² + the stacked dimension (~29 MB measured),
+    and W is built once."""
+    n, num_components = 200, 2000
+    footprints = [tuple(range(i, num_components + 1, n)) for i in range(1, n + 1)]
+    problem = QuadraticSeparable(
+        (1,) * num_components, footprints,
+        [{(p, p): np.array([[1.0 + i % 3]]) for p in fp} for i, fp in enumerate(footprints)],
+        [{p: np.array([float(p % 5)]) for p in fp} for fp in footprints])
+    interference = frozenset((p, i) for i, fp in enumerate(footprints, start=1) for p in fp)
+    layout = standard_layout(ring(n), interference, Partition((1,) * num_components))
+    y, v = np.zeros(layout.stacked_dim), np.ones(layout.stacked_dim)
+    calls = []
+    matrix = WeightedGraph.matrix
+    monkeypatch.setattr(WeightedGraph, "matrix", lambda self: calls.append(1) or matrix(self))
+    tracemalloc.start()
+    try:
+        gamma = 0.5 * augdgm_matrices(layout).gamma_bound(problem)
+        assert layout.weight_operator.shape == (layout.stacked_dim,) * 2
+        y, v = augdgm_step(layout, problem, y, v, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == len(layout.groups) == 1
+    assert peak < 16 * 8 * (n * n + layout.stacked_dim)
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(v))
 
 
 def test_csr_kernel_matches_public_fallback():
