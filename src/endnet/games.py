@@ -13,7 +13,7 @@ Two algorithm families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -225,9 +225,9 @@ def _weighted_operator_norm(E: np.ndarray, Q: np.ndarray) -> float:
     return float(np.linalg.norm(root @ E @ inv_root, 2))
 
 
-def _component_weights(layout: EndLayout, game: GameSpec, i: int):
-    """Pick (Q_i, q_i, sigma_i, note) for one component; note is None on success."""
-    W = layout.design[i].matrix()
+def _component_weights(layout: EndLayout, game: GameSpec, i: int, W: np.ndarray):
+    """Pick (Q_i, q_i, sigma_i, note) for component i with weight block W;
+    note is None on success."""
     n = W.shape[0]
     holders = layout.holders(i)
     pos = holders.index(i)
@@ -290,27 +290,46 @@ def _component_weights(layout: EndLayout, game: GameSpec, i: int):
     return None, None, None, f"component {i}: no weight construction applies"
 
 
-def certify_theorem1(
-    layout: EndLayout, game: GameSpec, alpha: float, tol: float = 1e-8
-) -> NeTheorem1Certificate:
-    """Build the contraction certificate for the given step size."""
+def _at_step(base: NeTheorem1Certificate, alpha: float) -> NeTheorem1Certificate:
+    """``base`` completed for step size ``alpha``: M_alpha and its rate."""
+    mu, theta = base.mu, base.theta
+    sigma_bar, theta_bar = base.sigma_bar, base.theta_bar
+    gamma_lo, gamma_hi = base.gamma_lo, base.gamma_hi
+    off = sigma_bar * (alpha * (theta_bar + theta * gamma_hi) + alpha**2 * theta_bar * theta * gamma_hi)
+    m_alpha = np.array(
+        [
+            [1.0 - 2 * alpha * mu * gamma_lo**2 + alpha**2 * theta**2 * gamma_hi**2, off],
+            [off, sigma_bar**2 * (1.0 + 2 * alpha * theta_bar + alpha**2 * theta_bar**2)],
+        ]
+    )
+    a, b, d = m_alpha[0, 0], m_alpha[0, 1], m_alpha[1, 1]
+    rho = float((a + d) / 2.0 + np.sqrt(((a - d) / 2.0) ** 2 + b**2))
+    return replace(base, alpha=alpha, rho=rho, m_alpha=m_alpha, notes=list(base.notes))
+
+
+def _step_free_certificate(layout: EndLayout, game: GameSpec,
+                           tol: float = 1e-8) -> NeTheorem1Certificate:
+    """The certificate without a step size (``alpha``, ``rho`` and
+    ``m_alpha`` are nan): per component weights, checked identities and the
+    constants built from them. Each component group's weight block is read
+    once."""
     if game.mu is None or game.theta is None:
         raise GameError("certificate needs monotonicity and Lipschitz constants")
-    mu, theta = game.mu, game.theta
+    weights = layout.group_blocks({g.lead: g.matrix for g in layout.groups})
     q_matrices: dict[int, np.ndarray] = {}
     perron: dict[int, np.ndarray] = {}
     sigmas: dict[int, float] = {}
     notes: list[str] = []
     certified = True
     for i in range(1, game.num_agents + 1):
-        Q, q, sigma, note = _component_weights(layout, game, i)
+        W = weights[i]
+        Q, q, sigma, note = _component_weights(layout, game, i, W)
         if note is not None:
             notes.append(note)
             certified = False
             n = layout.copies(i)
             Q, q, sigma = np.eye(n), np.full(n, 1.0 / n), 1.0
         else:
-            W = layout.design[i].matrix()
             n = W.shape[0]
             pos = layout.holders(i).index(i)
             ok = (
@@ -325,45 +344,39 @@ def certify_theorem1(
                 certified = False
         q_matrices[i], perron[i], sigmas[i] = Q, q, sigma
 
-    sigma_bar = max(sigmas.values())
     lam_min_xi = min(float(np.min(np.linalg.eigvalsh(Q))) for Q in q_matrices.values())
     own_diag = max(
         float(q_matrices[i][layout.holders(i).index(i), layout.holders(i).index(i)])
         for i in range(1, game.num_agents + 1)
     )
-    theta_bar = theta * np.sqrt(own_diag / lam_min_xi)
     mass = {
         i: float(np.ones(layout.copies(i)) @ q_matrices[i] @ np.ones(layout.copies(i)))
         for i in range(1, game.num_agents + 1)
     }
-    gamma_lo = float(np.sqrt(1.0 / max(mass.values())))
-    gamma_hi = float(np.sqrt(1.0 / min(mass.values())))
-    off = sigma_bar * (alpha * (theta_bar + theta * gamma_hi) + alpha**2 * theta_bar * theta * gamma_hi)
-    m_alpha = np.array(
-        [
-            [1.0 - 2 * alpha * mu * gamma_lo**2 + alpha**2 * theta**2 * gamma_hi**2, off],
-            [off, sigma_bar**2 * (1.0 + 2 * alpha * theta_bar + alpha**2 * theta_bar**2)],
-        ]
-    )
-    a, b, d = m_alpha[0, 0], m_alpha[0, 1], m_alpha[1, 1]
-    rho = float((a + d) / 2.0 + np.sqrt(((a - d) / 2.0) ** 2 + b**2))
     return NeTheorem1Certificate(
-        alpha=alpha,
-        rho=rho,
-        m_alpha=m_alpha,
+        alpha=np.nan,
+        rho=np.nan,
+        m_alpha=np.full((2, 2), np.nan),
         q_matrices=q_matrices,
         perron=perron,
         sigma=sigmas,
-        sigma_bar=sigma_bar,
-        theta_bar=float(theta_bar),
-        gamma_lo=gamma_lo,
-        gamma_hi=gamma_hi,
-        mu=mu,
-        theta=theta,
+        sigma_bar=max(sigmas.values()),
+        theta_bar=float(game.theta * np.sqrt(own_diag / lam_min_xi)),
+        gamma_lo=float(np.sqrt(1.0 / max(mass.values()))),
+        gamma_hi=float(np.sqrt(1.0 / min(mass.values()))),
+        mu=game.mu,
+        theta=game.theta,
         certified=certified,
         estimated_constants=game.estimated_constants,
         notes=notes,
     )
+
+
+def certify_theorem1(
+    layout: EndLayout, game: GameSpec, alpha: float, tol: float = 1e-8
+) -> NeTheorem1Certificate:
+    """Build the contraction certificate for the given step size."""
+    return _at_step(_step_free_certificate(layout, game, tol), alpha)
 
 
 def search_ne_step_size(
@@ -372,21 +385,22 @@ def search_ne_step_size(
     """Largest step size with certified contraction factor at most ``target``.
 
     Samples a geometric grid to find the feasible region, then bisects its
-    right edge.
+    right edge. The step-size independent part is built once.
     """
+    base = _step_free_certificate(layout, game)
     alphas = np.geomspace(1e-8, 1e2, grid)
-    feas = [a for a in alphas if certify_theorem1(layout, game, a).rho <= target]
+    feas = [a for a in alphas if _at_step(base, a).rho <= target]
     if not feas:
         raise GameError("no certifiable step size found")
     lo = max(feas)
     hi = float(alphas[np.searchsorted(alphas, lo) + 1]) if lo < alphas[-1] else lo * 2
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if certify_theorem1(layout, game, mid).rho <= target:
+        if _at_step(base, mid).rho <= target:
             lo = mid
         else:
             hi = mid
-    return certify_theorem1(layout, game, lo)
+    return _at_step(base, lo)
 
 
 def ne_solve(

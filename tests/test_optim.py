@@ -100,6 +100,15 @@ class TestSeparableProblems:
                               {(1, 1): 0.5})
         assert prob.solve_reference()[0] == pytest.approx(1.5, abs=1e-8)
 
+    def test_quadratic_with_l1_weights(self):
+        # 1/2 y^2 - 2 y + 2 + 0.5 |y| is the Lasso above, and has no closed form
+        prob = QuadraticSeparable([1], [(1,)], [{(1, 1): np.array([[1.0]])}],
+                                  [{1: np.array([-2.0])}], [2.0], {(1, 1): 0.5})
+        assert prob.value(1, {1: np.array([1.0])}) == pytest.approx(1.0)
+        assert prob.subgradient(1, {1: np.array([1.0])})[1][0] == pytest.approx(-0.5)
+        with pytest.raises(OptimError):
+            prob.solve_reference()
+
     def test_off_footprint_quadratic_rejected(self):
         with pytest.raises(OptimError):
             QuadraticSeparable([1, 1], [(1,)], [{(1, 2): np.eye(1)}], [{}])
@@ -137,6 +146,10 @@ class TestDualReformulation:
                         design={1: weighted(g, "row")})
         with pytest.raises(OptimError):
             dual_reformulate(bad)
+        with pytest.raises(OptimError):
+            edge_constraint_residual(bad, np.zeros(bad.stacked_dim))
+        with pytest.raises(OptimError):
+            admm_solve(bad, two_agent_shared_scalar(), 0.5)
 
 
 class TestAdmm:
@@ -175,6 +188,20 @@ class TestAdmm:
         d = trace.columns["distance"]
         tail = d[len(d) // 2:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+    def test_concave_problem_blows_up_into_divergence_error(self):
+        # f_i = -y^2/4 + c_i y: the local argmins exist (H + degree > 0), but
+        # the iterate grows geometrically instead of settling
+        lay = standard_layout(Graph.undirected_graph([1, 2], [(1, 2)]),
+                              {(1, 1), (1, 2)}, Partition([1]))
+        prob = QuadraticSeparable([1], [(1,), (1,)],
+                                  [{(1, 1): np.array([[-0.5]])}] * 2,
+                                  [{1: np.array([1.0])}, {1: np.array([-2.0])}])
+        _, trace = admm_solve(lay, prob, 0.5, max_iters=15, tol=0.0)
+        steps = trace.columns["step"]
+        assert steps[-1] > 100.0 * steps[2]
+        with pytest.raises(DivergenceError, match="ADMM iterate"):
+            admm_solve(lay, prob, 0.5, max_iters=5000, tol=0.0)
 
     def test_lasso_instance_via_inner_solver(self):
         # both agents share one scalar; generic proximal inner loop path
