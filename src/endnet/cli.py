@@ -393,18 +393,8 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
             alpha = _read(run_cfg, "alpha", float)
             cert = None
         else:
-            # sparse designs can push the best certifiable rate close to 1;
-            # loosen the target rather than fail outright
-            target = _read(run_cfg, "rho_target", float, 0.999)
-            cert = None
-            for _ in range(4):
-                try:
-                    cert = search_ne_step_size(layout, game, target=target)
-                    break
-                except GameError:
-                    target = 1.0 - 0.1 * (1.0 - target)
-            if cert is None:
-                raise GameError("no certifiable step size found for this design")
+            cert = search_ne_step_size(layout, game,
+                                       target=_read(run_cfg, "rho_target", float, 0.999))
             alpha = cert.alpha
         hat, trace = ne_solve(
             layout, game, alpha,

@@ -7,15 +7,27 @@ connectivity holds, while a soft efficiency objective (node count, edge
 count, weight, load balance) is reduced heuristically.
 
 Heuristics are the textbook approximations: metric-closure MST for
-(unweighted) Steiner trees, shortest-path unions for rooted instances and
-a hub arborescence pair for strongly connected instances.  Tie-breaking is
-by smallest node id, then lexicographic edge order, so results are
-deterministic.
+(unweighted) Steiner trees (Kou, Markowsky & Berman), shortest-path unions
+for rooted instances and a hub arborescence pair for strongly connected
+instances. The metric closure is read from one Dijkstra shortest-path
+row per source terminal. ``design_layout`` keeps the rows of its shared host in one
+table, so a terminal's row is computed once per call, not once per
+component.
+
+Results are deterministic but ties are not broken by node id. Every path
+comes from networkx's bidirectional searches (breadth-first for hub and
+rooted paths, Dijkstra for the expansion of closure edges): each grows a
+frontier from both ends in turn, scans neighbours in ascending id order
+(the networkx hosts are built from sorted nodes and edges), keeps the
+first predecessor that reaches a node by a shortest route, and stops at
+the first meeting that is provably shortest. Among equal-length paths this
+picks whichever that order meets first, not the smallest ids.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -30,7 +42,17 @@ from .graphs import (
     is_strongly_connected,
     restrict,
 )
-from .layout import ConnectivityMode, EndLayout, LayoutError, Partition, standard_layout, weighted
+from .layout import (
+    ConnectivityMode,
+    EndLayout,
+    LayoutError,
+    Partition,
+    group_pairs,
+    standard_layout,
+    weighted,
+)
+
+log = logging.getLogger(__name__)
 
 
 class DesignInfeasible(ValueError):
@@ -137,28 +159,34 @@ def solve_st(inst: SteinerInstance) -> Graph:
     """Weighted Steiner tree 2-approximation (metric closure MST + expansion)."""
     if inst.host.directed:
         raise GraphError("Steiner tree requires an undirected host")
-    return _steiner_tree(_nx_undirected(inst.host, inst.weights), inst)
+    return _steiner_tree(_nx_undirected(inst.host, inst.weights), inst, {})
 
 
 def solve_ust(inst: SteinerInstance) -> Graph:
     """Unweighted Steiner tree: minimize edge count heuristically."""
     if inst.host.directed:
         raise GraphError("Steiner tree requires an undirected host")
-    return _steiner_tree(_nx_undirected(inst.host), inst)
+    return _steiner_tree(_nx_undirected(inst.host), inst, {})
 
 
-def _steiner_tree(host: nx.Graph, inst: SteinerInstance) -> Graph:
-    """KMB on ``host``, the networkx form of ``inst.host``."""
+def _steiner_tree(host: nx.Graph, inst: SteinerInstance,
+                  rows: dict[int, dict[int, float]]) -> Graph:
+    """KMB on ``host``, the networkx form of ``inst.host``.
+
+    ``rows`` maps a source terminal to its Dijkstra distances in ``host``;
+    missing rows are added here, so callers on the same host share them.
+    """
     terminals = sorted(inst.terminals)
     if len(terminals) == 1:
         return Graph.undirected_graph(terminals, [])
     closure = nx.Graph()
     for a, b in itertools.combinations(terminals, 2):
-        try:
-            d = nx.shortest_path_length(host, a, b, weight="weight")
-        except nx.NetworkXNoPath:
-            raise DesignInfeasible(f"terminals {a} and {b} are not connected") from None
-        closure.add_edge(a, b, weight=d)
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = nx.single_source_dijkstra_path_length(host, a)
+        if b not in row:
+            raise DesignInfeasible(f"terminals {a} and {b} are not connected")
+        closure.add_edge(a, b, weight=row[b])
     mst = nx.minimum_spanning_tree(closure, weight="weight")
     tree = nx.Graph()
     tree.add_nodes_from(terminals)
@@ -343,7 +371,9 @@ def design_layout(
 
     With objective ``none`` this returns the standard sparsity-unaware
     layout (full estimate assignment, exchange graphs equal to the
-    communication graph).
+    communication graph). Otherwise each designed component is logged at
+    DEBUG on ``endnet.design``: its objective, copies and edges (each
+    direction counted, self-loops not).
     """
     interference = frozenset(interference)
     scheme = weight_scheme or _default_scheme(criterion.connectivity)
@@ -351,10 +381,14 @@ def design_layout(
     if all(criterion.objective_for(p) == "none" for p in partition.components):
         return standard_layout(comm, interference, partition, weight_scheme=scheme)
 
-    # every component is designed on the same host, so its symmetric view
-    # and its networkx form are built once per call
+    # every component is designed on the same host, so its symmetric view,
+    # its networkx form and the shortest-path rows of its terminals are
+    # built once per call
     host = comm.undirected_closure() if mode.kind == "undirected" and comm.directed else comm
     nx_host = _nx_undirected(host) if mode.kind == "undirected" else _nx_directed(host)
+    rows: dict[int, dict[int, float]] = {}
+    needers = group_pairs(interference)
+    debug = log.isEnabledFor(logging.DEBUG)
     loads: dict[int, int] = {v: 0 for v in comm.nodes}
     design = {}
     # components whose exchange graph is all of comm share one weighted comm,
@@ -363,13 +397,13 @@ def design_layout(
     failures: list[int] = []
     messages: list[str] = []
     for p in partition.components:
-        terminals = frozenset(i for (q, i) in interference if q == p)
+        terminals = frozenset(needers.get(p, ()))
         if not terminals:
             failures.append(p)
             messages.append(f"component {p}: no agent needs it")
             continue
         try:
-            sub = _solve_component(comm, host, nx_host, p, terminals, criterion, loads)
+            sub = _solve_component(comm, host, nx_host, rows, p, terminals, criterion, loads)
         except DesignInfeasible as exc:
             failures.append(p)
             messages.append(f"component {p}: {exc}")
@@ -378,6 +412,10 @@ def design_layout(
             sub = restrict(host, sub.nodes)
         for v in sub.nodes:
             loads[v] += 1
+        if debug:
+            log.debug("component %d: objective %s, %d copies, %d edges", p,
+                      criterion.objective_for(p), len(sub.nodes),
+                      sum(u != v for u, v in sub.edges))
         if sub == comm:
             shared = shared or weighted(comm, scheme)
             design[p] = shared
@@ -402,14 +440,16 @@ def _solve_component(
     comm: Graph,
     host: Graph,
     nx_host: nx.Graph | nx.DiGraph,
+    rows: dict[int, dict[int, float]],
     p: int,
     terminals: frozenset[int],
     criterion: DesignCriterion,
     loads: Mapping[int, int],
 ) -> Graph:
     """Exchange graph of component p on ``host`` (``comm``, made symmetric in
-    undirected mode); ``nx_host`` is host's unweighted networkx form, shared
-    by every component and never mutated."""
+    undirected mode); ``nx_host`` is host's unweighted networkx form and
+    ``rows`` the shortest-path rows of its terminals, both shared by every
+    component (``nx_host`` is never mutated)."""
     mode = criterion.connectivity
     objective = criterion.objective_for(p)
     if objective == "none":
@@ -429,8 +469,9 @@ def _solve_component(
         return _hub_tree(nx_host, SteinerInstance(host, terminals), hub)
     if objective in ("min_edges", "min_weight"):
         # min_weight has unit weights here, so both run KMB on the same host
-        return _steiner_tree(nx_host, SteinerInstance(host, terminals))
-    # balanced: Steiner tree with load-inflated edge weights
+        return _steiner_tree(nx_host, SteinerInstance(host, terminals), rows)
+    # balanced: Steiner tree with load-inflated edge weights, on a host (and
+    # so with rows) of its own
     w = {
         (u, v): 1.0 + criterion.balance_penalty * (loads[u] + loads[v]) / 2.0
         for (u, v) in host.edges
@@ -454,12 +495,12 @@ def try_minimal_layout(
     interference = frozenset(interference)
     scheme = weight_scheme or _default_scheme(mode)
     host = comm if mode.kind != "undirected" else comm.undirected_closure()
+    needers = group_pairs(interference)
     design = {}
     for p in partition.components:
-        needers = {i for (q, i) in interference if q == p}
-        if not needers:
+        if p not in needers:
             return None, [f"component {p}: no agent needs it"]
-        sub = restrict(host, needers)
+        sub = restrict(host, needers[p])
         design[p] = weighted(sub, scheme)
     layout = EndLayout(
         agents=comm.nodes,

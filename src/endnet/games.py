@@ -385,12 +385,20 @@ def search_ne_step_size(
     """Largest step size with certified contraction factor at most ``target``.
 
     Samples a geometric grid to find the feasible region, then bisects its
-    right edge. The step-size independent part is built once.
+    right edge. Sparse designs can push the best certifiable rate close to
+    1, so when no grid step meets ``target`` the target is moved a tenth of
+    the way closer to 1 and sampled again, up to three times; the returned
+    ``rho`` then lies above the requested target. The step-size independent
+    part is built once for every target.
     """
     base = _step_free_certificate(layout, game)
     alphas = np.geomspace(1e-8, 1e2, grid)
-    feas = [a for a in alphas if _at_step(base, a).rho <= target]
-    if not feas:
+    for _ in range(4):
+        feas = [a for a in alphas if _at_step(base, a).rho <= target]
+        if feas:
+            break
+        target = 1.0 - 0.1 * (1.0 - target)
+    else:
         raise GameError("no certifiable step size found")
     lo = max(feas)
     hi = float(alphas[np.searchsorted(alphas, lo) + 1]) if lo < alphas[-1] else lo * 2

@@ -13,6 +13,7 @@ block of the component's dimension.
 
 from __future__ import annotations
 
+import json
 import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -315,6 +316,18 @@ class BlockOperator:
         return out
 
 
+def group_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
+    """Each first entry of ``pairs`` mapped to its second entries, ascending.
+
+    One pass: on an interference pattern this gives the needers of every
+    component (and, with the pairs swapped, the needs of every agent).
+    """
+    grouped: dict[int, list[int]] = {}
+    for key, value in pairs:
+        grouped.setdefault(key, []).append(value)
+    return {key: tuple(sorted(values)) for key, values in grouped.items()}
+
+
 @dataclass(frozen=True)
 class EndLayout:
     """Partition + communication/interference layers + per-component exchange graphs."""
@@ -346,16 +359,25 @@ class EndLayout:
     def copies(self, p: int) -> int:
         return len(self.holders(p))
 
+    @cached_property
+    def _needers(self) -> dict[int, tuple[int, ...]]:
+        return group_pairs(self.interference)
+
+    @cached_property
+    def _needs(self) -> dict[int, tuple[int, ...]]:
+        return group_pairs((i, p) for p, i in self.interference)
+
     def needers(self, p: int) -> tuple[int, ...]:
-        """Agents for which component p is indispensable."""
-        return tuple(sorted(i for (q, i) in self.interference if q == p))
+        """Agents for which component p is indispensable, ascending."""
+        return self._needers.get(p, ())
 
     def held_by(self, i: int) -> tuple[int, ...]:
         """Components agent i keeps a copy of, ascending."""
         return tuple(p for p in self.partition.components if i in self.design[p].graph.nodes)
 
     def needed_by(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(p for (p, j) in self.interference if j == i))
+        """Components indispensable for agent i, ascending."""
+        return self._needs.get(i, ())
 
     @property
     def estimate_edges(self) -> frozenset[tuple[int, int]]:
@@ -427,11 +449,14 @@ class EndLayout:
         """The components grouped by shared ``WeightedGraph`` object and
         dimension (so also by holders), in order of their first members.
 
-        ``standard_layout`` and ``reweight`` share one weighted graph among
-        components; ``design_layout`` weights each component on its own
-        unless its exchange graph is the whole communication graph, so its
-        other groups are single components. Layouts that are equal but share
-        differently compute the same operators with different roundoff.
+        ``standard_layout`` shares one weighted graph among components and
+        ``reweight`` one per distinct exchange graph. ``design_layout`` and
+        ``from_json_dict`` share only the weighted communication graph and
+        weight every other exchange graph per component, so their other
+        groups are single components: a layout read back from JSON groups as
+        ``standard_layout`` and ``design_layout`` built it, but not always as
+        ``reweight`` did. Layouts that are equal but share differently
+        compute the same operators with different roundoff.
         """
         members: dict[tuple[int, int], list[int]] = {}
         for p in self.partition.components:
@@ -743,12 +768,26 @@ class EndLayout:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "EndLayout":
+        """The layout of ``to_json_dict``. Components whose exchange graph is
+        the whole communication graph (self-loops aside) share one
+        ``WeightedGraph`` per distinct weighting, as ``standard_layout`` and
+        ``design_layout`` build them, so a saved layout of either keeps its
+        component groups; every other component weights its own copy."""
+        comm = Graph.from_json_dict(d["comm"])
+        whole = (comm, comm.with_self_loops())
+        shared: dict[str, WeightedGraph] = {}
+        design = {}
+        for p, wd in d["design"].items():
+            wg = WeightedGraph.from_json_dict(wd)
+            if wg.graph in whole:
+                wg = shared.setdefault(json.dumps(wd, sort_keys=True), wg)
+            design[int(p)] = wg
         return cls(
             agents=tuple(d["agents"]),
             partition=Partition(tuple(d["partition"])),
-            comm=Graph.from_json_dict(d["comm"]),
+            comm=comm,
             interference=frozenset((p, i) for p, i in d["interference"]),
-            design={int(p): WeightedGraph.from_json_dict(wd) for p, wd in d["design"].items()},
+            design=design,
         )
 
 

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +295,33 @@ def test_program_error_inside_a_solver_is_not_config_error(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "augdgm_solve", broken)
     with pytest.raises(error, match="inside the solver"):
         main(["run", "--config", sep_config, "--out", str(tmp_path / "out")])
+
+
+def test_trace_bytes_do_not_depend_on_the_log_level(tmp_path):
+    """``endnet run`` on a designed arm, in fresh interpreters: debug logs the
+    design of each component and warn logs nothing, and the trace CSVs are
+    the same bytes."""
+    cfg = _write_config(tmp_path, "sep.json", {
+        "scenario": SEP_SCENARIO,
+        "arm": "customized",
+        "run": {"algorithm": "augdgm", "max_iters": 100, "merit_every": 20},
+    })
+    src = str(Path(cli.__file__).resolve().parents[1])
+    traces, logs = {}, {}
+    for level in ("debug", "warn"):
+        env = dict(os.environ, END_LOG_LEVEL=level,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / level
+        proc = subprocess.run(
+            [sys.executable, "-m", "endnet.cli", "run", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        traces[level] = (out / "trace.csv").read_bytes()
+        logs[level] = [line for line in proc.stderr.splitlines() if "endnet.design" in line]
+    assert len(logs["debug"]) == SEP_SCENARIO["num_components"]
+    assert all(line.startswith("DEBUG endnet.design: component ") for line in logs["debug"])
+    assert logs["warn"] == []
+    assert traces["debug"] == traces["warn"]
 
 
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch, sep_config):

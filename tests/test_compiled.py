@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endnet import cli
+from endnet import cli, games
 from endnet.design import DesignCriterion, design_layout
 from endnet.games import (
     AggregativeGameSpec,
@@ -458,8 +458,8 @@ def test_grouped_operator_matches_component_loop(kind, dims, num_agents, seed):
 @pytest.mark.parametrize("dims", [(1,) * 6, (2, 1, 2, 3, 1, 2)])
 def test_tracking_solvers_on_shared_blocks_match_the_csr_path(dims):
     """augdgm and abc on a standard layout, whose components share one
-    weight block, against the same layout loaded from JSON, whose components
-    each weight their own copy and so all run through CSR: 200 steps and
+    weight block, against the same layout with one distinct copy of that
+    block per component, so that all of them run through CSR: 200 steps and
     both solves' records."""
     rng = np.random.default_rng(12)
     interference = random_interference(rng, len(dims), 7)
@@ -467,7 +467,9 @@ def test_tracking_solvers_on_shared_blocks_match_the_csr_path(dims):
     problem = random_quadratic(rng, dims, footprints)
     reference = problem.solve_reference()
     grouped = standard_layout(ring(7), interference, Partition(dims))
-    csr = EndLayout.from_json_dict(grouped.to_json_dict())
+    shared = grouped.design[1]
+    csr = dataclasses.replace(grouped, design={
+        p: WeightedGraph.from_matrix(shared.graph, shared.matrix()) for p in grouped.design})
     assert len(grouped.weight_operator._dense) == sum(len(g.members) > 1 for g in grouped.groups)
     assert not csr.weight_operator._dense and len(csr.groups) == len(dims)
     arms = (grouped, csr)
@@ -1005,6 +1007,36 @@ def test_certificate_matches_per_step_build_and_reads_weights_once(scheme, monke
                 assert cert.sigma == sigmas
                 assert cert.q_matrices.keys() == q_matrices.keys()
                 assert all(np.array_equal(cert.q_matrices[i], q_matrices[i]) for i in q_matrices)
+
+
+def test_ne_run_builds_the_step_free_certificate_once(monkeypatch):
+    """The ne step-size search loosens the target until a grid step size is
+    certified. It builds the step-free certificate once for every target it
+    tries, and picks the alpha and rho of a fresh search at the target met."""
+    bundle = cli.build_scenario({"kind": "random_game", "num_agents": 6, "sparsity": 0.4,
+                                 "seed": 0, "topology": "complete"})
+    layout, game = bundle["layouts"][1], bundle["game"]
+    # the targets a fresh search per target tries: the first one that some
+    # grid step size meets is searched directly
+    best = min(certify_theorem1(layout, game, float(a)).rho
+               for a in np.geomspace(1e-8, 1e2, 60))
+    target, tries = 0.999, 1
+    while best > target:
+        target, tries = 1.0 - 0.1 * (1.0 - target), tries + 1
+    assert 1 < tries <= 4  # a loosened target is needed, and reached
+    expected = search_ne_step_size(layout, game, target=target)
+    assert expected.rho <= target
+    calls = []
+    build = games._step_free_certificate
+    monkeypatch.setattr(games, "_step_free_certificate",
+                        lambda *args: calls.append(1) or build(*args))
+    loosened = search_ne_step_size(layout, game)
+    assert len(calls) == 1
+    assert (loosened.alpha, loosened.rho) == (expected.alpha, expected.rho)
+    calls.clear()
+    result = cli.run_solver(bundle, {"max_iters": 10}, "customized")
+    assert len(calls) == 1
+    assert result["certified"] == {"alpha": expected.alpha, "rho": expected.rho}
 
 
 def unicast_callbacks(sc):

@@ -1,12 +1,20 @@
 import itertools
+import logging
+from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from endnet import design
 from endnet.design import (
     DesignCriterion,
     DesignInfeasible,
     SteinerInstance,
+    _nx_undirected,
+    _prune_leaves,
     design_layout,
     exact_min_rooted_nodes,
     exact_min_scss_nodes,
@@ -388,3 +396,170 @@ class TestSharedHost:
         for p in partition.components:
             assert back.design[p] == weighted(cust.design[p].graph, "column")
         assert (back.design[1] is back.design[2]) == (cust.design[1].graph == cust.design[2].graph)
+
+    @pytest.mark.parametrize("scheme", ["metropolis", "row", "uniform"])
+    def test_json_round_trip_keeps_designed_groups(self, scheme):
+        """A designed layout read back groups as it was built: its two equal
+        trees keep a weighted graph each, its components that span the whole
+        path share one again, and every operator applies bit for bit."""
+        comm = Graph.undirected_graph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)])
+        partition = Partition((2, 2, 1, 1, 2))
+        interference = {(1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 5), (4, 1), (4, 5), (5, 5)}
+        lay = design_layout(comm, interference, partition,
+                            DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges"),
+                            weight_scheme=scheme)
+        assert lay.design[1] == lay.design[2] and lay.design[1] is not lay.design[2]
+        back = EndLayout.from_json_dict(lay.to_json_dict())
+        assert back.design == lay.design
+        assert ([g.members for g in back.groups] == [g.members for g in lay.groups]
+                == [(1,), (2,), (3, 4), (5,)])
+        v = np.random.default_rng(6).standard_normal(lay.stacked_dim)
+        for op in ("apply_weight", "apply_laplacian"):
+            assert getattr(back, op)(v).tobytes() == getattr(lay, op)(v).tobytes()
+
+
+def pairwise_steiner_tree(host, inst):
+    """KMB with one targeted Dijkstra per terminal pair for the metric
+    closure: the reference the per-terminal rows must reproduce bit for bit."""
+    terminals = sorted(inst.terminals)
+    if len(terminals) == 1:
+        return Graph.undirected_graph(terminals, [])
+    closure = nx.Graph()
+    for a, b in itertools.combinations(terminals, 2):
+        try:
+            d = nx.shortest_path_length(host, a, b, weight="weight")
+        except nx.NetworkXNoPath:
+            raise DesignInfeasible(f"terminals {a} and {b} are not connected") from None
+        closure.add_edge(a, b, weight=d)
+    mst = nx.minimum_spanning_tree(closure, weight="weight")
+    tree = nx.Graph()
+    tree.add_nodes_from(terminals)
+    for a, b in sorted(mst.edges()):
+        path = nx.shortest_path(host, a, b, weight="weight")
+        tree.add_edges_from(zip(path[:-1], path[1:]))
+    _prune_leaves(tree, set(terminals))
+    return Graph.undirected_graph(sorted(tree.nodes), sorted(tree.edges))
+
+
+@st.composite
+def hosts(draw):
+    """An undirected host on 2..9 nodes: random links, plus a ring on some
+    draws, so that both connected and split hosts occur."""
+    n = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    links = {e for e, k in zip(pairs, keep) if k}
+    if draw(st.booleans()):
+        links |= {(min(i, i % n + 1), max(i, i % n + 1)) for i in range(1, n + 1)}
+    return Graph.undirected_graph(range(1, n + 1), sorted(links))
+
+
+@st.composite
+def load_weights(draw, g):
+    """``balanced``-style edge weights 1 + penalty (load_u + load_v) / 2,
+    whose many ties exercise the tie-breaks."""
+    loads = {v: draw(st.integers(0, 3)) for v in g.nodes}
+    penalty = draw(st.sampled_from([0.5, 1.0, 2.0, 1.0 / 3.0]))
+    return {(u, v): 1.0 + penalty * (loads[u] + loads[v]) / 2.0 for (u, v) in g.edges}
+
+
+def outcome(solve, inst):
+    try:
+        t = solve(inst)
+    except DesignInfeasible as exc:
+        return "infeasible", str(exc)
+    return t.nodes, sorted(t.edges), weighted(t, "metropolis").matrix().tobytes()
+
+
+def design_outcome(*args):
+    try:
+        lay = design_layout(*args)
+    except DesignInfeasible as exc:
+        return "infeasible", str(exc), exc.components
+    return {p: (wg.graph.nodes, sorted(wg.graph.edges), wg.matrix().tobytes())
+            for p, wg in sorted(lay.design.items())}
+
+
+def pairwise_reference():
+    """design's KMB swapped for the pairwise reference (shared rows ignored)."""
+    return mock.patch.object(design, "_steiner_tree",
+                             lambda host, inst, rows: pairwise_steiner_tree(host, inst))
+
+
+class TestClosureRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_solvers_match_pairwise_closure(self, data):
+        g = data.draw(hosts())
+        terminals = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+        w = data.draw(load_weights(g))
+        unit, loaded = SteinerInstance(g, terminals), SteinerInstance(g, terminals, weights=w)
+        expected = outcome(lambda i: pairwise_steiner_tree(_nx_undirected(g), i), unit)
+        assert outcome(solve_ust, unit) == expected
+        assert outcome(solve_st, unit) == expected
+        assert outcome(solve_st, loaded) == outcome(
+            lambda i: pairwise_steiner_tree(_nx_undirected(g, w), i), loaded)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_design_layout_matches_pairwise_closure(self, data):
+        g = data.draw(hosts())
+        partition = Partition((1,) * data.draw(st.integers(1, 6)))
+        interference = {(p, i) for p in partition.components
+                        for i in data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))}
+        crit = DesignCriterion(
+            ConnectivityMode.undirected_connected(),
+            data.draw(st.sampled_from(["min_edges", "min_weight", "balanced"])),
+            overrides=data.draw(st.dictionaries(
+                st.sampled_from(partition.components),
+                st.sampled_from(["min_edges", "min_weight", "balanced"]))),
+            balance_penalty=data.draw(st.sampled_from([1.0, 0.5, 2.0])))
+        args = (g, interference, partition, crit)
+        got = design_outcome(*args)
+        with pairwise_reference():
+            assert got == design_outcome(*args)
+
+    def test_disconnected_pair_message(self):
+        g = Graph.undirected_graph(range(1, 7), [(1, 2), (2, 3), (4, 5), (5, 6)])
+        inst = SteinerInstance(g, {1, 3, 4, 6})
+        got = outcome(solve_ust, inst)
+        assert got == ("infeasible", "terminals 1 and 4 are not connected")
+        assert got == outcome(lambda i: pairwise_steiner_tree(_nx_undirected(g), i), inst)
+
+    def test_rows_are_shared_across_components(self, monkeypatch):
+        """One search per source terminal for the whole call, on the
+        separable-tracking instance, with the same designs as the pairwise
+        closure."""
+        problem, _ = build_random_separable(50, 150, 0.05, 0)
+        interference = frozenset(
+            (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp)
+        args = (Graph.complete(range(1, 51)), interference, Partition(problem.component_dims),
+                DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges"))
+        sources = []
+        row = nx.single_source_dijkstra_path_length
+        monkeypatch.setattr(nx, "single_source_dijkstra_path_length",
+                            lambda host, a: sources.append(a) or row(host, a))
+        got = design_outcome(*args)
+        assert 0 < len(sources) == len(set(sources)) <= 50
+        with pairwise_reference():
+            assert got == design_outcome(*args)
+
+
+class TestDesignLog:
+    def test_one_debug_record_per_designed_component(self, caplog):
+        comm = Graph.undirected_graph(
+            [1, 2, 3, 4], [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+        interference = {(1, 1), (1, 3), (2, 2), (2, 4), (3, 3)}
+        crit = DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges",
+                               overrides={3: "min_nodes"})
+        with caplog.at_level(logging.DEBUG, logger="endnet.design"):
+            lay = design_layout(comm, interference, Partition([1, 1, 1]), crit)
+        records = [r for r in caplog.records if r.name == "endnet.design"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        assert [r.getMessage() for r in records] == [
+            f"component {p}: objective {crit.objective_for(p)}, {lay.copies(p)} copies, "
+            f"{sum(u != v for u, v in lay.design[p].graph.edges)} edges" for p in (1, 2, 3)]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="endnet.design"):
+            design_layout(comm, interference, Partition([1, 1, 1]), crit)
+        assert not [r for r in caplog.records if r.name == "endnet.design"]

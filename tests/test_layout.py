@@ -250,3 +250,27 @@ class TestJson:
         assert back.interference == small_layout.interference
         for p in small_layout.partition.components:
             assert np.allclose(back.design[p].matrix(), small_layout.design[p].matrix())
+
+    def test_round_trip_keeps_component_groups(self):
+        """A standard layout read back shares one weighted graph again, so it
+        forms the same groups and applies bit for bit as before."""
+        comm = Graph.undirected_graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                                                   (6, 1), (1, 4)])
+        lay = standard_layout(comm, full_interference(5, 6), Partition([2, 1, 2, 2, 1]))
+        back = EndLayout.from_json_dict(lay.to_json_dict())
+        assert len({id(wg) for wg in back.design.values()}) == 1
+        assert [g.members for g in back.groups] == [g.members for g in lay.groups]
+        v = np.random.default_rng(3).standard_normal(lay.stacked_dim)
+        for op in ("apply_weight", "apply_laplacian"):
+            assert getattr(back, op)(v).tobytes() == getattr(lay, op)(v).tobytes()
+
+
+class TestInterferenceIndex:
+    def test_needers_and_needs_match_a_scan(self):
+        rng = np.random.default_rng(8)
+        interference = frozenset((int(p), int(i)) for p, i in rng.integers(1, 9, size=(30, 2)))
+        interference |= {(p, p) for p in range(1, 9)}
+        lay = standard_layout(ring(8), interference, Partition((1,) * 8))
+        for k in range(0, 10):
+            assert lay.needers(k) == tuple(sorted(i for (q, i) in interference if q == k))
+            assert lay.needed_by(k) == tuple(sorted(p for (p, j) in interference if j == k))
