@@ -724,12 +724,22 @@ def cmd_validate(args) -> int:
 
 
 def _setup_logging() -> None:
-    name = os.environ.get("END_LOG_LEVEL", "warn").lower()
-    if name not in _LOG_LEVELS:
-        raise ConfigError(
-            f"END_LOG_LEVEL must be one of {sorted(_LOG_LEVELS)}, got {name!r}")
-    logging.basicConfig(level=_LOG_LEVELS[name],
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Apply ``END_LOG_LEVEL``, when set, to the ``endnet`` logger itself,
+    which also works inside a host process that configured the root logger
+    (unset, the level is left as it is: WARNING, from the root logger, in a
+    fresh process). The logger gets a stderr handler only when no handler
+    would see its records, so a host that set up logging keeps its own
+    output and sees each record once."""
+    name = os.environ.get("END_LOG_LEVEL")
+    if name is not None:
+        if name.lower() not in _LOG_LEVELS:
+            raise ConfigError(
+                f"END_LOG_LEVEL must be one of {sorted(_LOG_LEVELS)}, got {name.lower()!r}")
+        log.setLevel(_LOG_LEVELS[name.lower()])
+    if not log.hasHandlers():
+        handler = logging.StreamHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,9 @@ Two algorithm families:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -580,10 +582,16 @@ class AggregativeGameSpec:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Projection of a stacked action vector onto the product of domains."""
+        return self._project_into(v, None)
+
+    def _project_into(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """:meth:`project` written into ``out``, which may be ``v`` itself
+        (None: a new array)."""
         lower, upper = self._bounds
-        out = np.minimum(np.maximum(v, lower), upper)
-        for sl, dom in self._other_domains:
-            out[sl] = dom.project(v[sl])
+        out = np.maximum(v, lower, out=out)
+        np.minimum(out, upper, out=out)
+        for sl, dom in self._other_domains:  # their bounds are infinite
+            out[sl] = dom.project(out[sl])
         return out
 
 
@@ -624,6 +632,17 @@ class GneOperators:
     # the linear part of a step for the last step size used; see _Stage
     _stage: "_Stage | None" = field(default=None, init=False, repr=False, compare=False)
 
+    @cached_property
+    def coupling_bound(self) -> float:
+        """λ_max(ÂᵀÂ) + max_g σ_max(L_g)² over the dual layout's component
+        groups: an upper bound on the squared largest singular value of
+        [-Â, L̂_λᵀ]."""
+        A = self.A_hat.matrix
+        gram = (A.T @ A).toarray()
+        top = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+        return top + max((float(np.linalg.norm(g.laplacian, 2)) ** 2
+                          for g in self.lambda_layout.groups), default=0.0)
+
     def stage(self, beta: float) -> "_Stage":
         """The compiled linear part of a step with step size ``beta``."""
         if self._stage is None or self._stage.beta != beta:
@@ -655,46 +674,59 @@ def _scatter_blocks(layout: EndLayout, blocks: Mapping[tuple[int, int], np.ndarr
 
 
 class _StageParts(NamedTuple):
-    sigma_hat: slice    # s + B x + b
-    x_drift: slice      # x - beta (B^T L_s sigma_hat + A^T lam)
-    lap_sigma: slice    # L_s sigma_hat
-    z_next: slice       # z + beta L_l lam
-    lam_pre: slice      # lam - beta (L_l z + 2 beta L_l^2 lam + A x + a)
-    s_sums: slice       # per-component sums of the copies of s
+    """Where each vector of a step sits in a round's output buffer: the new
+    state [x; s; z; lam] first, then what the step reads on the way."""
+
+    x: slice            # x - beta (B^T L_s sigma_hat + A^T lam), then x_next
+    s: slice            # s_next
+    z: slice            # z_next = z + beta L_l lam
+    lam: slice          # lam - beta (A x + a), then lam_next
+    sigma_pairs: slice  # sigma_hat = s + B x + b at the pair rows the gradient reads
+    lap_sigma: slice    # beta L_s sigma_hat
+    s_norms: slice      # per-component sums of the copies of s over sqrt(copies)
 
 
 class _Stage(NamedTuple):
-    """Every linear map of one step with step size ``beta``, as one sparse
-    operator from the state w = [x; s; z; lam] to the vectors listed in
-    :class:`_StageParts`. With z_next = z + beta L_l lam the dual update
-    lam - beta (L_l (2 z_next - z) - A (2 x_next - x) + a) becomes
-    lam_pre + 2 beta A x_next.
+    """The linear maps of one step with step size ``beta``.
 
-    The shifted estimates are still updated as s - beta L_s sigma_hat, a
-    subtraction of the Laplacian image, which keeps their per-component
-    sums at roundoff.
+    ``linear`` is one sparse operator from the state w = [x; s; z; lam] to
+    the vectors listed in :class:`_StageParts` (plus ``offset``). The dual
+    update lam - beta (L_l (2 z_next - z) - A (2 x_next - x) + a) is then
+    the lam part, plus ``dual_lap`` = -beta L_l applied once to
+    2 z_next - z, plus ``dual_push`` = 2 beta A applied to x_next: the
+    product L_l^2, whose nonzeros grow with the square of the exchange
+    graphs' degrees, is never formed.
+
+    The shifted estimates are updated as s - beta L_s sigma_hat, a
+    subtraction of the (scaled) Laplacian image, which keeps their
+    per-component sums at roundoff.
     """
 
     beta: float
     linear: CsrOperator
     offset: np.ndarray
     parts: _StageParts
-    dual_push: CsrOperator  # 2 beta A
+    dual_lap: BlockOperator  # -beta L_l
+    dual_push: CsrOperator   # 2 beta A
 
     @classmethod
     def build(cls, ops: GneOperators, beta: float) -> "_Stage":
         B, A = ops.B_hat.matrix, ops.A_hat.matrix
         Ls, Ll = ops.L_sigma.matrix, ops.L_lambda.matrix
         n_x, n_s, n_l = B.shape[1], Ls.shape[0], Ll.shape[0]
+        pairs = ops.sigma_pair_index
+        copies = ops.sigma_layout.copy_counts
         LB = Ls @ B
         eye = sp.identity
         blocks = [
-            [B, eye(n_s), None, None],
             [eye(n_x) - beta * (B.T @ LB), -beta * (B.T @ Ls), None, -beta * A.T],
-            [LB, Ls, None, None],
+            [sp.csr_matrix((n_s, n_x)), None, None, None],
             [None, None, eye(n_l), beta * Ll],
-            [-beta * A, None, -beta * Ll, eye(n_l) - 2 * beta**2 * (Ll @ Ll)],
-            [None, ops.sigma_layout.sum_operator.matrix, None, None],
+            [-beta * A, None, None, eye(n_l)],
+            [B[pairs], eye(n_s, format="csr")[pairs], None, None],
+            [beta * LB, beta * Ls, None, None],
+            [None, sp.diags(1.0 / np.sqrt(copies)) @ ops.sigma_layout.sum_operator.matrix,
+             None, None],
         ]
         for row in blocks:  # bmat needs the zero blocks spelled out
             rows = next(b.shape[0] for b in row if b is not None)
@@ -702,13 +734,66 @@ class _Stage(NamedTuple):
                 if row[j] is None:
                     row[j] = sp.csr_matrix((rows, cols))
         Lsb = Ls @ ops.b_hat
-        offset = np.concatenate([ops.b_hat, -beta * (B.T @ Lsb), Lsb, np.zeros(n_l),
-                                 -beta * ops.a_hat,
-                                 np.zeros(ops.sigma_layout.partition.total_dim)])
+        offset = np.concatenate([-beta * (B.T @ Lsb), np.zeros(n_s + n_l), -beta * ops.a_hat,
+                                 ops.b_hat[pairs], beta * Lsb, np.zeros(copies.size)])
         ends = np.cumsum([row[0].shape[0] for row in blocks]).tolist()
         parts = _StageParts(*(slice(a, b) for a, b in zip([0] + ends[:-1], ends)))
         return cls(beta, CsrOperator(sp.bmat(blocks, format="csr")), offset, parts,
-                   CsrOperator(2 * beta * A))
+                   ops.L_lambda.scaled(-beta), CsrOperator(2 * beta * A))
+
+
+class _GneRounds:
+    """Primal-dual rounds run in place, on buffers allocated once.
+
+    Two buffers laid out as :class:`_StageParts` take turns: the state of a
+    round is the first part of one buffer, and the round writes the stage's
+    linear image of it into the other, finishes the new state there and
+    leaves the incoming s's component sums in its ``s_norms`` part. Every
+    operator is bound to both directions here.
+    """
+
+    def __init__(self, ops: GneOperators, stage: _Stage, alpha: float, x: np.ndarray,
+                 s_hat: np.ndarray, z_hat: np.ndarray, lam_hat: np.ndarray):
+        self.game = ops.game
+        n_state = stage.linear.shape[1]
+        self._buffers = (np.zeros(stage.linear.shape[0]), np.zeros(stage.linear.shape[0]))
+        self._buffers[0][:n_state] = np.concatenate((x, s_hat, z_hat, lam_hat))
+        self._views = tuple(_StageParts(*(b[sl] for sl in stage.parts)) for b in self._buffers)
+        self._u = np.empty(lam_hat.size)
+        self._scaled = np.empty(x.size)
+        self._alpha_beta = alpha * stage.beta
+        self._inequality = ops.game.sense == "inequality"
+        self._turn = 0
+        self._bound = []
+        for a, b in ((0, 1), (1, 0)):
+            source, target = self._buffers[a], self._views[b]
+            self._bound.append((
+                stage.linear.bind(source[:n_state], self._buffers[b], offset=stage.offset),
+                stage.dual_lap.bind(self._u, target.lam, accumulate=True),
+                stage.dual_push.bind(target.x, target.lam, accumulate=True)))
+
+    @property
+    def state(self) -> _StageParts:
+        """Views of the current buffer."""
+        return self._views[self._turn]
+
+    def step(self) -> None:
+        old = self._views[self._turn]
+        linear, dual_lap, dual_push = self._bound[self._turn]
+        self._turn = 1 - self._turn
+        new = self._views[self._turn]
+        linear()
+        grad = self.game.gradient(old.x, new.sigma_pairs)
+        np.multiply(grad, self._alpha_beta, out=self._scaled)
+        np.subtract(new.x, self._scaled, out=new.x)
+        self.game._project_into(new.x, new.x)
+        np.subtract(old.s, new.lap_sigma, out=new.s)
+        np.multiply(new.z, 2.0, out=self._u)
+        np.subtract(self._u, old.z, out=self._u)
+        dual_lap()
+        dual_push()
+        if self._inequality:
+            np.maximum(new.lam, 0.0, out=new.lam)
 
 
 def build_gne_operators(
@@ -764,25 +849,22 @@ def extended_pseudo_gradient(ops: GneOperators, x: np.ndarray, sigma_hat: np.nda
     return ops.game.gradient(x, sigma_hat[ops.sigma_pair_index])
 
 
+def _rounds(ops: GneOperators, state: GneState, alpha: float, beta: float) -> _GneRounds:
+    return _GneRounds(ops, ops.stage(beta), alpha, np.asarray(state.x, dtype=float),
+                      state.s_hat, state.z_hat, state.lam_hat)
+
+
+def _state(rounds: _GneRounds) -> GneState:
+    now = rounds.state
+    return GneState(x=now.x, s_hat=now.s, z_hat=now.z, lam_hat=now.lam)
+
+
 def gne_step(ops: GneOperators, state: GneState, alpha: float, beta: float) -> GneState:
-    """One primal-dual round with aggregation tracking and dual consensus."""
-    x, s_hat, z_hat, lam_hat, _ = _gne_round(ops, state.x, state.s_hat, state.z_hat,
-                                             state.lam_hat, alpha, beta)
-    return GneState(x=x, s_hat=s_hat, z_hat=z_hat, lam_hat=lam_hat)
-
-
-def _gne_round(ops, x, s_hat, z_hat, lam_hat, alpha, beta):
-    """:func:`gne_step` on bare arrays; also returns the per-component sums of
-    the incoming ``s_hat``."""
-    stage = ops.stage(beta)
-    out = stage.linear.affine(np.concatenate((x, s_hat, z_hat, lam_hat)), stage.offset)
-    part = stage.parts
-    x_new = ops.game.project(
-        out[part.x_drift] - (alpha * beta) * extended_pseudo_gradient(ops, x, out[part.sigma_hat]))
-    lam_new = out[part.lam_pre] + stage.dual_push @ x_new
-    if ops.game.sense == "inequality":
-        np.maximum(lam_new, 0.0, out=lam_new)
-    return x_new, s_hat - beta * out[part.lap_sigma], out[part.z_next], lam_new, out[part.s_sums]
+    """One primal-dual round with aggregation tracking and dual consensus:
+    the round :func:`gne_solve` runs, on buffers of its own."""
+    rounds = _rounds(ops, state, alpha, beta)
+    rounds.step()
+    return _state(rounds)
 
 
 def preconditioner_positive(ops: GneOperators, beta: float) -> bool:
@@ -790,10 +872,15 @@ def preconditioner_positive(ops: GneOperators, beta: float) -> bool:
 
     Over [x; s; z; lam] the preconditioner is I/beta + [[0, Mᵀ], [M, 0]] with
     M = [-Â, 0, L̂_λᵀ], so it is positive definite exactly when 1/beta exceeds
-    the largest singular value of M: the largest eigenvalue of the sparse
-    symmetric [[0, Mᵀ], [M, 0]] with the zero s block left out, found by
-    Lanczos from a fixed start.
+    the largest singular value of M. Since σ_max([X, Y])² ≤ ‖X‖² + ‖Y‖² and
+    L̂_λ applies one block L_g per component group, σ_max(M)² is at most
+    λ_max(ÂᵀÂ) + max_g σ_max(L_g)², from small dense matrices: when beta
+    times its root is below 1 that settles it. Otherwise σ_max(M) is the
+    largest eigenvalue of the sparse symmetric [[0, Mᵀ], [M, 0]] with the
+    zero s block left out, found by Lanczos from a fixed start.
     """
+    if beta * np.sqrt(ops.coupling_bound) < 1.0:
+        return True
     # imported here, not with the module: it adds ~2 MB of resident memory
     # to every run, also to those that never check a preconditioner
     from scipy.sparse.linalg import eigsh
@@ -845,10 +932,13 @@ def gne_solve(
 
     ``max_consensus_invariant`` in the trace metadata is the largest norm
     over all steps of the consensus projection of the shifted aggregation
-    estimates, which the iteration conserves at zero.
+    estimates, which the iteration conserves at zero. ``us_per_step`` is
+    the wall time of the iteration loop, checks included, per step.
     """
+    if max_iters < 1:
+        raise GameError("the primal-dual iteration needs max_iters >= 1")
     game = ops.game
-    state = initial_gne_state(ops, x0)
+    rounds = _rounds(ops, initial_gne_state(ops, x0), alpha, beta)
     trace = RunTrace(meta={"alpha": alpha, "beta": beta})
     cost = ops.sigma_layout.communication_cost("unicast") + ops.lambda_layout.communication_cost(
         "unicast"
@@ -856,40 +946,41 @@ def gne_solve(
     trace.meta["unicast_cost_per_iter"] = cost
     guard = divergence_guard(x0, "primal iterate")
     # |consensus projection of s|^2 = sum over components of (copy sum)^2 / copies
-    inv_copies = 1.0 / ops.sigma_layout.copy_counts
     max_invariant2 = 0.0
-    x, s_hat, z_hat, lam_hat = state.x, state.s_hat, state.z_hat, state.lam_hat
+    start = time.perf_counter()
     for k in range(max_iters):
-        # s_sums belong to the s_hat this round started from; the final
-        # s_hat is measured after the loop
-        x, s_hat, z_hat, lam_hat, s_sums = _gne_round(ops, x, s_hat, z_hat, lam_hat,
-                                                      alpha, beta)
-        guard(x, k)
+        rounds.step()
+        now = rounds.state
+        guard(now.x, k)
         if track_invariant:
-            max_invariant2 = max(max_invariant2, s_sums @ (s_sums * inv_copies))
+            # the norms belong to the s_hat this round started from; the
+            # final s_hat is measured after the loop
+            max_invariant2 = max(max_invariant2, float(now.s_norms @ now.s_norms))
         if (k + 1) % check_every == 0 or k == max_iters - 1:
             # the primal step drives alpha*F + A^T lam_hat to zero, so the
             # copies track alpha-scaled multipliers
-            lam = consensus_dual(ops, lam_hat) / alpha
-            residual = kkt_residual(game, x, lam)
-            sigma_hat = s_hat + ops.B_hat @ x + ops.b_hat
+            lam = consensus_dual(ops, now.lam) / alpha
+            residual = kkt_residual(game, now.x, lam)
+            sigma_hat = now.s + ops.B_hat @ now.x + ops.b_hat
             record = {"k": k, "residual": residual,
                       "sigma_disagreement": float(
                           np.linalg.norm(ops.sigma_layout.disagreement(sigma_hat))),
                       "lambda_disagreement": float(
-                          np.linalg.norm(ops.lambda_layout.disagreement(lam_hat)))}
+                          np.linalg.norm(ops.lambda_layout.disagreement(now.lam)))}
             if reference is not None:
-                record["distance"] = float(np.linalg.norm(x - reference))
+                record["distance"] = float(np.linalg.norm(now.x - reference))
             trace.append(**record)
             done = record["distance"] <= tol if reference is not None else residual <= tol
             if residual_tol is not None:
                 done = done and residual <= residual_tol
             if done:
                 break
-    state = GneState(x=x, s_hat=s_hat, z_hat=z_hat, lam_hat=lam_hat)
+    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
+    state = _state(rounds)
     if track_invariant:
-        s_sums = ops.sigma_layout.component_sums(s_hat)
-        max_invariant2 = max(max_invariant2, s_sums @ (s_sums * inv_copies))
+        s_sums = ops.sigma_layout.component_sums(state.s_hat)
+        max_invariant2 = max(max_invariant2,
+                             s_sums @ (s_sums / ops.sigma_layout.copy_counts))
     trace.meta["max_consensus_invariant"] = float(np.sqrt(max_invariant2))
     return state, trace
 
@@ -907,16 +998,17 @@ def search_gne_beta(
     beta = start
     for _ in range(max_halvings):
         if preconditioner_positive(ops, beta):
-            state = initial_gne_state(ops, np.asarray(x0, dtype=float))
+            rounds = _rounds(ops, initial_gne_state(ops, x0), alpha, beta)
             norms = []
             ok = True
             try:
                 for _ in range(probe_iters):
-                    state = gne_step(ops, state, alpha, beta)
-                    if not np.isfinite(state.x).all():
+                    rounds.step()
+                    x = rounds.state.x
+                    if not np.isfinite(x).all():
                         ok = False
                         break
-                    norms.append(float(np.linalg.norm(state.x)))
+                    norms.append(float(np.linalg.norm(x)))
             except FloatingPointError:
                 ok = False
             if ok and norms and norms[-1] <= 10.0 * (1.0 + max(norms[0], 1.0)):

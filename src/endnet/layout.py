@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -182,6 +182,70 @@ class CsrOperator:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
+    def bind(self, v: np.ndarray, out: np.ndarray, *, offset=None,
+             accumulate: bool = False) -> Callable[[], None]:
+        """A call that writes M v into ``out``: M v + ``offset`` (0 by
+        default), or ``out`` + M v with ``accumulate``.
+
+        ``v`` and ``out`` are fixed arrays that the call reads and writes on
+        every use; see :func:`_operand_rows` for their shapes, which are
+        checked here and never again.
+        """
+        m = self.matrix
+        return _in_order(_resetter(out, offset, accumulate), *(
+            partial(self._matvec, *self.shape, m.indptr, m.indices, m.data, vr, outr)
+            for vr, outr in zip(*_operand_rows(v, out, self.shape))))
+
+
+def _operand_rows(v: np.ndarray, out: np.ndarray,
+                  shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` and ``out`` as (k, n) and (k, m) views, for binding an m × n
+    operator to them; each of the k rows is one operand and its result.
+
+    Both must be C-contiguous float64 arrays of shape (n,) and (m,), or
+    (k, n) and (k, m), and ``out`` must be writeable and must not overlap
+    ``v``: the compiled kernel checks none of this.
+    """
+    m, n = shape
+    if v.ndim != out.ndim or v.ndim not in (1, 2):
+        raise ValueError(f"operands of {v.ndim} and {out.ndim} dimensions")
+    k = v.shape[0] if v.ndim == 2 else 1
+    if v.shape[-1] != n or out.shape[-1] != m or out.size != k * m:
+        raise ValueError(f"operand of shape {v.shape} and result of shape {out.shape} "
+                         f"for an operator of shape {shape}")
+    for a in (v, out):
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError("bound operands must be C-contiguous float64 arrays")
+    if not out.flags.writeable or np.may_share_memory(v, out):
+        raise ValueError("the result must be writeable and apart from the operand")
+    return v.reshape(k, n), out.reshape(k, m)
+
+
+def _resetter(out: np.ndarray, offset, accumulate: bool) -> Callable[[], None] | None:
+    """What a bound apply does to ``out`` before it adds M v (None: nothing)."""
+    if accumulate:
+        if offset is not None:
+            raise ValueError("an accumulating apply takes no offset")
+        return None
+    if offset is None:
+        return partial(out.fill, 0.0)
+    offset = np.asarray(offset, dtype=float)
+    np.broadcast_to(offset, out.shape)  # fails now, not on the first call
+    return partial(np.copyto, out, offset)
+
+
+def _in_order(*calls: Callable[[], None] | None) -> Callable[[], None]:
+    """One call making the given calls in order (None entries skipped)."""
+    calls = tuple(c for c in calls if c is not None)
+    if len(calls) == 1:
+        return calls[0]
+
+    def each() -> None:
+        for call in calls:
+            call()
+
+    return each
+
 
 @dataclass(frozen=True, eq=False)
 class ComponentGroup:
@@ -310,10 +374,36 @@ class BlockOperator:
             m = self._sparse.matrix
             self._sparse._matvec(*self.shape, m.indptr, m.indices, m.data, v, out)
         for g, m in self._dense:
-            # rows of x are (member, coordinate) pairs, columns are holders
-            x = g.blocks(v).swapaxes(1, 2).reshape(-1, g.copies)
-            out[g.index] += (x @ m.T).reshape(-1, g.dim, g.copies).swapaxes(1, 2).ravel()
+            _group_accumulate(g, m.T, v[None], out[None])
         return out
+
+    def scaled(self, factor: float) -> "BlockOperator":
+        """The operator times ``factor``, with the same groups."""
+        sparse = None if self._sparse is None else CsrOperator(factor * self._sparse.matrix,
+                                                               self._sparse._matvec)
+        return BlockOperator(self.shape[0], sparse, [(g, factor * m) for g, m in self._dense])
+
+    def bind(self, v: np.ndarray, out: np.ndarray, *,
+             accumulate: bool = False) -> Callable[[], None]:
+        """A call that writes M v into ``out``, or adds it with
+        ``accumulate``, as :meth:`CsrOperator.bind` (without an offset).
+        The dense groups are applied as in :meth:`affine`, to every row of
+        ``v`` at once."""
+        v2, out2 = _operand_rows(v, out, self.shape)
+        first = (_resetter(out, None, accumulate) if self._sparse is None
+                 else self._sparse.bind(v, out, accumulate=accumulate))
+        return _in_order(first, *(partial(_group_accumulate, g, m.T, v2, out2)
+                                   for g, m in self._dense))
+
+
+def _group_accumulate(g: ComponentGroup, mt: np.ndarray, v2: np.ndarray,
+                      out2: np.ndarray) -> None:
+    """out2 += (I ⊗ m ⊗ I_dim) v2 on the group's entries of each row of the
+    (k, n) arrays, given mt = mᵀ: one product over (member, coordinate)
+    rows and holder columns."""
+    k, copies, dim = v2.shape[0], g.copies, g.dim
+    x = v2[:, g.index].reshape(k, -1, copies, dim).swapaxes(2, 3).reshape(k, -1, copies)
+    out2[:, g.index] += (x @ mt).reshape(k, -1, dim, copies).swapaxes(2, 3).reshape(k, -1)
 
 
 def group_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:

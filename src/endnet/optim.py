@@ -12,10 +12,12 @@ Four solver families on top of :class:`~endnet.layout.EndLayout`:
 
 from __future__ import annotations
 
+import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -188,24 +190,36 @@ class QuadraticSeparable(SeparableProblem):
         g = H @ x + c
         return {p: g[ofs[p]:ofs[p] + self.dim(p)] for p in fp}
 
-    def _assembled(self) -> tuple[np.ndarray, np.ndarray]:
-        """The smooth part's total Hessian and linear term, dense."""
+    @cached_property
+    def _total_form(self) -> tuple[CsrOperator, np.ndarray, float, np.ndarray | None]:
+        """The total cost assembled once: Σ_i H_i in CSR, Σ_i c_i, Σ_i const_i
+        and each coordinate's summed 1-norm weight (None without any)."""
         n = sum(self.component_dims)
-        H = np.zeros((n, n))
-        c = np.zeros(n)
+        H, c = _scatter_quadratics(n, (
+            (_ranges(self.component_slice(p) for p in fp), H_i, c_i)
+            for H_i, c_i, fp, _ in self._dense))
+        weights = np.zeros(n)
         for i in range(1, self.num_agents + 1):
-            for (p, q), blk in self.quadratics[i - 1].items():
-                H[self.component_slice(p), self.component_slice(q)] += blk
-            for p, vec in self.linears[i - 1].items():
-                c[self.component_slice(p)] += vec
-        return H, c
+            for p in self.footprint(i):
+                weights[self.component_slice(p)] += self.l1_weight(i, p)
+        return H, c, float(sum(self.constants)), weights if weights.any() else None
+
+    def total_value(self, y: np.ndarray) -> float:
+        """½yᵀHy + cᵀy + const + Σ w|y| on the assembled total cost."""
+        H, c, const, weights = self._total_form
+        y = np.asarray(y, dtype=float)
+        val = const + float(y @ (0.5 * (H @ y) + c))
+        if weights is not None:
+            val += float(weights @ np.abs(y))
+        return val
 
     def solve_reference(self) -> np.ndarray:
         """Centralized minimizer of the total cost (positive definite case,
         no 1-norm weights)."""
         if any(self.l1_weights.values()):
             raise OptimError("the closed-form reference needs a problem without 1-norm terms")
-        H, c = self._assembled()
+        H, c, _, _ = self._total_form
+        H = H.toarray()
         return np.linalg.solve((H + H.T) / 2.0, -c)
 
 
@@ -243,11 +257,9 @@ class LassoSeparable(QuadraticSeparable):
 
     def solve_reference(self, tol: float = 1e-10, max_iters: int = 200000) -> np.ndarray:
         """Centralized minimizer via accelerated proximal gradient."""
-        H, c = self._assembled()
-        weights = np.zeros(c.size)
-        for i in range(1, self.num_agents + 1):
-            for p in self.footprint(i):
-                weights[self.component_slice(p)] += self.l1_weight(i, p)
+        H, c, _, weights = self._total_form
+        if weights is None:
+            weights = np.zeros(c.size)
         L = sum(float(np.linalg.norm(G, 2)) ** 2 for G in self.design_matrices)
         step = 1.0 / L
         y = np.zeros(c.size)
@@ -315,6 +327,13 @@ class AgentLoopStacked:
                 out[slices[p]] = g
         return out
 
+    def bind_subgradient(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """A call that writes the subgradient at ``hat`` into ``out``."""
+        def apply() -> None:
+            out[...] = self.gradient(hat, sub=True)
+
+        return apply
+
 
 class StackedQuadratic:
     """A :class:`QuadraticSeparable` compiled for one layout.
@@ -327,27 +346,9 @@ class StackedQuadratic:
     """
 
     def __init__(self, layout: EndLayout, problem: "QuadraticSeparable"):
-        rows, cols, vals = [], [], []
-        self.c_hat = np.zeros(layout.stacked_dim)
-        for i in range(1, problem.num_agents + 1):
-            H, c, fp, _ = problem._dense[i - 1]
-            if not fp:
-                continue
-            idx = np.concatenate([np.arange(s.start, s.stop)
-                                  for s in (layout.block_slice(p, i) for p in fp)])
-            rows.append(np.repeat(idx, idx.size))
-            cols.append(np.tile(idx, idx.size))
-            vals.append(H.ravel())
-            self.c_hat[idx] = c
-        shape = (layout.stacked_dim, layout.stacked_dim)
-        if rows:
-            q_hat = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape)
-            q_hat.eliminate_zeros()
-        else:
-            q_hat = sp.csr_matrix(shape)
-        self.q_hat = CsrOperator(q_hat)
+        self.q_hat, self.c_hat = _scatter_quadratics(layout.stacked_dim, (
+            (_ranges(layout.block_slice(p, i) for p in fp), H, c)
+            for i, (H, c, fp, _) in enumerate(problem._dense, start=1)))
         self.const = float(sum(problem.constants))
         self.l1 = _stacked_l1(layout, problem)
 
@@ -362,6 +363,54 @@ class StackedQuadratic:
         if sub and self.l1 is not None:
             g += self.l1 * np.sign(hat)
         return g
+
+    def bind_subgradient(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """A call that writes the subgradient at ``hat`` into ``out``, with
+        the arithmetic of :meth:`gradient`, for these two fixed arrays."""
+        product = self.q_hat.bind(hat, out)
+        c_hat, l1 = self.c_hat, self.l1
+        if l1 is None:
+            def apply() -> None:
+                product()
+                np.add(out, c_hat, out=out)
+
+            return apply
+        sign = np.empty_like(out)
+
+        def apply_sub() -> None:
+            product()
+            np.add(out, c_hat, out=out)
+            np.sign(hat, out=sign)
+            np.multiply(l1, sign, out=sign)
+            np.add(out, sign, out=out)
+
+        return apply_sub
+
+
+def _ranges(slices: Iterable[slice]) -> np.ndarray:
+    """The entries of consecutive slices as one index array."""
+    return np.concatenate([np.zeros(0, dtype=np.intp)]
+                          + [np.arange(s.start, s.stop) for s in slices])
+
+
+def _scatter_quadratics(n: int, placed) -> tuple[CsrOperator, np.ndarray]:
+    """Σ H and Σ c over (idx, H, c) with each H and c placed on the entries
+    ``idx``, as an n × n CSR operator and an n-vector."""
+    rows, cols, vals = [], [], []
+    c_sum = np.zeros(n)
+    for idx, H, c in placed:
+        if not idx.size:
+            continue
+        rows.append(np.repeat(idx, idx.size))
+        cols.append(np.tile(idx, idx.size))
+        vals.append(H.ravel())
+        c_sum[idx] += c
+    if not rows:
+        return CsrOperator(sp.csr_matrix((n, n))), c_sum
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    matrix.eliminate_zeros()
+    return CsrOperator(matrix), c_sum
 
 
 def stacked_form(layout: EndLayout, problem: SeparableProblem):
@@ -846,6 +895,117 @@ def pushsum_init(layout: EndLayout, z0: np.ndarray | None = None) -> PushSumStat
     return PushSumState(z=z, mass=np.ones(layout.stacked_dim), y=z.copy(), layout=layout)
 
 
+class _PushSumRounds:
+    """Push-sum rounds run in place, on buffers allocated once.
+
+    Two buffers [z; mass; g] of three stacked vectors take turns. A round
+    mixes the numerators and weights of the current buffer with the round's
+    operator straight into the first two thirds of the other, forms the
+    ratio estimates y, writes the subgradient at y into the last third
+    through the problem's stacked form, and takes the step z = w − γ g in
+    place. Each operator is bound to the two buffers on its first round
+    (held weakly, so an operator made for one round is not kept).
+
+    With ``invariants``, one block-diagonal summing kernel turns the new
+    buffer into the component means of z, the component sums of the weights
+    and the component means of g, and the rounds keep the worst deviations
+    of the conserved mass (``mass_error``) and of the averaged process
+    z̄ ← z̄ − γ mean(g) (``averaged_error``).
+    """
+
+    def __init__(self, layout: EndLayout, problem: SeparableProblem, state: PushSumState,
+                 invariants: bool = False):
+        n = layout.stacked_dim
+        self.layout = layout
+        self._buffers = (np.zeros(3 * n), np.zeros(3 * n))
+        self._buffers[0][:n], self._buffers[0][n:2 * n] = state.z, state.mass
+        # per buffer: (z, mass, g) views and the [z; mass] half as two rows
+        self._parts = tuple((b[:n], b[n:2 * n], b[2 * n:]) for b in self._buffers)
+        self._mixed = tuple(b[:2 * n].reshape(2, n) for b in self._buffers)
+        self.y = np.zeros(n)
+        self._scaled = np.empty(n)
+        stacked = stacked_form(layout, problem)
+        self._gradient = tuple(stacked.bind_subgradient(self.y, g)
+                               for _, _, g in self._parts)
+        self._mixers = weakref.WeakKeyDictionary()
+        self._turn = 0
+        total = layout.partition.total_dim
+        # [z̄; copy counts], compared with the component means of z and the
+        # component sums of the weights
+        self._expected = np.concatenate([np.zeros(total), layout.copy_counts])
+        self._zbar = self._expected[:total]
+        self._worst = np.zeros(2 * total)
+        self._sums = None
+        if invariants:
+            S = layout.sum_operator.matrix
+            mean = sp.diags(1.0 / layout.copy_counts) @ S
+            kernel = CsrOperator(sp.block_diag([mean, S, mean], format="csr"))
+            self._sums = np.empty(3 * total)
+            self._z_and_mass, self._g_means = self._sums[:2 * total], self._sums[2 * total:]
+            self._bound_sums = tuple(kernel.bind(b, self._sums) for b in self._buffers)
+            self._deviation = np.empty(2 * total)
+            self._step_mean = np.empty(total)
+
+    @property
+    def z(self) -> np.ndarray:
+        return self._parts[self._turn][0]
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self._parts[self._turn][1]
+
+    @property
+    def g(self) -> np.ndarray:
+        """The subgradient stack of the last round."""
+        return self._parts[self._turn][2]
+
+    def state(self) -> PushSumState:
+        return PushSumState(z=self.z, mass=self.mass, y=self.y, layout=self.layout)
+
+    def _bind(self, op: BlockOperator) -> tuple[Callable[[], None], Callable[[], None]]:
+        a, b = self._mixed
+        return op.bind(a, b), op.bind(b, a)
+
+    def step(self, op: BlockOperator, gamma: float) -> None:
+        turn = self._turn
+        mixers = self._mixers.get(op)
+        if mixers is None:
+            mixers = self._mixers[op] = self._bind(op)
+        mixers[turn]()
+        turn = self._turn = 1 - turn
+        w, mass, g = self._parts[turn]
+        if np.minimum.reduce(mass) <= 0.0:
+            lay = self.layout
+            first = np.flatnonzero(lay.component_sums(mass <= 0.0))[0]
+            p = int(np.searchsorted(np.cumsum(lay.partition.dims), first, side="right")) + 1
+            raise OptimError(f"component {p}: push-sum weight became non-positive")
+        np.divide(w, mass, out=self.y)
+        self._gradient[turn]()
+        np.multiply(g, gamma, out=self._scaled)
+        np.subtract(w, self._scaled, out=w)
+        if self._sums is not None:
+            self._track(turn, gamma)
+
+    def _track(self, turn: int, gamma: float) -> None:
+        self._bound_sums[turn]()
+        np.multiply(self._g_means, gamma, out=self._step_mean)
+        np.subtract(self._zbar, self._step_mean, out=self._zbar)
+        deviation = self._deviation
+        np.subtract(self._z_and_mass, self._expected, out=deviation)
+        np.abs(deviation, out=deviation)
+        np.maximum(self._worst, deviation, out=self._worst)
+
+    @property
+    def mass_error(self) -> float:
+        """Worst deviation of a component's weight sum from its copy count."""
+        return float(np.max(self._worst[self._zbar.size:], initial=0.0))
+
+    @property
+    def averaged_error(self) -> float:
+        """Worst deviation of a component mean of z from the averaged process."""
+        return float(np.max(self._worst[:self._zbar.size], initial=0.0))
+
+
 def pushsum_dgd_step(
     layout: EndLayout,
     weights_at_k: BlockOperator,
@@ -854,16 +1014,11 @@ def pushsum_dgd_step(
     gamma_k: float,
 ) -> tuple[PushSumState, np.ndarray]:
     """One push-sum round with the stacked operator of the round's weights;
-    returns the new state and the subgradient stack."""
-    mass = weights_at_k @ state.mass
-    if mass.min() <= 0.0:
-        first = np.flatnonzero(layout.component_sums(mass <= 0.0))[0]
-        p = int(np.searchsorted(np.cumsum(layout.partition.dims), first, side="right")) + 1
-        raise OptimError(f"component {p}: push-sum weight became non-positive")
-    w = weights_at_k @ state.z
-    y = w / mass
-    g = stacked_gradient(layout, problem, y, sub=True)
-    return PushSumState(z=w - gamma_k * g, mass=mass, y=y, layout=layout), g
+    returns the new state and the subgradient stack. The round is the one
+    :func:`pushsum_solve` runs, on buffers of its own."""
+    rounds = _PushSumRounds(layout, problem, state)
+    rounds.step(weights_at_k, gamma_k)
+    return rounds.state(), rounds.g
 
 
 def constant_design_weights(layout: EndLayout) -> BlockOperator:
@@ -916,39 +1071,36 @@ def pushsum_solve(
     optimum is supplied, and (optionally) the worst per-step deviations of
     the conserved mass and of the averaged-process identity. Diminishing
     steps can carry the iterate far beyond the divergence guard and back, so
-    the guard tests the iterate the run ends with.
+    the guard tests the iterate the run ends with. ``us_per_step`` in the
+    trace metadata is the wall time of the iteration loop, checks included,
+    per step. The rounds are :class:`_PushSumRounds`.
     """
     if max_iters < 1:
         raise OptimError("push-sum needs max_iters >= 1")
-    state = pushsum_init(layout)
+    rounds = _PushSumRounds(layout, problem, pushsum_init(layout), record_invariants)
     trace = RunTrace()
     f_star = problem.total_value(np.asarray(reference, float)) if reference is not None else None
-    guard = divergence_guard(state.z, "push-sum iterate")
-    mass_err = avg_err = 0.0
-    zbar = np.zeros(layout.partition.total_dim)
+    guard = divergence_guard(rounds.z, "push-sum iterate")
+    start = time.perf_counter()
     for k in range(max_iters):
         gk = gamma(k)
-        state, g = pushsum_dgd_step(layout, design_schedule(k), problem, state, gk)
-        if record_invariants:
-            mass_err = max(mass_err, float(np.max(np.abs(
-                layout.component_sums(state.mass) - layout.copy_counts))))
-            zbar -= gk * layout.component_means(g)
-            avg_err = max(avg_err, float(np.max(np.abs(layout.component_means(state.z) - zbar))))
+        rounds.step(design_schedule(k), gk)
         if (k + 1) % check_every == 0 or k == max_iters - 1:
-            means = layout.component_means(state.z)
-            res = float(np.max(np.abs(state.y - layout.embed_consensus(means))))
+            means = layout.component_means(rounds.z)
+            res = float(np.max(np.abs(rounds.y - layout.embed_consensus(means))))
             record = {"k": k, "consensus_err": res, "gamma": gk}
             if f_star is not None:
                 record["f_gap"] = problem.total_value(means) - f_star
             if merit is not None:
-                record["merit"] = merit(state.y)
+                record["merit"] = merit(rounds.y.copy())
             trace.append(**record)
             if stop_tol is not None and merit is not None and record["merit"] <= stop_tol:
                 break
-    guard(state.z, k)
-    trace.meta["max_mass_error"] = mass_err
-    trace.meta["max_averaged_process_error"] = avg_err
-    return state, trace
+    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
+    guard(rounds.z, k)
+    trace.meta["max_mass_error"] = rounds.mass_error
+    trace.meta["max_averaged_process_error"] = rounds.averaged_error
+    return rounds.state(), trace
 
 
 # -- constraint-coupled problems via the dual ------------------------------
@@ -1048,21 +1200,21 @@ def constraint_coupled_solve(
     if max_iters < 1:
         raise OptimError("push-sum needs max_iters >= 1")
     dual = _NegatedDual(ccp)
-    state = pushsum_init(layout)
+    rounds = _PushSumRounds(layout, dual, pushsum_init(layout))
     trace = RunTrace()
-    guard = divergence_guard(state.z, "push-sum dual iterate")
+    guard = divergence_guard(rounds.z, "push-sum dual iterate")
     x_acc = {i: np.zeros(ccp.x_dims[i - 1]) for i in range(1, ccp.num_agents + 1)}
     weight_acc = 0.0
     for k in range(max_iters):
         gk = gamma(k)
-        state, _ = pushsum_dgd_step(layout, design_schedule(k), dual, state, gk)
+        rounds.step(design_schedule(k), gk)
         for i, x in dual.last_primal.items():
             x_acc[i] += gk * x
         weight_acc += gk
         if (k + 1) % 100 == 0 or k == max_iters - 1:
-            means = layout.component_means(state.z)
+            means = layout.component_means(rounds.z)
             record = {"k": k,
-                      "consensus_err": float(np.linalg.norm(layout.disagreement(state.y)))}
+                      "consensus_err": float(np.linalg.norm(layout.disagreement(rounds.y)))}
             if reference_dual is not None:
                 record["dual_distance"] = float(np.max(np.abs(means - reference_dual)))
             x_avg = {i: v / weight_acc for i, v in x_acc.items()}
@@ -1072,9 +1224,9 @@ def constraint_coupled_solve(
             )
             record["primal_gap"] = gap
             trace.append(**record)
-    guard(state.z, k)
+    guard(rounds.z, k)
     trace.meta["x_ergodic"] = {i: v / weight_acc for i, v in x_acc.items()}
-    y_mean = layout.component_means(state.z)
+    y_mean = layout.component_means(rounds.z)
     x_final = {}
     for i in range(1, ccp.num_agents + 1):
         blocks = {p: y_mean[dual.component_slice(p)] for p in ccp.footprints[i - 1]}

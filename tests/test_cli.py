@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -322,6 +323,71 @@ def test_trace_bytes_do_not_depend_on_the_log_level(tmp_path):
     assert all(line.startswith("DEBUG endnet.design: component ") for line in logs["debug"])
     assert logs["warn"] == []
     assert traces["debug"] == traces["warn"]
+
+
+def test_log_level_applies_inside_a_host_that_configured_logging(tmp_path, monkeypatch,
+                                                                capsys):
+    """A host process whose root logger already has handlers (so
+    ``logging.basicConfig`` would do nothing), one of them on stderr, still
+    gets the design's debug records when it runs ``endnet run`` with
+    END_LOG_LEVEL=debug, each once on stderr: endnet adds no handler of its
+    own."""
+    cfg = _write_config(tmp_path, "sep.json", {
+        "scenario": SEP_SCENARIO,
+        "arm": "customized",
+        "run": {"algorithm": "augdgm", "max_iters": 20, "merit_every": 10},
+    })
+    root, endnet_log = logging.getLogger(), logging.getLogger("endnet")
+    saved = (root.handlers[:], root.level, endnet_log.handlers[:], endnet_log.level)
+    records = []
+
+    class Keep(logging.Handler):
+        def emit(self, record):
+            records.append(record)
+
+    stderr = logging.StreamHandler(sys.stderr)
+    stderr.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root.handlers[:] = [logging.NullHandler(), Keep(), stderr]
+    root.setLevel(logging.WARNING)
+    endnet_log.handlers[:] = []
+    monkeypatch.setenv("END_LOG_LEVEL", "debug")
+    try:
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert endnet_log.handlers == []
+    finally:
+        root.handlers[:], endnet_log.handlers[:] = saved[0], saved[2]
+        root.setLevel(saved[1])
+        endnet_log.setLevel(saved[3])
+    design = [r for r in records if r.name == "endnet.design"]
+    assert len(design) == 2 * SEP_SCENARIO["num_components"]
+    lines = [line for line in capsys.readouterr().err.splitlines() if "endnet.design" in line]
+    assert len(lines) == len(design)
+    assert all(line.startswith("DEBUG endnet.design: component ") for line in lines)
+
+
+@pytest.mark.parametrize("scenario, run", [
+    ({"kind": "unicast", "preset": "reference", "seed": 0},
+     {"max_iters": 600, "tol": 1e-2, "reference": False, "check_every": 100}),
+    ({"kind": "regression", "num_sensors": 8, "num_sources": 3,
+      "comm_radius_min": 0.45, "comm_radius_width": 0.1},
+     {"max_iters": 600, "stop_tol": 1e-2}),
+], ids=["unicast", "regression"])
+def test_us_per_step_reaches_the_summary_and_never_the_trace(tmp_path, scenario, run):
+    """gne and push-sum report their wall time per step in the summary's
+    trace_meta; the trace CSVs of two runs of one config and seed stay the
+    same bytes."""
+    cfg = _write_config(tmp_path, "cfg.json", {"scenario": scenario, "arm": "customized",
+                                              "run": run})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_OK
+    first = (outs[0] / "trace.csv").read_bytes()
+    assert first == (outs[1] / "trace.csv").read_bytes()
+    assert b"us_per_step" not in first
+    for out in outs:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["trace_meta"]["us_per_step"] > 0
 
 
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch, sep_config):

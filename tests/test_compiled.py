@@ -51,6 +51,7 @@ from endnet.graphs import (
     restrict,
 )
 from endnet.layout import (
+    BlockOperator,
     ConnectivityMode,
     CsrOperator,
     EndLayout,
@@ -67,6 +68,7 @@ from endnet.optim import (
     LassoSeparable,
     OptimError,
     QuadraticSeparable,
+    SeparableProblem,
     StackedQuadratic,
     _NegatedDual,
     abc_solve,
@@ -90,6 +92,7 @@ from endnet.optim import (
 from endnet.scenarios import (
     SensorScenario,
     build_lasso,
+    build_regression,
     build_random_quadratic_game,
     build_unicast,
     reference_scheme_unicast,
@@ -455,6 +458,72 @@ def test_grouped_operator_matches_component_loop(kind, dims, num_agents, seed):
         assert op.T.T is op
 
 
+@given(st.sampled_from(["standard", "designed", "mixed", "reweight"]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       st.integers(3, 6), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_bound_apply_matches_the_csr_operator(kind, dims, num_agents, seed):
+    """An operator bound to one vector or to two rows at once, overwriting
+    and accumulating, against its whole CSR matrix; a bound apply reads the
+    arrays' values at each call, and two rows at once give what each gives
+    alone. Also the transpose, the scaled operator, ``affine``, and a fused
+    CSR operator bound with an offset."""
+    layout = grouped_layout(kind, tuple(dims), num_agents, seed)
+    rng = np.random.default_rng(seed)
+    per_group = layout.group_blocks({g.lead: rng.standard_normal((g.copies,) * 2)
+                                     for g in layout.groups})
+    per_component = {p: rng.standard_normal((layout.copies(p),) * 2)
+                     for p in layout.partition.components}
+    n = layout.stacked_dim
+    for op in (layout.block_operator(per_group), layout.block_operator(per_component),
+               layout.weight_operator, layout.laplacian_operator.T):
+        v, out, offset = rng.standard_normal((2, n)), np.full((2, n), np.nan), \
+            rng.standard_normal(n)
+        apply = op.bind(v, out)
+        for _ in range(2):
+            v[...] = rng.standard_normal((2, n))
+            apply()
+            assert all(close(out[r], op.matrix @ v[r]) for r in range(2))
+        single = op.bind(v[1], out[0])
+        single()
+        assert np.array_equal(out[0], out[1])
+        assert np.array_equal(out[0], op @ v[1])
+        assert close(op.affine(v[1], offset), op.matrix @ v[1] + offset)
+        before = out.copy()
+        op.bind(v, out, accumulate=True)()
+        assert all(close(out[r], before[r] + op.matrix @ v[r]) for r in range(2))
+        assert close(op.scaled(-0.5) @ v[0], -0.5 * (op @ v[0]))
+        matrix = CsrOperator(op.matrix)
+        matrix.bind(v, out, offset=offset)()
+        assert all(np.array_equal(out[r], matrix.affine(v[r], offset)) for r in range(2))
+
+
+def test_bind_checks_its_operands_once():
+    """Shapes, dtype, contiguity and aliasing are refused when an operator
+    is bound, on a layout whose shared group is not contiguous."""
+    layout = next(lay for lay in (grouped_layout("mixed", (1, 2, 1, 2, 1, 1), 5, seed)
+                                  for seed in range(50))
+                  if any(isinstance(g.index, np.ndarray) and len(g.members) > 1
+                         for g in lay.groups))
+    op, n = layout.weight_operator, layout.stacked_dim
+    assert op._dense
+    v, out = np.ones(n), np.zeros(n)
+    op.bind(v, out)()
+    assert close(out, op.matrix @ v)
+    buffer = np.zeros(2 * n)
+    for bad in [(np.ones(n + 1), out), (v, np.zeros(n + 1)), (np.ones((2, n)), out),
+                (np.ones((2, n)), np.zeros((3, n))), (buffer[::2], out),
+                (v.astype(np.float32), out), (buffer, buffer[:n].reshape(1, n)),
+                (buffer[:n], buffer[n // 2:n // 2 + n])]:
+        with pytest.raises(ValueError):
+            op.bind(*bad)
+    matrix = CsrOperator(op.matrix)
+    with pytest.raises(ValueError):
+        matrix.bind(v, out, offset=np.zeros(n), accumulate=True)
+    with pytest.raises(ValueError):
+        matrix.bind(v, out, offset=np.zeros(n + 1))
+
+
 @pytest.mark.parametrize("dims", [(1,) * 6, (2, 1, 2, 3, 1, 2)])
 def test_tracking_solvers_on_shared_blocks_match_the_csr_path(dims):
     """augdgm and abc on a standard layout, whose components share one
@@ -698,6 +767,40 @@ def test_stacked_quadratic_matches_agent_loop():
             assert close(lasso_form.gradient(hat), grad), trial
             assert close(lasso_form.gradient(hat, sub=True), sub), trial
             assert close(AgentLoopStacked(layout, lasso).gradient(hat, sub=True), sub), trial
+
+
+def lasso_total_loop(problem, y):
+    """Σ_i 1/2 ||G_i y_fp - d_i||^2 + Σ_p w_{i,p} ||y_p||_1 agent by agent."""
+    total = 0.0
+    for i, fp in enumerate(problem.footprints, start=1):
+        x = np.concatenate([np.zeros(0)] + [y[problem.component_slice(p)] for p in fp])
+        r = problem.design_matrices[i - 1] @ x - problem.observations[i - 1]
+        total += 0.5 * float(r @ r) + sum(
+            problem.l1_weights.get((i, p), 0.0) * float(np.sum(np.abs(y[problem.component_slice(p)])))
+            for p in fp)
+    return total
+
+
+def test_total_value_matches_agent_loop():
+    """The assembled total cost against the per-agent ``value`` loop, on
+    random quadratics and Lassos with an idle agent and 1-norm weights and on
+    the sensor regression instance; Lassos also against their own formula."""
+    rng = np.random.default_rng(13)
+    problems = [build_regression(SensorScenario(num_sensors=20, num_sources=8,
+                                                comm_radius_min=0.35, output_dim=3)).problem]
+    for _ in range(4):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=5))
+        footprints = [()] + [tuple(p for p in range(1, 6) if rng.uniform() < 0.5)
+                             for _ in range(5)]
+        lasso = random_lasso(rng, dims, footprints)
+        assert any(lasso.l1_weights.values())
+        problems += [random_quadratic(rng, dims, footprints), lasso]
+    for problem in problems:
+        for scale in (1e-3, 1.0, 30.0):
+            y = scale * rng.standard_normal(sum(problem.component_dims))
+            assert close(problem.total_value(y), SeparableProblem.total_value(problem, y))
+            if isinstance(problem, LassoSeparable):
+                assert close(problem.total_value(y), lasso_total_loop(problem, y))
 
 
 def test_no_shipped_problem_or_cli_solver_loops_over_agents(monkeypatch):
@@ -1299,6 +1402,42 @@ def test_preconditioner_check_memory_is_linear():
     assert peak < 0.1 * 8 * n * n
 
 
+def test_gne_stage_stores_no_squared_laplacian():
+    """The step's operators on the 20-user standard arm store a bounded
+    multiple of the nonzeros of the maps they are built from; a stored
+    L̂_λ² alone took 10,024 of 23,212."""
+    inst = build_unicast(sample_unicast(20, 0))
+    ops = build_gne_operators(inst.game, *inst.standard)
+    stage = ops.stage(inst.scenario.beta)
+    stored = sum(f.matrix.nnz for f in stage if isinstance(f, (CsrOperator, BlockOperator)))
+    inputs = sum(op.matrix.nnz for op in (ops.L_sigma, ops.L_lambda, ops.A_hat, ops.B_hat))
+    stacked = (ops.game.total_action_dim + ops.sigma_layout.stacked_dim
+               + 2 * ops.lambda_layout.stacked_dim)
+    assert stored <= 2 * (inputs + stacked)
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_preconditioner_bound_spares_the_lanczos_test(arm, monkeypatch):
+    """Where beta times the root of the dense bound is below 1 the check
+    holds without eigsh; above it, eigsh decides, as the dense reference."""
+    import scipy.sparse.linalg
+
+    ops, _ = gne_case("unicast", arm)
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *args, **kwargs: calls.append(1) or eigsh(*args, **kwargs))
+    bound = 1.0 / np.sqrt(ops.coupling_bound)
+    for beta in (1e-3, 0.5 * bound, 0.999 * bound):
+        assert preconditioner_positive(ops, beta)
+    assert not calls
+    threshold = 1.0 / (1.0 - dense_preconditioner_min_eig(ops, 1.0))
+    assert threshold >= bound * (1.0 - 1e-12)
+    for beta in (1.001 * bound, 2.0 * threshold):
+        assert preconditioner_positive(ops, beta) == (dense_preconditioner_min_eig(ops, beta) > 0)
+    assert len(calls) == 2
+
+
 # -- push-sum ---------------------------------------------------------------
 
 
@@ -1432,6 +1571,39 @@ def test_pushsum_solve_records_match_loop_reference(weights):
         assert mass_err > 1e-3 and avg_err > 1e-3
     else:
         assert mass_err <= 1e-12 and avg_err <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["unicast", "blocks"])
+def test_gne_step_is_the_solvers_round(name):
+    """gne_step iterated from the solver's start ends bit for bit where
+    gne_solve does: both run the one compiled round."""
+    ops, _ = gne_case(name, "customized")
+    x0 = np.full(ops.game.total_action_dim, 0.3)
+    final, trace = gne_solve(ops, x0, 0.1, 2e-3, max_iters=120, tol=0.0, check_every=40)
+    state = initial_gne_state(ops, x0)
+    for _ in range(120):
+        state = gne_step(ops, state, 0.1, 2e-3)
+    for part in ("x", "s_hat", "z_hat", "lam_hat"):
+        assert np.array_equal(getattr(final, part), getattr(state, part)), part
+    assert trace.meta["us_per_step"] > 0
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_pushsum_step_is_the_solvers_round(arm):
+    """pushsum_dgd_step iterated ends bit for bit where pushsum_solve does,
+    on a 3-periodic schedule."""
+    arms, problem, snapshots = pushsum_layouts(7)
+    layout = arms[arm]
+    schedule = example_design_schedule(layout, snapshots)
+    gamma = power_step_schedule(0.05, 0.6)
+    final, trace = pushsum_solve(layout, schedule, problem, gamma, max_iters=90,
+                                 check_every=30)
+    state = pushsum_init(layout)
+    for k in range(90):
+        state, _ = pushsum_dgd_step(layout, schedule(k), problem, state, gamma(k))
+    for part in ("z", "mass", "y"):
+        assert np.array_equal(getattr(final, part), getattr(state, part)), part
+    assert trace.meta["us_per_step"] > 0
 
 
 def coupled_problem():

@@ -494,6 +494,11 @@ class TestGneIteration:
         with pytest.raises(DivergenceError):
             gne_solve(ops, np.zeros(2), alpha=0.1, beta=50.0, max_iters=5000)
 
+    def test_solve_needs_a_step(self):
+        ops = build_gne_operators(two_agent_aggregative(), self.layout, self.layout)
+        with pytest.raises(GameError, match="max_iters >= 1"):
+            gne_solve(ops, np.zeros(2), alpha=0.1, beta=0.05, max_iters=0)
+
     def test_reference_solve_divergence_guard(self):
         # step 2.0 blows the centralized loop up to nan within its budget
         with pytest.raises(DivergenceError):
