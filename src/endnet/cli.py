@@ -280,8 +280,12 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
                 "layouts": (inst.standard[0], inst.customized[0]),
                 "mode": ConnectivityMode.undirected_connected()}
     if kind in ("regression", "lasso"):
+        unknown = sorted(set(cfg) - {"kind", *_SENSOR_FIELDS})
+        if unknown:
+            raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a "
+                              f"{kind} scenario (expected {', '.join(_SENSOR_FIELDS)})")
         fields = {k: _read(cfg, k, convert) for k, convert in _SENSOR_FIELDS.items()
-                  if k in cfg}
+                  if k in cfg or k in ("num_sensors", "num_sources")}
         fields["seed"] = seed
         sc = SensorScenario(**fields)
         inst = build_regression(sc) if kind == "regression" else build_lasso(sc)
@@ -325,9 +329,34 @@ _DEFAULT_ALGORITHM = {
 }
 
 
-def _arm_layout(bundle: dict, arm: str):
+# the scenario kinds each algorithm runs on
+_ALGORITHM_KINDS = {
+    "gne": ("unicast",),
+    "ne": ("random_game",),
+    "augdgm": ("random_separable",),
+    "abc": ("random_separable",),
+    "admm": ("random_separable",),
+    "pushsum": ("regression", "lasso"),
+    "dual": ("coupled_qp",),
+}
+
+
+def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
+    """The algorithm a run config selects on a scenario kind, once the arm,
+    the algorithm's name and its fit to the kind are checked."""
     if arm not in ("standard", "customized"):
-        raise ConfigError(f"unknown arm {arm!r}")
+        raise ConfigError(f"unknown arm {arm!r} (expected standard or customized)")
+    algorithm = run_cfg.get("algorithm", _DEFAULT_ALGORITHM[kind])
+    if not isinstance(algorithm, str) or algorithm not in _ALGORITHM_KINDS:
+        raise ConfigError(f"unknown algorithm {algorithm!r} "
+                          f"(expected one of {', '.join(_ALGORITHM_KINDS)})")
+    kinds = _ALGORITHM_KINDS[algorithm]
+    if kind not in kinds:
+        raise ConfigError(f"{algorithm} solver requires a {' or '.join(kinds)} scenario")
+    return algorithm
+
+
+def _arm_layout(bundle: dict, arm: str):
     return bundle["layouts"][0 if arm == "standard" else 1]
 
 
@@ -338,7 +367,7 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
     """Dispatch one (scenario, arm) cell to its solver and collect a
     uniform result record."""
     kind = bundle["kind"]
-    algorithm = run_cfg.get("algorithm", _DEFAULT_ALGORITHM[kind])
+    algorithm = _check_run(kind, run_cfg, arm)
     layout = _arm_layout(bundle, arm)
     result = {
         "kind": kind,
@@ -350,8 +379,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
     }
 
     if algorithm == "gne":
-        if kind != "unicast":
-            raise ConfigError("gne solver requires a unicast scenario")
         inst = bundle["instance"]
         pair = inst.standard if arm == "standard" else inst.customized
         ops = build_gne_operators(inst.game, pair[0], pair[1])
@@ -386,8 +413,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = state.x
         result["trace"] = trace
     elif algorithm == "ne":
-        if kind != "random_game":
-            raise ConfigError("ne solver requires a random_game scenario")
         game = bundle["game"]
         if "alpha" in run_cfg:
             alpha = _read(run_cfg, "alpha", float)
@@ -410,8 +435,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = layout.component_means(hat)
         result["trace"] = trace
     elif algorithm in ("augdgm", "abc"):
-        if kind != "random_separable":
-            raise ConfigError(f"{algorithm} solver requires a random_separable scenario")
         problem = bundle["problem"]
         matrices = augdgm_matrices(layout)
         bound = matrices.gamma_bound(problem)
@@ -431,8 +454,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = layout.component_means(hat)
         result["trace"] = trace
     elif algorithm == "admm":
-        if kind != "random_separable":
-            raise ConfigError("admm solver requires a random_separable scenario")
         problem = bundle["problem"]
         alpha = _read(run_cfg, "alpha", float, 0.5)
         hat, trace = admm_solve(
@@ -446,8 +467,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = layout.component_means(hat)
         result["trace"] = trace
     elif algorithm == "pushsum":
-        if kind not in ("regression", "lasso"):
-            raise ConfigError("pushsum solver requires a regression or lasso scenario")
         inst = bundle["instance"]
         problem = inst.problem
         reference = problem.solve_reference()
@@ -472,8 +491,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = layout.component_means(state.y)
         result["trace"] = trace
     elif algorithm == "dual":
-        if kind != "coupled_qp":
-            raise ConfigError("dual solver requires a coupled_qp scenario")
         ccp = bundle["problem"]
         gamma = power_step_schedule(
             _read(run_cfg, "step_scale", float, 1.0),
@@ -493,8 +510,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = y_mean
         trace.meta.pop("x_ergodic", None)
         result["trace"] = trace
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
 
     trace = result["trace"]
     if "k" in trace.columns:
@@ -570,8 +585,8 @@ def cmd_run(args) -> int:
     arm = cfg.get("arm", "customized")
     bundle = build_scenario(scenario_cfg, args.seed)
     if args.dry_run:
-        print(f"config ok: kind={bundle['kind']}, arm={arm}, "
-              f"algorithm={run_cfg.get('algorithm', _DEFAULT_ALGORITHM[bundle['kind']])}")
+        algorithm = _check_run(bundle["kind"], run_cfg, arm)
+        print(f"config ok: kind={bundle['kind']}, arm={arm}, algorithm={algorithm}")
         return EXIT_OK
     start = time.perf_counter()
     result = run_solver(bundle, run_cfg, arm)

@@ -15,13 +15,14 @@ table, so a terminal's row is computed once per call, not once per
 component.
 
 Results are deterministic but ties are not broken by node id. Every path
-comes from networkx's bidirectional searches (breadth-first for hub and
+comes from a bidirectional search in ``graphs`` (breadth-first for hub and
 rooted paths, Dijkstra for the expansion of closure edges): each grows a
 frontier from both ends in turn, scans neighbours in ascending id order
-(the networkx hosts are built from sorted nodes and edges), keeps the
-first predecessor that reaches a node by a shortest route, and stops at
-the first meeting that is provably shortest. Among equal-length paths this
-picks whichever that order meets first, not the smallest ids.
+(self-loops skipped), keeps the first predecessor that reaches a node by a
+shortest route, and stops at the first meeting that is provably shortest.
+Among equal-length paths this picks whichever that order meets first, not
+the smallest ids. The closure MST is Kruskal's over the terminal pairs in
+ascending order, sorted stably by distance.
 """
 
 from __future__ import annotations
@@ -29,17 +30,19 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import (
     Graph,
     GraphError,
     WeightedGraph,
-    is_connected_undirected,
+    bidirectional_bfs,
+    bidirectional_dijkstra,
+    dijkstra_lengths,
     is_rooted,
     is_strongly_connected,
+    kruskal_edges,
+    reachable,
     restrict,
 )
 from .layout import (
@@ -123,55 +126,84 @@ class SteinerInstance:
             object.__setattr__(self, "weights", dict(self.weights))
 
 
-def _nx_undirected(g: Graph, weights=None) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(g.nodes)
-    for u, v in sorted(g.edges):
-        if u == v:
-            continue
-        w = 1.0
-        if weights is not None:
-            w = weights.get((u, v), weights.get((v, u), 1.0))
-        h.add_edge(u, v, weight=w)
-    return h
+def _undirected_host(g: Graph, weights=None) -> dict[int, dict[int, float]]:
+    """g as an undirected adjacency with edge lengths: each node's
+    neighbours in ascending id order, self-loops skipped, and {u, v} (u < v)
+    of length ``weights[(v, u)]``, else ``weights[(u, v)]``, else 1.0. A
+    directed g is read through its undirected closure."""
+    if g.directed:
+        g = g.undirected_closure()
+    weights = weights or {}
+    return {u: {v: weights.get((max(u, v), min(u, v)),
+                               weights.get((min(u, v), max(u, v)), 1.0))
+                for v in g.out_neighbors(u) if v != u}
+            for u in g.nodes}
 
 
-def _nx_directed(g: Graph) -> nx.DiGraph:
-    h = nx.DiGraph()
-    h.add_nodes_from(g.nodes)
-    for u, v in sorted(g.edges):
-        if u != v:
-            h.add_edge(u, v)
-    return h
+def _directed_host(g: Graph, weights=None) -> tuple[dict[int, dict[int, float]],
+                                                    dict[int, dict[int, float]]]:
+    """g's successor and predecessor adjacencies, each in ascending id order
+    with self-loops skipped; the edge (u, v) has length ``weights[(u, v)]``,
+    else 1.0."""
+    weights = weights or {}
+    succ = {u: {v: weights.get((u, v), 1.0) for v in g.out_neighbors(u) if v != u}
+            for u in g.nodes}
+    pred = {v: {u: weights.get((u, v), 1.0) for u in g.in_neighbors(v) if u != v}
+            for v in g.nodes}
+    return succ, pred
 
 
-def _prune_leaves(tree: nx.Graph, keep: set[int]) -> None:
+def _add_path(adj: dict[int, set[int]], path: Sequence[int], undirected: bool) -> None:
+    for u, v in zip(path[:-1], path[1:]):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set())
+        if undirected:
+            adj[v].add(u)
+
+
+def _prune_leaves(tree: dict[int, set[int]], keep: set[int]) -> None:
+    """Remove non-``keep`` nodes of degree at most one until none is left."""
     changed = True
     while changed:
         changed = False
-        for v in sorted(tree.nodes):
-            if v not in keep and tree.degree(v) <= 1:
-                tree.remove_node(v)
+        for v in sorted(tree):
+            if v not in keep and len(tree[v]) <= 1:
+                for u in tree.pop(v):
+                    tree[u].discard(v)
                 changed = True
+
+
+def _as_graph(adj: dict[int, set[int]], directed: bool) -> Graph:
+    """The graph of ``adj``. An undirected edge is listed once, from the
+    endpoint added to ``adj`` first, before sorting: the list fixes the
+    order the edge set is built in, and so its iteration order (the order
+    ``EndLayout.validate`` reports in, for example), which this keeps as it
+    was in earlier releases."""
+    if directed:
+        return Graph.directed_graph(sorted(adj), sorted((u, v) for u, vs in adj.items()
+                                                        for v in vs))
+    rank = {v: k for k, v in enumerate(adj)}
+    return Graph.undirected_graph(sorted(adj), sorted((u, v) for u, vs in adj.items()
+                                                      for v in vs if rank[u] < rank[v]))
 
 
 def solve_st(inst: SteinerInstance) -> Graph:
     """Weighted Steiner tree 2-approximation (metric closure MST + expansion)."""
     if inst.host.directed:
         raise GraphError("Steiner tree requires an undirected host")
-    return _steiner_tree(_nx_undirected(inst.host, inst.weights), inst, {})
+    return _steiner_tree(_undirected_host(inst.host, inst.weights), inst, {})
 
 
 def solve_ust(inst: SteinerInstance) -> Graph:
     """Unweighted Steiner tree: minimize edge count heuristically."""
     if inst.host.directed:
         raise GraphError("Steiner tree requires an undirected host")
-    return _steiner_tree(_nx_undirected(inst.host), inst, {})
+    return _steiner_tree(_undirected_host(inst.host), inst, {})
 
 
-def _steiner_tree(host: nx.Graph, inst: SteinerInstance,
+def _steiner_tree(host: Mapping[int, Mapping[int, float]], inst: SteinerInstance,
                   rows: dict[int, dict[int, float]]) -> Graph:
-    """KMB on ``host``, the networkx form of ``inst.host``.
+    """KMB on ``host``, the undirected adjacency of ``inst.host``.
 
     ``rows`` maps a source terminal to its Dijkstra distances in ``host``;
     missing rows are added here, so callers on the same host share them.
@@ -179,22 +211,19 @@ def _steiner_tree(host: nx.Graph, inst: SteinerInstance,
     terminals = sorted(inst.terminals)
     if len(terminals) == 1:
         return Graph.undirected_graph(terminals, [])
-    closure = nx.Graph()
+    closure = []
     for a, b in itertools.combinations(terminals, 2):
         row = rows.get(a)
         if row is None:
-            row = rows[a] = nx.single_source_dijkstra_path_length(host, a)
+            row = rows[a] = dijkstra_lengths(host, a)
         if b not in row:
             raise DesignInfeasible(f"terminals {a} and {b} are not connected")
-        closure.add_edge(a, b, weight=row[b])
-    mst = nx.minimum_spanning_tree(closure, weight="weight")
-    tree = nx.Graph()
-    tree.add_nodes_from(terminals)
-    for a, b in sorted(mst.edges()):
-        path = nx.shortest_path(host, a, b, weight="weight")
-        tree.add_edges_from(zip(path[:-1], path[1:]))
+        closure.append((a, b, row[b]))
+    tree: dict[int, set[int]] = {t: set() for t in terminals}
+    for a, b, _ in sorted(kruskal_edges(closure)):
+        _add_path(tree, bidirectional_dijkstra(host, host, a, b), undirected=True)
     _prune_leaves(tree, set(terminals))
-    return Graph.undirected_graph(sorted(tree.nodes), sorted(tree.edges))
+    return _as_graph(tree, directed=False)
 
 
 def solve_hub_tree(inst: SteinerInstance, hub: int | None = None) -> Graph:
@@ -205,25 +234,24 @@ def solve_hub_tree(inst: SteinerInstance, hub: int | None = None) -> Graph:
     """
     if inst.host.directed:
         raise GraphError("hub tree requires an undirected host")
-    return _hub_tree(_nx_undirected(inst.host), inst, hub)
+    return _hub_tree(_undirected_host(inst.host), inst, hub)
 
 
-def _hub_tree(host: nx.Graph, inst: SteinerInstance, hub: int | None) -> Graph:
+def _hub_tree(host: Mapping[int, Iterable[int]], inst: SteinerInstance,
+              hub: int | None) -> Graph:
     terminals = sorted(inst.terminals)
     if hub is None:
         hub = terminals[0]
-    tree = nx.Graph()
-    tree.add_node(hub)
+    tree: dict[int, set[int]] = {hub: set()}
     for t in terminals:
         if t == hub:
             continue
-        try:
-            path = nx.shortest_path(host, hub, t)
-        except nx.NetworkXNoPath:
-            raise DesignInfeasible(f"terminal {t} not connected to hub {hub}") from None
-        tree.add_edges_from(zip(path[:-1], path[1:]))
+        path = bidirectional_bfs(host, host, hub, t)
+        if path is None:
+            raise DesignInfeasible(f"terminal {t} not connected to hub {hub}")
+        _add_path(tree, path, undirected=True)
     _prune_leaves(tree, set(terminals) | {hub})
-    return Graph.undirected_graph(sorted(tree.nodes), sorted(tree.edges))
+    return _as_graph(tree, directed=False)
 
 
 def solve_udst(inst: SteinerInstance) -> Graph:
@@ -233,46 +261,48 @@ def solve_udst(inst: SteinerInstance) -> Graph:
     """
     if inst.root is None:
         raise GraphError("rooted Steiner instance needs a root")
-    return _rooted_paths(_nx_directed(inst.host), inst, weight=None)
+    return _rooted_paths(*_directed_host(inst.host), inst, bidirectional_bfs)
 
 
 def solve_dst(inst: SteinerInstance) -> Graph:
     """Weighted rooted variant: shortest paths use edge weights."""
     if inst.root is None:
         raise GraphError("rooted Steiner instance needs a root")
-    host = _nx_directed(inst.host)
-    if inst.weights:
-        for (u, v), w in inst.weights.items():
-            if host.has_edge(u, v):
-                host[u][v]["weight"] = w
-    return _rooted_paths(host, inst, weight="weight")
+    return _rooted_paths(*_directed_host(inst.host, inst.weights), inst,
+                         bidirectional_dijkstra)
 
 
-def _rooted_paths(host: nx.DiGraph, inst: SteinerInstance, weight: str | None) -> Graph:
-    """Union of shortest root-to-terminal paths in ``host``, pruned."""
-    sub = nx.DiGraph()
-    sub.add_node(inst.root)
+def _rooted_paths(succ: Mapping[int, Mapping[int, float]],
+                  pred: Mapping[int, Mapping[int, float]], inst: SteinerInstance,
+                  search: Callable[..., list[int] | None]) -> Graph:
+    """Union of the root-to-terminal paths that ``search`` (a bidirectional
+    search over ``succ``/``pred``) finds, pruned."""
+    sub: dict[int, set[int]] = {inst.root: set()}
     for t in sorted(inst.terminals):
         if t == inst.root:
             continue
-        try:
-            path = nx.shortest_path(host, inst.root, t, weight=weight)
-        except nx.NetworkXNoPath:
-            raise DesignInfeasible(f"terminal {t} unreachable from root {inst.root}") from None
-        sub.add_edges_from(zip(path[:-1], path[1:]))
+        path = search(succ, pred, inst.root, t)
+        if path is None:
+            raise DesignInfeasible(f"terminal {t} unreachable from root {inst.root}")
+        _add_path(sub, path, undirected=False)
     _prune_redundant_directed(sub, inst.root, set(inst.terminals))
-    return Graph.directed_graph(sorted(sub.nodes), sorted(sub.edges))
+    return _as_graph(sub, directed=True)
 
 
-def _prune_redundant_directed(sub: nx.DiGraph, root: int, terminals: set[int]) -> None:
-    for edge in sorted(sub.edges):
-        sub.remove_edge(*edge)
-        reach = {root} | nx.descendants(sub, root)
+def _prune_redundant_directed(sub: dict[int, set[int]], root: int,
+                              terminals: set[int]) -> None:
+    """Drop each edge, in sorted order, whose removal keeps every terminal
+    reachable from the root, together with the nodes it cuts off."""
+    for u, v in sorted((u, v) for u, vs in sub.items() for v in vs):
+        if u not in sub:
+            continue  # cut off with an earlier edge
+        sub[u].discard(v)
+        reach = reachable(sub, root)
         if terminals <= reach:
-            for v in [n for n in sub.nodes if n not in reach]:
-                sub.remove_node(v)
+            for w in [w for w in sub if w not in reach]:
+                del sub[w]
         else:
-            sub.add_edge(*edge)
+            sub[u].add(v)
 
 
 def solve_scss(inst: SteinerInstance) -> Graph:
@@ -281,31 +311,34 @@ def solve_scss(inst: SteinerInstance) -> Graph:
     Hub heuristic: union of shortest hub-to-terminal and terminal-to-hub
     paths; strongly connected by construction.
     """
-    return _hub_scss(_nx_directed(inst.host), inst)
+    return _hub_scss(*_directed_host(inst.host), inst)
 
 
-def _hub_scss(host: nx.DiGraph, inst: SteinerInstance) -> Graph:
+def _hub_scss(succ: Mapping[int, Iterable[int]], pred: Mapping[int, Iterable[int]],
+              inst: SteinerInstance) -> Graph:
     terminals = sorted(inst.terminals)
     hub = inst.root if inst.root is not None else terminals[0]
-    sub = nx.DiGraph()
-    sub.add_node(hub)
+    out: dict[int, set[int]] = {hub: set()}
     for t in terminals:
         if t == hub:
             continue
-        try:
-            out_path = nx.shortest_path(host, hub, t)
-            in_path = nx.shortest_path(host, t, hub)
-        except nx.NetworkXNoPath:
-            raise DesignInfeasible(
-                f"terminal {t} not in the hub's strong reachability class"
-            ) from None
-        sub.add_edges_from(zip(out_path[:-1], out_path[1:]))
-        sub.add_edges_from(zip(in_path[:-1], in_path[1:]))
-    for edge in sorted(sub.edges):
-        sub.remove_edge(*edge)
-        if not nx.is_strongly_connected(sub):
-            sub.add_edge(*edge)
-    return Graph.directed_graph(sorted(sub.nodes), sorted(sub.edges))
+        out_path = bidirectional_bfs(succ, pred, hub, t)
+        in_path = bidirectional_bfs(succ, pred, t, hub)
+        if out_path is None or in_path is None:
+            raise DesignInfeasible(f"terminal {t} not in the hub's strong reachability class")
+        _add_path(out, out_path, undirected=False)
+        _add_path(out, in_path, undirected=False)
+    into: dict[int, set[int]] = {v: set() for v in out}
+    for u, vs in out.items():
+        for v in vs:
+            into[v].add(u)
+    for u, v in sorted((u, v) for u, vs in out.items() for v in vs):
+        out[u].discard(v)
+        into[v].discard(u)
+        if len(reachable(out, hub)) < len(out) or len(reachable(into, hub)) < len(out):
+            out[u].add(v)
+            into[v].add(u)
+    return _as_graph(out, directed=True)
 
 
 # -- exact oracles (exponential; desk scale only) --------------------------
@@ -314,18 +347,17 @@ def _hub_scss(host: nx.DiGraph, inst: SteinerInstance) -> Graph:
 def exact_steiner_cost(g: Graph, terminals: Iterable[int], weights=None) -> float:
     """Optimal undirected Steiner cost by subset enumeration + MST."""
     terminals = set(terminals)
-    host = _nx_undirected(g, weights)
+    host = _undirected_host(g, weights)
     others = [v for v in g.nodes if v not in terminals]
     best = float("inf")
     for r in range(len(others) + 1):
         for extra in itertools.combinations(others, r):
             nodes = terminals | set(extra)
-            sub = host.subgraph(nodes)
-            if len(nodes) > 0 and nx.is_connected(sub):
-                cost = sum(
-                    d["weight"] for _, _, d in nx.minimum_spanning_tree(sub).edges(data=True)
-                )
-                best = min(best, cost)
+            edges = [(u, v, w) for u in sorted(nodes) for v, w in host[u].items()
+                     if u < v and v in nodes]
+            forest = kruskal_edges(edges)
+            if len(forest) == len(nodes) - 1:  # the nodes induce a connected subgraph
+                best = min(best, sum(w for _, _, w in forest))
     return best
 
 
@@ -382,10 +414,13 @@ def design_layout(
         return standard_layout(comm, interference, partition, weight_scheme=scheme)
 
     # every component is designed on the same host, so its symmetric view,
-    # its networkx form and the shortest-path rows of its terminals are
-    # built once per call
+    # its adjacencies and the shortest-path rows of its terminals are built
+    # once per call
     host = comm.undirected_closure() if mode.kind == "undirected" and comm.directed else comm
-    nx_host = _nx_undirected(host) if mode.kind == "undirected" else _nx_directed(host)
+    if mode.kind == "undirected":
+        succ = pred = _undirected_host(host)
+    else:
+        succ, pred = _directed_host(host)
     rows: dict[int, dict[int, float]] = {}
     needers = group_pairs(interference)
     debug = log.isEnabledFor(logging.DEBUG)
@@ -403,7 +438,8 @@ def design_layout(
             messages.append(f"component {p}: no agent needs it")
             continue
         try:
-            sub = _solve_component(comm, host, nx_host, rows, p, terminals, criterion, loads)
+            sub = _solve_component(comm, host, succ, pred, rows, p, terminals, criterion,
+                                   loads)
         except DesignInfeasible as exc:
             failures.append(p)
             messages.append(f"component {p}: {exc}")
@@ -439,7 +475,8 @@ def design_layout(
 def _solve_component(
     comm: Graph,
     host: Graph,
-    nx_host: nx.Graph | nx.DiGraph,
+    succ: Mapping[int, Mapping[int, float]],
+    pred: Mapping[int, Mapping[int, float]],
     rows: dict[int, dict[int, float]],
     p: int,
     terminals: frozenset[int],
@@ -447,9 +484,9 @@ def _solve_component(
     loads: Mapping[int, int],
 ) -> Graph:
     """Exchange graph of component p on ``host`` (``comm``, made symmetric in
-    undirected mode); ``nx_host`` is host's unweighted networkx form and
-    ``rows`` the shortest-path rows of its terminals, both shared by every
-    component (``nx_host`` is never mutated)."""
+    undirected mode); ``succ``/``pred`` are host's unit-length adjacencies
+    (one mapping in undirected mode) and ``rows`` the shortest-path rows of
+    its terminals, all shared by every component and never mutated."""
     mode = criterion.connectivity
     objective = criterion.objective_for(p)
     if objective == "none":
@@ -458,18 +495,18 @@ def _solve_component(
         root = mode.roots.get(p)
         if root is None:
             raise DesignInfeasible("no root specified")
-        return _rooted_paths(nx_host, SteinerInstance(host, terminals | {root}, root=root),
-                             weight=None)
+        return _rooted_paths(succ, pred, SteinerInstance(host, terminals | {root}, root=root),
+                             bidirectional_bfs)
     if mode.kind == "strong":
         hub = p if p in terminals else None
-        return _hub_scss(nx_host, SteinerInstance(host, terminals, root=hub))
+        return _hub_scss(succ, pred, SteinerInstance(host, terminals, root=hub))
     # undirected
     if objective == "min_nodes":
         hub = p if p in terminals else min(terminals)
-        return _hub_tree(nx_host, SteinerInstance(host, terminals), hub)
+        return _hub_tree(succ, SteinerInstance(host, terminals), hub)
     if objective in ("min_edges", "min_weight"):
         # min_weight has unit weights here, so both run KMB on the same host
-        return _steiner_tree(nx_host, SteinerInstance(host, terminals), rows)
+        return _steiner_tree(succ, SteinerInstance(host, terminals), rows)
     # balanced: Steiner tree with load-inflated edge weights, on a host (and
     # so with rows) of its own
     w = {

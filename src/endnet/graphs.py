@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from heapq import heappop, heappush
+from itertools import count
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -269,11 +272,9 @@ def laplacian(wg: WeightedGraph) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def is_rooted(g: Graph, r: int) -> bool:
-    """True iff every node is reachable from r along directed edges."""
-    succ = g._index.outbound
-    if r not in succ:
-        raise GraphError(f"unknown node id {r}")
+def reachable(succ: Mapping[int, Iterable[int]], r: int) -> set[int]:
+    """The nodes reachable from r (r included), where ``succ[v]`` lists the
+    nodes v sends to."""
     seen = {r}
     frontier = [r]
     while frontier:
@@ -282,16 +283,20 @@ def is_rooted(g: Graph, r: int) -> bool:
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
-    return len(seen) == g.num_nodes
+    return seen
+
+
+def is_rooted(g: Graph, r: int) -> bool:
+    """True iff every node is reachable from r along directed edges."""
+    succ = g._index.outbound
+    if r not in succ:
+        raise GraphError(f"unknown node id {r}")
+    return len(reachable(succ, r)) == g.num_nodes
 
 
 def is_strongly_connected(g: Graph) -> bool:
-    if g.num_nodes == 1:
-        return True
-    if not is_rooted(g, g.nodes[0]):
-        return False
-    reverse = Graph(g.nodes, frozenset((v, u) for (u, v) in g.edges), directed=True)
-    return is_rooted(reverse, g.nodes[0])
+    return (is_rooted(g, g.nodes[0])
+            and len(reachable(g._index.inbound, g.nodes[0])) == g.num_nodes)
 
 
 def is_connected_undirected(g: Graph) -> bool:
@@ -316,6 +321,165 @@ def is_q_strongly_connected(seq: GraphSequence, q: int) -> bool:
             return False
         k += 1
     return True
+
+
+# -- searches on adjacency mappings -------------------------------------------
+#
+# The design heuristics and the unicast router search plain mappings from a
+# node to its neighbours, whose iteration order is the order the neighbours
+# are scanned in; a weighted mapping sends each neighbour to the length of
+# the edge. Ties are broken by that order and by the rules each docstring
+# states; the tests hold these searches to a reference implementation.
+
+
+def _join(before: Mapping[int, int | None], after: Mapping[int, int | None],
+          meet: int) -> list[int]:
+    """The path source -> meet -> target from the two predecessor maps."""
+    path = []
+    v: int | None = meet
+    while v is not None:
+        path.append(v)
+        v = before[v]
+    path.reverse()
+    v = after[meet]
+    while v is not None:
+        path.append(v)
+        v = after[v]
+    return path
+
+
+def bidirectional_bfs(succ: Mapping[int, Iterable[int]], pred: Mapping[int, Iterable[int]],
+                      source: int, target: int) -> list[int] | None:
+    """A path with fewest edges from source to target, or None if there is
+    none. ``succ[v]`` lists the nodes v sends to and ``pred[v]`` those that
+    send to v (one mapping for both on an undirected graph).
+
+    Breadth-first levels grow from both ends: each round expands the whole
+    smaller fringe (the forward one on a tie), scanning neighbours in order,
+    and the search stops at the first node reached from both sides.
+    """
+    if source == target:
+        return [source]
+    before: dict[int, int | None] = {source: None}
+    after: dict[int, int | None] = {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for v in level:
+                for w in succ[v]:
+                    if w not in before:
+                        forward.append(w)
+                        before[w] = v
+                    if w in after:
+                        return _join(before, after, w)
+        else:
+            level, reverse = reverse, []
+            for v in level:
+                for w in pred[v]:
+                    if w not in after:
+                        after[w] = v
+                        reverse.append(w)
+                    if w in before:
+                        return _join(before, after, w)
+    return None
+
+
+def bidirectional_dijkstra(succ: Mapping[int, Mapping[int, float]],
+                           pred: Mapping[int, Mapping[int, float]],
+                           source: int, target: int) -> list[int] | None:
+    """A shortest path from source to target under nonnegative edge
+    lengths, or None if there is none. ``succ[v]`` maps each node v sends to
+    to the length of that edge and ``pred[v]`` each node that sends to v to
+    the length of that edge (one mapping for both on an undirected graph).
+
+    The two searches take turns, forward first, popping one node each from
+    a heap ordered by (distance, push counter). A node reached first through
+    an edge keeps that predecessor unless a strictly shorter route replaces
+    it; the meeting node is the first one whose combined distance is
+    strictly below every earlier one, and the search ends when one side
+    settles a node the other side has settled.
+    """
+    if source == target:
+        return [source]
+    settled: tuple[dict[int, float], dict[int, float]] = ({}, {})
+    preds: tuple[dict[int, int | None], dict[int, int | None]] = (
+        {source: None}, {target: None})
+    seen: tuple[dict[int, float], dict[int, float]] = ({source: 0.0}, {target: 0.0})
+    ticket = count()
+    fringe: tuple[list, list] = ([(0.0, next(ticket), source)], [(0.0, next(ticket), target)])
+    edges = (succ, pred)
+    best = None
+    meet = None
+    side = 1
+    while fringe[0] and fringe[1]:
+        side = 1 - side
+        dist, _, v = heappop(fringe[side])
+        done = settled[side]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in settled[1 - side]:
+            return _join(preds[0], preds[1], meet)
+        near, far, heap, back = seen[side], seen[1 - side], fringe[side], preds[side]
+        for w, length in edges[side][v].items():
+            if w in done:
+                continue
+            d = dist + length
+            if w not in near or d < near[w]:
+                near[w] = d
+                heappush(heap, (d, next(ticket), w))
+                back[w] = v
+                if w in far:
+                    total = d + far[w]
+                    if best is None or best > total:
+                        best, meet = total, w
+    return None
+
+
+def dijkstra_lengths(succ: Mapping[int, Mapping[int, float]], source: int) -> dict[int, float]:
+    """Shortest distance from source to every node it reaches, where
+    ``succ[v]`` maps each node v sends to to the length of that edge."""
+    dist: dict[int, float] = {}
+    seen = {source: 0.0}
+    ticket = count()
+    fringe = [(0.0, next(ticket), source)]
+    while fringe:
+        d, _, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = d
+        for u, length in succ[v].items():
+            if u in dist:
+                continue
+            du = d + length
+            if u not in seen or du < seen[u]:
+                seen[u] = du
+                heappush(fringe, (du, next(ticket), u))
+    return dist
+
+
+def kruskal_edges(edges: Iterable[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
+    """Kruskal's minimum spanning forest of the weighted edges (u, v, w):
+    the edges sorted stably by weight, so equal weights keep their input
+    order, each kept when it joins two trees, in the order kept."""
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        root = v
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    forest = []
+    for u, v, w in sorted(edges, key=itemgetter(2)):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            forest.append((u, v, w))
+    return forest
 
 
 def restrict(g: Graph, nodes: Iterable[int]) -> Graph:

@@ -13,13 +13,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.special import expit
 
 from .design import DesignCriterion, design_layout
 from .games import AggregativeGameSpec, BoxSet, GameSpec
-from .graphs import Graph, is_connected_undirected, is_strongly_connected
+from .graphs import Graph, bidirectional_bfs, is_connected_undirected, is_strongly_connected
 from .layout import ConnectivityMode, EndLayout, Partition, standard_layout
 from .optim import LassoSeparable, QuadraticSeparable
 
@@ -72,9 +71,7 @@ class UnicastScenario:
             for u, v in seq:
                 if u != at:
                     raise ScenarioError(f"path of user {i} is not a consecutive walk")
-                if _canonical((u, v)) not in {
-                    _canonical(e) for e in self.comm.edges if e[0] != e[1]
-                }:
+                if u == v or (u, v) not in self.comm.edges:
                     raise ScenarioError(f"path of user {i} leaves the network")
                 at = v
         active = self.active_links
@@ -271,7 +268,9 @@ def sample_unicast(
     The network is a random attachment tree plus a Bernoulli sprinkling of
     chords; each user routes toward a uniformly random other node along a
     shortest path truncated to ``max_path_len`` edges, and a few users are
-    demoted to pure relays.
+    demoted to pure relays. Routes come from ``graphs.bidirectional_bfs``
+    with each node's neighbours scanned in ``comm.edges`` iteration order
+    (not ascending id order), which keeps every route as it always was.
     """
     if num_users < 2:
         raise ScenarioError("need at least two users")
@@ -280,14 +279,17 @@ def sample_unicast(
     edges = []
     for k in range(2, num_users + 1):
         edges.append((int(rng.integers(1, k)), k))
+    tree = set(edges)
     for u in nodes:
         for v in nodes:
-            if u < v and (u, v) not in edges and rng.uniform() < extra_edge_prob:
+            if u < v and (u, v) not in tree and rng.uniform() < extra_edge_prob:
                 edges.append((u, v))
     comm = Graph.undirected_graph(nodes, edges)
-    h = nx.Graph()
-    h.add_nodes_from(nodes)
-    h.add_edges_from(e for e in comm.edges if e[0] != e[1])
+    # each node's neighbours, as keys, in comm.edges iteration order
+    adj: dict[int, dict[int, None]] = {v: {} for v in nodes}
+    for u, v in comm.edges:
+        if u != v:
+            adj[u][v] = adj[v][u] = None
     paths: dict[int, tuple[tuple[int, int], ...]] = {}
     for i in nodes:
         if rng.uniform() < relay_prob:
@@ -296,12 +298,12 @@ def sample_unicast(
         target = i
         while target == i:
             target = int(rng.integers(1, num_users + 1))
-        walk = nx.shortest_path(h, i, target)[: max_path_len + 1]
+        walk = bidirectional_bfs(adj, adj, i, target)[: max_path_len + 1]
         paths[i] = tuple(zip(walk[:-1], walk[1:]))
     if all(len(seq) == 0 for seq in paths.values()):
         # force at least one route so the game is nontrivial
         i = nodes[0]
-        j = next(iter(h.neighbors(i)))
+        j = next(iter(adj[i]))
         paths[i] = ((i, j),)
     active = sorted({_canonical(e) for seq in paths.values() for e in seq})
     psi = {e: float(rng.uniform(0.0, 1.0)) for e in active}

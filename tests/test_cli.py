@@ -219,6 +219,39 @@ def test_missing_field_is_config_error(tmp_path):
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("mistake,message", [
+    ({"arm": "custom"}, "unknown arm 'custom'"),
+    ({"run": {"algorithm": "admmm"}}, "unknown algorithm 'admmm'"),
+    ({"run": {"algorithm": "gne"}}, "gne solver requires a unicast scenario"),
+], ids=["arm", "algorithm", "algorithm-for-kind"])
+def test_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, mistake, message):
+    """A run config the solver would refuse fails the dry run too, with the
+    same message."""
+    cfg = _write_config(tmp_path, "bad.json", {"scenario": SEP_SCENARIO, **mistake})
+    for extra in (["--dry-run"], []):
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     *extra]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"num_sensor": 8}, "unknown field(s) 'num_sensor'"),
+    ({"sensing_radiu": 0.3}, "unknown field(s) 'sensing_radiu'"),
+    ({"num_sources": None}, "missing field 'num_sources'"),
+], ids=["typo-required", "typo-optional", "missing"])
+@pytest.mark.parametrize("kind", ["regression", "lasso"])
+def test_sensor_scenario_keys_are_checked(tmp_path, capsys, kind, change, message):
+    scenario = {"kind": kind, "num_sensors": 8, "num_sources": 3, "seed": 0}
+    if "num_sensor" in change:
+        del scenario["num_sensors"]
+    scenario.update(change)
+    scenario = {k: v for k, v in scenario.items() if v is not None}
+    cfg = _write_config(tmp_path, "bad.json", {"scenario": scenario})
+    assert main(["run", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_admm_alpha_out_of_range_is_config_error(tmp_path):
     for alpha in (0.0, 1.0):
         cfg = _write_config(tmp_path, f"admm{alpha}.json", {

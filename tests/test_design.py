@@ -13,8 +13,6 @@ from endnet.design import (
     DesignCriterion,
     DesignInfeasible,
     SteinerInstance,
-    _nx_undirected,
-    _prune_leaves,
     design_layout,
     exact_min_rooted_nodes,
     exact_min_scss_nodes,
@@ -418,9 +416,35 @@ class TestSharedHost:
             assert getattr(back, op)(v).tobytes() == getattr(lay, op)(v).tobytes()
 
 
+def _nx_undirected(g, weights=None):
+    """g as a networkx graph, built from sorted nodes and edges; the
+    direction inserted last sets an edge's weight."""
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes)
+    for u, v in sorted(g.edges):
+        if u == v:
+            continue
+        w = 1.0
+        if weights is not None:
+            w = weights.get((u, v), weights.get((v, u), 1.0))
+        h.add_edge(u, v, weight=w)
+    return h
+
+
+def _prune_leaves(tree, keep):
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(tree.nodes):
+            if v not in keep and tree.degree(v) <= 1:
+                tree.remove_node(v)
+                changed = True
+
+
 def pairwise_steiner_tree(host, inst):
-    """KMB with one targeted Dijkstra per terminal pair for the metric
-    closure: the reference the per-terminal rows must reproduce bit for bit."""
+    """KMB on a networkx host with one targeted Dijkstra per terminal pair
+    for the metric closure: the reference the per-terminal rows and the
+    package's own searches must reproduce bit for bit."""
     terminals = sorted(inst.terminals)
     if len(terminals) == 1:
         return Graph.undirected_graph(terminals, [])
@@ -439,6 +463,20 @@ def pairwise_steiner_tree(host, inst):
         tree.add_edges_from(zip(path[:-1], path[1:]))
     _prune_leaves(tree, set(terminals))
     return Graph.undirected_graph(sorted(tree.nodes), sorted(tree.edges))
+
+
+def nx_exact_steiner_cost(g, terminals, weights=None):
+    """Subset enumeration with networkx's connectivity test and MST (dyadic
+    weights, so that the MST weight does not depend on summation order)."""
+    host = _nx_undirected(g, weights)
+    others = [v for v in g.nodes if v not in terminals]
+    best = float("inf")
+    for r in range(len(others) + 1):
+        for extra in itertools.combinations(others, r):
+            sub = host.subgraph(set(terminals) | set(extra))
+            if nx.is_connected(sub):
+                best = min(best, nx.minimum_spanning_tree(sub).size(weight="weight"))
+    return best
 
 
 @st.composite
@@ -481,9 +519,12 @@ def design_outcome(*args):
 
 
 def pairwise_reference():
-    """design's KMB swapped for the pairwise reference (shared rows ignored)."""
-    return mock.patch.object(design, "_steiner_tree",
-                             lambda host, inst, rows: pairwise_steiner_tree(host, inst))
+    """design's KMB swapped for the pairwise reference on a networkx copy of
+    the instance's host (shared rows ignored)."""
+    return mock.patch.object(
+        design, "_steiner_tree",
+        lambda host, inst, rows: pairwise_steiner_tree(
+            _nx_undirected(inst.host, inst.weights), inst))
 
 
 class TestClosureRows:
@@ -519,6 +560,29 @@ class TestClosureRows:
         with pairwise_reference():
             assert got == design_outcome(*args)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_asymmetric_weights_match_networkx_host(self, data):
+        """With different (or missing) weights for the two directions of a
+        link, solve_st reads the link as the networkx host did."""
+        g = data.draw(hosts())
+        terminals = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+        w = {e: data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])) for e in sorted(g.edges)}
+        w = {e: x for e, x in w.items() if data.draw(st.booleans())}
+        inst = SteinerInstance(g, terminals, weights=w)
+        assert outcome(solve_st, inst) == outcome(
+            lambda i: pairwise_steiner_tree(_nx_undirected(g, w), i), inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_steiner_cost_matches_networkx(self, data):
+        g = data.draw(hosts())
+        terminals = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1, max_size=4))
+        w = {e: data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])) for e in sorted(g.edges)}
+        for weights in (None, w):
+            assert exact_steiner_cost(g, terminals, weights) == nx_exact_steiner_cost(
+                g, terminals, weights)
+
     def test_disconnected_pair_message(self):
         g = Graph.undirected_graph(range(1, 7), [(1, 2), (2, 3), (4, 5), (5, 6)])
         inst = SteinerInstance(g, {1, 3, 4, 6})
@@ -536,8 +600,8 @@ class TestClosureRows:
         args = (Graph.complete(range(1, 51)), interference, Partition(problem.component_dims),
                 DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges"))
         sources = []
-        row = nx.single_source_dijkstra_path_length
-        monkeypatch.setattr(nx, "single_source_dijkstra_path_length",
+        row = design.dijkstra_lengths
+        monkeypatch.setattr(design, "dijkstra_lengths",
                             lambda host, a: sources.append(a) or row(host, a))
         got = design_outcome(*args)
         assert 0 < len(sources) == len(set(sources)) <= 50

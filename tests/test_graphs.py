@@ -1,6 +1,11 @@
+import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +16,10 @@ from endnet.graphs import (
     GraphError,
     GraphSequence,
     WeightedGraph,
+    bidirectional_bfs,
+    bidirectional_dijkstra,
     column_stochastic_weights,
+    dijkstra_lengths,
     graph_from_json,
     graph_to_json,
     intersect,
@@ -19,8 +27,10 @@ from endnet.graphs import (
     is_q_strongly_connected,
     is_rooted,
     is_strongly_connected,
+    kruskal_edges,
     laplacian,
     metropolis_hastings_weights,
+    reachable,
     restrict,
     row_stochastic_weights,
 )
@@ -288,3 +298,123 @@ def test_adjacency_index_matches_edge_scan(n, directed, self_loops, rnd):
     assert back == g and hash(back) == hash(g)
     assert [back.out_neighbors(v) for v in nodes] == [g.out_neighbors(v) for v in nodes]
     assert back.to_json_dict() == twin.to_json_dict()
+
+
+# -- the searches against networkx, the reference they transcribe ------------
+#
+# Each search takes the adjacency of a networkx graph in networkx's own
+# neighbour order, and must return exactly what networkx returns: the same
+# path among equal-length ones, the same distances, the same forest.
+
+LENGTHS = [1.0, 1.0, 2.0, 0.5, 1.5, 1.0 / 3.0]  # repeated values force ties
+
+
+@st.composite
+def nx_hosts(draw, directed, weighted=False):
+    """A networkx graph on 1..9 nodes whose edges (and so whose neighbour
+    orders) were inserted in a random order; an undirected edge may be
+    inserted twice, the second time with a new length."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    h = nx.DiGraph() if directed else nx.Graph()
+    h.add_nodes_from(draw(st.permutations(range(1, n + 1))))
+    for u, v in edges:
+        if weighted:
+            h.add_edge(u, v, weight=draw(st.sampled_from(LENGTHS)))
+        else:
+            h.add_edge(u, v)
+    return h
+
+
+def ordered_adjacency(h, weighted=False):
+    """(succ, pred) in networkx's neighbour order."""
+    def convert(adj):
+        if weighted:
+            return {v: {w: d["weight"] for w, d in nbrs.items()} for v, nbrs in adj.items()}
+        return {v: tuple(nbrs) for v, nbrs in adj.items()}
+    return convert(h.adj), convert(h.pred if h.is_directed() else h.adj)
+
+
+def nx_path(h, s, t, weight=None):
+    try:
+        return nx.shortest_path(h, s, t, weight=weight)
+    except nx.NetworkXNoPath:
+        return None
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bidirectional_bfs_matches_networkx(directed, data):
+    h = data.draw(nx_hosts(directed))
+    succ, pred = ordered_adjacency(h)
+    for s, t in itertools.product(h.nodes, repeat=2):
+        assert bidirectional_bfs(succ, pred, s, t) == nx_path(h, s, t), (s, t)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bidirectional_dijkstra_matches_networkx(directed, data):
+    h = data.draw(nx_hosts(directed, weighted=True))
+    succ, pred = ordered_adjacency(h, weighted=True)
+    for s, t in itertools.product(h.nodes, repeat=2):
+        assert (bidirectional_dijkstra(succ, pred, s, t)
+                == nx_path(h, s, t, weight="weight")), (s, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bidirectional_dijkstra_with_load_weights_matches_networkx(data):
+    """``balanced``-style lengths 1 + penalty (load_u + load_v) / 2 on an
+    undirected host: many equal-length paths."""
+    h = data.draw(nx_hosts(directed=False))
+    loads = {v: data.draw(st.integers(0, 3)) for v in h.nodes}
+    penalty = data.draw(st.sampled_from([0.5, 1.0, 2.0, 1.0 / 3.0]))
+    for u, v, d in h.edges(data=True):
+        d["weight"] = 1.0 + penalty * (loads[u] + loads[v]) / 2.0
+    adj, _ = ordered_adjacency(h, weighted=True)
+    for s, t in itertools.product(h.nodes, repeat=2):
+        assert bidirectional_dijkstra(adj, adj, s, t) == nx_path(h, s, t, weight="weight")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dijkstra_lengths_match_networkx(directed, data):
+    h = data.draw(nx_hosts(directed, weighted=True))
+    succ, _ = ordered_adjacency(h, weighted=True)
+    for s in h.nodes:
+        assert dijkstra_lengths(succ, s) == nx.single_source_dijkstra_path_length(h, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kruskal_edges_match_networkx(data):
+    h = data.draw(nx_hosts(directed=False, weighted=True))
+    expected = [(u, v, d["weight"]) for u, v, d in
+                nx.minimum_spanning_edges(h, algorithm="kruskal", data=True)]
+    assert kruskal_edges(h.edges(data="weight")) == expected
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reachable_matches_networkx(directed, data):
+    h = data.draw(nx_hosts(directed))
+    succ, _ = ordered_adjacency(h)
+    for r in h.nodes:
+        assert reachable(succ, r) == {r} | nx.descendants(h, r)
+
+
+def test_import_does_not_load_networkx():
+    """networkx is a test-side reference only: the package never imports it."""
+    import endnet
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(endnet.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, endnet, endnet.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Tests for the experiment generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,44 @@ def test_sample_unicast_deterministic_and_bounded_paths():
     assert all(len(seq) <= 4 for seq in a.paths.values())
     c = sample_unicast(12, seed=6)
     assert c.paths != a.paths
+
+
+# sha256 prefixes of (paths, psi, capacities) for every (num_users, seed)
+# the tests, the CLI tests and the benchmark draw, plus a 200-user network,
+# as the networkx-routed generator produced them
+ROUTE_DIGESTS = {
+    (20, 0): "5a700f6b87a10fba",
+    (9, 4): "9ce7a83dfba006b7",
+    (8, 3): "f217924ac5eadcce",
+    (10, 0): "2877266986054a8b",
+    (10, 1): "5bd69ed328c9e6e4",
+    (10, 2): "31defab4f6425dee",
+    (10, 3): "e03670d9fedb9658",
+    (10, 4): "faa8d3a10c6e8d55",
+    (12, 0): "f58f42f49b7e09f4",
+    (12, 1): "72b136edcd7a49e5",
+    (12, 2): "0829cd49fd074bf9",
+    (12, 3): "071af75310818d3d",
+    (12, 4): "63f89314c6af0ca2",
+    (12, 5): "93967c7934c1ad10",
+    (12, 6): "0f941859fc424348",
+    (12, 7): "c6bc57205d71dd9b",
+    (12, 8): "3c52d319285458c0",
+    (12, 9): "c7a8a0b3c22ca46b",
+    (200, 0): "c28309ee68bd54b6",
+}
+
+
+def route_digest(sc):
+    payload = (tuple(sorted(sc.paths.items())), tuple(sorted(sc.psi.items())),
+               tuple(sorted(sc.capacities.items())))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("num_users,seed", sorted(ROUTE_DIGESTS))
+def test_sample_unicast_routes_are_pinned(num_users, seed):
+    """Routes, congestion coefficients and capacities stay bit for bit."""
+    assert route_digest(sample_unicast(num_users, seed)) == ROUTE_DIGESTS[num_users, seed]
 
 
 def test_sampled_instances_build_on_several_seeds():
