@@ -37,6 +37,7 @@ from .optim import (
     OptimError,
     abc_solve,
     admm_solve,
+    augdgm_gamma_bound,
     augdgm_matrices,
     augdgm_solve,
     constant_design_weights,
@@ -340,10 +341,23 @@ _ALGORITHM_KINDS = {
     "dual": ("coupled_qp",),
 }
 
+# the run-config fields each algorithm reads, besides "algorithm"
+_RUN_FIELDS = {
+    "gne": ("alpha", "beta", "reference", "reference_step", "reference_max_iters",
+            "max_iters", "tol", "residual_tol", "check_every"),
+    "ne": ("alpha", "rho_target", "max_iters", "tol"),
+    "augdgm": ("gamma", "max_iters", "merit_every"),
+    "abc": ("gamma", "max_iters", "merit_every"),
+    "admm": ("alpha", "max_iters", "tol"),
+    "pushsum": ("step_scale", "step_exponent", "max_iters", "stop_tol", "check_every"),
+    "dual": ("step_scale", "step_exponent", "max_iters"),
+}
+
 
 def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
     """The algorithm a run config selects on a scenario kind, once the arm,
-    the algorithm's name and its fit to the kind are checked."""
+    the algorithm's name, its fit to the kind and the names of the run's
+    fields are checked."""
     if arm not in ("standard", "customized"):
         raise ConfigError(f"unknown arm {arm!r} (expected standard or customized)")
     algorithm = run_cfg.get("algorithm", _DEFAULT_ALGORITHM[kind])
@@ -353,6 +367,10 @@ def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
     kinds = _ALGORITHM_KINDS[algorithm]
     if kind not in kinds:
         raise ConfigError(f"{algorithm} solver requires a {' or '.join(kinds)} scenario")
+    unknown = sorted(set(run_cfg) - {"algorithm", *_RUN_FIELDS[algorithm]})
+    if unknown:
+        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a run of "
+                          f"{algorithm} (expected {', '.join(_RUN_FIELDS[algorithm])})")
     return algorithm
 
 
@@ -436,8 +454,7 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["trace"] = trace
     elif algorithm in ("augdgm", "abc"):
         problem = bundle["problem"]
-        matrices = augdgm_matrices(layout)
-        bound = matrices.gamma_bound(problem)
+        bound = augdgm_gamma_bound(problem)
         gamma = _read(run_cfg, "gamma", float, 0.5 * bound)
         common = dict(
             gamma=gamma,
@@ -448,7 +465,9 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         if algorithm == "augdgm":
             hat, trace = augdgm_solve(layout, problem, **common)
         else:
-            hat, trace = abc_solve(layout, matrices, problem, **common)
+            # augdgm applies W itself: the two-matrix form, a few dense
+            # blocks per group, is built for abc only
+            hat, trace = abc_solve(layout, augdgm_matrices(layout), problem, **common)
         result["certified"] = {"gamma": gamma, "gamma_bound": bound}
         result["final_merit"] = trace.last("merit")
         result["solution"] = layout.component_means(hat)

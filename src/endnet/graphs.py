@@ -155,23 +155,6 @@ class Graph:
             directed=bool(d.get("directed", True)),
         )
 
-    def to_dot(self) -> str:
-        """Graphviz export for quick visual inspection."""
-        if self.directed:
-            lines = ["digraph G {"]
-            arrow = "->"
-            edges = sorted(self.edges)
-        else:
-            lines = ["graph G {"]
-            arrow = "--"
-            edges = sorted({(min(u, v), max(u, v)) for u, v in self.edges})
-        for v in self.nodes:
-            lines.append(f"  {v};")
-        for u, v in edges:
-            lines.append(f"  {u} {arrow} {v};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class WeightedGraph:

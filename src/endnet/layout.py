@@ -328,24 +328,28 @@ class BlockOperator:
 
     Each entry of ``dense`` is a component group with the one block all of
     its members were given; it is applied as one dense product on the
-    (members·dim, holders) reshape of the group's entries. Every other
-    component is in the CSR operator ``sparse`` (None when there is none).
-    ``matrix``, the whole operator in CSR, is built on first use, for
-    composing with other sparse matrices.
+    (members·dim, holders) reshape of the group's entries, with a
+    C-contiguous copy of the block's transpose made here. Every other
+    component is in the CSR operator ``sparse`` (None when there is none),
+    so without one the groups cover every entry. ``matrix``, the whole
+    operator in CSR, is built on first use, for composing with other sparse
+    matrices.
     """
 
     def __init__(self, n: int, sparse: CsrOperator | None,
                  dense: list[tuple[ComponentGroup, np.ndarray]]):
         self.shape = (n, n)
         self._sparse = sparse
-        self._dense = dense
+        # (group, mᵀ) per dense group
+        self._dense = [(g, np.ascontiguousarray(np.asarray(m, dtype=float).T))
+                       for g, m in dense]
         self._transpose: BlockOperator | None = None
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         if not self._dense:
             return self._sparse.matrix
-        full = _kron_csr(self.shape[0], ((start, g.dim, m) for g, m in self._dense
+        full = _kron_csr(self.shape[0], ((start, g.dim, mt.T) for g, mt in self._dense
                                          for start in g.starts))
         return full if self._sparse is None else full + self._sparse.matrix
 
@@ -353,7 +357,7 @@ class BlockOperator:
     def T(self) -> "BlockOperator":
         if self._transpose is None:
             t = BlockOperator(self.shape[0], None if self._sparse is None else self._sparse.T,
-                              [(g, m.T) for g, m in self._dense])
+                              self._dense)
             t._transpose, self._transpose = self, t
         return self._transpose
 
@@ -373,37 +377,58 @@ class BlockOperator:
         if self._sparse is not None:
             m = self._sparse.matrix
             self._sparse._matvec(*self.shape, m.indptr, m.indices, m.data, v, out)
-        for g, m in self._dense:
-            _group_accumulate(g, m.T, v[None], out[None])
+        for g, mt in self._dense:
+            _group_apply(g, mt, v[None], out[None], accumulate=True)()
         return out
 
     def scaled(self, factor: float) -> "BlockOperator":
         """The operator times ``factor``, with the same groups."""
         sparse = None if self._sparse is None else CsrOperator(factor * self._sparse.matrix,
                                                                self._sparse._matvec)
-        return BlockOperator(self.shape[0], sparse, [(g, factor * m) for g, m in self._dense])
+        return BlockOperator(self.shape[0], sparse,
+                             [(g, factor * mt.T) for g, mt in self._dense])
 
     def bind(self, v: np.ndarray, out: np.ndarray, *,
              accumulate: bool = False) -> Callable[[], None]:
         """A call that writes M v into ``out``, or adds it with
         ``accumulate``, as :meth:`CsrOperator.bind` (without an offset).
         The dense groups are applied as in :meth:`affine`, to every row of
-        ``v`` at once."""
+        ``v`` at once; without ``accumulate`` they write their entries
+        straight, so ``out`` is cleared only for a CSR part."""
         v2, out2 = _operand_rows(v, out, self.shape)
-        first = (_resetter(out, None, accumulate) if self._sparse is None
-                 else self._sparse.bind(v, out, accumulate=accumulate))
-        return _in_order(first, *(partial(_group_accumulate, g, m.T, v2, out2)
-                                   for g, m in self._dense))
+        first = None if self._sparse is None else self._sparse.bind(v, out, accumulate=accumulate)
+        return _in_order(first, *(_group_apply(g, mt, v2, out2, accumulate)
+                                  for g, mt in self._dense))
 
 
-def _group_accumulate(g: ComponentGroup, mt: np.ndarray, v2: np.ndarray,
-                      out2: np.ndarray) -> None:
-    """out2 += (I ⊗ m ⊗ I_dim) v2 on the group's entries of each row of the
-    (k, n) arrays, given mt = mᵀ: one product over (member, coordinate)
-    rows and holder columns."""
-    k, copies, dim = v2.shape[0], g.copies, g.dim
-    x = v2[:, g.index].reshape(k, -1, copies, dim).swapaxes(2, 3).reshape(k, -1, copies)
-    out2[:, g.index] += (x @ mt).reshape(k, -1, dim, copies).swapaxes(2, 3).reshape(k, -1)
+def _group_apply(g: ComponentGroup, mt: np.ndarray, v2: np.ndarray, out2: np.ndarray,
+                 accumulate: bool) -> Callable[[], None]:
+    """A call that writes (I ⊗ m ⊗ I_dim) v2 into the group's entries of
+    each row of the (k, n) arrays, or adds it with ``accumulate``, given the
+    C-contiguous mt = mᵀ: one product over (member, coordinate) rows and
+    holder columns. A contiguous group of dimension 1 is a (members, copies)
+    view of each row, multiplied in place; any other is gathered into the
+    product's shape and scattered back."""
+    k, copies, dim, index = v2.shape[0], g.copies, g.dim, g.index
+    if dim == 1 and isinstance(index, slice):
+        x, y = v2[:, index].reshape(k, -1, copies), out2[:, index].reshape(k, -1, copies)
+        if not accumulate:
+            return partial(np.matmul, x, mt, out=y)
+
+        def add() -> None:
+            np.add(y, x @ mt, out=y)
+
+        return add
+
+    def apply() -> None:
+        x = v2[:, index].reshape(k, -1, copies, dim).swapaxes(2, 3).reshape(k, -1, copies)
+        product = (x @ mt).reshape(k, -1, dim, copies).swapaxes(2, 3).reshape(k, -1)
+        if accumulate:
+            out2[:, index] += product
+        else:
+            out2[:, index] = product
+
+    return apply
 
 
 def group_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
@@ -769,19 +794,22 @@ class EndLayout:
     # -- lemma-level runtime checks ---------------------------------------
 
     def verify_null_space_is_consensus(self, roots: Mapping[int, int]) -> bool:
-        """Rooted exchange graphs: null(stacked Laplacian) equals the consensus space."""
+        """Rooted exchange graphs: null(stacked Laplacian) equals the consensus space.
+
+        The stacked Laplacian is ⊕ (I ⊗ L ⊗ I_dim) over the component
+        groups, so its rank is the sum of members × dim × rank L, and it
+        sends the consensus space to zero when each group's L sends the ones
+        vector there: both are read from the copies × copies blocks.
+        """
         for p in self.partition.components:
             if not is_rooted(self.design[p].graph, roots[p]):
                 raise LayoutError(f"component {p} not rooted at {roots[p]}")
-        lap = self.laplacian_matrix().toarray()
-        rank = np.linalg.matrix_rank(lap, tol=1e-9)
-        if rank != self.stacked_dim - self.partition.total_dim:
-            return False
-        basis = np.eye(self.partition.total_dim)
-        for col in basis:
-            if np.linalg.norm(lap @ self.embed_consensus(col)) > 1e-9:
+        rank = 0
+        for g in self.groups:
+            if np.linalg.norm(g.laplacian @ np.ones(g.copies)) > 1e-9:
                 return False
-        return True
+            rank += len(g.members) * g.dim * int(np.linalg.matrix_rank(g.laplacian, tol=1e-9))
+        return rank == self.stacked_dim - self.partition.total_dim
 
     def verify_disagreement_bound(
         self, num_samples: int = 32, seed: int = 0

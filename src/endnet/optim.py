@@ -327,10 +327,12 @@ class AgentLoopStacked:
                 out[slices[p]] = g
         return out
 
-    def bind_subgradient(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        """A call that writes the subgradient at ``hat`` into ``out``."""
+    def bind_gradient(self, hat: np.ndarray, out: np.ndarray,
+                      sub: bool = False) -> Callable[[], None]:
+        """A call that writes the gradient at ``hat`` (the subgradient with
+        ``sub``) into ``out``."""
         def apply() -> None:
-            out[...] = self.gradient(hat, sub=True)
+            out[...] = self.gradient(hat, sub)
 
         return apply
 
@@ -364,12 +366,14 @@ class StackedQuadratic:
             g += self.l1 * np.sign(hat)
         return g
 
-    def bind_subgradient(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        """A call that writes the subgradient at ``hat`` into ``out``, with
-        the arithmetic of :meth:`gradient`, for these two fixed arrays."""
+    def bind_gradient(self, hat: np.ndarray, out: np.ndarray,
+                      sub: bool = False) -> Callable[[], None]:
+        """A call that writes the gradient at ``hat`` (the subgradient with
+        ``sub``) into ``out``, with the arithmetic of :meth:`gradient`, for
+        these two fixed arrays."""
         product = self.q_hat.bind(hat, out)
         c_hat, l1 = self.c_hat, self.l1
-        if l1 is None:
+        if not sub or l1 is None:
             def apply() -> None:
                 product()
                 np.add(out, c_hat, out=out)
@@ -656,21 +660,22 @@ def abc_step(
     z: np.ndarray,
     gamma: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    return _abc_step(matrices.operators(layout), stacked_form(layout, problem), y, z, gamma)
-
-
-def _abc_step(ops, stacked, y, z, gamma):
-    a_op, b_op, c_op = ops
-    y_new = a_op @ y - gamma * (b_op @ stacked.gradient(y)) - z
-    return y_new, z + c_op @ y_new
+    """One round of the two-matrix iteration: the round :func:`abc_solve`
+    runs, on buffers of its own."""
+    rounds = _TrackingRounds(layout, problem, gamma, y, z, matrices)
+    rounds.step()
+    return rounds.y, rounds.t
 
 
 def abc_merit(layout: EndLayout, problem: SeparableProblem, hat: np.ndarray,
               grad_star_norm: float, f_star: float) -> float:
-    return max(
-        float(np.linalg.norm(layout.disagreement(hat))) * grad_star_norm,
-        abs(stacked_value(layout, problem, hat) - f_star),
-    )
+    return _merit(float(np.linalg.norm(layout.disagreement(hat))),
+                  stacked_value(layout, problem, hat), grad_star_norm, f_star)
+
+
+def _merit(spread: float, value: float, grad_star_norm: float, f_star: float) -> float:
+    """The merit from the norm of the disagreement and the stacked cost."""
+    return max(spread * grad_star_norm, abs(value - f_star))
 
 
 def abc_bound_constant(
@@ -736,37 +741,117 @@ def abc_solve(
     reference: np.ndarray | None = None,
     merit_every: int = 1,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Run the two-matrix iteration from z0 = 0 and track the ergodic merit."""
+    """Run the two-matrix iteration from z0 = 0 and track the ergodic merit;
+    the trace is as :func:`augdgm_solve`'s."""
     bound = matrices.gamma_bound(problem)
     if not 0.0 < gamma < bound:
         warnings.warn(
             f"step size {gamma} outside the certified interval (0, {bound:.6g})",
             stacklevel=2,
         )
-    y = np.zeros(layout.stacked_dim) if y0 is None else np.asarray(y0, dtype=float).copy()
-    z = np.zeros(layout.stacked_dim)
+    y = np.zeros(layout.stacked_dim) if y0 is None else y0
+    rounds = _TrackingRounds(layout, problem, gamma, y, np.zeros(layout.stacked_dim),
+                             matrices)
     trace = RunTrace(meta={"gamma": gamma, "gamma_bound": bound})
+    return _track(layout, problem, rounds, trace, "stacked iterate", max_iters, reference,
+                  merit_every)
+
+
+class _TrackingRounds:
+    """Gradient-tracking rounds run in place, on buffers allocated once.
+
+    The iterate ``y``, the tracking variable ``t`` (v of AugDGM, z of ABC),
+    two gradient buffers and one scratch vector are allocated here, and the
+    stacked operators and the gradient are bound to them, so a round
+    allocates nothing. Without ``matrices`` a round is AugDGM's
+    y ← W(y − γv), v ← W(v + ∇f(y) − g), the two gradient buffers taking
+    turns as the new gradient and the old one, g; with them it is ABC's
+    y ← A y − γ B∇f(y) − z, z ← z + C y, with A y formed in the second
+    gradient buffer. Each vector is formed in the order the formulas read,
+    and C y is added to z from the scratch vector, not accumulated into it,
+    so that layouts applied only in CSR give the iterates of the allocating
+    expressions bit for bit.
+    """
+
+    def __init__(self, layout: EndLayout, problem: SeparableProblem, gamma: float,
+                 y: np.ndarray, t: np.ndarray, matrices: AbcMatrices | None = None):
+        n = layout.stacked_dim
+        self.y, self.t = np.array(y, dtype=float), np.array(t, dtype=float)
+        self._g = (np.zeros(n), np.zeros(n))
+        self._s = np.empty(n)
+        self._gamma = gamma
+        stacked = stacked_form(layout, problem)
+        self._gradient = tuple(stacked.bind_gradient(self.y, g) for g in self._g)
+        self._turn = 0
+        if matrices is None:
+            w = layout.weight_operator
+            self._mix_y, self._mix_t = w.bind(self._s, self.y), w.bind(self._s, self.t)
+            self._gradient[0]()
+        else:
+            a, b, c = matrices.operators(layout)
+            self._a_y = a.bind(self.y, self._g[1])
+            self._b_g = b.bind(self._g[0], self._s)
+            self._c_y = c.bind(self.y, self._s)
+        self._abc = matrices is not None
+
+    def step(self) -> None:
+        if self._abc:
+            self._abc_round()
+        else:
+            self._augdgm_round()
+
+    def _augdgm_round(self) -> None:
+        y, v, s, turn = self.y, self.t, self._s, self._turn
+        np.multiply(v, self._gamma, out=s)
+        np.subtract(y, s, out=s)
+        self._mix_y()
+        self._gradient[1 - turn]()
+        np.add(v, self._g[1 - turn], out=s)
+        np.subtract(s, self._g[turn], out=s)
+        self._mix_t()
+        self._turn = 1 - turn
+
+    def _abc_round(self) -> None:
+        y, z, s, a_y = self.y, self.t, self._s, self._g[1]
+        self._gradient[0]()
+        self._b_g()
+        np.multiply(s, self._gamma, out=s)
+        self._a_y()
+        np.subtract(a_y, s, out=a_y)
+        np.subtract(a_y, z, out=y)
+        self._c_y()
+        np.add(z, s, out=z)
+
+
+def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds,
+           trace: RunTrace, what: str, max_iters: int, reference: np.ndarray | None,
+           merit_every: int) -> tuple[np.ndarray, RunTrace]:
+    """The loop of both tracking solvers; see :func:`augdgm_solve`."""
+    if max_iters < 1 or merit_every < 1:
+        raise OptimError("gradient tracking needs max_iters >= 1 and merit_every >= 1")
+    stacked = stacked_form(layout, problem)
     grad_star_norm = f_star = None
     if reference is not None:
         hat_star = layout.embed_consensus(np.asarray(reference, dtype=float))
-        grad_star_norm = float(np.linalg.norm(stacked_gradient(layout, problem, hat_star)))
-        f_star = stacked_value(layout, problem, hat_star)
+        grad_star_norm = float(np.linalg.norm(stacked.gradient(hat_star)))
+        f_star = stacked.value(hat_star)
+    y = rounds.y
     running = np.zeros_like(y)
-    guard = divergence_guard(y, "stacked iterate")
-    ops, stacked = matrices.operators(layout), stacked_form(layout, problem)
+    guard = divergence_guard(y, what)
+    start = time.perf_counter()
     for k in range(1, max_iters + 1):
-        y, z = _abc_step(ops, stacked, y, z, gamma)
+        rounds.step()
         guard(y, k)
         running += y
         if k % merit_every == 0 or k == max_iters:
-            record = {"k": k,
-                      "consensus_err": float(np.linalg.norm(layout.disagreement(y)))}
+            spread = float(np.linalg.norm(layout.disagreement(y)))
+            record = {"k": k, "consensus_err": spread}
             if reference is not None:
-                avg = running / k
-                record["merit_avg"] = abc_merit(layout, problem, avg,
+                record["merit_avg"] = abc_merit(layout, problem, running / k,
                                                 grad_star_norm, f_star)
-                record["merit"] = abc_merit(layout, problem, y, grad_star_norm, f_star)
+                record["merit"] = _merit(spread, stacked.value(y), grad_star_norm, f_star)
             trace.append(**record)
+    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / max_iters
     trace.meta["running_average"] = running / max_iters
     return y, trace
 
@@ -797,6 +882,14 @@ def augdgm_matrices(layout: EndLayout) -> AbcMatrices:
     return AbcMatrices(a, b, c, d)
 
 
+def augdgm_gamma_bound(problem: SeparableProblem) -> float:
+    """The step bound of :func:`augdgm_matrices` without building them: with
+    D = I it is 1 / the smoothness constant."""
+    if problem.smooth_lipschitz is None:
+        raise OptimError("step bound needs the smoothness constant")
+    return 1.0 / problem.smooth_lipschitz
+
+
 def augdgm_step(
     layout: EndLayout,
     problem: SeparableProblem,
@@ -804,16 +897,11 @@ def augdgm_step(
     v: np.ndarray,
     gamma: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    stacked = stacked_form(layout, problem)
-    y_new, v_new, _ = _augdgm_step(layout.weight_operator, stacked, y, v,
-                                   stacked.gradient(y), gamma)
-    return y_new, v_new
-
-
-def _augdgm_step(w_op, stacked, y, v, g_old, gamma):
-    y_new = w_op @ (y - gamma * v)
-    g_new = stacked.gradient(y_new)
-    return y_new, w_op @ (v + g_new - g_old), g_new
+    """One gradient-tracking round, with the old gradient taken at ``y``:
+    the round :func:`augdgm_solve` runs, on buffers of its own."""
+    rounds = _TrackingRounds(layout, problem, gamma, y, v)
+    rounds.step()
+    return rounds.y, rounds.t
 
 
 def augdgm_solve(
@@ -824,34 +912,21 @@ def augdgm_solve(
     reference: np.ndarray | None = None,
     merit_every: int = 1,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Gradient tracking from y0 = 0, v0 = W grad(0)."""
+    """Gradient tracking from y0 = 0, v0 = W grad(0).
+
+    Every ``merit_every`` steps and at the last one the trace records the
+    norm of the disagreement of y and, with a reference optimum, the merit
+    of y and of the running average. ``running_average`` in the trace
+    metadata is the average of all iterates, and ``us_per_step`` the wall
+    time of the iteration loop, checks included, per step. The rounds are
+    :class:`_TrackingRounds`.
+    """
     _check_symmetric_doubly_stochastic(layout)
     y = np.zeros(layout.stacked_dim)
-    w_op, stacked = layout.weight_operator, stacked_form(layout, problem)
-    g = stacked.gradient(y)
-    v = w_op @ g
-    trace = RunTrace(meta={"gamma": gamma})
-    grad_star_norm = f_star = None
-    if reference is not None:
-        hat_star = layout.embed_consensus(np.asarray(reference, dtype=float))
-        grad_star_norm = float(np.linalg.norm(stacked_gradient(layout, problem, hat_star)))
-        f_star = stacked_value(layout, problem, hat_star)
-    running = np.zeros_like(y)
-    guard = divergence_guard(y, "tracking iterate")
-    for k in range(1, max_iters + 1):
-        y, v, g = _augdgm_step(w_op, stacked, y, v, g, gamma)
-        guard(y, k)
-        running += y
-        if k % merit_every == 0 or k == max_iters:
-            record = {"k": k,
-                      "consensus_err": float(np.linalg.norm(layout.disagreement(y)))}
-            if reference is not None:
-                record["merit_avg"] = abc_merit(layout, problem, running / k,
-                                                grad_star_norm, f_star)
-                record["merit"] = abc_merit(layout, problem, y, grad_star_norm, f_star)
-            trace.append(**record)
-    trace.meta["running_average"] = running / max_iters
-    return y, trace
+    v = layout.weight_operator @ stacked_gradient(layout, problem, y)
+    rounds = _TrackingRounds(layout, problem, gamma, y, v)
+    return _track(layout, problem, rounds, RunTrace(meta={"gamma": gamma}), "tracking iterate",
+                  max_iters, reference, merit_every)
 
 
 def tracking_sum_residual(layout: EndLayout, problem: SeparableProblem,
@@ -925,7 +1000,7 @@ class _PushSumRounds:
         self.y = np.zeros(n)
         self._scaled = np.empty(n)
         stacked = stacked_form(layout, problem)
-        self._gradient = tuple(stacked.bind_subgradient(self.y, g)
+        self._gradient = tuple(stacked.bind_gradient(self.y, g, sub=True)
                                for _, _, g in self._parts)
         self._mixers = weakref.WeakKeyDictionary()
         self._turn = 0

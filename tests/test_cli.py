@@ -19,6 +19,7 @@ from endnet.cli import (
     EXIT_OK,
     main,
 )
+from endnet.optim import augdgm_matrices
 from endnet.scenarios import SensorScenario, build_lasso
 
 
@@ -223,7 +224,9 @@ def test_missing_field_is_config_error(tmp_path):
     ({"arm": "custom"}, "unknown arm 'custom'"),
     ({"run": {"algorithm": "admmm"}}, "unknown algorithm 'admmm'"),
     ({"run": {"algorithm": "gne"}}, "gne solver requires a unicast scenario"),
-], ids=["arm", "algorithm", "algorithm-for-kind"])
+    ({"run": {"algorithm": "augdgm", "gama": 3}}, "unknown field(s) 'gama' in a run of augdgm"),
+    ({"run": {"max_iters": 50, "tol": 1e-3}}, "unknown field(s) 'tol' in a run of augdgm"),
+], ids=["arm", "algorithm", "algorithm-for-kind", "misspelt-field", "field-of-another-solver"])
 def test_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, mistake, message):
     """A run config the solver would refuse fails the dry run too, with the
     same message."""
@@ -233,6 +236,67 @@ def test_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, mistake, message
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                      *extra]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+class _FieldsRead(dict):
+    """A run config that records every field the solver looks up."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("scenario, run", [
+    ({"kind": "unicast", "preset": "reference", "seed": 0},
+     {"max_iters": 50, "reference_max_iters": 50}),
+    ({"kind": "random_game", "num_agents": 4, "sparsity": 0.4, "seed": 0}, {"max_iters": 50}),
+    (SEP_SCENARIO, {"algorithm": "augdgm", "max_iters": 50}),
+    (SEP_SCENARIO, {"algorithm": "abc", "max_iters": 50}),
+    (SEP_SCENARIO, {"algorithm": "admm", "max_iters": 50}),
+    # the default push-sum step carries this instance's iterate past the
+    # divergence guard before it comes back; 600 steps end below it
+    ({"kind": "regression", "num_sensors": 8, "num_sources": 3, "comm_radius_min": 0.45,
+      "comm_radius_width": 0.1}, {"max_iters": 600}),
+    ({"kind": "coupled_qp", "num_agents": 4, "dim": 2, "seed": 0}, {"max_iters": 50}),
+], ids=["gne", "ne", "augdgm", "abc", "admm", "pushsum", "dual"])
+def test_run_fields_are_the_fields_each_solver_reads(scenario, run):
+    """The fields ``_check_run`` accepts for an algorithm are the ones its
+    solver branch looks up, neither more nor fewer."""
+    bundle = cli.build_scenario(scenario, None)
+    run_cfg = _FieldsRead(run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = cli.run_solver(bundle, run_cfg, "customized")
+    assert run_cfg.read == {"algorithm", *cli._RUN_FIELDS[result["algorithm"]]}
+
+
+def test_augdgm_step_bound_builds_no_tracking_matrices(monkeypatch):
+    """The certified step bound of augdgm and abc is 1 / the smoothness
+    constant, the tracking matrices' bound bit for bit; augdgm builds no
+    tracking matrices and abc builds them once."""
+    bundle = cli.build_scenario(SEP_SCENARIO, None)
+    built = []
+    monkeypatch.setattr(cli, "augdgm_matrices",
+                        lambda layout: built.append(layout) or augdgm_matrices(layout))
+    for arm, layout in zip(("standard", "customized"), bundle["layouts"]):
+        expected = augdgm_matrices(layout).gamma_bound(bundle["problem"])
+        for algorithm in ("augdgm", "abc"):
+            result = cli.run_solver(bundle, {"algorithm": algorithm, "max_iters": 20}, arm)
+            assert result["certified"]["gamma_bound"] == expected
+            assert built == ([layout] if algorithm == "abc" else [])
+            built.clear()
 
 
 @pytest.mark.parametrize("change,message", [
@@ -260,6 +324,19 @@ def test_admm_alpha_out_of_range_is_config_error(tmp_path):
         })
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("field", ["max_iters", "merit_every"])
+def test_tracking_without_steps_or_records_is_config_error(tmp_path, capsys, field):
+    """No step, or a record every 0 steps, is refused with a message (no
+    step used to end in a KeyError on the empty trace)."""
+    for algorithm in ("augdgm", "abc"):
+        cfg = _write_config(tmp_path, "none.json", {
+            "scenario": SEP_SCENARIO,
+            "run": {"algorithm": algorithm, "max_iters": 10, field: 0},
+        })
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "max_iters >= 1 and merit_every >= 1" in capsys.readouterr().err
 
 
 def test_divergent_step_size_is_divergence_error(tmp_path):
@@ -405,11 +482,12 @@ def test_log_level_applies_inside_a_host_that_configured_logging(tmp_path, monke
     ({"kind": "regression", "num_sensors": 8, "num_sources": 3,
       "comm_radius_min": 0.45, "comm_radius_width": 0.1},
      {"max_iters": 600, "stop_tol": 1e-2}),
-], ids=["unicast", "regression"])
+    (SEP_SCENARIO, {"algorithm": "augdgm", "max_iters": 400, "merit_every": 20}),
+], ids=["unicast", "regression", "augdgm"])
 def test_us_per_step_reaches_the_summary_and_never_the_trace(tmp_path, scenario, run):
-    """gne and push-sum report their wall time per step in the summary's
-    trace_meta; the trace CSVs of two runs of one config and seed stay the
-    same bytes."""
+    """gne, push-sum and gradient tracking report their wall time per step
+    in the summary's trace_meta; the trace CSVs of two runs of one config
+    and seed stay the same bytes."""
     cfg = _write_config(tmp_path, "cfg.json", {"scenario": scenario, "arm": "customized",
                                               "run": run})
     outs = [tmp_path / "a", tmp_path / "b"]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endnet import cli, games
@@ -71,6 +71,7 @@ from endnet.optim import (
     SeparableProblem,
     StackedQuadratic,
     _NegatedDual,
+    _TrackingRounds,
     abc_solve,
     abc_step,
     admm_solve,
@@ -461,13 +462,16 @@ def test_grouped_operator_matches_component_loop(kind, dims, num_agents, seed):
 @given(st.sampled_from(["standard", "designed", "mixed", "reweight"]),
        st.lists(st.integers(1, 3), min_size=1, max_size=6),
        st.integers(3, 6), st.integers(0, 2**16))
+@example("standard", [1, 1, 1], 5, 0)  # one contiguous group of dimension 1
+@example("standard", [1, 2, 1], 4, 0)  # groups that are not contiguous
 @settings(max_examples=40, deadline=None)
 def test_bound_apply_matches_the_csr_operator(kind, dims, num_agents, seed):
     """An operator bound to one vector or to two rows at once, overwriting
     and accumulating, against its whole CSR matrix; a bound apply reads the
-    arrays' values at each call, and two rows at once give what each gives
-    alone. Also the transpose, the scaled operator, ``affine``, and a fused
-    CSR operator bound with an offset."""
+    arrays' values at each call, writes every entry (the result starts as
+    nan), and two rows at once give what each gives alone. Also the
+    transpose, the scaled operator, ``affine``, and a fused CSR operator
+    bound with an offset."""
     layout = grouped_layout(kind, tuple(dims), num_agents, seed)
     rng = np.random.default_rng(seed)
     per_group = layout.group_blocks({g.lead: rng.standard_normal((g.copies,) * 2)
@@ -492,6 +496,8 @@ def test_bound_apply_matches_the_csr_operator(kind, dims, num_agents, seed):
         before = out.copy()
         op.bind(v, out, accumulate=True)()
         assert all(close(out[r], before[r] + op.matrix @ v[r]) for r in range(2))
+        op.bind(v[0], out[1], accumulate=True)()
+        assert close(out[1], before[1] + op.matrix @ v[1] + op.matrix @ v[0])
         assert close(op.scaled(-0.5) @ v[0], -0.5 * (op @ v[0]))
         matrix = CsrOperator(op.matrix)
         matrix.bind(v, out, offset=offset)()
@@ -605,6 +611,171 @@ def test_single_component_groups_keep_their_csr_bit_for_bit(monkeypatch):
         ref = old_abc[0] @ ref - gamma * (old_abc[1] @ stacked.gradient(ref)) - z
         z = z + old_abc[2] @ ref
     assert np.array_equal(y_abc, ref)
+
+
+def alloc_tracking_records(layout, problem, gamma, steps, reference, every, matrices=None):
+    """The tracking solvers' iterates, records and running average with a
+    round that allocates its vectors, as the solvers ran before their rounds
+    went in place; the disagreement is the component loop's."""
+    stacked = stacked_form(layout, problem)
+    y = np.zeros(layout.stacked_dim)
+    if matrices is None:
+        w = layout.weight_operator
+        g = stacked.gradient(y)
+        t = w @ g
+    else:
+        a_op, b_op, c_op = matrices.operators(layout)
+        t = np.zeros(layout.stacked_dim)
+    hat_star = layout.embed_consensus(reference)
+    grad_star_norm = float(np.linalg.norm(stacked.gradient(hat_star)))
+    f_star = stacked.value(hat_star)
+
+    def spread(hat):
+        return float(np.linalg.norm(hat - loop_consensus_projection(layout, hat)))
+
+    def merit(hat):
+        return max(spread(hat) * grad_star_norm, abs(stacked.value(hat) - f_star))
+
+    path, records, running = [], [], np.zeros_like(y)
+    for k in range(1, steps + 1):
+        if matrices is None:
+            y = w @ (y - gamma * t)
+            g_new = stacked.gradient(y)
+            t, g = w @ (t + g_new - g), g_new
+        else:
+            y = a_op @ y - gamma * (b_op @ stacked.gradient(y)) - t
+            t = t + c_op @ y
+        path.append((y, t))
+        running += y
+        if k % every == 0 or k == steps:
+            records.append((spread(y), merit(running / k), merit(y)))
+    return path, records, running / steps
+
+
+@pytest.mark.parametrize("kind, dims", [
+    ("standard", (1,) * 6), ("standard", (2, 1, 2, 3, 1, 2)),
+    ("designed", (1, 2, 1, 3, 1, 2)), ("mixed", (1, 2, 1, 3, 1, 2))])
+def test_tracking_rounds_match_the_allocating_rounds(kind, dims):
+    """augdgm_step and abc_step iterated for 200 steps, and both solvers'
+    records and running averages, against rounds that allocate their
+    vectors, on layouts with one shared group, with groups of mixed
+    dimensions, and with single components only."""
+    layout = grouped_layout(kind, dims, 7, 4)
+    rng = np.random.default_rng(4)
+    problem = random_quadratic(rng, dims, [layout.needed_by(i) for i in layout.agents])
+    reference = problem.solve_reference()
+    matrices = augdgm_matrices(layout)
+    gamma = 0.5 * matrices.gamma_bound(problem)
+    for solve, m in ((augdgm_solve, None), (abc_solve, matrices)):
+        path, records, running = alloc_tracking_records(layout, problem, gamma, 200, reference,
+                                                        10, m)
+        zero = np.zeros(layout.stacked_dim)
+        if m is None:
+            y, t = zero, layout.weight_operator @ stacked_gradient(layout, problem, zero)
+        else:
+            y, t = zero, zero
+        for k, (y_ref, t_ref) in enumerate(path):
+            if m is None:
+                y, t = augdgm_step(layout, problem, y, t, gamma)
+            else:
+                y, t = abc_step(layout, m, problem, y, t, gamma)
+            assert close(y, y_ref) and close(t, t_ref), (solve.__name__, k)
+        args = (layout, problem) if m is None else (layout, m, problem)
+        y, trace = solve(*args, gamma, max_iters=200, reference=reference, merit_every=10)
+        assert close(y, path[-1][0])
+        assert close(trace.meta["running_average"], running)
+        assert trace.columns["k"] == [float(k) for k in range(10, 201, 10)]
+        for name, column in zip(("consensus_err", "merit_avg", "merit"), zip(*records)):
+            assert close(trace.columns[name], column), (solve.__name__, name)
+        assert trace.meta["us_per_step"] > 0
+
+
+def test_tracking_rounds_allocate_no_stacked_vector():
+    """A tracking round on a standard layout (one contiguous group of
+    dimension 1, multiplied into the bound output) and on a designed one
+    (CSR only) allocates less than one stacked vector, and the traced peak
+    of 400 steps of augdgm_solve exceeds that of 200 steps by less than a
+    few stacked vectors."""
+    rng = np.random.default_rng(14)
+    num_agents, num_components = 30, 60
+    interference = random_interference(rng, num_components, num_agents, density=0.1)
+    footprints = [tuple(sorted(p for p, j in interference if j == i))
+                  for i in range(1, num_agents + 1)]
+    problem = random_quadratic(rng, (1,) * num_components, footprints)
+    reference = problem.solve_reference()
+    crit = DesignCriterion(ConnectivityMode.undirected_connected(), objective="min_edges")
+    partition = Partition((1,) * num_components)
+    for layout in (standard_layout(ring(num_agents), interference, partition),
+                   design_layout(ring(num_agents), interference, partition, crit)):
+        n = layout.stacked_dim
+        matrices = augdgm_matrices(layout)
+        gamma = 0.5 * matrices.gamma_bound(problem)
+        for m in (None, matrices):
+            rounds = _TrackingRounds(layout, problem, gamma, np.zeros(n), np.zeros(n), m)
+            rounds.step()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                for _ in range(5):
+                    rounds.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - start < 8 * n, (n, m is None)
+        peaks = []
+        augdgm_solve(layout, problem, gamma, max_iters=10)  # compiles the stacked forms
+        for steps in (200, 400):
+            tracemalloc.start()
+            try:
+                augdgm_solve(layout, problem, gamma, max_iters=steps, reference=reference,
+                             merit_every=10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 3 * 8 * n, peaks
+
+
+def dense_null_space_is_consensus(layout):
+    """The null-space check on the densified stacked Laplacian."""
+    lap = layout.laplacian_matrix().toarray()
+    if np.linalg.matrix_rank(lap, tol=1e-9) != layout.stacked_dim - layout.partition.total_dim:
+        return False
+    return all(np.linalg.norm(lap @ layout.embed_consensus(col)) <= 1e-9
+               for col in np.eye(layout.partition.total_dim))
+
+
+@pytest.mark.parametrize("kind, dims", [
+    ("standard", (1,) * 4), ("standard", (2, 1, 2, 3)),
+    ("designed", (1, 2, 1, 3, 1, 2)), ("mixed", (1, 2, 1, 3, 1, 2)), ("weak", (1, 2, 1))])
+def test_null_space_check_matches_the_dense_laplacian(kind, dims):
+    """The null-space check read from each group's copies × copies
+    Laplacian against the dense stacked Laplacian's rank, including
+    ("weak") a shared path whose one 1e-12 weight leaves a second null
+    vector at the rank tolerance; and, on 2,000 stacked entries, a traced
+    peak far below one stacked-dim² matrix."""
+    if kind == "weak":
+        path = Graph.undirected_graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+        w = weighted(path, "metropolis").matrix()
+        w[0, 1] = w[1, 0] = 1e-12
+        shared = WeightedGraph.from_matrix(path, w)
+        layout = standard_layout(path, random_interference(np.random.default_rng(0), 3, 4),
+                                 Partition(dims))
+        layout = dataclasses.replace(layout, design={p: shared for p in layout.design})
+    else:
+        layout = grouped_layout(kind, dims, 6, 5)
+    roots = {p: layout.holders(p)[0] for p in layout.partition.components}
+    expected = dense_null_space_is_consensus(layout)
+    assert expected == (kind != "weak")
+    assert layout.verify_null_space_is_consensus(roots) == expected
+    big = standard_layout(ring(20), frozenset((p, 1) for p in range(1, 101)),
+                          Partition((1,) * 100))
+    tracemalloc.start()
+    try:
+        assert big.verify_null_space_is_consensus({p: 1 for p in range(1, 101)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * big.stacked_dim ** 2 / 100
 
 
 def test_tracking_setup_memory_is_linear_on_a_shared_layout(monkeypatch):
