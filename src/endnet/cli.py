@@ -204,6 +204,36 @@ _SENSOR_FIELDS = {
 }
 
 
+# the fields each scenario kind reads, besides "kind"; a unicast preset
+# reads only its seed
+_SCENARIO_FIELDS = {
+    "unicast": ("num_users", "max_path_len", "extra_edge_prob", "relay_prob", "alpha",
+                "beta", "seed"),
+    "unicast preset": ("preset", "seed"),
+    "regression": tuple(_SENSOR_FIELDS),
+    "lasso": tuple(_SENSOR_FIELDS),
+    "random_game": ("num_agents", "sparsity", "shift", "topology", "seed"),
+    "random_separable": ("num_agents", "num_components", "sparsity", "topology", "seed"),
+    "coupled_qp": ("num_agents", "dim", "box_bound", "topology", "seed"),
+}
+_PRESETS = ("reference",)
+
+
+def _check_scenario_fields(cfg: dict, kind: str) -> None:
+    """Reject a field the scenario kind does not read, naming it."""
+    form, what = kind, f"{kind} scenario"
+    if kind == "unicast" and "preset" in cfg:
+        if cfg["preset"] not in _PRESETS:
+            raise ConfigError(f"unknown preset {cfg['preset']!r} "
+                              f"(expected {', '.join(_PRESETS)})")
+        form, what = "unicast preset", "unicast scenario with a preset"
+    allowed = _SCENARIO_FIELDS[form]
+    unknown = sorted(set(cfg) - {"kind", *allowed})
+    if unknown:
+        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a "
+                          f"{what} (expected {', '.join(allowed)})")
+
+
 def _comm_graph(topology: str, n: int) -> Graph:
     nodes = range(1, n + 1)
     if topology == "complete":
@@ -263,9 +293,12 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("scenario block must be an object with a 'kind' field")
     kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in _DEFAULT_ALGORITHM:
+        raise ConfigError(f"unknown scenario kind {kind!r}")
+    _check_scenario_fields(cfg, kind)
     seed = int(seed_override) if seed_override is not None else _read(cfg, "seed", int, 0)
     if kind == "unicast":
-        if cfg.get("preset") == "reference":
+        if "preset" in cfg:
             sc = reference_scheme_unicast(seed)
         else:
             sc = sample_unicast(
@@ -281,10 +314,6 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
                 "layouts": (inst.standard[0], inst.customized[0]),
                 "mode": ConnectivityMode.undirected_connected()}
     if kind in ("regression", "lasso"):
-        unknown = sorted(set(cfg) - {"kind", *_SENSOR_FIELDS})
-        if unknown:
-            raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a "
-                              f"{kind} scenario (expected {', '.join(_SENSOR_FIELDS)})")
         fields = {k: _read(cfg, k, convert) for k, convert in _SENSOR_FIELDS.items()
                   if k in cfg or k in ("num_sensors", "num_sources")}
         fields["seed"] = seed
@@ -315,9 +344,7 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
         return {"kind": kind, "problem": problem, "reference": y_star,
                 "layouts": (std, cust),
                 "mode": ConnectivityMode.undirected_connected()}
-    if kind == "coupled_qp":
-        return _build_coupled_qp(cfg, seed)
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+    return _build_coupled_qp(cfg, seed)  # the one kind left
 
 
 _DEFAULT_ALGORITHM = {

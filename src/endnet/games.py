@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .layout import BlockOperator, CsrOperator, EndLayout
-from .trace import RunTrace, divergence_guard
+from .trace import RowBlocks, RunTrace, divergence_guard
 
 
 class GameError(ValueError):
@@ -426,13 +426,16 @@ def ne_solve(
     """Iterate the pseudo-gradient dynamics to a fixed point.
 
     With a reference equilibrium the trace records the weighted distance
-    and the per-step squared contraction ratio.
+    and the per-step squared contraction ratio. ``us_per_step`` in the
+    trace metadata is the wall time of the iteration loop, checks included,
+    per step.
     """
     hat = np.zeros(layout.stacked_dim) if hat0 is None else np.asarray(hat0, float).copy()
     ref_hat = None if reference is None else layout.embed_consensus(np.asarray(reference, float))
     trace = RunTrace(meta={"alpha": alpha})
     guard = divergence_guard(hat, f"iterate (alpha={alpha})")
     prev_dist = None
+    start = time.perf_counter()
     for k in range(max_iters):
         nxt = ne_step(layout, game, hat, alpha)
         step = float(np.linalg.norm(nxt - hat))
@@ -453,6 +456,8 @@ def ne_solve(
             break
         if ref_hat is None and step < tol:
             break
+    # one record per step
+    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / max(len(trace), 1)
     return hat, trace
 
 
@@ -947,6 +952,12 @@ def gne_solve(
     guard = divergence_guard(x0, "primal iterate")
     # |consensus projection of s|^2 = sum over components of (copy sum)^2 / copies
     max_invariant2 = 0.0
+
+    def fold(block: np.ndarray) -> None:
+        nonlocal max_invariant2
+        max_invariant2 = max(max_invariant2, float(np.max(np.einsum("ij,ij->i", block, block))))
+
+    norms = RowBlocks(rounds.state.s_norms.size, fold)
     start = time.perf_counter()
     for k in range(max_iters):
         rounds.step()
@@ -955,7 +966,7 @@ def gne_solve(
         if track_invariant:
             # the norms belong to the s_hat this round started from; the
             # final s_hat is measured after the loop
-            max_invariant2 = max(max_invariant2, float(now.s_norms @ now.s_norms))
+            norms.push(now.s_norms)
         if (k + 1) % check_every == 0 or k == max_iters - 1:
             # the primal step drives alpha*F + A^T lam_hat to zero, so the
             # copies track alpha-scaled multipliers
@@ -975,6 +986,7 @@ def gne_solve(
                 done = done and residual <= residual_tol
             if done:
                 break
+    norms.flush()
     trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
     state = _state(rounds)
     if track_invariant:

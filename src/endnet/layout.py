@@ -189,12 +189,26 @@ class CsrOperator:
 
         ``v`` and ``out`` are fixed arrays that the call reads and writes on
         every use; see :func:`_operand_rows` for their shapes, which are
-        checked here and never again.
+        checked here and never again. k rows are one kernel call over
+        I_k ⊗ M, built here: each row of it holds the entries of a row of
+        M in the same order, so every row is summed as a single bound row
+        would be.
         """
-        m = self.matrix
-        return _in_order(_resetter(out, offset, accumulate), *(
-            partial(self._matvec, *self.shape, m.indptr, m.indices, m.data, vr, outr)
-            for vr, outr in zip(*_operand_rows(v, out, self.shape))))
+        v2, out2 = _operand_rows(v, out, self.shape)
+        m = _diagonal_copies(self.matrix, len(v2))
+        return _in_order(_resetter(out, offset, accumulate), partial(
+            self._matvec, *m.shape, m.indptr, m.indices, m.data, v2.ravel(), out2.ravel()))
+
+
+def _diagonal_copies(m: sp.csr_matrix, k: int) -> sp.csr_matrix:
+    """I_k ⊗ m, every row with the entries of m's row in m's order."""
+    if k == 1:
+        return m
+    rows, cols = m.shape
+    copy = np.arange(k)[:, None]
+    indptr = np.append((m.indptr[:-1] + m.nnz * copy).ravel(), k * m.nnz)
+    indices = (m.indices + cols * copy).ravel()
+    return sp.csr_matrix((np.tile(m.data, k), indices, indptr), shape=(k * rows, k * cols))
 
 
 def _operand_rows(v: np.ndarray, out: np.ndarray,
@@ -231,7 +245,7 @@ def _resetter(out: np.ndarray, offset, accumulate: bool) -> Callable[[], None] |
         return partial(out.fill, 0.0)
     offset = np.asarray(offset, dtype=float)
     np.broadcast_to(offset, out.shape)  # fails now, not on the first call
-    return partial(np.copyto, out, offset)
+    return partial(out.__setitem__, Ellipsis, offset)
 
 
 def _in_order(*calls: Callable[[], None] | None) -> Callable[[], None]:
@@ -493,10 +507,6 @@ class EndLayout:
     def needed_by(self, i: int) -> tuple[int, ...]:
         """Components indispensable for agent i, ascending."""
         return self._needs.get(i, ())
-
-    @property
-    def estimate_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((p, i) for p in self.partition.components for i in self.holders(p))
 
     @property
     def stacked_dim(self) -> int:
@@ -850,28 +860,23 @@ class EndLayout:
 
         unicast: one unit per scalar sent over one edge; broadcast: one unit
         per scalar broadcast by an agent holding a block with at least one
-        out-neighbor.
+        out-neighbor. Each component group's exchange graph is counted once,
+        times its members and dimension.
         """
         if mode == "unicast":
-            total = 0
-            for p in self.partition.components:
-                g = self.design[p].graph
-                loops = sum((v, v) in g.edges for v in g.nodes)
-                total += (len(g.edges) - loops) * self.partition.dim(p)
-            return float(total)
-        if mode == "broadcast":
-            total = 0
-            for p in self.partition.components:
-                g = self.design[p].graph
-                for i in g.nodes:
-                    if any(v != i for v in g.out_neighbors(i)):
-                        total += self.partition.dim(p)
-            return float(total)
-        raise LayoutError(f"unknown communication mode {mode!r}")
+            def per_copy(g: Graph) -> int:
+                return sum(u != v for u, v in g.edges)
+        elif mode == "broadcast":
+            def per_copy(g: Graph) -> int:
+                return sum(any(v != i for v in g.out_neighbors(i)) for i in g.nodes)
+        else:
+            raise LayoutError(f"unknown communication mode {mode!r}")
+        return float(sum(len(grp.members) * grp.dim * per_copy(grp.weights.graph)
+                         for grp in self.groups))
 
     def mean_estimate_count(self) -> float:
         """Mean number of component copies per agent."""
-        return len(self.estimate_edges) / len(self.agents)
+        return sum(len(g.members) * g.copies for g in self.groups) / len(self.agents)
 
     # -- serialization ------------------------------------------------------
 

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .graphs import Graph, column_stochastic_weights, intersect, restrict
 from .layout import BlockOperator, CsrOperator, EndLayout
-from .trace import RunTrace, divergence_guard
+from .trace import BLOCK_ROWS, RowBlocks, RunTrace, divergence_guard
 
 
 class OptimError(ValueError):
@@ -361,7 +361,8 @@ class StackedQuadratic:
         return val
 
     def gradient(self, hat: np.ndarray, sub: bool = False) -> np.ndarray:
-        g = self.q_hat @ hat + self.c_hat
+        # Q̂ŷ accumulated onto ĉ, as the bound gradient forms it
+        g = self.q_hat.affine(hat, self.c_hat)
         if sub and self.l1 is not None:
             g += self.l1 * np.sign(hat)
         return g
@@ -370,20 +371,16 @@ class StackedQuadratic:
                       sub: bool = False) -> Callable[[], None]:
         """A call that writes the gradient at ``hat`` (the subgradient with
         ``sub``) into ``out``, with the arithmetic of :meth:`gradient`, for
-        these two fixed arrays."""
-        product = self.q_hat.bind(hat, out)
-        c_hat, l1 = self.c_hat, self.l1
+        these two fixed arrays: ĉ copied into ``out`` and Q̂ŷ accumulated
+        onto it by one kernel call."""
+        product = self.q_hat.bind(hat, out, offset=self.c_hat)
+        l1 = self.l1
         if not sub or l1 is None:
-            def apply() -> None:
-                product()
-                np.add(out, c_hat, out=out)
-
-            return apply
+            return product
         sign = np.empty_like(out)
 
         def apply_sub() -> None:
             product()
-            np.add(out, c_hat, out=out)
             np.sign(hat, out=sign)
             np.multiply(l1, sign, out=sign)
             np.add(out, sign, out=out)
@@ -545,7 +542,8 @@ def admm_solve(
     every agent's regularized local argmin at once, with agent i's linear
     term on its copy of p the sum of z over its edges, then exchanges
     z ← (1−α) z − α z_rev + 2α ŷ_dst. The relaxation parameter must lie
-    strictly inside (0, 1).
+    strictly inside (0, 1). ``us_per_step`` in the trace metadata is the
+    wall time of the iteration loop, checks included, per step.
     """
     if not 0.0 < alpha < 1.0:
         raise OptimError(f"relaxation parameter {alpha} outside (0, 1)")
@@ -561,6 +559,7 @@ def admm_solve(
     ref_hat = None if reference is None else layout.embed_consensus(np.asarray(reference, float))
     trace = RunTrace(meta={"alpha": alpha, "messages_per_iter": float(edges)})
     guard = divergence_guard(hat, "ADMM iterate")
+    start = time.perf_counter()
     for k in range(max_iters):
         new_hat = argmin(np.bincount(src, weights=z, minlength=n))
         guard(new_hat, k)
@@ -575,6 +574,8 @@ def admm_solve(
         target = record.get("distance", record["step"])
         if target < tol:
             break
+    # one record per step
+    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / max(len(trace), 1)
     return hat, trace
 
 
@@ -970,22 +971,58 @@ def pushsum_init(layout: EndLayout, z0: np.ndarray | None = None) -> PushSumStat
     return PushSumState(z=z, mass=np.ones(layout.stacked_dim), y=z.copy(), layout=layout)
 
 
+class _MassInvariants:
+    """The running maxima of |component mean of z − z̄| and of
+    |component weight sum − copy count| over push-sum rounds, folded in
+    blocks of rows [mean z; sum mass; mean g] of a :class:`RowBlocks` ring
+    whose round j took step ``gammas[j]``. Kept apart from the rounds, so
+    the ring holding this fold holds no reference back to them."""
+
+    def __init__(self, layout: EndLayout):
+        total = layout.partition.total_dim
+        self.gammas = np.zeros(BLOCK_ROWS)
+        # row 0 holds z̄ between blocks, row j + 1 z̄ after row j of a block
+        self.zbar = np.zeros((BLOCK_ROWS + 1, total))
+        self.counts = layout.copy_counts
+        self.column_max = np.empty(2 * total)
+        self.worst = np.zeros(2 * total)
+
+    def __call__(self, block: np.ndarray) -> None:
+        m, total = len(block), self.zbar.shape[1]
+        zbar = self.zbar[:m + 1]
+        np.multiply(block[:, 2 * total:], self.gammas[:m, None], out=zbar[1:])
+        np.subtract.accumulate(zbar, axis=0, out=zbar)
+        deviation = block[:, :2 * total]
+        np.subtract(deviation[:, :total], zbar[1:], out=deviation[:, :total])
+        np.subtract(deviation[:, total:], self.counts, out=deviation[:, total:])
+        np.abs(deviation, out=deviation)
+        np.maximum.reduce(deviation, axis=0, out=self.column_max)
+        np.maximum(self.worst, self.column_max, out=self.worst)
+        zbar[0] = zbar[m]
+
+
 class _PushSumRounds:
     """Push-sum rounds run in place, on buffers allocated once.
 
     Two buffers [z; mass; g] of three stacked vectors take turns. A round
     mixes the numerators and weights of the current buffer with the round's
-    operator straight into the first two thirds of the other, forms the
-    ratio estimates y, writes the subgradient at y into the last third
-    through the problem's stacked form, and takes the step z = w − γ g in
-    place. Each operator is bound to the two buffers on its first round
-    (held weakly, so an operator made for one round is not kept).
+    operator straight into the first two thirds of the other (one kernel
+    call for both rows), forms the ratio estimates y, writes the
+    subgradient at y into the last third through the problem's stacked
+    form, and takes the step z = w − γ g in place. Each operator is bound
+    to the two buffers on its first round (held weakly, so an operator made
+    for one round is not kept).
 
-    With ``invariants``, one block-diagonal summing kernel turns the new
-    buffer into the component means of z, the component sums of the weights
-    and the component means of g, and the rounds keep the worst deviations
-    of the conserved mass (``mass_error``) and of the averaged process
-    z̄ ← z̄ − γ mean(g) (``averaged_error``).
+    With ``invariants``, one block-diagonal summing kernel writes the
+    component means of z, the component sums of the weights and the
+    component means of g of each round into the next row of a
+    :class:`~endnet.trace.RowBlocks` ring (3 · total_dim floats a row), and
+    the round's γ into a vector beside it. Once per block of rows, and whenever
+    ``mass_error`` or ``averaged_error`` is read, one pass runs the
+    averaged process z̄ ← z̄ − γ mean(g) over the block with a subtract
+    accumulation and folds the deviations of the component means of z from
+    z̄ and of the weight sums from the copy counts into their running
+    maxima: the same values, bit for bit, as a reduction after every round.
     """
 
     def __init__(self, layout: EndLayout, problem: SeparableProblem, state: PushSumState,
@@ -1004,22 +1041,19 @@ class _PushSumRounds:
                                for _, _, g in self._parts)
         self._mixers = weakref.WeakKeyDictionary()
         self._turn = 0
-        total = layout.partition.total_dim
-        # [z̄; copy counts], compared with the component means of z and the
-        # component sums of the weights
-        self._expected = np.concatenate([np.zeros(total), layout.copy_counts])
-        self._zbar = self._expected[:total]
-        self._worst = np.zeros(2 * total)
-        self._sums = None
+        self._ring = self._invariants = None
         if invariants:
             S = layout.sum_operator.matrix
             mean = sp.diags(1.0 / layout.copy_counts) @ S
             kernel = CsrOperator(sp.block_diag([mean, S, mean], format="csr"))
-            self._sums = np.empty(3 * total)
-            self._z_and_mass, self._g_means = self._sums[:2 * total], self._sums[2 * total:]
-            self._bound_sums = tuple(kernel.bind(b, self._sums) for b in self._buffers)
-            self._deviation = np.empty(2 * total)
-            self._step_mean = np.empty(total)
+            self._invariants = _MassInvariants(layout)
+            self._ring = RowBlocks(3 * layout.partition.total_dim, self._invariants)
+            self._gammas = self._invariants.gammas
+            # per buffer, the kernel into each row of the ring, which the
+            # ring zeroes after every block
+            self._bound_sums = tuple(tuple(kernel.bind(b, row, accumulate=True)
+                                           for row in self._ring.rows)
+                                     for b in self._buffers)
 
     @property
     def z(self) -> np.ndarray:
@@ -1049,7 +1083,8 @@ class _PushSumRounds:
         mixers[turn]()
         turn = self._turn = 1 - turn
         w, mass, g = self._parts[turn]
-        if np.minimum.reduce(mass) <= 0.0:
+        # argmin and one read cost less than a minimum reduction on short vectors
+        if mass[mass.argmin()] <= 0.0:
             lay = self.layout
             first = np.flatnonzero(lay.component_sums(mass <= 0.0))[0]
             p = int(np.searchsorted(np.cumsum(lay.partition.dims), first, side="right")) + 1
@@ -1058,27 +1093,31 @@ class _PushSumRounds:
         self._gradient[turn]()
         np.multiply(g, gamma, out=self._scaled)
         np.subtract(w, self._scaled, out=w)
-        if self._sums is not None:
-            self._track(turn, gamma)
+        ring = self._ring
+        if ring is not None:
+            j = ring.filled
+            self._bound_sums[turn][j]()
+            self._gammas[j] = gamma
+            ring.advance()
 
-    def _track(self, turn: int, gamma: float) -> None:
-        self._bound_sums[turn]()
-        np.multiply(self._g_means, gamma, out=self._step_mean)
-        np.subtract(self._zbar, self._step_mean, out=self._zbar)
-        deviation = self._deviation
-        np.subtract(self._z_and_mass, self._expected, out=deviation)
-        np.abs(deviation, out=deviation)
-        np.maximum(self._worst, deviation, out=self._worst)
+    def _flushed_worst(self) -> np.ndarray:
+        """[worst z̄ deviations; worst mass deviations], empty without invariants."""
+        if self._ring is None:
+            return np.zeros(0)
+        self._ring.flush()
+        return self._invariants.worst
 
     @property
     def mass_error(self) -> float:
         """Worst deviation of a component's weight sum from its copy count."""
-        return float(np.max(self._worst[self._zbar.size:], initial=0.0))
+        worst = self._flushed_worst()
+        return float(np.max(worst[worst.size // 2:], initial=0.0))
 
     @property
     def averaged_error(self) -> float:
         """Worst deviation of a component mean of z from the averaged process."""
-        return float(np.max(self._worst[:self._zbar.size], initial=0.0))
+        worst = self._flushed_worst()
+        return float(np.max(worst[:worst.size // 2], initial=0.0))
 
 
 def pushsum_dgd_step(
@@ -1144,11 +1183,13 @@ def pushsum_solve(
     The trace records the consensus residual of the ratio estimates against
     the component means, the objective gap at the means when a reference
     optimum is supplied, and (optionally) the worst per-step deviations of
-    the conserved mass and of the averaged-process identity. Diminishing
-    steps can carry the iterate far beyond the divergence guard and back, so
-    the guard tests the iterate the run ends with. ``us_per_step`` in the
-    trace metadata is the wall time of the iteration loop, checks included,
-    per step. The rounds are :class:`_PushSumRounds`.
+    the conserved mass and of the averaged-process identity, reduced in
+    blocks of rounds with the values of a reduction after every round.
+    Diminishing steps can carry the iterate far beyond the divergence guard
+    and back, so the guard tests the iterate the run ends with.
+    ``us_per_step`` in the trace metadata is the wall time of the iteration
+    loop, checks and the last block of invariants included, per step. The
+    rounds are :class:`_PushSumRounds`.
     """
     if max_iters < 1:
         raise OptimError("push-sum needs max_iters >= 1")
@@ -1171,10 +1212,11 @@ def pushsum_solve(
             trace.append(**record)
             if stop_tol is not None and merit is not None and record["merit"] <= stop_tol:
                 break
+    mass_error, averaged_error = rounds.mass_error, rounds.averaged_error
     trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
     guard(rounds.z, k)
-    trace.meta["max_mass_error"] = rounds.mass_error
-    trace.meta["max_averaged_process_error"] = rounds.averaged_error
+    trace.meta["max_mass_error"] = mass_error
+    trace.meta["max_averaged_process_error"] = averaged_error
     return rounds.state(), trace
 
 
@@ -1270,7 +1312,9 @@ def constraint_coupled_solve(
     Returns the consensus dual estimate, the inner minimizers evaluated at
     that dual (the step-weighted ergodic averages are kept in the trace
     metadata), and the run trace. As in :func:`pushsum_solve`, the
-    divergence guard tests the iterate the run ends with.
+    divergence guard tests the iterate the run ends with, and
+    ``us_per_step`` in the trace metadata is the wall time of the iteration
+    loop, checks included, per step.
     """
     if max_iters < 1:
         raise OptimError("push-sum needs max_iters >= 1")
@@ -1280,6 +1324,7 @@ def constraint_coupled_solve(
     guard = divergence_guard(rounds.z, "push-sum dual iterate")
     x_acc = {i: np.zeros(ccp.x_dims[i - 1]) for i in range(1, ccp.num_agents + 1)}
     weight_acc = 0.0
+    start = time.perf_counter()
     for k in range(max_iters):
         gk = gamma(k)
         rounds.step(design_schedule(k), gk)
@@ -1299,6 +1344,7 @@ def constraint_coupled_solve(
             )
             record["primal_gap"] = gap
             trace.append(**record)
+    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
     guard(rounds.z, k)
     trace.meta["x_ergodic"] = {i: v / weight_acc for i, v in x_acc.items()}
     y_mean = layout.component_means(rounds.z)

@@ -31,6 +31,46 @@ def divergence_guard(start: np.ndarray, what: str) -> Callable[[np.ndarray, int]
     return guard
 
 
+# rows per block pass: its few calls then cost a small fraction of a call per step
+BLOCK_ROWS = 64
+
+
+class RowBlocks:
+    """Per-step rows kept in a ring of ``BLOCK_ROWS`` rows and reduced one
+    block of rows at a time.
+
+    A loop writes step k's row into ``rows[filled]`` (or hands it to
+    :meth:`push`) and calls :meth:`advance`. When the ring is full, and on
+    :meth:`flush`, ``reduce`` receives the filled rows, oldest first, as one
+    (m, width) view that it may overwrite; the rows are then zeroed, so a
+    step may also accumulate into its row. A running maximum or recursion
+    over the steps then costs one vectorized pass per block instead of a
+    few calls per step.
+    """
+
+    def __init__(self, width: int, reduce: Callable[[np.ndarray], None]):
+        self.rows = np.zeros((BLOCK_ROWS, width))
+        self.filled = 0
+        self._reduce = reduce
+
+    def push(self, row: np.ndarray) -> None:
+        self.rows[self.filled] = row
+        self.advance()
+
+    def advance(self) -> None:
+        self.filled += 1
+        if self.filled == self.rows.shape[0]:
+            self.flush()
+
+    def flush(self) -> None:
+        """Reduce the rows filled since the last reduction, if any."""
+        if self.filled:
+            block = self.rows[:self.filled]
+            self.filled = 0
+            self._reduce(block)
+            block.fill(0.0)
+
+
 @dataclass
 class RunTrace:
     """Column-oriented record of a solver run.

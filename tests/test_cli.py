@@ -316,6 +316,33 @@ def test_sensor_scenario_keys_are_checked(tmp_path, capsys, kind, change, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"kind": "unicast", "num_users": 8, "num_user": 9},
+     "unknown field(s) 'num_user' in a unicast scenario"),
+    ({"kind": "unicast", "preset": "reference", "num_users": 8},
+     "unknown field(s) 'num_users' in a unicast scenario with a preset"),
+    ({"kind": "unicast", "preset": "referense"}, "unknown preset 'referense'"),
+    ({"kind": "random_game", "num_agents": 4, "sparsty": 0.4},
+     "unknown field(s) 'sparsty' in a random_game scenario"),
+    ({"kind": "random_separable", "num_agent": 5},
+     "unknown field(s) 'num_agent' in a random_separable scenario"),
+    ({"kind": "coupled_qp", "num_agents": 4, "dims": 2, "box": 1.0},
+     "unknown field(s) 'box', 'dims' in a coupled_qp scenario"),
+], ids=["unicast", "unicast-preset", "preset-name", "random_game", "random_separable",
+        "coupled_qp"])
+def test_unknown_scenario_fields_are_config_errors(tmp_path, capsys, scenario, message):
+    """A field its scenario kind does not read is refused with its name,
+    by the dry run as by the run, before anything is built."""
+    cfg = _write_config(tmp_path, "bad.json", {"scenario": scenario})
+    for extra in (["--dry-run"], []):
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     *extra]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    with pytest.raises(cli.ConfigError, match="unknown"):
+        cli.build_scenario(scenario)
+
+
 def test_admm_alpha_out_of_range_is_config_error(tmp_path):
     for alpha in (0.0, 1.0):
         cfg = _write_config(tmp_path, f"admm{alpha}.json", {
@@ -479,15 +506,19 @@ def test_log_level_applies_inside_a_host_that_configured_logging(tmp_path, monke
 @pytest.mark.parametrize("scenario, run", [
     ({"kind": "unicast", "preset": "reference", "seed": 0},
      {"max_iters": 600, "tol": 1e-2, "reference": False, "check_every": 100}),
+    ({"kind": "random_game", "num_agents": 4, "sparsity": 0.4, "seed": 0}, {"max_iters": 50}),
     ({"kind": "regression", "num_sensors": 8, "num_sources": 3,
       "comm_radius_min": 0.45, "comm_radius_width": 0.1},
      {"max_iters": 600, "stop_tol": 1e-2}),
     (SEP_SCENARIO, {"algorithm": "augdgm", "max_iters": 400, "merit_every": 20}),
-], ids=["unicast", "regression", "augdgm"])
+    (SEP_SCENARIO, {"algorithm": "abc", "max_iters": 400, "merit_every": 20}),
+    (SEP_SCENARIO, {"algorithm": "admm", "max_iters": 50}),
+    ({"kind": "coupled_qp", "num_agents": 4, "dim": 2, "seed": 0}, {"max_iters": 200}),
+], ids=["unicast", "ne", "regression", "augdgm", "abc", "admm", "dual"])
 def test_us_per_step_reaches_the_summary_and_never_the_trace(tmp_path, scenario, run):
-    """gne, push-sum and gradient tracking report their wall time per step
-    in the summary's trace_meta; the trace CSVs of two runs of one config
-    and seed stay the same bytes."""
+    """Every CLI algorithm reports its wall time per step in the summary's
+    trace_meta; the trace CSVs of two runs of one config and seed stay the
+    same bytes."""
     cfg = _write_config(tmp_path, "cfg.json", {"scenario": scenario, "arm": "customized",
                                               "run": run})
     outs = [tmp_path / "a", tmp_path / "b"]

@@ -55,7 +55,9 @@ from endnet.layout import (
     ConnectivityMode,
     CsrOperator,
     EndLayout,
+    LayoutError,
     Partition,
+    _csr_matvec,
     _csr_matvec_fallback,
     _kernel_agrees,
     reweight,
@@ -71,6 +73,7 @@ from endnet.optim import (
     SeparableProblem,
     StackedQuadratic,
     _NegatedDual,
+    _PushSumRounds,
     _TrackingRounds,
     abc_solve,
     abc_step,
@@ -90,6 +93,7 @@ from endnet.optim import (
     stacked_gradient,
     stacked_value,
 )
+from endnet.trace import BLOCK_ROWS
 from endnet.scenarios import (
     SensorScenario,
     build_lasso,
@@ -504,6 +508,58 @@ def test_bound_apply_matches_the_csr_operator(kind, dims, num_agents, seed):
         assert all(np.array_equal(out[r], matrix.affine(v[r], offset)) for r in range(2))
 
 
+def loop_communication_cost(layout, mode):
+    """Both costs and the copy count by the per-component and per-holder
+    loops the layout ran before it counted once per component group."""
+    total = 0
+    for p in layout.partition.components:
+        g, dim = layout.design[p].graph, layout.partition.dim(p)
+        if mode == "unicast":
+            loops = sum((v, v) in g.edges for v in g.nodes)
+            total += (len(g.edges) - loops) * dim
+        elif mode == "broadcast":
+            total += sum(dim for i in g.nodes if any(v != i for v in g.out_neighbors(i)))
+        else:
+            total += len(g.nodes)
+    return float(total)
+
+
+@given(st.sampled_from(["standard", "designed", "mixed", "reweight"]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       st.integers(3, 6), st.integers(0, 2**16))
+@example("standard", [1, 2, 1], 4, 0)
+@settings(max_examples=40, deadline=None)
+def test_communication_accounting_matches_the_component_loop(kind, dims, num_agents, seed):
+    """Unicast and broadcast costs and the mean estimate count, counted once
+    per component group, against the per-component loops, also with the
+    self-loops a column-stochastic reweighting adds."""
+    layout = grouped_layout(kind, tuple(dims), num_agents, seed)
+    for lay in (layout, reweight(layout, "column")):
+        for mode in ("unicast", "broadcast"):
+            assert lay.communication_cost(mode) == loop_communication_cost(lay, mode), mode
+        assert lay.mean_estimate_count() == (loop_communication_cost(lay, "copies")
+                                             / len(lay.agents))
+    with pytest.raises(LayoutError):
+        layout.communication_cost("multicast")
+
+
+def test_communication_accounting_walks_each_group_once(monkeypatch):
+    """On a standard layout of 2,000 components over 200 agents (one group)
+    the broadcast cost reads each holder's neighbours once, not once per
+    component, and the copy count reads no exchange graph at all."""
+    interference = frozenset((p, p % 200 + 1) for p in range(1, 2001))
+    layout = standard_layout(ring(200), interference, Partition((1,) * 2000))
+    assert len(layout.groups) == 1
+    reads = []
+    out_neighbors = Graph.out_neighbors
+    monkeypatch.setattr(Graph, "out_neighbors",
+                        lambda self, v: reads.append(v) or out_neighbors(self, v))
+    assert layout.communication_cost("broadcast") == 2000 * 200
+    assert len(reads) == 200
+    assert layout.communication_cost("unicast") == 2000 * 400
+    assert layout.mean_estimate_count() == 2000
+
+
 def test_bind_checks_its_operands_once():
     """Shapes, dtype, contiguity and aliasing are refused when an operator
     is bound, on a layout whose shared group is not contiguous."""
@@ -528,6 +584,43 @@ def test_bind_checks_its_operands_once():
         matrix.bind(v, out, offset=np.zeros(n), accumulate=True)
     with pytest.raises(ValueError):
         matrix.bind(v, out, offset=np.zeros(n + 1))
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_csr_bind_of_k_rows_is_one_kernel_call(rows):
+    """A CSR operator bound to k rows, overwriting, with an offset and
+    accumulating, makes one kernel call over I_k ⊗ M and writes the bytes
+    one bind per row writes; so does the CSR part of a stacked operator,
+    as push-sum's [z; mass] mix binds it."""
+    layout = grouped_layout("designed", (1, 2, 1, 3), 6, 3)
+    n = layout.stacked_dim
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        _csr_matvec(*args)
+
+    csr = CsrOperator(layout.weight_operator.matrix, counted)
+    rng = np.random.default_rng(rows)
+    offset = rng.standard_normal(n)
+    for mode in ({}, {"offset": offset}, {"accumulate": True}):
+        v = rng.standard_normal((rows, n))
+        together = rng.standard_normal((rows, n))
+        alone = together.copy()
+        apply = csr.bind(v, together, **mode)
+        calls.clear()
+        apply()
+        assert calls == [(rows * n, rows * n)], mode
+        for r in range(rows):
+            csr.bind(v[r], alone[r], **mode)()
+        assert together.tobytes() == alone.tobytes(), mode
+    stacked = BlockOperator(n, csr, [])
+    v, out = rng.standard_normal((2, n)), np.full((2, n), np.nan)
+    apply = stacked.bind(v, out)
+    calls.clear()
+    apply()
+    assert len(calls) == 1
+    assert np.array_equal(out, np.stack([layout.weight_operator @ row for row in v]))
 
 
 @pytest.mark.parametrize("dims", [(1,) * 6, (2, 1, 2, 3, 1, 2)])
@@ -1760,6 +1853,27 @@ def test_gne_step_is_the_solvers_round(name):
 
 
 @pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_gne_invariant_blocks_match_the_stepwise_norms(arm):
+    """gne_solve's largest consensus invariant, reduced once per block of
+    rounds, against the squared norm taken after every round, over runs
+    that end inside and just past a block."""
+    ops, _ = gne_case("unicast", arm)
+    x0 = np.full(ops.game.total_action_dim, 0.3)
+    for steps in (BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1):
+        _, trace = gne_solve(ops, x0, 0.1, 2e-3, max_iters=steps, tol=0.0,
+                             check_every=steps)
+        rounds = games._rounds(ops, initial_gne_state(ops, x0), 0.1, 2e-3)
+        worst = 0.0
+        for _ in range(steps):
+            rounds.step()
+            worst = max(worst, float(rounds.state.s_norms @ rounds.state.s_norms))
+        sums = ops.sigma_layout.component_sums(rounds.state.s)
+        worst = max(worst, sums @ (sums / ops.sigma_layout.copy_counts))
+        assert np.isclose(trace.meta["max_consensus_invariant"], np.sqrt(worst),
+                          rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
 def test_pushsum_step_is_the_solvers_round(arm):
     """pushsum_dgd_step iterated ends bit for bit where pushsum_solve does,
     on a 3-periodic schedule."""
@@ -1775,6 +1889,158 @@ def test_pushsum_step_is_the_solvers_round(arm):
     for part in ("z", "mass", "y"):
         assert np.array_equal(getattr(final, part), getattr(state, part)), part
     assert trace.meta["us_per_step"] > 0
+
+
+class StepwiseInvariants:
+    """The push-sum invariants as the rounds tracked them after every round
+    before the ring: the summing kernel into a fixed vector, then the z̄
+    update and the running maxima, one call each."""
+
+    def __init__(self, layout):
+        total = layout.partition.total_dim
+        S = layout.sum_operator.matrix
+        mean = sp.diags(1.0 / layout.copy_counts) @ S
+        kernel = CsrOperator(sp.block_diag([mean, S, mean], format="csr"))
+        self.buffer = np.zeros(3 * layout.stacked_dim)
+        self.sums = np.empty(3 * total)
+        self.z_and_mass, self.g_means = self.sums[:2 * total], self.sums[2 * total:]
+        self.bound = kernel.bind(self.buffer, self.sums)
+        self.expected = np.concatenate([np.zeros(total), layout.copy_counts])
+        self.zbar = self.expected[:total]
+        self.worst = np.zeros(2 * total)
+        self.deviation = np.empty(2 * total)
+        self.step_mean = np.empty(total)
+
+    def track(self, rounds, gamma):
+        n = rounds.z.size
+        self.buffer[:n], self.buffer[n:2 * n], self.buffer[2 * n:] = rounds.z, rounds.mass, rounds.g
+        self.bound()
+        np.multiply(self.g_means, gamma, out=self.step_mean)
+        np.subtract(self.zbar, self.step_mean, out=self.zbar)
+        np.subtract(self.z_and_mass, self.expected, out=self.deviation)
+        np.abs(self.deviation, out=self.deviation)
+        np.maximum(self.worst, self.deviation, out=self.worst)
+
+    @property
+    def errors(self):
+        total = self.zbar.size
+        return (float(np.max(self.worst[total:], initial=0.0)),
+                float(np.max(self.worst[:total], initial=0.0)))
+
+
+def slot_operators(layout, snapshots, perturbed):
+    """The three column-stochastic slots of a design schedule, or (perturbed)
+    the same blocks with every weight scaled by up to 3%, which conserve
+    neither the mass nor the averaged process."""
+    slots = [loop_design_weights(layout, snap) for snap in snapshots]
+    if perturbed:
+        rng = np.random.default_rng(9)
+        slots = [{p: W * rng.uniform(0.97, 1.03, W.shape) for p, W in slot.items()}
+                 for slot in slots]
+    return [layout.block_operator(slot) for slot in slots]
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["column", "perturbed"])
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_pushsum_ring_invariants_equal_the_stepwise_reduction(arm, perturbed):
+    """The ring's block passes give the invariants of a reduction after every
+    round bit for bit, on runs that end inside, at and just past a block;
+    reading them mid-run flushes the ring and leaves the rest unchanged."""
+    arms, problem, snapshots = pushsum_layouts(8)
+    layout = arms[arm]
+    ops = slot_operators(layout, snapshots, perturbed)
+    gamma = power_step_schedule(0.05, 0.6)
+    K = BLOCK_ROWS
+    for steps in (1, K - 1, K, K + 1, 3 * K + 5):
+        rounds = _PushSumRounds(layout, problem, pushsum_init(layout), invariants=True)
+        reference = StepwiseInvariants(layout)
+        for k in range(steps):
+            rounds.step(ops[k % 3], gamma(k))
+            reference.track(rounds, gamma(k))
+            if k == K // 2:
+                assert (rounds.mass_error, rounds.averaged_error) == reference.errors
+                assert rounds._ring.filled == 0
+        assert (rounds.mass_error, rounds.averaged_error) == reference.errors, steps
+        if perturbed and steps > K:
+            assert min(reference.errors) > 1e-3
+    state, trace = pushsum_solve(layout, lambda k: ops[k % 3], problem, gamma,
+                                 max_iters=3 * K + 5, check_every=K + 1)
+    assert (trace.meta["max_mass_error"], trace.meta["max_averaged_process_error"]) \
+        == reference.errors
+    assert np.array_equal(state.z, rounds.z)
+
+
+@pytest.mark.parametrize("arm, dims", [("standard", (1,) * 5),
+                                       ("customized", (2, 1, 3, 2, 1))])
+def test_pushsum_rounds_allocate_nothing_and_the_ring_stays_small(arm, dims):
+    """A push-sum round that completes no block of the ring allocates
+    nothing, a block pass leaves nothing behind, and the ring holds
+    3 · total_dim floats a row, far below a stacked vector. (A dense group
+    of dimension above 1 gathers its entries, so the standard arm runs on
+    components of dimension 1.)"""
+    arms, problem, snapshots = pushsum_layouts(8, dims=dims, num_agents=12)
+    layout = arms[arm]
+    total = layout.partition.total_dim
+    assert 3 * total < layout.stacked_dim
+    ops = slot_operators(layout, snapshots, False)
+    rounds = _PushSumRounds(layout, problem, pushsum_init(layout), invariants=True)
+    assert rounds._ring.rows.size <= BLOCK_ROWS * 3 * total
+    for k in range(BLOCK_ROWS):  # binds every slot and passes one block
+        rounds.step(ops[k % 3], 0.01)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k in range(BLOCK_ROWS - 1):
+            rounds.step(ops[k % 3], 0.01)
+        within = tracemalloc.get_traced_memory()[1] - start
+        for k in range(2 * BLOCK_ROWS + 1):
+            rounds.step(ops[k % 3], 0.01)
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert within < 1024, within  # a few numpy scalars, never an array
+    assert left < 1024, left
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_pushsum_and_tracking_iterates_match_the_product_first_gradient(arm):
+    """500 push-sum and AugDGM steps with the gradient accumulated onto ĉ
+    against rounds that form Q̂ŷ first and add ĉ after, as the solvers did
+    before: the iterates agree to RTOL."""
+    arms, problem, snapshots = pushsum_layouts(7)
+    layout = arms[arm]
+    stacked = stacked_form(layout, problem)
+
+    def gradient(y):
+        return stacked.q_hat.matrix @ y + stacked.c_hat
+
+    slots = [loop_design_weights(layout, snap) for snap in snapshots]
+    ops = [layout.block_operator(slot) for slot in slots]
+    gamma = power_step_schedule(0.05, 0.6)
+    state, _ = pushsum_solve(layout, lambda k: ops[k % 3], problem, gamma, max_iters=500,
+                             check_every=100)
+    z, q = np.zeros(layout.stacked_dim), np.ones(layout.stacked_dim)
+    for k in range(500):
+        w = ops[k % 3].matrix @ z
+        q = ops[k % 3].matrix @ q
+        z = w - gamma(k) * gradient(w / q)
+    assert close(state.z, z)
+
+    layout = grouped_layout("designed" if arm == "customized" else "standard",
+                            (1, 2, 1, 3), 7, 4)
+    rng = np.random.default_rng(4)
+    problem = random_quadratic(rng, (1, 2, 1, 3), [layout.needed_by(i) for i in layout.agents])
+    stacked, w = stacked_form(layout, problem), layout.weight_operator.matrix
+    step = 0.5 / problem.smooth_lipschitz
+    y, _ = augdgm_solve(layout, problem, step, max_iters=500, merit_every=100)
+    ref = np.zeros(layout.stacked_dim)
+    g = gradient(ref)
+    v = w @ g
+    for _ in range(500):
+        ref = w @ (ref - step * v)
+        g_new = gradient(ref)
+        v, g = w @ (v + g_new - g), g_new
+    assert close(y, ref)
 
 
 def coupled_problem():
