@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -97,6 +96,15 @@ def _read(cfg: dict, key: str, kind, default=_REQUIRED):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field {key!r}: expected {kind.__name__}, got {value!r}") from exc
+
+
+def _read_positive(cfg: dict, key: str, kind, default=_REQUIRED):
+    """``_read``, where a value that is not above zero is also a
+    ConfigError that names the key."""
+    value = _read(cfg, key, kind, default)
+    if not value > 0:
+        raise ConfigError(f"field {key!r}: must be positive, got {cfg.get(key, default)!r}")
+    return value
 
 
 def _block(cfg: dict, key: str) -> dict:
@@ -306,8 +314,8 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
                 max_path_len=_read(cfg, "max_path_len", int, 4),
                 extra_edge_prob=_read(cfg, "extra_edge_prob", float, 0.25),
                 relay_prob=_read(cfg, "relay_prob", float, 0.1),
-                alpha=_read(cfg, "alpha", float, 0.1),
-                beta=_read(cfg, "beta", float, 1e-3),
+                alpha=_read_positive(cfg, "alpha", float, 0.1),
+                beta=_read_positive(cfg, "beta", float, 1e-3),
             )
         inst = build_unicast(sc)
         return {"kind": kind, "instance": inst,
@@ -380,11 +388,19 @@ _RUN_FIELDS = {
     "dual": ("step_scale", "step_exponent", "max_iters"),
 }
 
+# the run-config fields that must be positive (steps, iteration budgets and
+# check intervals), with their types
+_POSITIVE_RUN_FIELDS = {
+    "gne": {"alpha": float, "beta": float, "reference_step": float,
+            "reference_max_iters": int, "max_iters": int, "check_every": int},
+    "pushsum": {"check_every": int},
+}
+
 
 def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
     """The algorithm a run config selects on a scenario kind, once the arm,
-    the algorithm's name, its fit to the kind and the names of the run's
-    fields are checked."""
+    the algorithm's name, its fit to the kind, the names of the run's
+    fields and the sign of those that must be positive are checked."""
     if arm not in ("standard", "customized"):
         raise ConfigError(f"unknown arm {arm!r} (expected standard or customized)")
     algorithm = run_cfg.get("algorithm", _DEFAULT_ALGORITHM[kind])
@@ -398,6 +414,9 @@ def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
     if unknown:
         raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a run of "
                           f"{algorithm} (expected {', '.join(_RUN_FIELDS[algorithm])})")
+    for key, convert in _POSITIVE_RUN_FIELDS.get(algorithm, {}).items():
+        if key in run_cfg:
+            _read_positive(run_cfg, key, convert)
     return algorithm
 
 
@@ -705,6 +724,9 @@ def cmd_experiment(args) -> int:
         for seed in seeds:
             jobs.append((scenario_cfg, run_cfg, seed, value))
     if args.jobs > 1:
+        # imported here: the process pool machinery is only needed with --jobs > 1
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_experiment_cell, jobs))
     else:

@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .layout import BlockOperator, CsrOperator, EndLayout
@@ -277,7 +276,11 @@ def _component_weights(layout: EndLayout, game: GameSpec, i: int, W: np.ndarray)
         E = Wp - np.outer(np.ones(n), np.eye(n)[0])
         if np.max(np.abs(np.linalg.eigvals(E))) >= 1.0 - 1e-12:
             return None, None, None, f"component {i}: follower block not contractive"
-        X = scipy.linalg.solve_discrete_lyapunov(E.T, np.eye(n))
+        # imported here, not with the module: it adds ~8 MB of resident memory
+        # to every run, also to those that never certify a leader-follower design
+        from scipy.linalg import solve_discrete_lyapunov
+
+        X = solve_discrete_lyapunov(E.T, np.eye(n))
         X22 = X[1:, 1:]
         Qp = np.zeros((n, n))
         Qp[0, 0] = 1.0 + float(np.ones(n - 1) @ X22 @ np.ones(n - 1))
@@ -884,6 +887,8 @@ def preconditioner_positive(ops: GneOperators, beta: float) -> bool:
     largest eigenvalue of the sparse symmetric [[0, Mᵀ], [M, 0]] with the
     zero s block left out, found by Lanczos from a fixed start.
     """
+    if not beta > 0:
+        raise GameError(f"the preconditioner needs a positive step beta, got {beta!r}")
     if beta * np.sqrt(ops.coupling_bound) < 1.0:
         return True
     # imported here, not with the module: it adds ~2 MB of resident memory
@@ -940,8 +945,11 @@ def gne_solve(
     estimates, which the iteration conserves at zero. ``us_per_step`` is
     the wall time of the iteration loop, checks included, per step.
     """
-    if max_iters < 1:
-        raise GameError("the primal-dual iteration needs max_iters >= 1")
+    if max_iters < 1 or check_every < 1:
+        raise GameError("the primal-dual iteration needs max_iters >= 1 and check_every >= 1")
+    if not (alpha > 0 and beta > 0):
+        raise GameError(f"the primal-dual iteration needs positive steps, "
+                        f"got alpha={alpha!r}, beta={beta!r}")
     game = ops.game
     rounds = _rounds(ops, initial_gne_state(ops, x0), alpha, beta)
     trace = RunTrace(meta={"alpha": alpha, "beta": beta})
@@ -1040,6 +1048,9 @@ def solve_vgne_centralized(
 
     Raises :class:`~endnet.trace.DivergenceError` when the iterate blows up.
     """
+    if not step > 0 or max_iters < 1:
+        raise GameError(f"the reference loop needs a positive step and max_iters >= 1, "
+                        f"got step={step!r}, max_iters={max_iters!r}")
     A, a = game._constraints
     x = np.asarray(x0, dtype=float).copy()
     lam = np.zeros(A.shape[0])

@@ -199,6 +199,19 @@ class CsrOperator:
         return _in_order(_resetter(out, offset, accumulate), partial(
             self._matvec, *m.shape, m.indptr, m.indices, m.data, v2.ravel(), out2.ravel()))
 
+    def bind_rows(self, v: np.ndarray, rows: np.ndarray) -> tuple[Callable[[], None], ...]:
+        """One call per row of the 2-D ``rows``, call j adding M v into
+        ``rows[j]``: each is ``bind(v, rows[j], accumulate=True)``, with the
+        operands checked once for all the rows instead of once per row."""
+        if rows.ndim != 2:
+            raise ValueError(f"rows of {rows.ndim} dimensions, expected 2")
+        _operand_rows(v, rows[0], self.shape)
+        if not rows.flags.c_contiguous or np.may_share_memory(v, rows):
+            raise ValueError("the rows must be C-contiguous and apart from the operand")
+        m = self.matrix
+        add = partial(self._matvec, *self.shape, m.indptr, m.indices, m.data, v)
+        return tuple(partial(add, row) for row in rows)
+
 
 def _diagonal_copies(m: sp.csr_matrix, k: int) -> sp.csr_matrix:
     """I_k ⊗ m, every row with the entries of m's row in m's order."""

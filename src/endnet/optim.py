@@ -1051,8 +1051,7 @@ class _PushSumRounds:
             self._gammas = self._invariants.gammas
             # per buffer, the kernel into each row of the ring, which the
             # ring zeroes after every block
-            self._bound_sums = tuple(tuple(kernel.bind(b, row, accumulate=True)
-                                           for row in self._ring.rows)
+            self._bound_sums = tuple(kernel.bind_rows(b, self._ring.rows)
                                      for b in self._buffers)
 
     @property
@@ -1191,8 +1190,8 @@ def pushsum_solve(
     loop, checks and the last block of invariants included, per step. The
     rounds are :class:`_PushSumRounds`.
     """
-    if max_iters < 1:
-        raise OptimError("push-sum needs max_iters >= 1")
+    if max_iters < 1 or check_every < 1:
+        raise OptimError("push-sum needs max_iters >= 1 and check_every >= 1")
     rounds = _PushSumRounds(layout, problem, pushsum_init(layout), record_invariants)
     trace = RunTrace()
     f_star = problem.total_value(np.asarray(reference, float)) if reference is not None else None

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .design import DesignCriterion, design_layout
 from .games import AggregativeGameSpec, BoxSet, GameSpec
@@ -163,6 +162,10 @@ class UnicastInstance:
 
 def build_unicast(sc: UnicastScenario, weight_scheme: str = "metropolis") -> UnicastInstance:
     """Assemble the game and both layout arms from a unicast scenario."""
+    # imported here, not with the module: it adds ~6 MB of resident memory
+    # to every run, also to those that never build a unicast scenario
+    from scipy.special import expit
+
     labels = sc.link_labels()
     num_links = len(labels)
     if num_links == 0:

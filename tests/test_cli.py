@@ -238,6 +238,41 @@ def test_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, mistake, message
         assert message in capsys.readouterr().err
 
 
+UNICAST_PRESET = {"kind": "unicast", "preset": "reference", "seed": 0}
+
+
+@pytest.mark.parametrize("scenario, run, field", [
+    (UNICAST_PRESET, {"check_every": 0}, "check_every"),
+    (UNICAST_PRESET, {"alpha": 0}, "alpha"),
+    (UNICAST_PRESET, {"beta": -1}, "beta"),
+    (UNICAST_PRESET, {"reference_step": 0}, "reference_step"),
+    (UNICAST_PRESET, {"reference_max_iters": 0}, "reference_max_iters"),
+    (UNICAST_PRESET, {"max_iters": 0}, "max_iters"),
+    (UNICAST_PRESET, {"check_every": 0.5}, "check_every"),
+    (UNICAST_PRESET, {"alpha": float("nan")}, "alpha"),
+    ({"kind": "unicast", "num_users": 4, "alpha": 0.0}, {}, "alpha"),
+    ({"kind": "unicast", "num_users": 4, "beta": -1e-3}, {}, "beta"),
+    ({"kind": "regression", "num_sensors": 8, "num_sources": 3, "comm_radius_min": 0.45,
+      "comm_radius_width": 0.1}, {"check_every": 0}, "check_every"),
+], ids=["check_every", "alpha", "beta", "reference_step", "reference_max_iters", "max_iters",
+        "check_every-below-one", "alpha-nan", "scenario-alpha", "scenario-beta",
+        "pushsum-check_every"])
+def test_steps_and_intervals_a_solver_cannot_run_are_config_errors(tmp_path, capsys,
+                                                                   scenario, run, field):
+    """A step that is not positive or a check interval below 1 fails the
+    dry run and the run alike, with a config error that names the field
+    (before: a ZeroDivisionError traceback, a nan merit, or a negative beta
+    reported as a positive preconditioner)."""
+    cfg = _write_config(tmp_path, "bad.json", {"scenario": scenario, "run": run})
+    for extra in (["--dry-run"], []):
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: field {field!r}: must be positive" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 class _FieldsRead(dict):
     """A run config that records every field the solver looks up."""
 

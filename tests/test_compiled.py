@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endnet import cli, games
+from endnet import layout as layout_module
 from endnet.design import DesignCriterion, design_layout
 from endnet.games import (
     AggregativeGameSpec,
@@ -621,6 +622,52 @@ def test_csr_bind_of_k_rows_is_one_kernel_call(rows):
     apply()
     assert len(calls) == 1
     assert np.array_equal(out, np.stack([layout.weight_operator @ row for row in v]))
+
+
+def test_csr_bind_rows_adds_into_each_row_as_one_bind_per_row(monkeypatch):
+    """``bind_rows`` checks the operand and the rows once, and call j adds
+    into row j the bytes an accumulating bind of that row adds; operands
+    that ``bind`` refuses are refused too."""
+    layout = grouped_layout("designed", (1, 2, 1, 3), 6, 3)
+    n = layout.stacked_dim
+    csr = CsrOperator(layout.weight_operator.matrix)
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(n)
+    rows = rng.standard_normal((5, n))
+    alone = rows.copy()
+    checks = []
+    operand_rows = layout_module._operand_rows
+    monkeypatch.setattr(layout_module, "_operand_rows",
+                        lambda *args: checks.append(1) or operand_rows(*args))
+    calls = csr.bind_rows(v, rows)
+    assert len(checks) == 1 and len(calls) == 5
+    for j in (3, 0, 3, 4):
+        calls[j]()
+        csr.bind(v, alone[j], accumulate=True)()
+        assert rows.tobytes() == alone.tobytes(), j
+    buffer = np.zeros(3 * n)
+    for bad in [(np.ones(n + 1), rows), (v, np.zeros((5, n + 1))), (v, np.zeros(n)),
+                (np.ones((1, n)), rows), (v, np.zeros((5, 2 * n))[:, ::2]),
+                (v.astype(np.float32), rows), (buffer[n:2 * n], buffer.reshape(3, n))]:
+        with pytest.raises(ValueError):
+            csr.bind_rows(*bad)
+
+
+def test_pushsum_invariants_check_each_buffer_once(monkeypatch):
+    """The invariants of push-sum rounds bind the summing kernel to the
+    whole ring once per buffer, not once per row and buffer."""
+    arms, problem, _ = pushsum_layouts(8)
+    layout = arms["customized"]
+    checks = []
+    operand_rows = layout_module._operand_rows
+    monkeypatch.setattr(layout_module, "_operand_rows",
+                        lambda *args: checks.append(1) or operand_rows(*args))
+    counts = []
+    for invariants in (False, True):
+        checks.clear()
+        _PushSumRounds(layout, problem, pushsum_init(layout), invariants=invariants)
+        counts.append(len(checks))
+    assert counts[1] - counts[0] == 2
 
 
 @pytest.mark.parametrize("dims", [(1,) * 6, (2, 1, 2, 3, 1, 2)])

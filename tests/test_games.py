@@ -499,6 +499,32 @@ class TestGneIteration:
         with pytest.raises(GameError, match="max_iters >= 1"):
             gne_solve(ops, np.zeros(2), alpha=0.1, beta=0.05, max_iters=0)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.05), (-0.1, 0.05), (0.1, 0.0),
+                                             (0.1, -1.0), (float("nan"), 0.05)])
+    def test_solve_refuses_a_step_that_is_not_positive(self, alpha, beta):
+        ops = build_gne_operators(two_agent_aggregative(), self.layout, self.layout)
+        with pytest.raises(GameError, match="positive steps"):
+            gne_solve(ops, np.zeros(2), alpha=alpha, beta=beta, max_iters=10)
+
+    def test_solve_refuses_a_check_interval_below_one(self):
+        ops = build_gne_operators(two_agent_aggregative(), self.layout, self.layout)
+        with pytest.raises(GameError, match="check_every >= 1"):
+            gne_solve(ops, np.zeros(2), alpha=0.1, beta=0.05, max_iters=10, check_every=0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, -1e-3])
+    def test_preconditioner_check_refuses_a_step_that_is_not_positive(self, beta):
+        """The cheap bound beta * sqrt(coupling_bound) < 1 holds for every
+        negative beta, which would report a positive preconditioner."""
+        ops = build_gne_operators(two_agent_aggregative(), self.layout, self.layout)
+        with pytest.raises(GameError, match="positive step beta"):
+            preconditioner_positive(ops, beta)
+
+    @pytest.mark.parametrize("step, max_iters", [(0.0, 100), (-0.05, 100), (0.05, 0)])
+    def test_reference_solve_refuses_what_it_cannot_run(self, step, max_iters):
+        with pytest.raises(GameError, match="positive step and max_iters >= 1"):
+            solve_vgne_centralized(two_agent_aggregative(), np.zeros(2), step=step,
+                                   max_iters=max_iters)
+
     def test_reference_solve_divergence_guard(self):
         # step 2.0 blows the centralized loop up to nan within its budget
         with pytest.raises(DivergenceError):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from endnet.design import DesignCriterion, design_layout
 from endnet.graphs import Graph, WeightedGraph, metropolis_hastings_weights
 from endnet.layout import (
     ConnectivityMode,
@@ -11,6 +14,7 @@ from endnet.layout import (
     standard_layout,
     weighted,
 )
+from endnet.scenarios import build_random_separable
 
 
 def ring(n):
@@ -263,6 +267,42 @@ class TestJson:
         v = np.random.default_rng(3).standard_normal(lay.stacked_dim)
         for op in ("apply_weight", "apply_laplacian"):
             assert getattr(back, op)(v).tobytes() == getattr(lay, op)(v).tobytes()
+
+
+@st.composite
+def separable_layouts(draw):
+    """A standard or a designed layout of a small random_separable instance,
+    on a ring or the complete graph."""
+    n = draw(st.integers(3, 7))
+    m = draw(st.integers(1, 8))
+    problem, _ = build_random_separable(n, m, draw(st.sampled_from([0.2, 0.5, 1.0])),
+                                        draw(st.integers(0, 2**16)))
+    comm = ring(n) if draw(st.booleans()) else Graph.complete(range(1, n + 1))
+    interference = frozenset(
+        (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp)
+    partition = Partition(problem.component_dims)
+    if draw(st.booleans()):
+        return standard_layout(comm, interference, partition)
+    return design_layout(comm, interference, partition,
+                         DesignCriterion(ConnectivityMode.undirected_connected(),
+                                         objective="min_edges"))
+
+
+class TestLayoutProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(layout=separable_layouts(), seed=st.integers(0, 2**16))
+    def test_json_round_trip_keeps_groups_and_laplacian(self, layout, seed):
+        back = EndLayout.from_json_dict(layout.to_json_dict())
+        assert [g.members for g in back.groups] == [g.members for g in layout.groups]
+        v = np.random.default_rng(seed).standard_normal(layout.stacked_dim)
+        assert (back.laplacian_operator @ v).tobytes() == (layout.laplacian_operator @ v).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=separable_layouts(), seed=st.integers(0, 2**16))
+    def test_consensus_projection_is_idempotent(self, layout, seed):
+        v = np.random.default_rng(seed).standard_normal(layout.stacked_dim)
+        once = layout.consensus_projection(v)
+        assert np.max(np.abs(layout.consensus_projection(once) - once)) <= 1e-12
 
 
 class TestInterferenceIndex:

@@ -397,6 +397,17 @@ class TestPushSum:
         assert trace.columns["consensus_err"][-1] < 1e-2
         assert abs(trace.columns["f_gap"][-1]) < 1e-2
 
+    @pytest.mark.parametrize("max_iters, check_every", [(0, 100), (10, 0)])
+    def test_solve_refuses_what_it_cannot_run(self, max_iters, check_every):
+        comm = Graph.directed_graph([1, 2], [(1, 2), (2, 1)])
+        lay = standard_layout(comm, {(1, 1), (1, 2)}, Partition([1]),
+                              weight_scheme="column")
+        weights = lay.weight_operator
+        with pytest.raises(OptimError, match="check_every >= 1"):
+            pushsum_solve(lay, lambda k: weights, two_agent_shared_scalar(),
+                          power_step_schedule(0.2, 0.6), max_iters=max_iters,
+                          check_every=check_every)
+
     def test_nonpositive_mass_guarded(self):
         comm = Graph.directed_graph([1, 2], [(1, 2), (2, 1)])
         lay = standard_layout(comm, {(1, 1), (1, 2)}, Partition([1]),
