@@ -32,6 +32,7 @@ from .games import (
 from .graphs import Graph, GraphError
 from .layout import ConnectivityMode, EndLayout, LayoutError, Partition, standard_layout
 from .optim import (
+    TRACKING_BUDGET,
     ConstraintCoupledProblem,
     OptimError,
     abc_solve,
@@ -80,10 +81,17 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
+def _not_whole(value) -> bool:
+    """Whether ``value`` is a bool, or a float with a fractional part (or not
+    finite): values that ``int`` would change instead of refusing."""
+    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+
+
 def _read(cfg: dict, key: str, kind, default=_REQUIRED):
     """``kind(cfg.get(key, default))``, where a missing required key or a
-    value ``kind`` cannot convert is a ConfigError that names the key. A
-    default of None makes the field optional and passes None through."""
+    value ``kind`` cannot convert is a ConfigError that names the key; so is
+    a bool or a fractional number for an int field. A default of None makes
+    the field optional and passes None through."""
     if key in cfg:
         value = cfg[key]
     elif default is _REQUIRED:
@@ -93,18 +101,25 @@ def _read(cfg: dict, key: str, kind, default=_REQUIRED):
     if value is None and default is None:
         return None
     try:
+        if kind is int and _not_whole(value):
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field {key!r}: expected {kind.__name__}, got {value!r}") from exc
 
 
-def _read_positive(cfg: dict, key: str, kind, default=_REQUIRED):
-    """``_read``, where a value that is not above zero is also a
-    ConfigError that names the key."""
-    value = _read(cfg, key, kind, default)
-    if not value > 0:
-        raise ConfigError(f"field {key!r}: must be positive, got {cfg.get(key, default)!r}")
-    return value
+def _read_positive(cfg: dict, key: str, kind, default=_REQUIRED, note: str | None = None):
+    """``_read``, where a value that is not above zero (for an int field:
+    not a whole number above zero) is also a ConfigError that names the key,
+    with ``note`` appended when given."""
+    raw = cfg.get(key, default)
+    if not (kind is int and _not_whole(raw)):
+        value = _read(cfg, key, kind, default)
+        if value > 0:
+            return value
+    whole = " and whole" if kind is int else ""
+    why = f" ({note})" if note else ""
+    raise ConfigError(f"field {key!r}: must be positive{whole}, got {raw!r}{why}")
 
 
 def _block(cfg: dict, key: str) -> dict:
@@ -388,12 +403,23 @@ _RUN_FIELDS = {
     "dual": ("step_scale", "step_exponent", "max_iters"),
 }
 
-# the run-config fields that must be positive (steps, iteration budgets and
-# check intervals), with their types
+# the run-config fields that must be positive (steps, iteration budgets,
+# record and check intervals), with their types
 _POSITIVE_RUN_FIELDS = {
     "gne": {"alpha": float, "beta": float, "reference_step": float,
             "reference_max_iters": int, "max_iters": int, "check_every": int},
-    "pushsum": {"check_every": int},
+    "ne": {"alpha": float, "max_iters": int},
+    "augdgm": {"gamma": float, "max_iters": int, "merit_every": int},
+    "abc": {"gamma": float, "max_iters": int, "merit_every": int},
+    "admm": {"alpha": float, "max_iters": int},
+    "pushsum": {"step_scale": float, "max_iters": int, "check_every": int},
+    "dual": {"step_scale": float, "max_iters": int},
+}
+
+# why a solver needs its positive int fields, added to the message
+_POSITIVE_NOTES = {
+    "augdgm": TRACKING_BUDGET,
+    "abc": TRACKING_BUDGET,
 }
 
 
@@ -414,9 +440,10 @@ def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
     if unknown:
         raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a run of "
                           f"{algorithm} (expected {', '.join(_RUN_FIELDS[algorithm])})")
-    for key, convert in _POSITIVE_RUN_FIELDS.get(algorithm, {}).items():
+    for key, convert in _POSITIVE_RUN_FIELDS[algorithm].items():
         if key in run_cfg:
-            _read_positive(run_cfg, key, convert)
+            note = _POSITIVE_NOTES.get(algorithm) if convert is int else None
+            _read_positive(run_cfg, key, convert, note=note)
     return algorithm
 
 
@@ -450,13 +477,17 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         alpha = _read(run_cfg, "alpha", float, sc.alpha)
         beta = _read(run_cfg, "beta", float, sc.beta)
         x0 = np.zeros(inst.game.total_action_dim)
-        reference = None
+        reference = reference_s = None
         if run_cfg.get("reference", True):
+            start = time.perf_counter()
+            # once per arm: a second arm on the same game reads the first
+            # arm's result, which the game keeps
             reference, _ = solve_vgne_centralized(
                 inst.game, x0,
                 step=_read(run_cfg, "reference_step", float, 0.05),
                 max_iters=_read(run_cfg, "reference_max_iters", int, 500000),
             )
+            reference_s = time.perf_counter() - start
         state, trace = gne_solve(
             ops, x0, alpha, beta,
             max_iters=_read(run_cfg, "max_iters", int, 200000),
@@ -474,6 +505,7 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
             "preconditioner_positive": preconditioner_positive(ops, beta),
         }
         result["final_merit"] = trace.last("residual")
+        result["reference_s"] = reference_s
         result["solution"] = state.x
         result["trace"] = trace
     elif algorithm == "ne":
@@ -712,6 +744,8 @@ def cmd_experiment(args) -> int:
     values = _read(sweep, "values", list, [None])
     seeds = _read(cfg, "seeds", list, [int(args.seed) if args.seed is not None else 0])
     try:
+        if any(_not_whole(seed) for seed in seeds):
+            raise ValueError(seeds)
         seeds = [int(seed) for seed in seeds]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'seeds': expected integers, got {seeds!r}") from exc

@@ -824,12 +824,16 @@ class _TrackingRounds:
         np.add(z, s, out=z)
 
 
+# what the tracking solvers need of their iteration budget and record interval
+TRACKING_BUDGET = "gradient tracking needs max_iters >= 1 and merit_every >= 1"
+
+
 def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds,
            trace: RunTrace, what: str, max_iters: int, reference: np.ndarray | None,
            merit_every: int) -> tuple[np.ndarray, RunTrace]:
     """The loop of both tracking solvers; see :func:`augdgm_solve`."""
     if max_iters < 1 or merit_every < 1:
-        raise OptimError("gradient tracking needs max_iters >= 1 and merit_every >= 1")
+        raise OptimError(TRACKING_BUDGET)
     stacked = stacked_form(layout, problem)
     grad_star_norm = f_star = None
     if reference is not None:

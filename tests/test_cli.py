@@ -239,6 +239,10 @@ def test_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, mistake, message
 
 
 UNICAST_PRESET = {"kind": "unicast", "preset": "reference", "seed": 0}
+REGRESSION_8 = {"kind": "regression", "num_sensors": 8, "num_sources": 3,
+                "comm_radius_min": 0.45, "comm_radius_width": 0.1}
+RANDOM_GAME_4 = {"kind": "random_game", "num_agents": 4, "sparsity": 0.4, "seed": 0}
+COUPLED_QP_4 = {"kind": "coupled_qp", "num_agents": 4, "dim": 2, "seed": 0}
 
 
 @pytest.mark.parametrize("scenario, run, field", [
@@ -252,17 +256,34 @@ UNICAST_PRESET = {"kind": "unicast", "preset": "reference", "seed": 0}
     (UNICAST_PRESET, {"alpha": float("nan")}, "alpha"),
     ({"kind": "unicast", "num_users": 4, "alpha": 0.0}, {}, "alpha"),
     ({"kind": "unicast", "num_users": 4, "beta": -1e-3}, {}, "beta"),
-    ({"kind": "regression", "num_sensors": 8, "num_sources": 3, "comm_radius_min": 0.45,
-      "comm_radius_width": 0.1}, {"check_every": 0}, "check_every"),
+    (REGRESSION_8, {"check_every": 0}, "check_every"),
+    (RANDOM_GAME_4, {"alpha": 0}, "alpha"),
+    (RANDOM_GAME_4, {"max_iters": 0}, "max_iters"),
+    (SEP_SCENARIO, {"algorithm": "augdgm", "gamma": 0}, "gamma"),
+    (SEP_SCENARIO, {"algorithm": "augdgm", "gamma": -1}, "gamma"),
+    (SEP_SCENARIO, {"algorithm": "augdgm", "merit_every": 0}, "merit_every"),
+    (SEP_SCENARIO, {"algorithm": "abc", "max_iters": -3}, "max_iters"),
+    (SEP_SCENARIO, {"algorithm": "abc", "gamma": 0.0}, "gamma"),
+    (SEP_SCENARIO, {"algorithm": "admm", "alpha": 0}, "alpha"),
+    (SEP_SCENARIO, {"algorithm": "admm", "max_iters": 0}, "max_iters"),
+    (REGRESSION_8, {"step_scale": 0}, "step_scale"),
+    (REGRESSION_8, {"max_iters": 0}, "max_iters"),
+    (COUPLED_QP_4, {"step_scale": -0.5}, "step_scale"),
+    (COUPLED_QP_4, {"max_iters": 0}, "max_iters"),
 ], ids=["check_every", "alpha", "beta", "reference_step", "reference_max_iters", "max_iters",
         "check_every-below-one", "alpha-nan", "scenario-alpha", "scenario-beta",
-        "pushsum-check_every"])
+        "pushsum-check_every", "ne-alpha", "ne-max_iters", "augdgm-gamma",
+        "augdgm-gamma-negative", "augdgm-merit_every", "abc-max_iters", "abc-gamma",
+        "admm-alpha", "admm-max_iters", "pushsum-step_scale", "pushsum-max_iters",
+        "dual-step_scale", "dual-max_iters"])
 def test_steps_and_intervals_a_solver_cannot_run_are_config_errors(tmp_path, capsys,
                                                                    scenario, run, field):
     """A step that is not positive or a check interval below 1 fails the
     dry run and the run alike, with a config error that names the field
     (before: a ZeroDivisionError traceback, a nan merit, or a negative beta
-    reported as a positive preconditioner)."""
+    reported as a positive preconditioner; for the solvers other than gne,
+    "config ok" from the dry run, then an unmoved iterate, a divergence or
+    a solver's error)."""
     cfg = _write_config(tmp_path, "bad.json", {"scenario": scenario, "run": run})
     for extra in (["--dry-run"], []):
         capsys.readouterr()
@@ -271,6 +292,17 @@ def test_steps_and_intervals_a_solver_cannot_run_are_config_errors(tmp_path, cap
         err = capsys.readouterr().err
         assert f"config error: field {field!r}: must be positive" in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_int_field_takes_a_whole_float(tmp_path):
+    """A whole number written as a float is read as that int."""
+    cfg = _write_config(tmp_path, "whole.json", {
+        "scenario": SEP_SCENARIO, "arm": "standard",
+        "run": {"algorithm": "augdgm", "max_iters": 40.0, "merit_every": 20.0},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["iterations"] == 40
 
 
 class _FieldsRead(dict):
@@ -444,14 +476,24 @@ def test_run_lasso_with_sensors_that_sense_nothing(tmp_path):
     ("scenario", "sparsity", None),
     ("run", "max_iters", [400]),
     ("run", "gamma", "small"),
+    ("run", "max_iters", 2.7),
+    ("run", "merit_every", True),
+    ("run", "max_iters", float("inf")),
+    ("scenario", "num_components", 6.5),
+    ("scenario", "seed", False),
 ])
 def test_ill_typed_field_is_config_error_naming_it(tmp_path, capsys, block, key, value):
+    """Also an int field given a fractional number or a bool, in the dry
+    run as in the run (before: 2.7 ran 2 iterations, and true ran 1)."""
     cfg = {"scenario": dict(SEP_SCENARIO), "arm": "standard",
            "run": {"algorithm": "augdgm", "max_iters": 50}}
     cfg[block][key] = value
     path = _write_config(tmp_path, "typed.json", cfg)
-    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert repr(key) in capsys.readouterr().err
+    for extra in (["--dry-run"], []):
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     *extra]) == EXIT_CONFIG
+        assert f"config error: field {key!r}" in capsys.readouterr().err
 
 
 def test_run_block_that_is_not_an_object_is_config_error(tmp_path):
@@ -567,6 +609,48 @@ def test_us_per_step_reaches_the_summary_and_never_the_trace(tmp_path, scenario,
         assert summary["trace_meta"]["us_per_step"] > 0
 
 
+UNICAST_REFERENCE_RUN = {"max_iters": 600, "tol": 1e-2, "check_every": 100,
+                         "reference_step": 0.2, "reference_max_iters": 3000}
+
+
+def test_gne_reference_time_reaches_the_summary_and_never_the_trace(tmp_path):
+    """gne reports the wall time of its centralized reference in the
+    summary (null when no reference is solved); the trace CSVs of two runs
+    of one config and seed stay the same bytes."""
+    cfg = _write_config(tmp_path, "cfg.json", {"scenario": UNICAST_PRESET, "arm": "standard",
+                                              "run": UNICAST_REFERENCE_RUN})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_OK
+    first = (outs[0] / "trace.csv").read_bytes()
+    assert first == (outs[1] / "trace.csv").read_bytes()
+    assert b"reference_s" not in first
+    for out in outs:
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0 < summary["reference_s"] < summary["wall_seconds"]
+    cfg = _write_config(tmp_path, "none.json", {
+        "scenario": UNICAST_PRESET, "run": {**UNICAST_REFERENCE_RUN, "reference": False}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert json.loads((tmp_path / "c" / "summary.json").read_text())["reference_s"] is None
+
+
+def test_both_arms_call_the_reference_and_solve_it_once(monkeypatch):
+    """Each arm of a cell calls ``solve_vgne_centralized`` (a wrapper around
+    that name sees both calls), and the second reads the first's result."""
+    from endnet import games
+
+    calls, loops = [], []
+    solve, loop = cli.solve_vgne_centralized, games._reference_loop
+    monkeypatch.setattr(cli, "solve_vgne_centralized",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    monkeypatch.setattr(games, "_reference_loop", lambda *a: loops.append(1) or loop(*a))
+    bundle = cli.build_scenario(UNICAST_PRESET, None)
+    results = [cli.run_solver(bundle, UNICAST_REFERENCE_RUN, arm)
+               for arm in ("standard", "customized")]
+    assert len(calls) == 2 and len(loops) == 1
+    assert all(r["reference_s"] > 0 for r in results)
+
+
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch, sep_config):
     monkeypatch.setenv("END_LOG_LEVEL", "loud")
     assert main(["run", "--config", sep_config, "--dry-run"]) == EXIT_CONFIG
@@ -631,6 +715,14 @@ def test_experiment_table(tmp_path):
     summary = json.loads((out / "experiment_summary.json").read_text())
     assert summary["parameter"] == "num_components"
     assert len(summary["wall_seconds"]) == 4
+
+
+@pytest.mark.parametrize("seeds", [[0, 1.5], [True], ["one"]])
+def test_experiment_seeds_must_be_integers(tmp_path, capsys, seeds):
+    cfg = _write_config(tmp_path, "exp.json", {
+        "scenario": SEP_SCENARIO, "seeds": seeds, "run": {"algorithm": "augdgm"}})
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: field 'seeds': expected integers" in capsys.readouterr().err
 
 
 def test_experiment_deterministic_across_jobs(tmp_path):

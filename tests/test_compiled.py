@@ -94,7 +94,7 @@ from endnet.optim import (
     stacked_gradient,
     stacked_value,
 )
-from endnet.trace import BLOCK_ROWS
+from endnet.trace import BLOCK_ROWS, DivergenceError, divergence_guard
 from endnet.scenarios import (
     SensorScenario,
     build_lasso,
@@ -1683,6 +1683,131 @@ def test_reference_solve_matches_agent_loop(name):
     x, lam = solve_vgne_centralized(game, x0, step=step, max_iters=1500, tol=0.0)
     x_ref, lam_ref = loop_solve_vgne(game, *callbacks, x0, step, 1500)
     assert close(x, x_ref) and close(lam, lam_ref)
+
+
+def allocating_reference_loop(game, x0, step, max_iters, tol):
+    """The centralized primal-dual loop as it ran before it ran in place,
+    with new arrays every iteration."""
+    A, a = game._constraints
+    x = np.asarray(x0, dtype=float).copy()
+    lam = np.zeros(A.shape[0])
+    guard = divergence_guard(x, "reference primal iterate")
+    for k in range(max_iters):
+        x_new = game.project(x - step * (game.pseudo_gradient(x) + A.T @ lam))
+        lam_new = lam + step * (A @ (2 * x_new - x) - a)
+        if game.sense == "inequality":
+            lam_new = np.maximum(lam_new, 0.0)
+        delta = max(float(np.max(np.abs(x_new - x))), float(np.max(np.abs(lam_new - lam))))
+        x, lam = x_new, lam_new
+        guard(x, k)
+        if delta < tol:
+            break
+    return x, lam
+
+
+def counting(game):
+    """A copy of ``game`` whose gradient counts its calls, and the count."""
+    calls = [0]
+
+    def gradient(x, sigma):
+        calls[0] += 1
+        return game.gradient(x, sigma)
+
+    return dataclasses.replace(game, gradient=gradient), calls
+
+
+def reference_case(name):
+    """(game, step) of the 7-node unicast scheme in either constraint sense,
+    or of the blocks game (box, ball, halfspace and free domains)."""
+    if name.startswith("unicast"):
+        game = build_unicast(reference_scheme_unicast(0)).game
+        return dataclasses.replace(game, sense=name.split("-")[1]), 0.2
+    game = blocks_game()[0]
+    return dataclasses.replace(game, sense=name.split("-")[1]), 0.05
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+@pytest.mark.parametrize("name", ["unicast-inequality", "unicast-equality",
+                                  "blocks-equality", "blocks-inequality"])
+def test_reference_loop_matches_the_allocating_loop(name, tol):
+    """The in-place reference loop against the allocating one: the same
+    (x, lam) to RTOL, after the same number of iterations (one gradient call
+    each) whether the budget or the stop test ends the loop."""
+    game, step = reference_case(name)
+    x0 = np.linspace(0.0, 0.5, game.total_action_dim)
+    budget = 1500 if tol == 0.0 else 50000
+    fast, fast_calls = counting(game)
+    slow, slow_calls = counting(game)
+    x, lam = solve_vgne_centralized(fast, x0, step=step, max_iters=budget, tol=tol)
+    x_ref, lam_ref = allocating_reference_loop(slow, x0, step, budget, tol)
+    assert close(x, x_ref) and close(lam, lam_ref)
+    assert fast_calls == slow_calls
+    assert (fast_calls[0] == budget) == (tol == 0.0)
+
+
+def test_reference_loop_memory_does_not_grow_with_the_iterations():
+    """The loop runs on buffers allocated once: its traced peak is the same
+    for 200 and for 2,000 iterations."""
+    game, step = reference_case("unicast-inequality")
+    x0 = np.zeros(game.total_action_dim)
+    solve_vgne_centralized(game, x0, step=step, max_iters=10, tol=0.0)  # warm-up
+    peaks = []
+    for iters in (200, 2000):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_vgne_centralized(game, x0, step=step, max_iters=iters, tol=0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024, peaks
+
+
+def test_reference_is_kept_on_the_game_per_arguments():
+    """A second call with the same arguments returns copies of the first
+    result without a gradient call; changing any argument solves again."""
+    game, step = reference_case("unicast-inequality")
+    game, calls = counting(game)
+    x0 = np.zeros(game.total_action_dim)
+    args = dict(step=step, max_iters=3000, tol=1e-10)
+    x, lam = solve_vgne_centralized(game, x0, **args)
+    solved = calls[0]
+    assert 0 < solved < 3000
+    kept = x.copy(), lam.copy()
+    x[:] = lam[:] = -1.0
+    x2, lam2 = solve_vgne_centralized(game, x0.copy(), **args)
+    assert calls[0] == solved
+    assert np.array_equal(x2, kept[0]) and np.array_equal(lam2, kept[1])
+    x2[:] = lam2[:] = -1.0
+    x3, lam3 = solve_vgne_centralized(game, x0, **args)
+    assert np.array_equal(x3, kept[0]) and np.array_equal(lam3, kept[1])
+    assert calls[0] == solved
+    for changed in (dict(x0=x0 + 0.1), dict(step=0.9 * step), dict(max_iters=2999),
+                    dict(tol=1e-11)):
+        before = calls[0]
+        solve_vgne_centralized(game, **{"x0": x0, **args, **changed})
+        assert calls[0] > before, changed
+    # an equal game built apart from this one keeps its own results
+    other, other_calls = counting(reference_case("unicast-inequality")[0])
+    solve_vgne_centralized(other, x0, **args)
+    assert other_calls[0] == solved
+    # the arguments are checked before the kept results are read
+    with pytest.raises(GameError, match="positive step"):
+        solve_vgne_centralized(game, x0, step=0.0, max_iters=3000, tol=1e-10)
+    with pytest.raises(GameError, match="x0 of shape"):
+        solve_vgne_centralized(game, np.zeros(game.total_action_dim + 1), **args)
+
+
+def test_reference_that_diverges_is_never_kept():
+    """A solve that raises keeps nothing: every call runs and raises."""
+    game, calls = counting(blocks_game()[0])
+    x0 = np.zeros(game.total_action_dim)
+    for _ in range(2):
+        calls[0] = 0
+        with pytest.raises(DivergenceError):
+            solve_vgne_centralized(game, x0, step=5.0, max_iters=20000)
+        assert calls[0] > 0
+    assert game._references == {}
 
 
 @pytest.mark.parametrize("arm", ["standard", "customized", "row"])
