@@ -90,8 +90,9 @@ def _not_whole(value) -> bool:
 def _read(cfg: dict, key: str, kind, default=_REQUIRED):
     """``kind(cfg.get(key, default))``, where a missing required key or a
     value ``kind`` cannot convert is a ConfigError that names the key; so is
-    a bool or a fractional number for an int field. A default of None makes
-    the field optional and passes None through."""
+    a bool for an int or float field, or a fractional number for an int
+    field. A default of None makes the field optional and passes None
+    through."""
     if key in cfg:
         value = cfg[key]
     elif default is _REQUIRED:
@@ -101,7 +102,7 @@ def _read(cfg: dict, key: str, kind, default=_REQUIRED):
     if value is None and default is None:
         return None
     try:
-        if kind is int and _not_whole(value):
+        if kind is int and _not_whole(value) or kind is float and isinstance(value, bool):
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -426,7 +427,8 @@ _POSITIVE_NOTES = {
 def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
     """The algorithm a run config selects on a scenario kind, once the arm,
     the algorithm's name, its fit to the kind, the names of the run's
-    fields and the sign of those that must be positive are checked."""
+    fields, the sign of those that must be positive and the upper end of
+    ADMM's relaxation parameter are checked."""
     if arm not in ("standard", "customized"):
         raise ConfigError(f"unknown arm {arm!r} (expected standard or customized)")
     algorithm = run_cfg.get("algorithm", _DEFAULT_ALGORITHM[kind])
@@ -444,6 +446,10 @@ def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
         if key in run_cfg:
             note = _POSITIVE_NOTES.get(algorithm) if convert is int else None
             _read_positive(run_cfg, key, convert, note=note)
+    if algorithm == "admm" and "alpha" in run_cfg:
+        alpha = _read(run_cfg, "alpha", float)
+        if alpha >= 1.0:
+            raise ConfigError(f"field 'alpha': relaxation parameter {alpha} outside (0, 1)")
     return algorithm
 
 

@@ -9,41 +9,38 @@ count, weight, load balance) is reduced heuristically.
 Heuristics are the textbook approximations: metric-closure MST for
 (unweighted) Steiner trees (Kou, Markowsky & Berman), shortest-path unions
 for rooted instances and a hub arborescence pair for strongly connected
-instances. The metric closure is read from one Dijkstra shortest-path
-row per source terminal. ``design_layout`` keeps the rows of its shared host in one
-table, so a terminal's row is computed once per call, not once per
-component.
+instances. Each search is one shortest-path tree (``graphs.shortest_path_tree``)
+from a KMB source terminal, a hub or a root, and every path is read off
+such a tree: KMB takes both the metric closure and the expansion of its
+MST edges from the tree of the smaller terminal, and ``design_layout``
+keeps the trees of its shared host in one table, so a terminal's tree is
+grown once per call, not once per component.
 
-Results are deterministic but ties are not broken by node id. Every path
-comes from a bidirectional search in ``graphs`` (breadth-first for hub and
-rooted paths, Dijkstra for the expansion of closure edges): each grows a
-frontier from both ends in turn, scans neighbours in ascending id order
-(self-loops skipped), keeps the first predecessor that reaches a node by a
-shortest route, and stops at the first meeting that is provably shortest.
-Among equal-length paths this picks whichever that order meets first, not
-the smallest ids. The closure MST is Kruskal's over the terminal pairs in
-ascending order, sorted stably by distance.
+Ties follow one rule: on a shortest-path tree, each node's predecessor is
+the smallest id among its neighbours on a shortest path from the source.
+The closure MST is Kruskal's over the terminal pairs in ascending order,
+sorted stably by distance.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     Graph,
     GraphError,
     WeightedGraph,
-    bidirectional_bfs,
-    bidirectional_dijkstra,
-    dijkstra_lengths,
     is_rooted,
     is_strongly_connected,
     kruskal_edges,
     reachable,
     restrict,
+    shortest_path_tree,
+    tree_path,
 )
 from .layout import (
     ConnectivityMode,
@@ -109,7 +106,11 @@ class DesignCriterion:
 
 @dataclass(frozen=True)
 class SteinerInstance:
-    """A host graph, terminals to connect, and (for rooted variants) a root."""
+    """A host graph, terminals to connect, and (for rooted variants) a root.
+
+    Weights, when given, must be finite and positive: the searches settle a
+    node only after all of its predecessors on shortest paths.
+    """
 
     host: Graph
     terminals: frozenset[int]
@@ -124,6 +125,9 @@ class SteinerInstance:
             raise GraphError("root must be a host node")
         if self.weights is not None:
             object.__setattr__(self, "weights", dict(self.weights))
+            for edge, w in self.weights.items():
+                if not 0.0 < w < math.inf:
+                    raise GraphError(f"weight {w!r} of {edge} is not finite and positive")
 
 
 def _undirected_host(g: Graph, weights=None) -> dict[int, dict[int, float]]:
@@ -202,26 +206,27 @@ def solve_ust(inst: SteinerInstance) -> Graph:
 
 
 def _steiner_tree(host: Mapping[int, Mapping[int, float]], inst: SteinerInstance,
-                  rows: dict[int, dict[int, float]]) -> Graph:
+                  rows: dict[int, tuple[dict, dict]]) -> Graph:
     """KMB on ``host``, the undirected adjacency of ``inst.host``.
 
-    ``rows`` maps a source terminal to its Dijkstra distances in ``host``;
-    missing rows are added here, so callers on the same host share them.
+    ``rows`` maps a source terminal to its shortest-path tree in ``host``;
+    missing trees are added here, so callers on the same host share them.
+    A closure edge (a, b), a < b, takes its length and its path from a's tree.
     """
     terminals = sorted(inst.terminals)
     if len(terminals) == 1:
         return Graph.undirected_graph(terminals, [])
     closure = []
     for a, b in itertools.combinations(terminals, 2):
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = dijkstra_lengths(host, a)
-        if b not in row:
+        if a not in rows:
+            rows[a] = shortest_path_tree(host, a)
+        dist = rows[a][0]
+        if b not in dist:
             raise DesignInfeasible(f"terminals {a} and {b} are not connected")
-        closure.append((a, b, row[b]))
+        closure.append((a, b, dist[b]))
     tree: dict[int, set[int]] = {t: set() for t in terminals}
     for a, b, _ in sorted(kruskal_edges(closure)):
-        _add_path(tree, bidirectional_dijkstra(host, host, a, b), undirected=True)
+        _add_path(tree, tree_path(rows[a][1], b), undirected=True)
     _prune_leaves(tree, set(terminals))
     return _as_graph(tree, directed=False)
 
@@ -237,16 +242,23 @@ def solve_hub_tree(inst: SteinerInstance, hub: int | None = None) -> Graph:
     return _hub_tree(_undirected_host(inst.host), inst, hub)
 
 
-def _hub_tree(host: Mapping[int, Iterable[int]], inst: SteinerInstance,
+def _tree_paths(succ: Mapping[int, Mapping[int, float]], source: int,
+                targets: Iterable[int]) -> list[tuple[int, list[int] | None]]:
+    """(t, path) for each target t but source, ascending, with the path from
+    source to t on one shortest-path tree over ``succ`` (None off the tree);
+    no tree is grown when source is the only target."""
+    targets = sorted(set(targets) - {source})
+    back = shortest_path_tree(succ, source)[1] if targets else {}
+    return [(t, tree_path(back, t)) for t in targets]
+
+
+def _hub_tree(host: Mapping[int, Mapping[int, float]], inst: SteinerInstance,
               hub: int | None) -> Graph:
     terminals = sorted(inst.terminals)
     if hub is None:
         hub = terminals[0]
     tree: dict[int, set[int]] = {hub: set()}
-    for t in terminals:
-        if t == hub:
-            continue
-        path = bidirectional_bfs(host, host, hub, t)
+    for t, path in _tree_paths(host, hub, terminals):
         if path is None:
             raise DesignInfeasible(f"terminal {t} not connected to hub {hub}")
         _add_path(tree, path, undirected=True)
@@ -261,27 +273,21 @@ def solve_udst(inst: SteinerInstance) -> Graph:
     """
     if inst.root is None:
         raise GraphError("rooted Steiner instance needs a root")
-    return _rooted_paths(*_directed_host(inst.host), inst, bidirectional_bfs)
+    return _rooted_paths(_directed_host(inst.host)[0], inst)
 
 
 def solve_dst(inst: SteinerInstance) -> Graph:
     """Weighted rooted variant: shortest paths use edge weights."""
     if inst.root is None:
         raise GraphError("rooted Steiner instance needs a root")
-    return _rooted_paths(*_directed_host(inst.host, inst.weights), inst,
-                         bidirectional_dijkstra)
+    return _rooted_paths(_directed_host(inst.host, inst.weights)[0], inst)
 
 
-def _rooted_paths(succ: Mapping[int, Mapping[int, float]],
-                  pred: Mapping[int, Mapping[int, float]], inst: SteinerInstance,
-                  search: Callable[..., list[int] | None]) -> Graph:
-    """Union of the root-to-terminal paths that ``search`` (a bidirectional
-    search over ``succ``/``pred``) finds, pruned."""
+def _rooted_paths(succ: Mapping[int, Mapping[int, float]], inst: SteinerInstance) -> Graph:
+    """Union of the root-to-terminal paths on one shortest-path tree over
+    ``succ``, pruned."""
     sub: dict[int, set[int]] = {inst.root: set()}
-    for t in sorted(inst.terminals):
-        if t == inst.root:
-            continue
-        path = search(succ, pred, inst.root, t)
+    for t, path in _tree_paths(succ, inst.root, inst.terminals):
         if path is None:
             raise DesignInfeasible(f"terminal {t} unreachable from root {inst.root}")
         _add_path(sub, path, undirected=False)
@@ -314,20 +320,19 @@ def solve_scss(inst: SteinerInstance) -> Graph:
     return _hub_scss(*_directed_host(inst.host), inst)
 
 
-def _hub_scss(succ: Mapping[int, Iterable[int]], pred: Mapping[int, Iterable[int]],
-              inst: SteinerInstance) -> Graph:
-    terminals = sorted(inst.terminals)
-    hub = inst.root if inst.root is not None else terminals[0]
+def _hub_scss(succ: Mapping[int, Mapping[int, float]],
+              pred: Mapping[int, Mapping[int, float]], inst: SteinerInstance) -> Graph:
+    """Hub-to-terminal paths from one tree over ``succ``, and terminal-to-hub
+    paths read reversed off one tree over ``pred``, then redundant edges
+    pruned."""
+    hub = inst.root if inst.root is not None else min(inst.terminals)
     out: dict[int, set[int]] = {hub: set()}
-    for t in terminals:
-        if t == hub:
-            continue
-        out_path = bidirectional_bfs(succ, pred, hub, t)
-        in_path = bidirectional_bfs(succ, pred, t, hub)
+    for (t, out_path), (_, in_path) in zip(_tree_paths(succ, hub, inst.terminals),
+                                           _tree_paths(pred, hub, inst.terminals)):
         if out_path is None or in_path is None:
             raise DesignInfeasible(f"terminal {t} not in the hub's strong reachability class")
         _add_path(out, out_path, undirected=False)
-        _add_path(out, in_path, undirected=False)
+        _add_path(out, in_path[::-1], undirected=False)
     into: dict[int, set[int]] = {v: set() for v in out}
     for u, vs in out.items():
         for v in vs:
@@ -414,14 +419,14 @@ def design_layout(
         return standard_layout(comm, interference, partition, weight_scheme=scheme)
 
     # every component is designed on the same host, so its symmetric view,
-    # its adjacencies and the shortest-path rows of its terminals are built
+    # its adjacencies and the shortest-path trees of its terminals are built
     # once per call
     host = comm.undirected_closure() if mode.kind == "undirected" and comm.directed else comm
     if mode.kind == "undirected":
         succ = pred = _undirected_host(host)
     else:
         succ, pred = _directed_host(host)
-    rows: dict[int, dict[int, float]] = {}
+    rows: dict[int, tuple[dict, dict]] = {}
     needers = group_pairs(interference)
     debug = log.isEnabledFor(logging.DEBUG)
     loads: dict[int, int] = {v: 0 for v in comm.nodes}
@@ -477,7 +482,7 @@ def _solve_component(
     host: Graph,
     succ: Mapping[int, Mapping[int, float]],
     pred: Mapping[int, Mapping[int, float]],
-    rows: dict[int, dict[int, float]],
+    rows: dict[int, tuple[dict, dict]],
     p: int,
     terminals: frozenset[int],
     criterion: DesignCriterion,
@@ -485,8 +490,8 @@ def _solve_component(
 ) -> Graph:
     """Exchange graph of component p on ``host`` (``comm``, made symmetric in
     undirected mode); ``succ``/``pred`` are host's unit-length adjacencies
-    (one mapping in undirected mode) and ``rows`` the shortest-path rows of
-    its terminals, all shared by every component and never mutated."""
+    (one mapping in undirected mode) and ``rows`` the shortest-path trees of
+    its terminals, all shared by every component; only ``rows`` grows."""
     mode = criterion.connectivity
     objective = criterion.objective_for(p)
     if objective == "none":
@@ -495,8 +500,7 @@ def _solve_component(
         root = mode.roots.get(p)
         if root is None:
             raise DesignInfeasible("no root specified")
-        return _rooted_paths(succ, pred, SteinerInstance(host, terminals | {root}, root=root),
-                             bidirectional_bfs)
+        return _rooted_paths(succ, SteinerInstance(host, terminals | {root}, root=root))
     if mode.kind == "strong":
         hub = p if p in terminals else None
         return _hub_scss(succ, pred, SteinerInstance(host, terminals, root=hub))
@@ -508,7 +512,7 @@ def _solve_component(
         # min_weight has unit weights here, so both run KMB on the same host
         return _steiner_tree(succ, SteinerInstance(host, terminals), rows)
     # balanced: Steiner tree with load-inflated edge weights, on a host (and
-    # so with rows) of its own
+    # so with trees) of its own
     w = {
         (u, v): 1.0 + criterion.balance_penalty * (loads[u] + loads[v]) / 2.0
         for (u, v) in host.edges

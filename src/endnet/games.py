@@ -21,7 +21,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .layout import BlockOperator, CsrOperator, EndLayout
+from .layout import BlockOperator, CsrOperator, EndLayout, _ranges
 from .trace import RowBlocks, RunTrace, divergence_guard
 
 
@@ -526,8 +526,8 @@ class AggregativeGameSpec:
                            self._stack(self.sigma_dims, self.agg_blocks, self.agg_offsets))
         starts = _block_starts(self.sigma_dims)
         pairs = sorted(self.interference_sigma)
-        object.__setattr__(self, "_pair_rows", _ranges([starts[q] for q, _ in pairs],
-                                                       [self.sigma_dims[q] for q, _ in pairs]))
+        object.__setattr__(self, "_pair_rows", _ranges(
+            slice(starts[q], starts[q] + self.sigma_dims[q]) for q, _ in pairs))
         object.__setattr__(self, "_constraints",
                            self._stack(self.lambda_dims, self.con_blocks, self.con_offsets))
         lower = np.full(self.total_action_dim, -np.inf)
@@ -610,12 +610,6 @@ def _block_starts(dims: Mapping[int, int]) -> dict[int, int]:
     """Start of each block in a vector stacking the blocks in sorted order."""
     order = sorted(dims)
     return dict(zip(order, np.cumsum([0] + [dims[q] for q in order]).tolist()))
-
-
-def _ranges(starts, lengths) -> np.ndarray:
-    """The ranges [start, start + length) concatenated into one index array."""
-    return np.concatenate([np.zeros(0, dtype=int)]
-                          + [np.arange(s, s + n) for s, n in zip(starts, lengths)])
 
 
 @dataclass
@@ -828,8 +822,7 @@ def build_gne_operators(
         a_hat=a_hat,
         L_sigma=sigma_layout.laplacian_operator,
         L_lambda=lambda_layout.laplacian_operator,
-        sigma_pair_index=_ranges([sigma_layout.block_slice(q, i).start for q, i in pairs],
-                                 [game.sigma_dims[q] for q, _ in pairs]),
+        sigma_pair_index=_ranges(sigma_layout.block_slice(q, i) for q, i in pairs),
     )
 
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import count
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -309,26 +308,57 @@ def is_q_strongly_connected(seq: GraphSequence, q: int) -> bool:
 # -- searches on adjacency mappings -------------------------------------------
 #
 # The design heuristics and the unicast router search plain mappings from a
-# node to its neighbours, whose iteration order is the order the neighbours
-# are scanned in; a weighted mapping sends each neighbour to the length of
-# the edge. Ties are broken by that order and by the rules each docstring
-# states; the tests hold these searches to a reference implementation.
+# node to its neighbours; a weighted mapping sends each neighbour to the
+# length of the edge.
+
+
+def shortest_path_tree(succ: Mapping[int, Mapping[int, float]], source: int
+                       ) -> tuple[dict[int, float], dict[int, int | None]]:
+    """Dijkstra's shortest-path tree from source under positive edge
+    lengths, where ``succ[v]`` maps each node v sends to to the length of
+    that edge. Returns ``(dist, back)`` over the nodes source reaches: the
+    distance to each, and its predecessor on the tree (None for source),
+    which is the smallest u with ``dist[u] + length(u, v) == dist[v]``."""
+    dist: dict[int, float] = {}
+    seen = {source: 0.0}
+    back: dict[int, int | None] = {source: None}
+    fringe = [(0.0, source)]
+    while fringe:
+        d, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = d
+        for u, length in succ[v].items():
+            if u in dist:
+                continue
+            du = d + length
+            if u not in seen or du < seen[u]:
+                seen[u] = du
+                back[u] = v
+                heappush(fringe, (du, u))
+            elif du == seen[u] and v < back[u]:
+                back[u] = v
+    return dist, back
+
+
+def tree_path(back: Mapping[int, int | None], target: int) -> list[int] | None:
+    """The path from the root of the tree ``back`` (a predecessor map) to
+    target, or None if target is not on the tree."""
+    if target not in back:
+        return None
+    path = []
+    v: int | None = target
+    while v is not None:
+        path.append(v)
+        v = back[v]
+    path.reverse()
+    return path
 
 
 def _join(before: Mapping[int, int | None], after: Mapping[int, int | None],
           meet: int) -> list[int]:
     """The path source -> meet -> target from the two predecessor maps."""
-    path = []
-    v: int | None = meet
-    while v is not None:
-        path.append(v)
-        v = before[v]
-    path.reverse()
-    v = after[meet]
-    while v is not None:
-        path.append(v)
-        v = after[v]
-    return path
+    return tree_path(before, meet) + tree_path(after, meet)[-2::-1]
 
 
 def bidirectional_bfs(succ: Mapping[int, Iterable[int]], pred: Mapping[int, Iterable[int]],
@@ -339,7 +369,9 @@ def bidirectional_bfs(succ: Mapping[int, Iterable[int]], pred: Mapping[int, Iter
 
     Breadth-first levels grow from both ends: each round expands the whole
     smaller fringe (the forward one on a tie), scanning neighbours in order,
-    and the search stops at the first node reached from both sides.
+    and the search stops at the first node reached from both sides. Among
+    equal-length paths this picks whichever that order meets first, as
+    networkx's ``shortest_path`` does; the unicast router relies on it.
     """
     if source == target:
         return [source]
@@ -366,80 +398,6 @@ def bidirectional_bfs(succ: Mapping[int, Iterable[int]], pred: Mapping[int, Iter
                     if w in before:
                         return _join(before, after, w)
     return None
-
-
-def bidirectional_dijkstra(succ: Mapping[int, Mapping[int, float]],
-                           pred: Mapping[int, Mapping[int, float]],
-                           source: int, target: int) -> list[int] | None:
-    """A shortest path from source to target under nonnegative edge
-    lengths, or None if there is none. ``succ[v]`` maps each node v sends to
-    to the length of that edge and ``pred[v]`` each node that sends to v to
-    the length of that edge (one mapping for both on an undirected graph).
-
-    The two searches take turns, forward first, popping one node each from
-    a heap ordered by (distance, push counter). A node reached first through
-    an edge keeps that predecessor unless a strictly shorter route replaces
-    it; the meeting node is the first one whose combined distance is
-    strictly below every earlier one, and the search ends when one side
-    settles a node the other side has settled.
-    """
-    if source == target:
-        return [source]
-    settled: tuple[dict[int, float], dict[int, float]] = ({}, {})
-    preds: tuple[dict[int, int | None], dict[int, int | None]] = (
-        {source: None}, {target: None})
-    seen: tuple[dict[int, float], dict[int, float]] = ({source: 0.0}, {target: 0.0})
-    ticket = count()
-    fringe: tuple[list, list] = ([(0.0, next(ticket), source)], [(0.0, next(ticket), target)])
-    edges = (succ, pred)
-    best = None
-    meet = None
-    side = 1
-    while fringe[0] and fringe[1]:
-        side = 1 - side
-        dist, _, v = heappop(fringe[side])
-        done = settled[side]
-        if v in done:
-            continue
-        done[v] = dist
-        if v in settled[1 - side]:
-            return _join(preds[0], preds[1], meet)
-        near, far, heap, back = seen[side], seen[1 - side], fringe[side], preds[side]
-        for w, length in edges[side][v].items():
-            if w in done:
-                continue
-            d = dist + length
-            if w not in near or d < near[w]:
-                near[w] = d
-                heappush(heap, (d, next(ticket), w))
-                back[w] = v
-                if w in far:
-                    total = d + far[w]
-                    if best is None or best > total:
-                        best, meet = total, w
-    return None
-
-
-def dijkstra_lengths(succ: Mapping[int, Mapping[int, float]], source: int) -> dict[int, float]:
-    """Shortest distance from source to every node it reaches, where
-    ``succ[v]`` maps each node v sends to to the length of that edge."""
-    dist: dict[int, float] = {}
-    seen = {source: 0.0}
-    ticket = count()
-    fringe = [(0.0, next(ticket), source)]
-    while fringe:
-        d, _, v = heappop(fringe)
-        if v in dist:
-            continue
-        dist[v] = d
-        for u, length in succ[v].items():
-            if u in dist:
-                continue
-            du = d + length
-            if u not in seen or du < seen[u]:
-                seen[u] = du
-                heappush(fringe, (du, next(ticket), u))
-    return dist
 
 
 def kruskal_edges(edges: Iterable[tuple[int, int, float]]) -> list[tuple[int, int, float]]:

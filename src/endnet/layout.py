@@ -458,6 +458,12 @@ def _group_apply(g: ComponentGroup, mt: np.ndarray, v2: np.ndarray, out2: np.nda
     return apply
 
 
+def _ranges(slices: Iterable[slice]) -> np.ndarray:
+    """The entries of consecutive slices as one index array."""
+    return np.concatenate([np.zeros(0, dtype=np.intp)]
+                          + [np.arange(s.start, s.stop) for s in slices])
+
+
 def group_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
     """Each first entry of ``pairs`` mapped to its second entries, ascending.
 
@@ -625,14 +631,7 @@ class EndLayout:
     @cached_property
     def agent_major_permutation(self) -> np.ndarray:
         """Index array perm with tilde = hat[perm]."""
-        idx: list[np.ndarray] = []
-        for i in self.agents:
-            for p in self.held_by(i):
-                s = self.block_slice(p, i)
-                idx.append(np.arange(s.start, s.stop))
-        if not idx:
-            return np.zeros(0, dtype=int)
-        perm = np.concatenate(idx)
+        perm = _ranges(self.block_slice(p, i) for i in self.agents for p in self.held_by(i))
         if perm.size != self.stacked_dim:
             raise LayoutError("permutation does not cover the stacked vector")
         return perm

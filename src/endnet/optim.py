@@ -17,13 +17,13 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Graph, column_stochastic_weights, intersect, restrict
-from .layout import BlockOperator, CsrOperator, EndLayout
+from .layout import BlockOperator, CsrOperator, EndLayout, _ranges
 from .trace import BLOCK_ROWS, RowBlocks, RunTrace, divergence_guard
 
 
@@ -386,12 +386,6 @@ class StackedQuadratic:
             np.add(out, sign, out=out)
 
         return apply_sub
-
-
-def _ranges(slices: Iterable[slice]) -> np.ndarray:
-    """The entries of consecutive slices as one index array."""
-    return np.concatenate([np.zeros(0, dtype=np.intp)]
-                          + [np.arange(s.start, s.stop) for s in slices])
 
 
 def _scatter_quadratics(n: int, placed) -> tuple[CsrOperator, np.ndarray]:

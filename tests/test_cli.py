@@ -420,6 +420,35 @@ def test_admm_alpha_out_of_range_is_config_error(tmp_path):
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("alpha, code", [(1.0, EXIT_CONFIG), (1.5, EXIT_CONFIG), (0.999, EXIT_OK)])
+def test_admm_alpha_upper_end_is_checked_by_the_dry_run(tmp_path, capsys, alpha, code):
+    """ADMM's relaxation parameter must stay below 1 (before: "config ok"
+    from the dry run, then the run refused it)."""
+    cfg = _write_config(tmp_path, "admm.json", {
+        "scenario": SEP_SCENARIO, "run": {"algorithm": "admm", "alpha": alpha}})
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--dry-run"]) == code
+    if code == EXIT_CONFIG:
+        assert (f"config error: field 'alpha': relaxation parameter {alpha} outside (0, 1)"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scenario, run, field", [
+    (SEP_SCENARIO, {"algorithm": "augdgm", "gamma": True}, "gamma"),
+    (UNICAST_PRESET, {"alpha": True}, "alpha"),
+], ids=["augdgm-gamma", "gne-alpha"])
+def test_bool_for_a_float_field_is_config_error(tmp_path, capsys, scenario, run, field):
+    """A bool is not read as 1.0 (before: augdgm ran with gamma 1.0 and
+    diverged)."""
+    cfg = _write_config(tmp_path, "bool.json", {"scenario": scenario, "run": run})
+    for extra in (["--dry-run"], []):
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     *extra]) == EXIT_CONFIG
+        assert f"config error: field {field!r}: expected float, got True" in (
+            capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("field", ["max_iters", "merit_every"])
 def test_tracking_without_steps_or_records_is_config_error(tmp_path, capsys, field):
     """No step, or a record every 0 steps, is refused with a message (no

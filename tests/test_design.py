@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import logging
 from unittest import mock
 
@@ -27,6 +29,7 @@ from endnet.design import (
 )
 from endnet.graphs import (
     Graph,
+    GraphError,
     is_connected_undirected,
     is_rooted,
     is_strongly_connected,
@@ -36,11 +39,18 @@ from endnet.layout import (
     ConnectivityMode,
     EndLayout,
     Partition,
+    group_pairs,
     reweight,
     standard_layout,
     weighted,
 )
-from endnet.scenarios import build_random_separable
+from endnet.scenarios import (
+    SensorScenario,
+    build_random_separable,
+    build_regression,
+    build_unicast,
+    sample_unicast,
+)
 
 
 def random_undirected(rng, n, p):
@@ -96,6 +106,12 @@ class TestSteinerTree:
             assert terminals <= set(t.nodes)
             assert undirected_edge_count(t) <= 2 * exact + 1e-9
             checked += 1
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_weights_must_be_finite_and_positive(self, bad):
+        g = Graph.undirected_graph([1, 2, 3], [(1, 2), (2, 3)])
+        with pytest.raises(GraphError, match="not finite and positive"):
+            SteinerInstance(g, {1, 3}, weights={(1, 2): 1.0, (2, 1): bad})
 
     def test_weighted_picks_cheap_detour(self):
         # direct edge cost 10 vs two-hop detour cost 2
@@ -416,6 +432,16 @@ class TestSharedHost:
             assert getattr(back, op)(v).tobytes() == getattr(lay, op)(v).tobytes()
 
 
+def _nx_directed(g, weights=None):
+    """g as a networkx digraph without self-loops; the edge (u, v) weighs
+    ``weights[(u, v)]``, else 1.0."""
+    h = nx.DiGraph()
+    h.add_nodes_from(g.nodes)
+    h.add_weighted_edges_from((u, v, (weights or {}).get((u, v), 1.0))
+                              for u, v in sorted(g.edges) if u != v)
+    return h
+
+
 def _nx_undirected(g, weights=None):
     """g as a networkx graph, built from sorted nodes and edges; the
     direction inserted last sets an edge's weight."""
@@ -441,10 +467,28 @@ def _prune_leaves(tree, keep):
                 changed = True
 
 
+def rule_path(h, source, target):
+    """The shortest path from source to target under the design's tie-break
+    rule, by brute force on the networkx graph h: walking back from target,
+    each node's predecessor is the smallest u with
+    dist[u] + length(u, v) == dist[v]. None if target is unreachable."""
+    dist = nx.single_source_dijkstra_path_length(h, source)
+    if target not in dist:
+        return None
+    into = h.pred if h.is_directed() else h.adj
+    path = [target]
+    while path[-1] != source:
+        v = path[-1]
+        path.append(min(u for u, d in into[v].items()
+                        if u in dist and dist[u] + d["weight"] == dist[v]))
+    return path[::-1]
+
+
 def pairwise_steiner_tree(host, inst):
     """KMB on a networkx host with one targeted Dijkstra per terminal pair
-    for the metric closure: the reference the per-terminal rows and the
-    package's own searches must reproduce bit for bit."""
+    for the metric closure and each MST edge (a, b), a < b, expanded by the
+    rule path from a: the reference the per-terminal trees must reproduce
+    bit for bit."""
     terminals = sorted(inst.terminals)
     if len(terminals) == 1:
         return Graph.undirected_graph(terminals, [])
@@ -458,8 +502,8 @@ def pairwise_steiner_tree(host, inst):
     mst = nx.minimum_spanning_tree(closure, weight="weight")
     tree = nx.Graph()
     tree.add_nodes_from(terminals)
-    for a, b in sorted(mst.edges()):
-        path = nx.shortest_path(host, a, b, weight="weight")
+    for a, b in sorted(tuple(sorted(e)) for e in mst.edges()):
+        path = rule_path(host, a, b)
         tree.add_edges_from(zip(path[:-1], path[1:]))
     _prune_leaves(tree, set(terminals))
     return Graph.undirected_graph(sorted(tree.nodes), sorted(tree.edges))
@@ -591,22 +635,177 @@ class TestClosureRows:
         assert got == outcome(lambda i: pairwise_steiner_tree(_nx_undirected(g), i), inst)
 
     def test_rows_are_shared_across_components(self, monkeypatch):
-        """One search per source terminal for the whole call, on the
-        separable-tracking instance, with the same designs as the pairwise
-        closure."""
+        """One search per distinct source terminal for the whole call, on
+        the separable-tracking instance, with the same designs as the
+        pairwise closure."""
         problem, _ = build_random_separable(50, 150, 0.05, 0)
         interference = frozenset(
             (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp)
         args = (Graph.complete(range(1, 51)), interference, Partition(problem.component_dims),
                 DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges"))
         sources = []
-        row = design.dijkstra_lengths
-        monkeypatch.setattr(design, "dijkstra_lengths",
-                            lambda host, a: sources.append(a) or row(host, a))
+        tree = design.shortest_path_tree
+        monkeypatch.setattr(design, "shortest_path_tree",
+                            lambda host, a: sources.append(a) or tree(host, a))
         got = design_outcome(*args)
-        assert 0 < len(sources) == len(set(sources)) <= 50
+        # KMB grows a tree from every terminal of a component but its largest
+        needers = group_pairs(interference)
+        expected = {a for ts in needers.values() for a in ts[:-1]}
+        assert sorted(sources) == sorted(expected) and len(expected) > 40
         with pairwise_reference():
             assert got == design_outcome(*args)
+
+
+def rule_hub_tree(g, terminals, hub):
+    """solve_hub_tree from the rule paths out of the hub, on a networkx copy
+    of g."""
+    h = _nx_undirected(g)
+    tree = nx.Graph()
+    tree.add_node(hub)
+    for t in sorted(terminals):
+        path = rule_path(h, hub, t)
+        if path is None:
+            raise DesignInfeasible(f"terminal {t} not connected to hub {hub}")
+        nx.add_path(tree, path)
+    _prune_leaves(tree, set(terminals) | {hub})
+    return Graph.undirected_graph(sorted(tree.nodes), sorted(tree.edges))
+
+
+def rule_rooted_paths(g, terminals, root, weights=None):
+    """solve_udst (solve_dst with weights) from the rule paths out of the
+    root, then each edge in sorted order dropped if every terminal stays
+    reachable, with the nodes it cuts off."""
+    h = _nx_directed(g, weights)
+    sub = nx.DiGraph()
+    sub.add_node(root)
+    for t in sorted(terminals):
+        path = rule_path(h, root, t)
+        if path is None:
+            raise DesignInfeasible(f"terminal {t} unreachable from root {root}")
+        nx.add_path(sub, path)
+    for u, v in sorted(sub.edges):
+        if u not in sub:
+            continue
+        sub.remove_edge(u, v)
+        reach = {root} | nx.descendants(sub, root)
+        if set(terminals) <= reach:
+            sub.remove_nodes_from([w for w in list(sub) if w not in reach])
+        else:
+            sub.add_edge(u, v)
+    return Graph.directed_graph(sorted(sub.nodes), sorted(sub.edges))
+
+
+def rule_scss(g, terminals):
+    """solve_scss from the rule paths out of the smallest terminal and the
+    reversed rule paths out of it on the reversed graph, then each edge in
+    sorted order dropped if the rest stays strongly connected."""
+    h = _nx_directed(g)
+    back = h.reverse()
+    hub = min(terminals)
+    sub = nx.DiGraph()
+    sub.add_node(hub)
+    for t in sorted(terminals):
+        out_path, in_path = rule_path(h, hub, t), rule_path(back, hub, t)
+        if out_path is None or in_path is None:
+            raise DesignInfeasible(f"terminal {t} not in the hub's strong reachability class")
+        nx.add_path(sub, out_path)
+        nx.add_path(sub, in_path[::-1])
+    for u, v in sorted(sub.edges):
+        sub.remove_edge(u, v)
+        if not nx.is_strongly_connected(sub):
+            sub.add_edge(u, v)
+    return Graph.directed_graph(sorted(sub.nodes), sorted(sub.edges))
+
+
+@st.composite
+def directed_hosts(draw):
+    """A directed host on 2..8 nodes, each ordered pair an edge on about a
+    third of the draws, so that strongly connected and split hosts occur."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    keep = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.directed_graph(range(1, n + 1), [e for e, k in zip(pairs, keep) if k == 0])
+
+
+def solved(solve, inst):
+    try:
+        return solve(inst)
+    except DesignInfeasible as exc:
+        return "infeasible", str(exc)
+
+
+class TestSearchRule:
+    """The hub, rooted and strong searches against their brute-force
+    references under the tie-break rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hub_tree(self, data):
+        g = data.draw(hosts())
+        terminals = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+        hub = data.draw(st.sampled_from(sorted(terminals)))
+        inst = SteinerInstance(g, terminals)
+        assert solved(lambda i: solve_hub_tree(i, hub=hub), inst) == solved(
+            lambda i: rule_hub_tree(g, terminals, hub), inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rooted_paths(self, data):
+        g = data.draw(directed_hosts())
+        root = data.draw(st.sampled_from(g.nodes))
+        terminals = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1)) | {root}
+        w = {e: data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])) for e in sorted(g.edges)}
+        inst = SteinerInstance(g, terminals, root=root, weights=w)
+        assert solved(solve_udst, inst) == solved(
+            lambda i: rule_rooted_paths(g, terminals, root), inst)
+        assert solved(solve_dst, inst) == solved(
+            lambda i: rule_rooted_paths(g, terminals, root, w), inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_strong(self, data):
+        g = data.draw(directed_hosts())
+        terminals = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+        inst = SteinerInstance(g, terminals)
+        assert solved(solve_scss, inst) == solved(lambda i: rule_scss(g, terminals), inst)
+
+
+def separable_design():
+    """The separable-tracking instance's customized layout."""
+    problem, _ = build_random_separable(50, 150, 0.05, 0)
+    interference = frozenset(
+        (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp)
+    return design_layout(Graph.complete(range(1, 51)), interference,
+                         Partition(problem.component_dims),
+                         DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges"),
+                         weight_scheme="metropolis")
+
+
+DESIGNED = {
+    "unicast-20": lambda: build_unicast(sample_unicast(20, 0)).customized[0],
+    "separable-50x150": separable_design,
+    "sensor-20x8": lambda: build_regression(
+        SensorScenario(num_sensors=20, num_sources=8, comm_radius_min=0.35)).customized,
+}
+
+# sha256 prefixes of each customized layout's JSON, with its unicast cost
+# and mean copies per agent, as designed under the smallest-predecessor
+# tie-break of graphs.shortest_path_tree
+DESIGN_DIGESTS = {
+    "unicast-20": ("5a9513f68df3594a", 20.0, 1.9),
+    "separable-50x150": ("26f277d05644e92c", 476.0, 7.76),
+    "sensor-20x8": ("4fc51a894b4e4d94", 26.0, 0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_DIGESTS))
+def test_designed_layouts_are_pinned(name):
+    """Exchange graphs and weights stay bit for bit, so a change of
+    tie-break has to name the layouts it changes."""
+    lay = DESIGNED[name]()
+    text = json.dumps(lay.to_json_dict(), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], lay.communication_cost("unicast"),
+            lay.mean_estimate_count()) == DESIGN_DIGESTS[name]
 
 
 class TestDesignLog:

@@ -17,9 +17,7 @@ from endnet.graphs import (
     GraphSequence,
     WeightedGraph,
     bidirectional_bfs,
-    bidirectional_dijkstra,
     column_stochastic_weights,
-    dijkstra_lengths,
     graph_from_json,
     graph_to_json,
     intersect,
@@ -33,6 +31,8 @@ from endnet.graphs import (
     reachable,
     restrict,
     row_stochastic_weights,
+    shortest_path_tree,
+    tree_path,
 )
 
 
@@ -300,11 +300,13 @@ def test_adjacency_index_matches_edge_scan(n, directed, self_loops, rnd):
     assert back.to_json_dict() == twin.to_json_dict()
 
 
-# -- the searches against networkx, the reference they transcribe ------------
+# -- the searches against networkx and a brute-force rule --------------------
 #
 # Each search takes the adjacency of a networkx graph in networkx's own
-# neighbour order, and must return exactly what networkx returns: the same
-# path among equal-length ones, the same distances, the same forest.
+# neighbour order. The transcriptions of networkx must return exactly what
+# networkx returns: the same path among equal-length ones, the same forest.
+# The shortest-path tree must have networkx's distances and the predecessors
+# its tie-break rule names, found by brute force.
 
 LENGTHS = [1.0, 1.0, 2.0, 0.5, 1.5, 1.0 / 3.0]  # repeated values force ties
 
@@ -353,40 +355,51 @@ def test_bidirectional_bfs_matches_networkx(directed, data):
         assert bidirectional_bfs(succ, pred, s, t) == nx_path(h, s, t), (s, t)
 
 
-@pytest.mark.parametrize("directed", [False, True])
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_bidirectional_dijkstra_matches_networkx(directed, data):
-    h = data.draw(nx_hosts(directed, weighted=True))
-    succ, pred = ordered_adjacency(h, weighted=True)
-    for s, t in itertools.product(h.nodes, repeat=2):
-        assert (bidirectional_dijkstra(succ, pred, s, t)
-                == nx_path(h, s, t, weight="weight")), (s, t)
+def rule_predecessors(h, dist, source):
+    """The predecessor the tie-break rule names for each node the source
+    reaches: the smallest u over the edges (u, v) of h with
+    dist[u] + length(u, v) == dist[v]."""
+    arcs = list(h.edges(data="weight"))
+    if not h.is_directed():
+        arcs += [(v, u, w) for u, v, w in arcs]
+    back = {source: None}
+    for v in dist:
+        if v != source:
+            back[v] = min(u for u, x, w in arcs
+                          if x == v and u in dist and dist[u] + w == dist[v])
+    return back
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_bidirectional_dijkstra_with_load_weights_matches_networkx(data):
-    """``balanced``-style lengths 1 + penalty (load_u + load_v) / 2 on an
-    undirected host: many equal-length paths."""
-    h = data.draw(nx_hosts(directed=False))
-    loads = {v: data.draw(st.integers(0, 3)) for v in h.nodes}
-    penalty = data.draw(st.sampled_from([0.5, 1.0, 2.0, 1.0 / 3.0]))
-    for u, v, d in h.edges(data=True):
-        d["weight"] = 1.0 + penalty * (loads[u] + loads[v]) / 2.0
-    adj, _ = ordered_adjacency(h, weighted=True)
-    for s, t in itertools.product(h.nodes, repeat=2):
-        assert bidirectional_dijkstra(adj, adj, s, t) == nx_path(h, s, t, weight="weight")
-
-
+@pytest.mark.parametrize("lengths", ["sampled", "loads"])
 @pytest.mark.parametrize("directed", [False, True])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_dijkstra_lengths_match_networkx(directed, data):
-    h = data.draw(nx_hosts(directed, weighted=True))
+def test_shortest_path_tree_follows_the_rule(directed, lengths, data):
+    """Distances equal networkx's, each predecessor is the rule's, and the
+    path read off the tree adds up to the distance. Ties come from the
+    repeated ``LENGTHS`` or from ``balanced``-style load weights
+    1 + penalty (load_u + load_v) / 2."""
+    h = data.draw(nx_hosts(directed, weighted=lengths == "sampled"))
+    if lengths == "loads":
+        loads = {v: data.draw(st.integers(0, 3)) for v in h.nodes}
+        penalty = data.draw(st.sampled_from([0.5, 1.0, 2.0, 1.0 / 3.0]))
+        for u, v, d in h.edges(data=True):
+            d["weight"] = 1.0 + penalty * (loads[u] + loads[v]) / 2.0
     succ, _ = ordered_adjacency(h, weighted=True)
     for s in h.nodes:
-        assert dijkstra_lengths(succ, s) == nx.single_source_dijkstra_path_length(h, s)
+        dist, back = shortest_path_tree(succ, s)
+        assert dist == nx.single_source_dijkstra_path_length(h, s)
+        assert back == rule_predecessors(h, dist, s)
+        for t in h.nodes:
+            path = tree_path(back, t)
+            if t not in dist:
+                assert path is None
+                continue
+            assert path[0] == s and path[-1] == t
+            total = 0.0
+            for u, v in zip(path[:-1], path[1:]):
+                total += h[u][v]["weight"]
+            assert total == dist[t]
 
 
 @settings(max_examples=150, deadline=None)
