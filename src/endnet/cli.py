@@ -513,7 +513,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["final_merit"] = trace.last("residual")
         result["reference_s"] = reference_s
         result["solution"] = state.x
-        result["trace"] = trace
     elif algorithm == "ne":
         game = bundle["game"]
         if "alpha" in run_cfg:
@@ -535,7 +534,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
             result["certified"]["rho"] = cert.rho
         result["final_merit"] = trace.last("distance")
         result["solution"] = layout.component_means(hat)
-        result["trace"] = trace
     elif algorithm in ("augdgm", "abc"):
         problem = bundle["problem"]
         bound = augdgm_gamma_bound(problem)
@@ -555,7 +553,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["certified"] = {"gamma": gamma, "gamma_bound": bound}
         result["final_merit"] = trace.last("merit")
         result["solution"] = layout.component_means(hat)
-        result["trace"] = trace
     elif algorithm == "admm":
         problem = bundle["problem"]
         alpha = _read(run_cfg, "alpha", float, 0.5)
@@ -568,7 +565,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["certified"] = {"alpha": alpha}
         result["final_merit"] = trace.last("distance")
         result["solution"] = layout.component_means(hat)
-        result["trace"] = trace
     elif algorithm == "pushsum":
         inst = bundle["instance"]
         problem = inst.problem
@@ -592,7 +588,6 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         }
         result["final_merit"] = trace.last("merit")
         result["solution"] = layout.component_means(state.y)
-        result["trace"] = trace
     elif algorithm == "dual":
         ccp = bundle["problem"]
         gamma = power_step_schedule(
@@ -612,16 +607,9 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["final_merit"] = trace.last("dual_distance")
         result["solution"] = y_mean
         trace.meta.pop("x_ergodic", None)
-        result["trace"] = trace
 
-    trace = result["trace"]
-    if "k" in trace.columns:
-        # the two-matrix solvers count iterations from 1, everything else
-        # from 0
-        offset = 0 if algorithm in ("augdgm", "abc") else 1
-        result["iterations"] = int(trace.last("k")) + offset
-    else:
-        result["iterations"] = trace.iterations
+    result["trace"] = trace
+    result["iterations"] = trace.steps
     return result
 
 

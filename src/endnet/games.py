@@ -13,7 +13,6 @@ Two algorithm families:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
@@ -22,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .layout import BlockOperator, CsrOperator, EndLayout, _ranges
-from .trace import RowBlocks, RunTrace, divergence_guard
+from .trace import RowBlocks, RunTrace, divergence_guard, run_steps
 
 
 class GameError(ValueError):
@@ -429,38 +428,38 @@ def ne_solve(
     """Iterate the pseudo-gradient dynamics to a fixed point.
 
     With a reference equilibrium the trace records the weighted distance
-    and the per-step squared contraction ratio. ``us_per_step`` in the
-    trace metadata is the wall time of the iteration loop, checks included,
-    per step.
+    and the per-step squared contraction ratio. The loop is
+    :func:`~endnet.trace.run_steps`.
     """
+    if max_iters < 1:
+        raise GameError("the pseudo-gradient iteration needs max_iters >= 1")
     hat = np.zeros(layout.stacked_dim) if hat0 is None else np.asarray(hat0, float).copy()
     ref_hat = None if reference is None else layout.embed_consensus(np.asarray(reference, float))
     trace = RunTrace(meta={"alpha": alpha})
-    guard = divergence_guard(hat, f"iterate (alpha={alpha})")
+    prev = hat
     prev_dist = None
-    start = time.perf_counter()
-    for k in range(max_iters):
-        nxt = ne_step(layout, game, hat, alpha)
-        step = float(np.linalg.norm(nxt - hat))
-        record = {"k": k, "step": step}
+
+    def step(k: int) -> np.ndarray:
+        nonlocal prev, hat
+        prev, hat = hat, ne_step(layout, game, hat, alpha)
+        return hat
+
+    def record(s: int) -> bool:
+        nonlocal prev_dist
+        row = {"k": s - 1, "step": float(np.linalg.norm(hat - prev))}
         if ref_hat is not None:
             if certificate is not None:
-                dist = certificate.xi_norm(layout, nxt - ref_hat)
+                dist = certificate.xi_norm(layout, hat - ref_hat)
             else:
-                dist = float(np.linalg.norm(nxt - ref_hat))
-            record["distance"] = dist
+                dist = float(np.linalg.norm(hat - ref_hat))
+            row["distance"] = dist
             if prev_dist is not None and prev_dist > 0:
-                record["ratio"] = (dist / prev_dist) ** 2
+                row["ratio"] = (dist / prev_dist) ** 2
             prev_dist = dist
-        trace.append(**record)
-        hat = nxt
-        guard(hat, k)
-        if ref_hat is not None and prev_dist is not None and prev_dist < tol:
-            break
-        if ref_hat is None and step < tol:
-            break
-    # one record per step
-    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / max(len(trace), 1)
+        trace.append(**row)
+        return row.get("distance", row["step"]) < tol
+
+    run_steps(trace, max_iters, step, record, divergence_guard(hat, f"iterate (alpha={alpha})"))
     return hat, trace
 
 
@@ -782,7 +781,8 @@ class _GneRounds:
         """Views of the current buffer."""
         return self._views[self._turn]
 
-    def step(self) -> None:
+    def step(self) -> _StageParts:
+        """One round; returns views of the new buffer."""
         old = self._views[self._turn]
         linear, dual_lap, dual_push = self._bound[self._turn]
         self._turn = 1 - self._turn
@@ -799,6 +799,7 @@ class _GneRounds:
         dual_push()
         if self._inequality:
             np.maximum(new.lam, 0.0, out=new.lam)
+        return new
 
 
 def build_gne_operators(
@@ -931,15 +932,14 @@ def gne_solve(
     reference: np.ndarray | None = None,
     residual_tol: float | None = None,
     check_every: int = 50,
-    track_invariant: bool = True,
 ) -> tuple[GneState, RunTrace]:
     """Run the primal-dual iteration until the KKT residual (or the distance
     to a reference equilibrium) drops below tolerance.
 
     ``max_consensus_invariant`` in the trace metadata is the largest norm
     over all steps of the consensus projection of the shifted aggregation
-    estimates, which the iteration conserves at zero. ``us_per_step`` is
-    the wall time of the iteration loop, checks included, per step.
+    estimates, which the iteration conserves at zero. The loop is
+    :func:`~endnet.trace.run_steps`.
     """
     if max_iters < 1 or check_every < 1:
         raise GameError("the primal-dual iteration needs max_iters >= 1 and check_every >= 1")
@@ -953,7 +953,6 @@ def gne_solve(
         "unicast"
     )
     trace.meta["unicast_cost_per_iter"] = cost
-    guard = divergence_guard(x0, "primal iterate")
     # |consensus projection of s|^2 = sum over components of (copy sum)^2 / copies
     max_invariant2 = 0.0
 
@@ -962,41 +961,37 @@ def gne_solve(
         max_invariant2 = max(max_invariant2, float(np.max(np.einsum("ij,ij->i", block, block))))
 
     norms = RowBlocks(rounds.state.s_norms.size, fold)
-    start = time.perf_counter()
-    for k in range(max_iters):
-        rounds.step()
+
+    def step(k: int) -> np.ndarray:
+        now = rounds.step()
+        # the norms belong to the s_hat this round started from; the final
+        # s_hat is measured after the loop
+        norms.push(now.s_norms)
+        return now.x
+
+    def record(s: int) -> bool:
         now = rounds.state
-        guard(now.x, k)
-        if track_invariant:
-            # the norms belong to the s_hat this round started from; the
-            # final s_hat is measured after the loop
-            norms.push(now.s_norms)
-        if (k + 1) % check_every == 0 or k == max_iters - 1:
-            # the primal step drives alpha*F + A^T lam_hat to zero, so the
-            # copies track alpha-scaled multipliers
-            lam = consensus_dual(ops, now.lam) / alpha
-            residual = kkt_residual(game, now.x, lam)
-            sigma_hat = now.s + ops.B_hat @ now.x + ops.b_hat
-            record = {"k": k, "residual": residual,
-                      "sigma_disagreement": float(
-                          np.linalg.norm(ops.sigma_layout.disagreement(sigma_hat))),
-                      "lambda_disagreement": float(
-                          np.linalg.norm(ops.lambda_layout.disagreement(now.lam)))}
-            if reference is not None:
-                record["distance"] = float(np.linalg.norm(now.x - reference))
-            trace.append(**record)
-            done = record["distance"] <= tol if reference is not None else residual <= tol
-            if residual_tol is not None:
-                done = done and residual <= residual_tol
-            if done:
-                break
-    norms.flush()
-    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
+        # the primal step drives alpha*F + A^T lam_hat to zero, so the
+        # copies track alpha-scaled multipliers
+        lam = consensus_dual(ops, now.lam) / alpha
+        residual = kkt_residual(game, now.x, lam)
+        sigma_hat = now.s + ops.B_hat @ now.x + ops.b_hat
+        row = {"k": s - 1, "residual": residual,
+               "sigma_disagreement": float(
+                   np.linalg.norm(ops.sigma_layout.disagreement(sigma_hat))),
+               "lambda_disagreement": float(
+                   np.linalg.norm(ops.lambda_layout.disagreement(now.lam)))}
+        if reference is not None:
+            row["distance"] = float(np.linalg.norm(now.x - reference))
+        trace.append(**row)
+        done = row["distance"] <= tol if reference is not None else residual <= tol
+        return done and (residual_tol is None or residual <= residual_tol)
+
+    run_steps(trace, max_iters, step, record, divergence_guard(x0, "primal iterate"),
+              every=check_every, ring=norms)
     state = _state(rounds)
-    if track_invariant:
-        s_sums = ops.sigma_layout.component_sums(state.s_hat)
-        max_invariant2 = max(max_invariant2,
-                             s_sums @ (s_sums / ops.sigma_layout.copy_counts))
+    s_sums = ops.sigma_layout.component_sums(state.s_hat)
+    max_invariant2 = max(max_invariant2, s_sums @ (s_sums / ops.sigma_layout.copy_counts))
     trace.meta["max_consensus_invariant"] = float(np.sqrt(max_invariant2))
     return state, trace
 
@@ -1092,13 +1087,14 @@ def _reference_loop(game: AggregativeGameSpec, x0: np.ndarray, step: float, max_
              for src, dst in ((0, 1), (1, 0))]
     scaled, delta = np.empty(n_x), np.empty(n)
     inequality = game.sense == "inequality"
-    guard = divergence_guard(x0, "reference primal iterate")
     turn = 0
-    for k in range(max_iters):
+
+    def advance(k: int) -> np.ndarray:
+        nonlocal turn
         linear, dual_push = bound[turn]
-        old, old_x = parts[turn][:2]
+        old_x = parts[turn][1]
         turn = 1 - turn
-        state, x, lam, sigma = parts[turn]
+        _, x, lam, sigma = parts[turn]
         linear()
         np.multiply(game.gradient(old_x, sigma), step, out=scaled)
         np.subtract(x, scaled, out=x)
@@ -1106,10 +1102,13 @@ def _reference_loop(game: AggregativeGameSpec, x0: np.ndarray, step: float, max_
         dual_push()
         if inequality:
             np.maximum(lam, 0.0, out=lam)
-        np.subtract(state, old, out=delta)
-        change = np.abs(delta, out=delta).max()
-        guard(x, k)
-        if change < tol:
-            break
+        return x
+
+    def converged(s: int) -> bool:
+        np.subtract(parts[turn][0], parts[1 - turn][0], out=delta)
+        return np.abs(delta, out=delta).max() < tol
+
+    run_steps(RunTrace(), max_iters, advance, converged,
+              divergence_guard(x0, "reference primal iterate"))
     _, x, lam, _ = parts[turn]
     return x.copy(), lam.copy()

@@ -12,7 +12,6 @@ Four solver families on top of :class:`~endnet.layout.EndLayout`:
 
 from __future__ import annotations
 
-import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ import scipy.sparse as sp
 
 from .graphs import Graph, column_stochastic_weights, intersect, restrict
 from .layout import BlockOperator, CsrOperator, EndLayout, _ranges
-from .trace import BLOCK_ROWS, RowBlocks, RunTrace, divergence_guard
+from .trace import BLOCK_ROWS, RowBlocks, RunTrace, divergence_guard, run_steps
 
 
 class OptimError(ValueError):
@@ -536,11 +535,12 @@ def admm_solve(
     every agent's regularized local argmin at once, with agent i's linear
     term on its copy of p the sum of z over its edges, then exchanges
     z ← (1−α) z − α z_rev + 2α ŷ_dst. The relaxation parameter must lie
-    strictly inside (0, 1). ``us_per_step`` in the trace metadata is the
-    wall time of the iteration loop, checks included, per step.
+    strictly inside (0, 1). The loop is :func:`~endnet.trace.run_steps`.
     """
     if not 0.0 < alpha < 1.0:
         raise OptimError(f"relaxation parameter {alpha} outside (0, 1)")
+    if max_iters < 1:
+        raise OptimError("ADMM needs max_iters >= 1")
     src, dst, rev, edges = _edge_plan(layout)
     n = layout.stacked_dim
     # quadratic penalty of 1/2 per incident edge: with the multiplier
@@ -552,24 +552,24 @@ def admm_solve(
     hat = np.zeros(n)
     ref_hat = None if reference is None else layout.embed_consensus(np.asarray(reference, float))
     trace = RunTrace(meta={"alpha": alpha, "messages_per_iter": float(edges)})
-    guard = divergence_guard(hat, "ADMM iterate")
-    start = time.perf_counter()
-    for k in range(max_iters):
-        new_hat = argmin(np.bincount(src, weights=z, minlength=n))
-        guard(new_hat, k)
-        z = (1.0 - alpha) * z - alpha * z[rev] + 2.0 * alpha * new_hat[dst]
-        record = {"k": k,
-                  "step": float(np.max(np.abs(new_hat - hat))),
-                  "consensus_err": float(np.linalg.norm(layout.disagreement(new_hat)))}
+    prev = hat
+
+    def step(k: int) -> np.ndarray:
+        nonlocal z, prev, hat
+        prev, hat = hat, argmin(np.bincount(src, weights=z, minlength=n))
+        z = (1.0 - alpha) * z - alpha * z[rev] + 2.0 * alpha * hat[dst]
+        return hat
+
+    def record(s: int) -> bool:
+        row = {"k": s - 1,
+               "step": float(np.max(np.abs(hat - prev))),
+               "consensus_err": float(np.linalg.norm(layout.disagreement(hat)))}
         if ref_hat is not None:
-            record["distance"] = float(np.max(np.abs(new_hat - ref_hat)))
-        hat = new_hat
-        trace.append(**record)
-        target = record.get("distance", record["step"])
-        if target < tol:
-            break
-    # one record per step
-    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / max(len(trace), 1)
+            row["distance"] = float(np.max(np.abs(hat - ref_hat)))
+        trace.append(**row)
+        return row.get("distance", row["step"]) < tol
+
+    run_steps(trace, max_iters, step, record, divergence_guard(hat, "ADMM iterate"))
     return hat, trace
 
 
@@ -836,21 +836,23 @@ def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds
         f_star = stacked.value(hat_star)
     y = rounds.y
     running = np.zeros_like(y)
-    guard = divergence_guard(y, what)
-    start = time.perf_counter()
-    for k in range(1, max_iters + 1):
+
+    def step(k: int) -> np.ndarray:
         rounds.step()
-        guard(y, k)
-        running += y
-        if k % merit_every == 0 or k == max_iters:
-            spread = float(np.linalg.norm(layout.disagreement(y)))
-            record = {"k": k, "consensus_err": spread}
-            if reference is not None:
-                record["merit_avg"] = abc_merit(layout, problem, running / k,
-                                                grad_star_norm, f_star)
-                record["merit"] = _merit(spread, stacked.value(y), grad_star_norm, f_star)
-            trace.append(**record)
-    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / max_iters
+        np.add(running, y, out=running)
+        return y
+
+    def record(s: int) -> None:
+        spread = float(np.linalg.norm(layout.disagreement(y)))
+        row = {"k": s, "consensus_err": spread}
+        if reference is not None:
+            row["merit_avg"] = abc_merit(layout, problem, running / s, grad_star_norm, f_star)
+            row["merit"] = _merit(spread, stacked.value(y), grad_star_norm, f_star)
+        trace.append(**row)
+
+    # tracking numbers its steps from 1
+    run_steps(trace, max_iters, step, record, divergence_guard(y, what, first=1),
+              every=merit_every)
     trace.meta["running_average"] = running / max_iters
     return y, trace
 
@@ -916,9 +918,8 @@ def augdgm_solve(
     Every ``merit_every`` steps and at the last one the trace records the
     norm of the disagreement of y and, with a reference optimum, the merit
     of y and of the running average. ``running_average`` in the trace
-    metadata is the average of all iterates, and ``us_per_step`` the wall
-    time of the iteration loop, checks included, per step. The rounds are
-    :class:`_TrackingRounds`.
+    metadata is the average of all iterates. The rounds are
+    :class:`_TrackingRounds` and the loop is :func:`~endnet.trace.run_steps`.
     """
     _check_symmetric_doubly_stochastic(layout)
     y = np.zeros(layout.stacked_dim)
@@ -1072,7 +1073,8 @@ class _PushSumRounds:
         a, b = self._mixed
         return op.bind(a, b), op.bind(b, a)
 
-    def step(self, op: BlockOperator, gamma: float) -> None:
+    def step(self, op: BlockOperator, gamma: float) -> np.ndarray:
+        """One round; returns the new z."""
         turn = self._turn
         mixers = self._mixers.get(op)
         if mixers is None:
@@ -1096,6 +1098,7 @@ class _PushSumRounds:
             self._bound_sums[turn][j]()
             self._gammas[j] = gamma
             ring.advance()
+        return w
 
     def _flushed_worst(self) -> np.ndarray:
         """[worst z̄ deviations; worst mass deviations], empty without invariants."""
@@ -1172,48 +1175,46 @@ def pushsum_solve(
     stop_tol: float | None = None,
     merit: Callable[[np.ndarray], float] | None = None,
     check_every: int = 100,
-    record_invariants: bool = True,
 ) -> tuple[PushSumState, RunTrace]:
     """Iterate the push-sum subgradient scheme with a step-size schedule;
     ``design_schedule(k)`` is round k's stacked weight operator.
 
     The trace records the consensus residual of the ratio estimates against
     the component means, the objective gap at the means when a reference
-    optimum is supplied, and (optionally) the worst per-step deviations of
-    the conserved mass and of the averaged-process identity, reduced in
-    blocks of rounds with the values of a reduction after every round.
-    Diminishing steps can carry the iterate far beyond the divergence guard
-    and back, so the guard tests the iterate the run ends with.
-    ``us_per_step`` in the trace metadata is the wall time of the iteration
-    loop, checks and the last block of invariants included, per step. The
-    rounds are :class:`_PushSumRounds`.
+    optimum is supplied, and the worst per-step deviations of the conserved
+    mass and of the averaged-process identity, reduced in blocks of rounds
+    with the values of a reduction after every round. Diminishing steps can
+    carry the iterate far beyond the divergence guard and back, so the guard
+    tests the iterate the run ends with. The rounds are
+    :class:`_PushSumRounds` and the loop is :func:`~endnet.trace.run_steps`.
     """
     if max_iters < 1 or check_every < 1:
         raise OptimError("push-sum needs max_iters >= 1 and check_every >= 1")
-    rounds = _PushSumRounds(layout, problem, pushsum_init(layout), record_invariants)
+    rounds = _PushSumRounds(layout, problem, pushsum_init(layout), invariants=True)
     trace = RunTrace()
     f_star = problem.total_value(np.asarray(reference, float)) if reference is not None else None
-    guard = divergence_guard(rounds.z, "push-sum iterate")
-    start = time.perf_counter()
-    for k in range(max_iters):
+    gk = None
+
+    def step(k: int) -> np.ndarray:
+        nonlocal gk
         gk = gamma(k)
-        rounds.step(design_schedule(k), gk)
-        if (k + 1) % check_every == 0 or k == max_iters - 1:
-            means = layout.component_means(rounds.z)
-            res = float(np.max(np.abs(rounds.y - layout.embed_consensus(means))))
-            record = {"k": k, "consensus_err": res, "gamma": gk}
-            if f_star is not None:
-                record["f_gap"] = problem.total_value(means) - f_star
-            if merit is not None:
-                record["merit"] = merit(rounds.y.copy())
-            trace.append(**record)
-            if stop_tol is not None and merit is not None and record["merit"] <= stop_tol:
-                break
-    mass_error, averaged_error = rounds.mass_error, rounds.averaged_error
-    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
-    guard(rounds.z, k)
-    trace.meta["max_mass_error"] = mass_error
-    trace.meta["max_averaged_process_error"] = averaged_error
+        return rounds.step(design_schedule(k), gk)
+
+    def record(s: int) -> bool:
+        means = layout.component_means(rounds.z)
+        res = float(np.max(np.abs(rounds.y - layout.embed_consensus(means))))
+        row = {"k": s - 1, "consensus_err": res, "gamma": gk}
+        if f_star is not None:
+            row["f_gap"] = problem.total_value(means) - f_star
+        if merit is not None:
+            row["merit"] = merit(rounds.y.copy())
+        trace.append(**row)
+        return stop_tol is not None and merit is not None and row["merit"] <= stop_tol
+
+    run_steps(trace, max_iters, step, record, divergence_guard(rounds.z, "push-sum iterate"),
+              every=check_every, guard_each_step=False, ring=rounds._ring)
+    trace.meta["max_mass_error"] = rounds.mass_error
+    trace.meta["max_averaged_process_error"] = rounds.averaged_error
     return rounds.state(), trace
 
 
@@ -1309,40 +1310,42 @@ def constraint_coupled_solve(
     Returns the consensus dual estimate, the inner minimizers evaluated at
     that dual (the step-weighted ergodic averages are kept in the trace
     metadata), and the run trace. As in :func:`pushsum_solve`, the
-    divergence guard tests the iterate the run ends with, and
-    ``us_per_step`` in the trace metadata is the wall time of the iteration
-    loop, checks included, per step.
+    divergence guard tests the iterate the run ends with; the loop is
+    :func:`~endnet.trace.run_steps`.
     """
     if max_iters < 1:
         raise OptimError("push-sum needs max_iters >= 1")
     dual = _NegatedDual(ccp)
     rounds = _PushSumRounds(layout, dual, pushsum_init(layout))
     trace = RunTrace()
-    guard = divergence_guard(rounds.z, "push-sum dual iterate")
     x_acc = {i: np.zeros(ccp.x_dims[i - 1]) for i in range(1, ccp.num_agents + 1)}
     weight_acc = 0.0
-    start = time.perf_counter()
-    for k in range(max_iters):
+
+    def step(k: int) -> np.ndarray:
+        nonlocal weight_acc
         gk = gamma(k)
-        rounds.step(design_schedule(k), gk)
+        z = rounds.step(design_schedule(k), gk)
         for i, x in dual.last_primal.items():
             x_acc[i] += gk * x
         weight_acc += gk
-        if (k + 1) % 100 == 0 or k == max_iters - 1:
-            means = layout.component_means(rounds.z)
-            record = {"k": k,
-                      "consensus_err": float(np.linalg.norm(layout.disagreement(rounds.y)))}
-            if reference_dual is not None:
-                record["dual_distance"] = float(np.max(np.abs(means - reference_dual)))
-            x_avg = {i: v / weight_acc for i, v in x_acc.items()}
-            gap = max(
-                float(np.max(np.abs(ccp.constraint_gap(p, x_avg))))
-                for p in layout.partition.components
-            )
-            record["primal_gap"] = gap
-            trace.append(**record)
-    trace.meta["us_per_step"] = 1e6 * (time.perf_counter() - start) / (k + 1)
-    guard(rounds.z, k)
+        return z
+
+    def record(s: int) -> None:
+        means = layout.component_means(rounds.z)
+        row = {"k": s - 1,
+               "consensus_err": float(np.linalg.norm(layout.disagreement(rounds.y)))}
+        if reference_dual is not None:
+            row["dual_distance"] = float(np.max(np.abs(means - reference_dual)))
+        x_avg = {i: v / weight_acc for i, v in x_acc.items()}
+        row["primal_gap"] = max(
+            float(np.max(np.abs(ccp.constraint_gap(p, x_avg))))
+            for p in layout.partition.components
+        )
+        trace.append(**row)
+
+    run_steps(trace, max_iters, step, record,
+              divergence_guard(rounds.z, "push-sum dual iterate"), every=100,
+              guard_each_step=False)
     trace.meta["x_ergodic"] = {i: v / weight_acc for i, v in x_acc.items()}
     y_mean = layout.component_means(rounds.z)
     x_final = {}

@@ -229,8 +229,7 @@ def test_unicast_equilibrium_arms_agree_and_customized_messaging_cheaper():
             _, trace = gne_solve(ops, np.zeros(sc_k.num_users),
                                  alpha=sc_k.alpha, beta=sc_k.beta,
                                  max_iters=10000, tol=1e-2,
-                                 reference=np.ones(sc_k.num_users),
-                                 track_invariant=False)
+                                 reference=np.ones(sc_k.num_users))
             iters[name] = int(trace.last("k")) + 1
         num_links = len(sc_k.active_links)
         if (iters["customized"] <= iters["standard"]
@@ -452,8 +451,7 @@ def test_sparse_sensing_sweep_collapses_when_dense_and_saves_when_sparse():
                          ("customized", dense.customized)):
         state, trace = pushsum_solve(layout, lambda k: constant_design_weights(layout),
                                      dense.problem, power_step_schedule(0.5, 0.6),
-                                     max_iters=2000, check_every=100,
-                                     record_invariants=False)
+                                     max_iters=2000, check_every=100)
         traces[name] = trace
         finals[name] = state.z
     assert traces["standard"].columns == traces["customized"].columns

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import io
 import json
 import logging
 import os
@@ -609,33 +610,60 @@ def test_log_level_applies_inside_a_host_that_configured_logging(tmp_path, monke
     assert all(line.startswith("DEBUG endnet.design: component ") for line in lines)
 
 
-@pytest.mark.parametrize("scenario, run", [
+def _pins(standard, customized=None):
+    """Per arm at --seed 3: (iterations, the trace's k column), or the text of
+    the run's divergence. The CLI's push-sum step scale is far outside the
+    stable range on the standard regression arm, whose |z| ends near 2e29."""
+    return {"standard": standard, "customized": standard if customized is None else customized}
+
+
+@pytest.mark.parametrize("scenario, run, pins", [
     ({"kind": "unicast", "preset": "reference", "seed": 0},
-     {"max_iters": 600, "tol": 1e-2, "reference": False, "check_every": 100}),
-    ({"kind": "random_game", "num_agents": 4, "sparsity": 0.4, "seed": 0}, {"max_iters": 50}),
+     {"max_iters": 600, "tol": 1e-2, "reference": False, "check_every": 100},
+     _pins((600, range(99, 600, 100)))),
+    ({"kind": "random_game", "num_agents": 4, "sparsity": 0.4, "seed": 0}, {"max_iters": 50},
+     _pins((50, range(50)))),
     ({"kind": "regression", "num_sensors": 8, "num_sources": 3,
       "comm_radius_min": 0.45, "comm_radius_width": 0.1},
-     {"max_iters": 600, "stop_tol": 1e-2}),
-    (SEP_SCENARIO, {"algorithm": "augdgm", "max_iters": 400, "merit_every": 20}),
-    (SEP_SCENARIO, {"algorithm": "abc", "max_iters": 400, "merit_every": 20}),
-    (SEP_SCENARIO, {"algorithm": "admm", "max_iters": 50}),
-    ({"kind": "coupled_qp", "num_agents": 4, "dim": 2, "seed": 0}, {"max_iters": 200}),
+     {"max_iters": 600, "stop_tol": 1e-2},
+     _pins("push-sum iterate norm exceeded 1.000e+06 at iteration 599",
+           (300, range(99, 300, 100)))),
+    (SEP_SCENARIO, {"algorithm": "augdgm", "max_iters": 400, "merit_every": 20},
+     _pins((400, range(20, 401, 20)))),
+    (SEP_SCENARIO, {"algorithm": "abc", "max_iters": 400, "merit_every": 20},
+     _pins((400, range(20, 401, 20)))),
+    (SEP_SCENARIO, {"algorithm": "admm", "max_iters": 50}, _pins((50, range(50)))),
+    ({"kind": "coupled_qp", "num_agents": 4, "dim": 2, "seed": 0}, {"max_iters": 200},
+     _pins((200, range(99, 200, 100)))),
 ], ids=["unicast", "ne", "regression", "augdgm", "abc", "admm", "dual"])
-def test_us_per_step_reaches_the_summary_and_never_the_trace(tmp_path, scenario, run):
+def test_us_per_step_reaches_the_summary_and_never_the_trace(tmp_path, capsys, scenario, run,
+                                                              pins):
     """Every CLI algorithm reports its wall time per step in the summary's
     trace_meta; the trace CSVs of two runs of one config and seed stay the
-    same bytes."""
-    cfg = _write_config(tmp_path, "cfg.json", {"scenario": scenario, "arm": "customized",
-                                              "run": run})
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
-        assert main(["run", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_OK
-    first = (outs[0] / "trace.csv").read_bytes()
-    assert first == (outs[1] / "trace.csv").read_bytes()
-    assert b"us_per_step" not in first
-    for out in outs:
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["trace_meta"]["us_per_step"] > 0
+    same bytes. On both arms the step count and the trace's k column are
+    pinned, or the run's divergence."""
+    for arm, pin in pins.items():
+        cfg = _write_config(tmp_path, f"{arm}.json", {"scenario": scenario, "arm": arm,
+                                                      "run": run})
+        outs = [tmp_path / arm / "a", tmp_path / arm / "b"]
+        if isinstance(pin, str):
+            capsys.readouterr()
+            assert main(["run", "--config", cfg, "--out", str(outs[0]), "--seed", "3"]) \
+                == EXIT_DIVERGENCE
+            assert capsys.readouterr().err == f"divergence: {pin}\n"
+            continue
+        for out in outs:
+            assert main(["run", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_OK
+        first = (outs[0] / "trace.csv").read_bytes()
+        assert first == (outs[1] / "trace.csv").read_bytes()
+        assert b"us_per_step" not in first
+        rows = list(csv.reader(io.StringIO(first.decode())))
+        assert rows[0][0] == "k"
+        assert [int(row[0]) for row in rows[1:]] == list(pin[1]), arm
+        for out in outs:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["trace_meta"]["us_per_step"] > 0
+            assert summary["iterations"] == pin[0], arm
 
 
 UNICAST_REFERENCE_RUN = {"max_iters": 600, "tol": 1e-2, "check_every": 100,

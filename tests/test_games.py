@@ -198,6 +198,15 @@ class TestNeIteration:
         with pytest.raises(DivergenceError):
             ne_solve(lay, game, alpha=50.0, max_iters=10000)
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_rejects_a_budget_without_steps(self, max_iters):
+        """Before, no step ran and the start point came back with an empty
+        trace and a us_per_step."""
+        game, xstar = random_quadratic(np.random.default_rng(4), 3)
+        lay = standard_layout(ring(3), full_interference(3), Partition([1] * 3))
+        with pytest.raises(GameError, match="max_iters >= 1"):
+            ne_solve(lay, game, 0.01, max_iters=max_iters, reference=xstar)
+
     def test_rejects_nonpositive_step(self):
         game, _ = random_quadratic(np.random.default_rng(5), 3)
         lay = standard_layout(ring(3), full_interference(3), Partition([1] * 3))

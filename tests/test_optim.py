@@ -169,6 +169,16 @@ class TestAdmm:
             with pytest.raises(OptimError):
                 admm_solve(lay, prob, alpha)
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_rejects_a_budget_without_steps(self, max_iters):
+        """Before, no step ran and the start point came back with an empty
+        trace and a us_per_step."""
+        lay = standard_layout(Graph.undirected_graph([1, 2], [(1, 2)]),
+                              {(1, 1), (1, 2)}, Partition([1]))
+        prob = two_agent_shared_scalar()
+        with pytest.raises(OptimError, match="max_iters >= 1"):
+            admm_solve(lay, prob, 0.5, max_iters=max_iters, reference=prob.solve_reference())
+
     def test_matches_centralized_on_random_instances(self):
         for seed in range(3):
             rng = np.random.default_rng(40 + seed)
