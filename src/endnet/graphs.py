@@ -8,7 +8,6 @@ indexed by the receiver and columns by the sender.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from heapq import heappop, heappush
@@ -482,14 +481,3 @@ def column_stochastic_weights(g: Graph) -> WeightedGraph:
 def uniform_weights(g: Graph) -> WeightedGraph:
     """Unit weight on every edge."""
     return WeightedGraph(g, {(v, u): 1.0 for (u, v) in g.edges})
-
-
-def graph_to_json(g: Graph | WeightedGraph) -> str:
-    return json.dumps(g.to_json_dict(), indent=2, sort_keys=True)
-
-
-def graph_from_json(text: str) -> Graph | WeightedGraph:
-    d = json.loads(text)
-    if "weights" in d:
-        return WeightedGraph.from_json_dict(d)
-    return Graph.from_json_dict(d)

@@ -13,7 +13,6 @@ block of the component's dimension.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -594,13 +593,13 @@ class EndLayout:
         dimension (so also by holders), in order of their first members.
 
         ``standard_layout`` shares one weighted graph among components and
-        ``reweight`` one per distinct exchange graph. ``design_layout`` and
-        ``from_json_dict`` share only the weighted communication graph and
-        weight every other exchange graph per component, so their other
-        groups are single components: a layout read back from JSON groups as
-        ``standard_layout`` and ``design_layout`` built it, but not always as
-        ``reweight`` did. Layouts that are equal but share differently
-        compute the same operators with different roundoff.
+        ``reweight`` one per distinct exchange graph. ``design_layout``
+        shares only the weighted communication graph and weights every other
+        exchange graph per component, so its other groups are single
+        components. ``from_json_dict`` restores the sharing that
+        ``to_json_dict`` wrote, so a layout read back groups as it was built.
+        Layouts that are equal but share differently compute the same
+        operators with different roundoff.
         """
         members: dict[tuple[int, int], list[int]] = {}
         for p in self.partition.components:
@@ -893,36 +892,45 @@ class EndLayout:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """Each distinct ``WeightedGraph`` object once under ``graphs``, in
+        order of the first component that uses it, and ``design`` as the
+        list of P indices into it, entry p - 1 for component p."""
+        # keyed by object, not by value: sharing is what makes a group
+        first = {id(self.design[p]): self.design[p] for p in self.partition.components}
+        index = {key: k for k, key in enumerate(first)}
         return {
             "partition": list(self.partition.dims),
             "agents": list(self.agents),
             "comm": self.comm.to_json_dict(),
             "interference": sorted([p, i] for (p, i) in self.interference),
-            "design": {str(p): wg.to_json_dict() for p, wg in sorted(self.design.items())},
+            "graphs": [wg.to_json_dict() for wg in first.values()],
+            "design": [index[id(self.design[p])] for p in self.partition.components],
         }
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "EndLayout":
-        """The layout of ``to_json_dict``. Components whose exchange graph is
-        the whole communication graph (self-loops aside) share one
-        ``WeightedGraph`` per distinct weighting, as ``standard_layout`` and
-        ``design_layout`` build them, so a saved layout of either keeps its
-        component groups; every other component weights its own copy."""
-        comm = Graph.from_json_dict(d["comm"])
-        whole = (comm, comm.with_self_loops())
-        shared: dict[str, WeightedGraph] = {}
-        design = {}
-        for p, wd in d["design"].items():
-            wg = WeightedGraph.from_json_dict(wd)
-            if wg.graph in whole:
-                wg = shared.setdefault(json.dumps(wd, sort_keys=True), wg)
-            design[int(p)] = wg
+        """The layout of ``to_json_dict``: one ``WeightedGraph`` per entry of
+        ``graphs``, shared by the components whose ``design`` index names it,
+        so the layout groups as the one that was written."""
+        partition = Partition(tuple(d["partition"]))
+        indices = d["design"]
+        if isinstance(indices, Mapping):
+            raise LayoutError("the layout file uses the per-component format; "
+                              "write it again with `endnet design`")
+        if len(indices) != partition.num_components:
+            raise LayoutError(f"'design' lists graph indices for components "
+                              f"1..{len(indices)}, not 1..{partition.num_components}")
+        graphs = [WeightedGraph.from_json_dict(g) for g in d["graphs"]]
+        for p, k in enumerate(indices, start=1):
+            if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < len(graphs):
+                raise LayoutError(f"component {p}: graph index {k!r} is not an int in "
+                                  f"[0, {len(graphs)})")
         return cls(
             agents=tuple(d["agents"]),
-            partition=Partition(tuple(d["partition"])),
-            comm=comm,
+            partition=partition,
+            comm=Graph.from_json_dict(d["comm"]),
             interference=frozenset((p, i) for p, i in d["interference"]),
-            design=design,
+            design={p: graphs[k] for p, k in enumerate(indices, start=1)},
         )
 
 

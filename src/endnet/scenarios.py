@@ -9,7 +9,6 @@ config + seed pair reproduces the instance bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -620,40 +619,3 @@ def build_random_separable(
         linears=linears,
     )
     return problem, problem.solve_reference()
-
-
-# -- instance serialization -------------------------------------------------
-
-
-def dump_instance(
-    path: str,
-    layouts: Mapping[str, EndLayout],
-    matrices: Mapping[str, np.ndarray] | None = None,
-    meta: Mapping | None = None,
-) -> None:
-    """Write layouts and dense matrices to one JSON file for comparison
-    against other implementations."""
-    doc: dict = {"layouts": {name: lo.to_json_dict() for name, lo in layouts.items()}}
-    if matrices:
-        doc["matrices"] = {
-            name: np.asarray(m, dtype=float).tolist() for name, m in matrices.items()
-        }
-    if meta:
-        doc["meta"] = dict(meta)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-
-
-def load_instance(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    out: dict = {
-        "layouts": {
-            name: EndLayout.from_json_dict(d) for name, d in doc.get("layouts", {}).items()
-        }
-    }
-    out["matrices"] = {
-        name: np.asarray(m, dtype=float) for name, m in doc.get("matrices", {}).items()
-    }
-    out["meta"] = doc.get("meta", {})
-    return out

@@ -66,7 +66,9 @@ def test_design_reference_unicast(tmp_path, capsys):
     assert report["arms"]["customized"]["violations"] == []
     for arm in ("standard", "customized"):
         d = json.loads((out / f"{arm}_layout.json").read_text())
-        assert set(d) == {"partition", "agents", "comm", "interference", "design"}
+        assert set(d) == {"partition", "agents", "comm", "interference", "graphs", "design"}
+        if arm == "standard":
+            assert len(d["graphs"]) == 1
     text = capsys.readouterr().out
     assert "mean estimate size" in text
 
@@ -740,6 +742,31 @@ def test_validate_wrong_mode_fails(tmp_path, capsys):
     })
     assert main(["validate", "--config", cfg]) == EXIT_INFEASIBLE
     assert "violation" in capsys.readouterr().err
+
+
+def _per_component_format(d):
+    d["design"] = {str(p): d["graphs"][k] for p, k in enumerate(d["design"], start=1)}
+    del d["graphs"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["design"].pop(), "'design' lists graph indices for components 1..4, not 1..5"),
+    (lambda d: d["design"].__setitem__(1, True), "component 2: graph index True is not an int"),
+    (lambda d: d["design"].__setitem__(1, 0.0), "component 2: graph index 0.0 is not an int"),
+    (lambda d: d["design"].__setitem__(2, -1), "component 3: graph index -1 is not an int"),
+    (lambda d: d["design"].__setitem__(4, len(d["graphs"])), "component 5: graph index"),
+    (_per_component_format, "per-component format; write it again with `endnet design`"),
+], ids=["length", "bool", "float", "negative", "past-the-end", "per-component"])
+def test_validate_rejects_a_bad_graph_index_map(tmp_path, capsys, edit, message):
+    layout_file = _layout_file(tmp_path)
+    with open(layout_file) as fh:
+        d = json.load(fh)
+    edit(d)
+    bad = _write_config(tmp_path, "bad_layout.json", d)
+    cfg = _write_config(tmp_path, "val.json", {"layout_file": bad})
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_validate_missing_file_is_config_error(tmp_path):

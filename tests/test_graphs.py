@@ -18,8 +18,6 @@ from endnet.graphs import (
     WeightedGraph,
     bidirectional_bfs,
     column_stochastic_weights,
-    graph_from_json,
-    graph_to_json,
     intersect,
     is_connected_undirected,
     is_q_strongly_connected,
@@ -218,18 +216,18 @@ class TestWeightCompliance:
 class TestJsonRoundTrip:
     def test_graph(self):
         g = Graph.directed_graph([1, 2, 3], [(1, 2), (2, 3)])
-        assert graph_from_json(graph_to_json(g)) == g
+        assert Graph.from_json_dict(g.to_json_dict()) == g
 
     def test_weighted_graph(self):
         g = Graph.directed_graph([1, 2], [(1, 2)])
         wg = WeightedGraph(g, {(2, 1): 0.75})
-        back = graph_from_json(graph_to_json(wg))
+        back = WeightedGraph.from_json_dict(wg.to_json_dict())
         assert back.graph == g
         assert back.weight(2, 1) == 0.75
 
     def test_json_is_valid(self):
         g = Graph.undirected_graph([1, 2], [(1, 2)])
-        doc = json.loads(graph_to_json(g))
+        doc = json.loads(json.dumps(g.to_json_dict()))
         assert set(doc) >= {"nodes", "edges", "directed"}
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endnet.design import DesignCriterion, design_layout
@@ -11,6 +11,7 @@ from endnet.layout import (
     LayoutError,
     Partition,
     StackedVector,
+    reweight,
     standard_layout,
     weighted,
 )
@@ -272,7 +273,8 @@ class TestJson:
 @st.composite
 def separable_layouts(draw):
     """A standard or a designed layout of a small random_separable instance,
-    on a ring or the complete graph."""
+    on a ring or the complete graph, with components of dimension 1 to 3,
+    as built or reweighted by one of the four schemes."""
     n = draw(st.integers(3, 7))
     m = draw(st.integers(1, 8))
     problem, _ = build_random_separable(n, m, draw(st.sampled_from([0.2, 0.5, 1.0])),
@@ -280,22 +282,43 @@ def separable_layouts(draw):
     comm = ring(n) if draw(st.booleans()) else Graph.complete(range(1, n + 1))
     interference = frozenset(
         (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp)
-    partition = Partition(problem.component_dims)
+    partition = Partition(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
     if draw(st.booleans()):
-        return standard_layout(comm, interference, partition)
-    return design_layout(comm, interference, partition,
-                         DesignCriterion(ConnectivityMode.undirected_connected(),
-                                         objective="min_edges"))
+        layout = standard_layout(comm, interference, partition)
+    else:
+        layout = design_layout(comm, interference, partition,
+                               DesignCriterion(ConnectivityMode.undirected_connected(),
+                                               objective="min_edges"))
+    scheme = draw(st.sampled_from([None, "metropolis", "row", "column", "uniform"]))
+    return layout if scheme is None else reweight(layout, scheme)
+
+
+def reweighted_designed_layout():
+    """A designed layout of mixed dimensions whose two equal trees, weighted
+    apart by ``design_layout``, share one weighted graph after ``reweight``."""
+    comm = Graph.undirected_graph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)])
+    interference = {(1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 5), (4, 1), (4, 5), (5, 5)}
+    lay = design_layout(comm, interference, Partition((2, 2, 1, 1, 2)),
+                        DesignCriterion(ConnectivityMode.undirected_connected(), "min_edges"))
+    return reweight(lay, "metropolis")
 
 
 class TestLayoutProperties:
+    def test_file_lists_each_shared_graph_once(self):
+        lay = reweighted_designed_layout()
+        assert [g.members for g in lay.groups] == [(1, 2), (3, 4), (5,)]
+        assert lay.to_json_dict()["design"] == [0, 0, 1, 1, 2]
+
     @settings(max_examples=60, deadline=None)
     @given(layout=separable_layouts(), seed=st.integers(0, 2**16))
+    @example(layout=reweighted_designed_layout(), seed=0)
     def test_json_round_trip_keeps_groups_and_laplacian(self, layout, seed):
         back = EndLayout.from_json_dict(layout.to_json_dict())
         assert [g.members for g in back.groups] == [g.members for g in layout.groups]
         v = np.random.default_rng(seed).standard_normal(layout.stacked_dim)
-        assert (back.laplacian_operator @ v).tobytes() == (layout.laplacian_operator @ v).tobytes()
+        for op in ("weight_operator", "laplacian_operator"):
+            assert (getattr(back, op) @ v).tobytes() == (getattr(layout, op) @ v).tobytes()
+        assert back.to_json_dict() == layout.to_json_dict()
 
     @settings(max_examples=60, deadline=None)
     @given(layout=separable_layouts(), seed=st.integers(0, 2**16))

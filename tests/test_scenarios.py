@@ -17,8 +17,6 @@ from endnet.scenarios import (
     build_random_separable,
     build_regression,
     build_unicast,
-    dump_instance,
-    load_instance,
     reference_scheme_unicast,
     sample_sensor_geometry,
     sample_unicast,
@@ -398,19 +396,3 @@ def test_generators_deterministic():
     p2, y2 = build_random_separable(5, 7, 0.6, 9)
     assert np.array_equal(y1, y2)
     assert p1.footprints == p2.footprints
-
-
-def test_dump_and_load_roundtrip(tmp_path):
-    inst = build_unicast(reference_scheme_unicast(seed=0))
-    path = tmp_path / "inst.json"
-    dump_instance(
-        str(path),
-        {"standard": inst.standard[0], "customized": inst.customized[0]},
-        matrices={"caps": np.array([1.0, 2.0])},
-        meta={"kind": "unicast"},
-    )
-    doc = load_instance(str(path))
-    assert doc["meta"]["kind"] == "unicast"
-    assert np.array_equal(doc["matrices"]["caps"], np.array([1.0, 2.0]))
-    got = doc["layouts"]["customized"]
-    assert got.to_json_dict() == inst.customized[0].to_json_dict()
