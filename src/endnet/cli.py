@@ -191,9 +191,17 @@ def _jsonable(obj):
 
 
 def write_json(path: str, obj) -> None:
+    """``obj`` written as JSON once numpy values, tuples and non-string keys
+    are made JSON-native (see :func:`dump_json`)."""
+    dump_json(path, _jsonable(obj))
+
+
+def dump_json(path: str, data) -> None:
+    """JSON-native ``data`` written as every file of the CLI is: indented by
+    one, keys sorted, a newline at the end. The text is encoded whole and
+    written once, not chunk by chunk as ``json.dump`` writes it."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def emit_plot_script(csv_path: str, columns: list[str]) -> str:
@@ -645,7 +653,7 @@ def cmd_design(args) -> int:
     for arm in ("standard", "customized"):
         layout = _arm_layout(bundle, arm)
         path = os.path.join(args.out, f"{arm}_layout.json")
-        write_json(path, layout.to_json_dict())
+        dump_json(path, layout.to_json_dict())  # JSON-native already
         violations = layout.validate(bundle["mode"])
         report["arms"][arm] = {
             "layout_file": os.path.basename(path),

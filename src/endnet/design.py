@@ -137,7 +137,9 @@ def _undirected_host(g: Graph, weights=None) -> dict[int, dict[int, float]]:
     directed g is read through its undirected closure."""
     if g.directed:
         g = g.undirected_closure()
-    weights = weights or {}
+    if not weights:
+        return {u: dict.fromkeys((v for v in g.out_neighbors(u) if v != u), 1.0)
+                for u in g.nodes}
     return {u: {v: weights.get((max(u, v), min(u, v)),
                                weights.get((min(u, v), max(u, v)), 1.0))
                 for v in g.out_neighbors(u) if v != u}
@@ -149,7 +151,11 @@ def _directed_host(g: Graph, weights=None) -> tuple[dict[int, dict[int, float]],
     """g's successor and predecessor adjacencies, each in ascending id order
     with self-loops skipped; the edge (u, v) has length ``weights[(u, v)]``,
     else 1.0."""
-    weights = weights or {}
+    if not weights:
+        return ({u: dict.fromkeys((v for v in g.out_neighbors(u) if v != u), 1.0)
+                 for u in g.nodes},
+                {v: dict.fromkeys((u for u in g.in_neighbors(v) if u != v), 1.0)
+                 for v in g.nodes})
     succ = {u: {v: weights.get((u, v), 1.0) for v in g.out_neighbors(u) if v != u}
             for u in g.nodes}
     pred = {v: {u: weights.get((u, v), 1.0) for u in g.in_neighbors(v) if u != v}
@@ -158,9 +164,11 @@ def _directed_host(g: Graph, weights=None) -> tuple[dict[int, dict[int, float]],
 
 
 def _add_path(adj: dict[int, set[int]], path: Sequence[int], undirected: bool) -> None:
+    for v in path:  # new nodes join adj in path order
+        if v not in adj:
+            adj[v] = set()
     for u, v in zip(path[:-1], path[1:]):
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set())
+        adj[u].add(v)
         if undirected:
             adj[v].add(u)
 

@@ -8,6 +8,7 @@ indexed by the receiver and columns by the sender.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from heapq import heappop, heappush
@@ -41,11 +42,11 @@ class Graph:
     directed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
+        node_set = set(self.nodes)
+        object.__setattr__(self, "nodes", tuple(sorted(node_set)))
         object.__setattr__(self, "edges", frozenset(self.edges))
         if not self.nodes:
             raise GraphError("graph needs at least one node")
-        node_set = set(self.nodes)
         for u, v in self.edges:
             if u not in node_set or v not in node_set:
                 raise GraphError(f"edge ({u},{v}) references an undeclared node")
@@ -147,11 +148,18 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Graph":
-        return cls(
-            tuple(d["nodes"]),
-            frozenset((u, v) for u, v in d["edges"]),
-            directed=bool(d.get("directed", True)),
-        )
+        """The graph of ``to_json_dict``; a node entry that is not an int or
+        an edge entry that is not a pair of them is a GraphError naming it."""
+        nodes, edges = d["nodes"], d["edges"]
+        for v in nodes:
+            if type(v) is not int:
+                raise GraphError(f"node entry {v!r} is not an int")
+        for e in edges:
+            if (type(e) not in (list, tuple) or len(e) != 2
+                    or type(e[0]) is not int or type(e[1]) is not int):
+                raise GraphError(f"edge entry {e!r} is not a pair of int node ids")
+        return cls(tuple(nodes), frozenset(map(tuple, edges)),
+                   directed=bool(d.get("directed", True)))
 
 
 @dataclass(frozen=True)
@@ -210,11 +218,24 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "WeightedGraph":
+        """The weighted graph of ``to_json_dict``; a weight key that is not
+        ``"r,s"`` with int parts, or a weight that is not a finite number,
+        is a GraphError naming the entry."""
         g = Graph.from_json_dict(d)
+        entries = d.get("weights", {})
+        if not isinstance(entries, Mapping):
+            raise GraphError(f"weights {entries!r} are not an object keyed 'receiver,sender'")
         weights = {}
-        for key, w in d.get("weights", {}).items():
-            r, s = key.split(",")
-            weights[(int(r), int(s))] = float(w)
+        for key, w in entries.items():
+            try:
+                r, s = key.split(",")
+                r, s = int(r), int(s)
+            except ValueError:
+                raise GraphError(f"weight key {key!r} is not 'receiver,sender' "
+                                 f"with int ids") from None
+            if type(w) not in (int, float) or not math.isfinite(w):  # bools are not numbers
+                raise GraphError(f"weight {key!r}: {w!r} is not a number")
+            weights[(r, s)] = float(w)
         return cls(g, weights)
 
 
@@ -331,11 +352,12 @@ def shortest_path_tree(succ: Mapping[int, Mapping[int, float]], source: int
             if u in dist:
                 continue
             du = d + length
-            if u not in seen or du < seen[u]:
+            tentative = seen.get(u)
+            if tentative is None or du < tentative:
                 seen[u] = du
                 back[u] = v
                 heappush(fringe, (du, u))
-            elif du == seen[u] and v < back[u]:
+            elif du == tentative and v < back[u]:
                 back[u] = v
     return dist, back
 
@@ -444,16 +466,23 @@ def metropolis_hastings_weights(g: Graph) -> WeightedGraph:
     """
     if g.directed:
         raise GraphError("Metropolis-Hastings weights require an undirected graph")
-    inbound = g._index.inbound
-    deg = {v: len(us) - (v in us) for v, us in inbound.items()}
+    # one pass over the edge list; on an undirected graph the edges leaving
+    # v are those entering it, so each list holds v's neighbours
+    neighbors: dict[int, list[int]] = {v: [] for v in g.nodes}
+    for u, v in g.edges:
+        if u != v:
+            neighbors[u].append(v)
+    deg = {v: len(us) for v, us in neighbors.items()}
+    share = [1.0 / (1.0 + d) for d in range(max(deg.values()) + 1)]  # share[d] = 1/(1+d)
     w = {}
-    for v, us in inbound.items():
+    for v, us in neighbors.items():
+        us.sort()
+        dv = deg[v]
         off = 0.0
-        for u in us:
-            if u == v:
-                continue
-            w[(v, u)] = 1.0 / (1.0 + max(deg[v], deg[u]))
-            off += w[(v, u)]
+        for u in us:  # ascending, so the diagonal sums in a fixed order
+            du = deg[u]
+            w[(v, u)] = x = share[du if du > dv else dv]  # 1/(1+max(dv, du))
+            off += x
         w[(v, v)] = 1.0 - off
     return WeightedGraph(g.with_self_loops(), w)
 

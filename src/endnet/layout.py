@@ -26,10 +26,10 @@ from .graphs import (
     GraphError,
     WeightedGraph,
     column_stochastic_weights,
-    is_connected_undirected,
     is_rooted,
     is_strongly_connected,
     metropolis_hastings_weights,
+    reachable,
     row_stochastic_weights,
     uniform_weights,
 )
@@ -475,6 +475,52 @@ def group_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
     return {key: tuple(sorted(values)) for key, values in grouped.items()}
 
 
+def _edge_pass(g: Graph, agents: set[int], comm_edges: frozenset[tuple[int, int]],
+               strong: bool) -> tuple[bool, list, dict, dict]:
+    """One pass over the edges of an exchange graph: whether it has non-agent
+    nodes, its proper edges that are not in ``comm_edges`` (in edge-set
+    order), and each node's successors and, with ``strong``, predecessors
+    (else an empty mapping)."""
+    succ: dict[int, list[int]] = {v: [] for v in g.nodes}
+    pred: dict[int, list[int]] = {v: [] for v in g.nodes} if strong else {}
+    off_comm = []
+    for edge in g.edges:
+        u, v = edge
+        if u == v:
+            continue
+        if edge not in comm_edges:
+            off_comm.append(edge)
+        succ[u].append(v)
+        if strong:
+            pred[v].append(u)
+    return not agents.issuperset(g.nodes), off_comm, succ, pred
+
+
+def _connectivity_fault(g: Graph, succ: Mapping[int, Iterable[int]],
+                        pred: Mapping[int, Iterable[int]], kind: str,
+                        root: int | None) -> str | None:
+    """Why g, with successor lists ``succ`` and (strong ``kind``) predecessor
+    lists ``pred``, misses the connectivity ``kind`` asks for (rooted at
+    ``root``), or None if it does not."""
+    everyone = g.num_nodes
+    if kind == "rooted":
+        if root is None:
+            return "no root specified"
+        if root not in succ:
+            return f"root {root} holds no copy"
+        if len(reachable(succ, root)) < everyone:
+            return f"exchange graph not rooted at {root}"
+    elif kind == "strong":
+        first = g.nodes[0]
+        if len(reachable(succ, first)) < everyone or len(reachable(pred, first)) < everyone:
+            return "exchange graph not strongly connected"
+    elif g.directed:
+        return "exchange graph is directed, undirected required"
+    elif len(reachable(succ, g.nodes[0])) < everyone:
+        return "exchange graph not connected"
+    return None
+
+
 @dataclass(frozen=True)
 class EndLayout:
     """Partition + communication/interference layers + per-component exchange graphs."""
@@ -765,7 +811,13 @@ class EndLayout:
     # -- validity ----------------------------------------------------------
 
     def validate(self, mode: ConnectivityMode) -> list[str]:
-        """Consistency and connectivity checks; returns violations (empty = valid)."""
+        """Consistency and connectivity checks; returns violations (empty = valid).
+
+        One pass over the edges of each distinct exchange graph checks that
+        they are communication edges and lists each node's successors (and,
+        for strong connectivity, predecessors), which the reachability
+        searches then walk; components that share a graph share its result.
+        """
         violations: list[str] = []
         agent_set = set(self.agents)
         comp_set = set(self.partition.components)
@@ -778,39 +830,29 @@ class EndLayout:
                 violations.append(
                     f"interference not covered: agent {i} needs component {p} but holds no copy"
                 )
+        # keyed by graph object: equal graphs may list their edges in different orders
+        passes: dict[int, tuple] = {}  # id(graph) -> _edge_pass(graph)
+        faults: dict[tuple[int, int | None], str | None] = {}  # (id(graph), root) -> fault
         for p in self.partition.components:
             if not self.needers(p):
                 violations.append(f"component {p} is indispensable for no agent")
             g = self.design[p].graph
-            if not set(g.nodes) <= agent_set:
+            found = passes.get(id(g))
+            if found is None:
+                found = passes[id(g)] = _edge_pass(g, agent_set, self.comm.edges,
+                                               mode.kind == "strong")
+            off_agents, off_comm, succ, pred = found
+            if off_agents:
                 violations.append(f"exchange graph {p} has non-agent nodes")
-            for u, v in g.edges:
-                if u != v and (u, v) not in self.comm.edges:
-                    violations.append(
-                        f"exchange graph {p} edge ({u},{v}) is not a communication edge"
-                    )
-            violations.extend(self._connectivity_violation(p, mode))
+            violations.extend(f"exchange graph {p} edge ({u},{v}) is not a communication edge"
+                              for u, v in off_comm)
+            root = mode.roots.get(p) if mode.kind == "rooted" else None
+            key = (id(g), root)
+            if key not in faults:
+                faults[key] = _connectivity_fault(g, succ, pred, mode.kind, root)
+            if faults[key] is not None:
+                violations.append(f"component {p}: {faults[key]}")
         return violations
-
-    def _connectivity_violation(self, p: int, mode: ConnectivityMode) -> list[str]:
-        g = self.design[p].graph
-        if mode.kind == "rooted":
-            root = mode.roots.get(p)
-            if root is None:
-                return [f"component {p}: no root specified"]
-            if root not in g.nodes:
-                return [f"component {p}: root {root} holds no copy"]
-            if not is_rooted(g, root):
-                return [f"component {p}: exchange graph not rooted at {root}"]
-        elif mode.kind == "strong":
-            if not is_strongly_connected(g):
-                return [f"component {p}: exchange graph not strongly connected"]
-        else:
-            if g.directed:
-                return [f"component {p}: exchange graph is directed, undirected required"]
-            if not is_connected_undirected(g):
-                return [f"component {p}: exchange graph not connected"]
-        return []
 
     # -- lemma-level runtime checks ---------------------------------------
 

@@ -16,6 +16,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,6 +50,9 @@ class SeparableProblem:
             raise OptimError("component dims must be >= 1")
         self.footprints = tuple(tuple(sorted(fp)) for fp in footprints)
         self.smooth_lipschitz = smooth_lipschitz
+        # starts[p - 1] is where component p starts in a flat variable, and
+        # starts[-1] its length
+        self._starts = list(accumulate(self.component_dims, initial=0))
 
     @property
     def num_agents(self) -> int:
@@ -65,8 +69,7 @@ class SeparableProblem:
         return self.footprints[i - 1]
 
     def component_slice(self, p: int) -> slice:
-        start = sum(self.component_dims[: p - 1])
-        return slice(start, start + self.component_dims[p - 1])
+        return slice(self._starts[p - 1], self._starts[p])
 
     def value(self, i: int, blocks: Mapping[int, np.ndarray]) -> float:
         raise NotImplementedError
@@ -119,50 +122,35 @@ class QuadraticSeparable(SeparableProblem):
         self.linears = [dict(c) for c in linears]
         self.constants = list(constants) if constants is not None else [0.0] * len(footprints)
         self.l1_weights = dict(l1_weights or {})
-        for i in range(1, self.num_agents + 1):
-            fp = set(self.footprint(i))
-            H = self.quadratics[i - 1]
-            for (p, q), blk in list(H.items()):
-                if p not in fp or q not in fp:
-                    raise OptimError(f"agent {i}: quadratic block {(p, q)} off the footprint")
-                if (q, p) not in H:
-                    H[(q, p)] = np.asarray(blk).T
-        # dense per-agent form (H_i, c_i, offsets) so the hot gradient path
-        # is one matvec instead of a loop over scalar blocks
+        # dense per-agent form (H_i, c_i, footprint, offsets) so the hot
+        # gradient path is one matvec instead of a loop over scalar blocks;
+        # ofs[p] is where block p starts in agent i's footprint vector
+        dims = self.component_dims
         self._dense = []
-        for i in range(1, self.num_agents + 1):
-            fp = self.footprint(i)
-            H = self._agent_hessian(i)
+        for i, (fp, H_blocks, linear) in enumerate(
+                zip(self.footprints, self.quadratics, self.linears), start=1):
             ofs = {}
             pos = 0
             for p in fp:
                 ofs[p] = pos
-                pos += self.dim(p)
-            c = np.zeros(H.shape[0])
-            for p, vec in self.linears[i - 1].items():
-                c[ofs[p]:ofs[p] + self.dim(p)] += vec
+                pos += dims[p - 1]
+            for (p, q), blk in list(H_blocks.items()):
+                if p not in ofs or q not in ofs:
+                    raise OptimError(f"agent {i}: quadratic block {(p, q)} off the footprint")
+                if (q, p) not in H_blocks:
+                    H_blocks[(q, p)] = np.asarray(blk).T
+            H = np.zeros((pos, pos))
+            for (p, q), blk in H_blocks.items():
+                a, b = ofs[p], ofs[q]
+                H[a:a + dims[p - 1], b:b + dims[q - 1]] = blk
+            c = np.zeros(pos)
+            for p, vec in linear.items():
+                c[ofs[p]:ofs[p] + dims[p - 1]] += vec
             self._dense.append((H, c, fp, ofs))
         self.smooth_lipschitz = max(
-            (
-                float(np.linalg.norm(self._dense[i - 1][0], 2))
-                for i in range(1, self.num_agents + 1)
-                if self.footprint(i)
-            ),
+            (float(np.linalg.norm(H, 2)) for H, _, fp, _ in self._dense if fp),
             default=0.0,
         )
-
-    def _agent_hessian(self, i: int) -> np.ndarray:
-        fp = self.footprint(i)
-        n = sum(self.dim(p) for p in fp)
-        ofs = {}
-        pos = 0
-        for p in fp:
-            ofs[p] = pos
-            pos += self.dim(p)
-        H = np.zeros((n, n))
-        for (p, q), blk in self.quadratics[i - 1].items():
-            H[ofs[p]:ofs[p] + self.dim(p), ofs[q]:ofs[q] + self.dim(q)] = blk
-        return H
 
     def stacked(self, layout: EndLayout) -> "StackedQuadratic":
         return StackedQuadratic(layout, self)
@@ -193,14 +181,15 @@ class QuadraticSeparable(SeparableProblem):
     def _total_form(self) -> tuple[CsrOperator, np.ndarray, float, np.ndarray | None]:
         """The total cost assembled once: Σ_i H_i in CSR, Σ_i c_i, Σ_i const_i
         and each coordinate's summed 1-norm weight (None without any)."""
-        n = sum(self.component_dims)
+        n = self._starts[-1]
         H, c = _scatter_quadratics(n, (
             (_ranges(self.component_slice(p) for p in fp), H_i, c_i)
             for H_i, c_i, fp, _ in self._dense))
         weights = np.zeros(n)
-        for i in range(1, self.num_agents + 1):
-            for p in self.footprint(i):
-                weights[self.component_slice(p)] += self.l1_weight(i, p)
+        if self.l1_weights:
+            for i in range(1, self.num_agents + 1):
+                for p in self.footprint(i):
+                    weights[self.component_slice(p)] += self.l1_weight(i, p)
         return H, c, float(sum(self.constants)), weights if weights.any() else None
 
     def total_value(self, y: np.ndarray) -> float:

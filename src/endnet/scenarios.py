@@ -590,28 +590,28 @@ def build_random_separable(
     if not (0.0 < sparsity <= 1.0):
         raise ScenarioError("sparsity must be in (0, 1]")
     rng = np.random.default_rng(seed)
+    # one uniform draw per (agent, component), agent by agent: the stream of
+    # num_components scalar draws per agent, taken in one call
     footprints = []
+    covered = np.zeros(num_components + 1, dtype=bool)  # entry 0 unused
     for i in range(num_agents):
-        fp = [p for p in range(1, num_components + 1) if rng.uniform() < sparsity]
-        if not fp:
-            fp = [int(rng.integers(1, num_components + 1))]
-        footprints.append(tuple(sorted(fp)))
-    for p in range(1, num_components + 1):
-        if not any(p in fp for fp in footprints):
-            i = int(rng.integers(0, num_agents))
-            footprints[i] = tuple(sorted(set(footprints[i]) | {p}))
+        fp = np.flatnonzero(rng.uniform(size=num_components) < sparsity) + 1
+        if not fp.size:
+            fp = np.array([rng.integers(1, num_components + 1)])
+        covered[fp] = True
+        footprints.append(tuple(fp.tolist()))
+    for p in np.flatnonzero(~covered[1:]).tolist():
+        i = int(rng.integers(0, num_agents))
+        footprints[i] = tuple(sorted(footprints[i] + (p + 1,)))
     quadratics, linears = [], []
     for fp in footprints:
         n = len(fp)
         A = rng.standard_normal((n, n))
         M = A @ A.T + n * np.eye(n)
         c = rng.standard_normal(n)
-        quad = {}
-        for a, p in enumerate(fp):
-            for b, q in enumerate(fp):
-                quad[(p, q)] = np.array([[M[a, b]]])
-        quadratics.append(quad)
-        linears.append({p: np.array([c[a]]) for a, p in enumerate(fp)})
+        # block (p, q) is the 1 x 1 view of M[a, b], in row-major order
+        quadratics.append(dict(zip(((p, q) for p in fp for q in fp), M.reshape(n * n, 1, 1))))
+        linears.append(dict(zip(fp, c.reshape(n, 1))))
     problem = QuadraticSeparable(
         component_dims=(1,) * num_components,
         footprints=footprints,

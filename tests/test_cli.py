@@ -20,6 +20,7 @@ from endnet.cli import (
     EXIT_OK,
     main,
 )
+from endnet.layout import reweight
 from endnet.optim import augdgm_matrices
 from endnet.scenarios import SensorScenario, build_lasso
 
@@ -83,6 +84,22 @@ def test_design_costs_ordered(tmp_path):
     std, cust = report["arms"]["standard"], report["arms"]["customized"]
     assert cust["unicast_cost"] <= std["unicast_cost"]
     assert cust["broadcast_cost"] <= std["broadcast_cost"]
+
+
+def _sep_layouts():
+    std, cust = cli.build_scenario(SEP_SCENARIO, None)["layouts"]
+    return {"standard": std, "designed": cust, "reweighted": reweight(cust, "column")}
+
+
+@pytest.mark.parametrize("arm", ["standard", "designed", "reweighted"])
+def test_layout_files_are_written_without_conversion(tmp_path, arm):
+    """A layout dict is JSON-native: written as is, its file has the bytes
+    the converting writer gives it."""
+    d = _sep_layouts()[arm].to_json_dict()
+    native, converted = tmp_path / "native.json", tmp_path / "converted.json"
+    cli.dump_json(str(native), d)
+    cli.write_json(str(converted), d)
+    assert native.read_bytes() == converted.read_bytes()
 
 
 # -- run ---------------------------------------------------------------------
@@ -767,6 +784,48 @@ def test_validate_rejects_a_bad_graph_index_map(tmp_path, capsys, edit, message)
     capsys.readouterr()
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def _rename_first_weight(key):
+    def edit(d):
+        weights = d["graphs"][0]["weights"]
+        weights[key] = weights.pop(next(iter(weights)))
+    return edit
+
+
+def _set_first_weight(value):
+    def edit(d):
+        weights = d["graphs"][0]["weights"]
+        weights[next(iter(weights))] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_rename_first_weight("x1,2"), "weight key 'x1,2' is not 'receiver,sender' with int ids"),
+    (_rename_first_weight("1,2,3"), "weight key '1,2,3' is not 'receiver,sender' with int ids"),
+    (_set_first_weight("0.5"), "'0.5' is not a number"),
+    (_set_first_weight(float("nan")), "nan is not a number"),
+    (_set_first_weight(float("inf")), "inf is not a number"),
+    (lambda d: d["graphs"][0].__setitem__("weights", [0.5]),
+     "weights [0.5] are not an object keyed 'receiver,sender'"),
+    (lambda d: d["graphs"][0]["nodes"].append("7"), "node entry '7' is not an int"),
+    (lambda d: d["graphs"][0]["edges"].append([1, 2, 3]),
+     "edge entry [1, 2, 3] is not a pair of int node ids"),
+], ids=["key-not-int", "key-three-parts", "string-weight", "nan-weight", "inf-weight",
+        "weights-list", "string-node", "edge-triple"])
+def test_validate_rejects_a_malformed_graph_entry(tmp_path, capsys, edit, message):
+    """A malformed entry of a graph is a config error naming the entry, not
+    a traceback."""
+    layout_file = _layout_file(tmp_path)
+    with open(layout_file) as fh:
+        d = json.load(fh)
+    edit(d)
+    bad = _write_config(tmp_path, "bad_layout.json", d)
+    cfg = _write_config(tmp_path, "val.json", {"layout_file": bad})
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_validate_missing_file_is_config_error(tmp_path):

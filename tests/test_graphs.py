@@ -201,6 +201,42 @@ class TestStochasticWeights:
         assert np.allclose(np.ones(3) @ Wc, 1.0)
 
 
+def per_node_metropolis(g):
+    """Metropolis-Hastings weights node by node, each node's neighbours read
+    from the adjacency index in ascending order: the formula the edge-list
+    pass must reproduce bit for bit, keys in the same order."""
+    deg = {v: len(g.in_neighbors(v)) - (v in g.in_neighbors(v)) for v in g.nodes}
+    w = {}
+    for v in g.nodes:
+        off = 0.0
+        for u in g.in_neighbors(v):
+            if u != v:
+                w[(v, u)] = 1.0 / (1.0 + max(deg[v], deg[u]))
+                off += w[(v, u)]
+        w[(v, v)] = 1.0 - off
+    return w
+
+
+@st.composite
+def undirected_graphs(draw):
+    """Undirected graphs on up to 9 scattered ids, isolated nodes allowed,
+    with or without some self-loops."""
+    nodes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True))
+    pairs = [(u, v) for u in nodes for v in nodes if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        edges += [(v, v) for v in draw(st.lists(st.sampled_from(nodes), unique=True))]
+    return Graph.undirected_graph(draw(st.permutations(nodes)), edges)
+
+
+@given(g=undirected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_metropolis_from_the_edge_list_matches_the_per_node_formula(g):
+    mh = metropolis_hastings_weights(g)
+    assert mh.graph == g.with_self_loops()
+    assert list(mh.weights.items()) == list(per_node_metropolis(g).items())
+
+
 class TestWeightCompliance:
     def test_weight_off_graph_rejected(self):
         g = Graph.directed_graph([1, 2], [(1, 2)])

@@ -4,7 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endnet.design import DesignCriterion, design_layout
-from endnet.graphs import Graph, WeightedGraph, metropolis_hastings_weights
+from endnet.graphs import (
+    Graph,
+    WeightedGraph,
+    is_connected_undirected,
+    is_rooted,
+    is_strongly_connected,
+    metropolis_hastings_weights,
+    uniform_weights,
+)
 from endnet.layout import (
     ConnectivityMode,
     EndLayout,
@@ -337,3 +345,114 @@ class TestInterferenceIndex:
         for k in range(0, 10):
             assert lay.needers(k) == tuple(sorted(i for (q, i) in interference if q == k))
             assert lay.needed_by(k) == tuple(sorted(p for (p, j) in interference if j == k))
+
+
+# -- one-pass validation ------------------------------------------------------
+
+
+def per_component_violations(layout, mode):
+    """``EndLayout.validate`` as a walk per component: each component's
+    edges scanned for communication edges, then its graph's own reachability
+    searches. The one-pass check must return this list, in this order."""
+    violations = []
+    agent_set = set(layout.agents)
+    comp_set = set(layout.partition.components)
+    for p, i in layout.interference:
+        if p not in comp_set:
+            violations.append(f"interference references unknown component {p}")
+        elif i not in agent_set:
+            violations.append(f"interference references unknown agent {i}")
+        elif i not in layout.design[p].graph.nodes:
+            violations.append(
+                f"interference not covered: agent {i} needs component {p} but holds no copy")
+    for p in layout.partition.components:
+        if not layout.needers(p):
+            violations.append(f"component {p} is indispensable for no agent")
+        g = layout.design[p].graph
+        if not set(g.nodes) <= agent_set:
+            violations.append(f"exchange graph {p} has non-agent nodes")
+        for u, v in g.edges:
+            if u != v and (u, v) not in layout.comm.edges:
+                violations.append(
+                    f"exchange graph {p} edge ({u},{v}) is not a communication edge")
+        if mode.kind == "rooted":
+            root = mode.roots.get(p)
+            if root is None:
+                violations.append(f"component {p}: no root specified")
+            elif root not in g.nodes:
+                violations.append(f"component {p}: root {root} holds no copy")
+            elif not is_rooted(g, root):
+                violations.append(f"component {p}: exchange graph not rooted at {root}")
+        elif mode.kind == "strong":
+            if not is_strongly_connected(g):
+                violations.append(f"component {p}: exchange graph not strongly connected")
+        elif g.directed:
+            violations.append(f"component {p}: exchange graph is directed, undirected required")
+        elif not is_connected_undirected(g):
+            violations.append(f"component {p}: exchange graph not connected")
+    return violations
+
+
+@st.composite
+def faulty_layouts(draw):
+    """A layout of up to 6 components over up to 6 agents whose exchange
+    graphs are drawn at random, directed or not, sometimes shared by several
+    components: graphs may be disconnected, miss a needer, hold a non-agent
+    node or use an edge that is not a communication edge."""
+    n = draw(st.integers(2, 6))
+    agents = list(range(1, n + 1))
+    pairs = [(u, v) for u in agents for v in agents if u != v]
+    comm_edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    comm = (Graph.undirected_graph(agents, comm_edges) if draw(st.booleans())
+            else Graph.directed_graph(agents, comm_edges))
+    m = draw(st.integers(1, 6))
+    interference = draw(st.frozensets(st.tuples(st.integers(1, m + 1), st.integers(1, n + 1)),
+                                      max_size=12))
+    pool = agents + [n + 1]  # n + 1 is not an agent
+    design = {}
+    for p in range(1, m + 1):
+        if p > 1 and draw(st.integers(0, 3)) == 0:
+            design[p] = design[draw(st.integers(1, p - 1))]  # shared graph object
+            continue
+        nodes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        edges = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                              max_size=8))
+        build = Graph.undirected_graph if draw(st.booleans()) else Graph.directed_graph
+        design[p] = uniform_weights(build(nodes, edges))
+    return EndLayout(agents=agents, partition=Partition((1,) * m), comm=comm,
+                     interference=interference, design=design)
+
+
+@st.composite
+def modes(draw, m):
+    kind = draw(st.sampled_from(["rooted", "strong", "undirected"]))
+    if kind != "rooted":
+        return ConnectivityMode(kind)
+    roots = draw(st.dictionaries(st.integers(1, m), st.integers(1, 7), max_size=m))
+    return ConnectivityMode.rooted(roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_pass_validation_matches_a_walk_per_component(data):
+    layout = data.draw(faulty_layouts())
+    mode = data.draw(modes(layout.partition.num_components))
+    assert layout.validate(mode) == per_component_violations(layout, mode)
+
+
+def test_equal_graphs_report_their_edges_in_their_own_order():
+    """Two equal graph objects whose edge sets iterate in different orders
+    each report their non-communication edges in their own order."""
+    edges = [(1, 1), (7, 1), (7, 7)]
+    first = Graph.undirected_graph([1, 7], edges)
+    second = Graph.undirected_graph([1, 7], edges[::-1])
+    assert first == second and list(first.edges) != list(second.edges)
+    layout = EndLayout(agents=list(range(1, 8)), partition=Partition((1, 1)),
+                       comm=Graph.directed_graph(range(1, 8), []), interference=frozenset(),
+                       design={1: uniform_weights(first), 2: uniform_weights(second)})
+    mode = ConnectivityMode("undirected")
+    violations = layout.validate(mode)
+    assert violations == per_component_violations(layout, mode)
+    off_comm = [v for v in violations if "communication edge" in v]
+    assert off_comm == [f"exchange graph {p} edge ({u},{v}) is not a communication edge"
+                        for p, g in ((1, first), (2, second)) for u, v in g.edges if u != v]

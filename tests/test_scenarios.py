@@ -396,3 +396,35 @@ def test_generators_deterministic():
     p2, y2 = build_random_separable(5, 7, 0.6, 9)
     assert np.array_equal(y1, y2)
     assert p1.footprints == p2.footprints
+
+
+def separable_digest(problem, reference):
+    """sha256 prefix of a random_separable instance: its footprints, the
+    bytes of every quadratic and linear block in key order, and the bytes of
+    its reference optimum."""
+    h = hashlib.sha256(repr(problem.footprints).encode())
+    for quad, lin in zip(problem.quadratics, problem.linears):
+        for key in sorted(quad):
+            h.update(repr(key).encode())
+            h.update(np.ascontiguousarray(quad[key], dtype=float).tobytes())
+        for p in sorted(lin):
+            h.update(repr(p).encode())
+            h.update(np.ascontiguousarray(lin[p], dtype=float).tobytes())
+    h.update(np.ascontiguousarray(reference, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (num_agents, num_components, sparsity, seed): two small instances, the
+# separable-tracking benchmark's and the CI design smoke run's
+SEPARABLE_DIGESTS = {
+    (7, 3, 0.5, 9): "f072d60a8aa30be4",
+    (30, 5, 0.5, 3): "205e30ce8d64619b",
+    (50, 150, 0.05, 0): "6a4e00977a3f94a9",
+    (60, 300, 0.03, 0): "af128164a19ee7dd",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SEPARABLE_DIGESTS))
+def test_random_separable_instances_are_pinned(args):
+    """Footprints, quadratics, linears and the reference stay bit for bit."""
+    assert separable_digest(*build_random_separable(*args)) == SEPARABLE_DIGESTS[args]
