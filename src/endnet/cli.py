@@ -45,6 +45,7 @@ from .optim import (
     merit_v,
     power_step_schedule,
     pushsum_solve,
+    warn_uncertified_step,
 )
 from .scenarios import (
     ScenarioError,
@@ -685,6 +686,10 @@ def cmd_run(args) -> int:
     bundle = build_scenario(scenario_cfg, args.seed)
     if args.dry_run:
         algorithm = _check_run(bundle["kind"], run_cfg, arm)
+        if algorithm in ("augdgm", "abc") and "gamma" in run_cfg:
+            # the certified bound of both is 1 / the smoothness constant: no solve needed
+            warn_uncertified_step(_read(run_cfg, "gamma", float),
+                                  augdgm_gamma_bound(bundle["problem"]), stacklevel=2)
         print(f"config ok: kind={bundle['kind']}, arm={arm}, algorithm={algorithm}")
         return EXIT_OK
     start = time.perf_counter()

@@ -324,6 +324,15 @@ class ComponentGroup:
         w = self.matrix
         return _read_only(np.diag(w.sum(axis=1)) - w)
 
+    @cached_property
+    def product_order(self) -> np.ndarray:
+        """The members' entries of a stacked vector in the order of the rows
+        and columns of the group's product: member by member, then
+        coordinate by coordinate, then holder by holder."""
+        holder = np.arange(self.copies) * self.dim
+        return (np.asarray(self.starts)[:, None, None] + np.arange(self.dim)[:, None]
+                + holder).ravel()
+
     def blocks(self, hat: np.ndarray) -> np.ndarray:
         """The members' copies in a stacked vector as (members, holders, dim)."""
         return np.asarray(hat)[self.index].reshape(len(self.members), self.copies, self.dim)
@@ -433,28 +442,42 @@ def _group_apply(g: ComponentGroup, mt: np.ndarray, v2: np.ndarray, out2: np.nda
     each row of the (k, n) arrays, or adds it with ``accumulate``, given the
     C-contiguous mt = mᵀ: one product over (member, coordinate) rows and
     holder columns. A contiguous group of dimension 1 is a (members, copies)
-    view of each row, multiplied in place; any other is gathered into the
-    product's shape and scattered back."""
-    k, copies, dim, index = v2.shape[0], g.copies, g.dim, g.index
-    if dim == 1 and isinstance(index, slice):
+    view of each row, multiplied in place; any other is gathered into a
+    buffer in the product's shape (:attr:`ComponentGroup.product_order`)
+    and scattered back. Index plan and buffers are made here, once."""
+    k, copies, index = v2.shape[0], g.copies, g.index
+    if g.dim == 1 and isinstance(index, slice):
         x, y = v2[:, index].reshape(k, -1, copies), out2[:, index].reshape(k, -1, copies)
         if not accumulate:
-            return partial(np.matmul, x, mt, out=y)
+            return partial(np.matmul, x, mt, y)
+        product = np.empty(y.shape)
 
         def add() -> None:
-            np.add(y, x @ mt, out=y)
+            np.matmul(x, mt, product)
+            np.add(y, product, y)
 
         return add
+    # the product's entries of the flattened rows, and the rows flattened
+    order = (np.arange(k)[:, None] * v2.shape[1] + g.product_order).ravel()
+    v_flat, out_flat = v2.reshape(-1), out2.reshape(-1)
+    x, product = np.empty(order.size), np.empty(order.size)
+    x3, product3 = x.reshape(k, -1, copies), product.reshape(k, -1, copies)
+    if not accumulate:
+        def apply() -> None:
+            v_flat.take(order, None, x, "wrap")
+            np.matmul(x3, mt, product3)
+            out_flat[order] = product
 
-    def apply() -> None:
-        x = v2[:, index].reshape(k, -1, copies, dim).swapaxes(2, 3).reshape(k, -1, copies)
-        product = (x @ mt).reshape(k, -1, dim, copies).swapaxes(2, 3).reshape(k, -1)
-        if accumulate:
-            out2[:, index] += product
-        else:
-            out2[:, index] = product
+        return apply
 
-    return apply
+    def add_gathered() -> None:
+        v_flat.take(order, None, x, "wrap")
+        np.matmul(x3, mt, product3)
+        out_flat.take(order, None, x, "wrap")
+        np.add(x, product, x)
+        out_flat[order] = x
+
+    return add_gathered
 
 
 def _ranges(slices: Iterable[slice]) -> np.ndarray:
@@ -796,8 +819,29 @@ class EndLayout:
         return (S.T @ sp.diags(1.0 / self.copy_counts) @ S).tocsr()
 
     def disagreement(self, hat: np.ndarray) -> np.ndarray:
-        hat = np.asarray(hat, dtype=float)
-        return hat - self.consensus_projection(hat)
+        """ŷ minus its consensus projection."""
+        hat = np.ascontiguousarray(hat, dtype=float)
+        out = np.empty_like(hat)
+        self.bind_disagreement(hat, out)()
+        return out
+
+    def bind_disagreement(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """A call that writes the disagreement of ``hat`` into ``out``, for
+        these two fixed stacked vectors, with the arithmetic of
+        :meth:`consensus_projection`: the sum operator and its transpose are
+        bound to buffers of the full variable made here."""
+        total = self.partition.total_dim
+        sums, means, counts = np.empty(total), np.empty(total), self.copy_counts
+        add_copies = self.sum_operator.bind(hat, sums)
+        spread_means = self.sum_operator.T.bind(means, out)
+
+        def apply() -> None:
+            add_copies()
+            np.divide(sums, counts, means)
+            spread_means()
+            np.subtract(hat, out, out)
+
+        return apply
 
     def embed_consensus(self, y: np.ndarray) -> np.ndarray:
         """Copy each component of a full variable to all of its holders."""
@@ -914,14 +958,14 @@ class EndLayout:
         unicast: one unit per scalar sent over one edge; broadcast: one unit
         per scalar broadcast by an agent holding a block with at least one
         out-neighbor. Each component group's exchange graph is counted once,
-        times its members and dimension.
+        times its members and dimension, in one pass over its edges.
         """
         if mode == "unicast":
             def per_copy(g: Graph) -> int:
                 return sum(u != v for u, v in g.edges)
         elif mode == "broadcast":
             def per_copy(g: Graph) -> int:
-                return sum(any(v != i for v in g.out_neighbors(i)) for i in g.nodes)
+                return len({u for u, v in g.edges if u != v})
         else:
             raise LayoutError(f"unknown communication mode {mode!r}")
         return float(sum(len(grp.members) * grp.dim * per_copy(grp.weights.graph)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Graph, column_stochastic_weights, intersect, restrict
-from .layout import BlockOperator, CsrOperator, EndLayout, _ranges
+from .layout import BlockOperator, CsrOperator, EndLayout, _in_order, _ranges
 from .trace import BLOCK_ROWS, RowBlocks, RunTrace, divergence_guard, run_steps
 
 
@@ -283,7 +283,7 @@ class AgentLoopStacked:
     oracle call per agent on its own estimate blocks. Quadratic problems
     (Lasso among them) compile to :class:`StackedQuadratic` instead; this
     loop stays their reference. ``l1`` holds the stacked 1-norm weights
-    (None when the problem has none).
+    (None when the problem has none). Its ``support`` is every entry.
     """
 
     def __init__(self, layout: EndLayout, problem: SeparableProblem):
@@ -296,6 +296,7 @@ class AgentLoopStacked:
         ]
         self.stacked_dim = layout.stacked_dim
         self.l1 = _stacked_l1(layout, problem)
+        self.support = slice(0, self.stacked_dim)
 
     def value(self, hat: np.ndarray) -> float:
         problem = self._problem()
@@ -324,6 +325,14 @@ class AgentLoopStacked:
 
         return apply
 
+    def bind_support_gradient(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """:meth:`bind_gradient`, the support being every entry."""
+        return self.bind_gradient(hat, out)
+
+    def bind_value(self, hat: np.ndarray) -> Callable[[], float]:
+        """A call that returns :meth:`value` at the fixed array ``hat``."""
+        return partial(self.value, hat)
+
 
 class StackedQuadratic:
     """A :class:`QuadraticSeparable` compiled for one layout.
@@ -333,6 +342,13 @@ class StackedQuadratic:
     for a subgradient) and the stacked cost is
     const + ½ŷᵀQ̂ŷ + ĉᵀŷ + l̂ᵀ|ŷ|, with Q̂ in CSR (one block per agent).
     ``l1`` is None when the problem has no 1-norm term.
+
+    Off the ``support`` -- the entries whose row of Q̂ holds an entry, or
+    whose ĉ or l̂ is nonzero; a slice when they are contiguous -- the
+    smooth gradient is zero. Every form here runs Q̂'s support rows, one
+    kernel call on their own CSR operator, and leaves the other entries at
+    zero, so a round costs the nonzeros of the problem, not the length of
+    the stack. Each sum is the one a full-row product forms, bit for bit.
     """
 
     def __init__(self, layout: EndLayout, problem: "QuadraticSeparable"):
@@ -341,27 +357,69 @@ class StackedQuadratic:
             for i, (H, c, fp, _) in enumerate(problem._dense, start=1)))
         self.const = float(sum(problem.constants))
         self.l1 = _stacked_l1(layout, problem)
+        q = self.q_hat.matrix
+        on = (np.diff(q.indptr) > 0) | (self.c_hat != 0.0)
+        if self.l1 is not None:
+            on |= self.l1 != 0.0
+        rows = np.flatnonzero(on)
+        self.support = _contiguous(rows)
+        self._rows = CsrOperator(q[rows])
+        self._c_rows = self.c_hat[rows]
 
     def value(self, hat: np.ndarray) -> float:
-        val = self.const + float(hat @ (0.5 * (self.q_hat @ hat) + self.c_hat))
-        if self.l1 is not None:
-            val += float(self.l1 @ np.abs(hat))
-        return val
+        return self.bind_value(np.ascontiguousarray(hat, dtype=float))()
+
+    def bind_value(self, hat: np.ndarray) -> Callable[[], float]:
+        """A call that returns the stacked cost at the fixed array ``hat``:
+        ½Q̂ŷ + ĉ is formed on the support in a vector that is zero off it,
+        made here, so the full-length dot with ``hat`` sums the terms of
+        const + ŷᵀ(½Q̂ŷ + ĉ) in the order a full-row product gives them."""
+        half = np.zeros(hat.size)
+        _, rows, scatter = _support_part(half, self.support)
+        product = self._rows.bind(hat, rows)
+        c_rows, const, l1 = self._c_rows, self.const, self.l1
+        magnitude = None if l1 is None else np.empty(hat.size)
+
+        def value() -> float:
+            product()
+            np.multiply(rows, 0.5, rows)
+            np.add(rows, c_rows, rows)
+            if scatter is not None:
+                scatter()
+            val = const + float(hat @ half)
+            if magnitude is not None:
+                np.abs(hat, magnitude)
+                val += float(l1 @ magnitude)
+            return val
+
+        return value
 
     def gradient(self, hat: np.ndarray, sub: bool = False) -> np.ndarray:
-        # Q̂ŷ accumulated onto ĉ, as the bound gradient forms it
-        g = self.q_hat.affine(hat, self.c_hat)
+        # the support rows of Q̂ŷ accumulated onto ĉ, as the bound gradient forms them
+        hat = np.asarray(hat, dtype=float)
+        g = self.c_hat.copy()
+        g[self.support] = self._rows.affine(hat, self._c_rows)
         if sub and self.l1 is not None:
             g += self.l1 * np.sign(hat)
         return g
 
+    def bind_support_gradient(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """A call that writes the smooth gradient at ``hat`` on the support
+        into the support-length ``out``: ĉ's support entries copied in and
+        Q̂'s support rows applied onto them, one kernel call."""
+        return self._rows.bind(hat, out, offset=self._c_rows)
+
     def bind_gradient(self, hat: np.ndarray, out: np.ndarray,
                       sub: bool = False) -> Callable[[], None]:
         """A call that writes the gradient at ``hat`` (the subgradient with
-        ``sub``) into ``out``, with the arithmetic of :meth:`gradient`, for
-        these two fixed arrays: ĉ copied into ``out`` and Q̂ŷ accumulated
-        onto it by one kernel call."""
-        product = self.q_hat.bind(hat, out, offset=self.c_hat)
+        ``sub``) into ``out``, for these two fixed arrays. ``out`` is set to
+        ĉ once, here, which is zero off the support; each call writes the
+        support entries (:meth:`bind_support_gradient`, scattered into
+        ``out`` when the support is not a slice) and, with ``sub``, adds
+        l̂ ⊙ sign ŷ over every entry."""
+        out[...] = self.c_hat
+        _, rows, scatter = _support_part(out, self.support)
+        product = _in_order(self.bind_support_gradient(hat, rows), scatter)
         l1 = self.l1
         if not sub or l1 is None:
             return product
@@ -374,6 +432,24 @@ class StackedQuadratic:
             np.add(out, sign, out=out)
 
         return apply_sub
+
+
+def _contiguous(rows: np.ndarray) -> slice | np.ndarray:
+    """Ascending entries as a slice when they are contiguous, else as they are."""
+    if rows.size == 0 or rows[-1] - rows[0] + 1 == rows.size:
+        start = int(rows[0]) if rows.size else 0
+        return slice(start, start + rows.size)
+    return rows
+
+
+def _support_part(v: np.ndarray, support: slice | np.ndarray):
+    """(gather, part, scatter): ``part`` holds v's support entries, as a
+    view of v on a slice and else as a buffer that ``gather`` fills from v
+    and ``scatter`` writes back (both None on a slice)."""
+    if isinstance(support, slice):
+        return None, v[support], None
+    part = np.empty(support.size)
+    return partial(v.take, support, None, part, "wrap"), part, partial(v.__setitem__, support, part)
 
 
 def _scatter_quadratics(n: int, placed) -> tuple[CsrOperator, np.ndarray]:
@@ -715,6 +791,15 @@ def abc_range_residual(layout: EndLayout, matrices: AbcMatrices, z: np.ndarray) 
     return float(np.sqrt(total))
 
 
+def warn_uncertified_step(gamma: float, bound: float, stacklevel: int = 3) -> None:
+    """Warn when the step ``gamma`` lies outside the certified interval
+    (0, ``bound``). ``stacklevel`` is :func:`warnings.warn`'s, counted from
+    here: the default names the line that called the solver calling this."""
+    if not 0.0 < gamma < bound:
+        warnings.warn(f"step size {gamma} outside the certified interval (0, {bound:.6g})",
+                      stacklevel=stacklevel)
+
+
 def abc_solve(
     layout: EndLayout,
     matrices: AbcMatrices,
@@ -728,11 +813,7 @@ def abc_solve(
     """Run the two-matrix iteration from z0 = 0 and track the ergodic merit;
     the trace is as :func:`augdgm_solve`'s."""
     bound = matrices.gamma_bound(problem)
-    if not 0.0 < gamma < bound:
-        warnings.warn(
-            f"step size {gamma} outside the certified interval (0, {bound:.6g})",
-            stacklevel=2,
-        )
+    warn_uncertified_step(gamma, bound)
     y = np.zeros(layout.stacked_dim) if y0 is None else y0
     rounds = _TrackingRounds(layout, problem, gamma, y, np.zeros(layout.stacked_dim),
                              matrices)
@@ -744,39 +825,64 @@ def abc_solve(
 class _TrackingRounds:
     """Gradient-tracking rounds run in place, on buffers allocated once.
 
-    The iterate ``y``, the tracking variable ``t`` (v of AugDGM, z of ABC),
-    two gradient buffers and one scratch vector are allocated here, and the
+    The iterate ``y``, the tracking variable ``t`` (v of AugDGM, z of ABC)
+    and the gradient and scratch buffers are allocated here, and the
     stacked operators and the gradient are bound to them, so a round
-    allocates nothing. Without ``matrices`` a round is AugDGM's
-    y ← W(y − γv), v ← W(v + ∇f(y) − g), the two gradient buffers taking
-    turns as the new gradient and the old one, g; with them it is ABC's
-    y ← A y − γ B∇f(y) − z, z ← z + C y, with A y formed in the second
-    gradient buffer. Each vector is formed in the order the formulas read,
-    and C y is added to z from the scratch vector, not accumulated into it,
-    so that layouts applied only in CSR give the iterates of the allocating
-    expressions bit for bit.
+    allocates nothing.
+
+    Without ``matrices`` a round is AugDGM's y ← W(y − γv),
+    v ← W(v + ∇f(y) − g). The gradient is formed on the ``support`` of the
+    problem's stacked form only, in two support-length buffers that take
+    turns as the new gradient and the old one, g. Off the support both are
+    zero, so there v + ∇f(y) − g is v itself: (v + ∇f(y)) − g is formed in
+    place on v's support entries alone, and two v buffers take turns as the
+    operand and the output of W. The buffer W writes v into holds y − γv
+    before that, so the round needs no scratch vector.
+
+    With ``matrices`` a round is ABC's y ← A y − γ B∇f(y) − z,
+    z ← z + C y, on a full-length gradient buffer (written off the support
+    once, when it is bound), with A y formed in a second buffer.
+
+    Each vector is formed in the order the formulas read, and C y is added
+    to z from the scratch vector, not accumulated into it, so that layouts
+    applied only in CSR give the iterates of the allocating expressions bit
+    for bit.
     """
 
     def __init__(self, layout: EndLayout, problem: SeparableProblem, gamma: float,
                  y: np.ndarray, t: np.ndarray, matrices: AbcMatrices | None = None):
         n = layout.stacked_dim
-        self.y, self.t = np.array(y, dtype=float), np.array(t, dtype=float)
-        self._g = (np.zeros(n), np.zeros(n))
-        self._s = np.empty(n)
+        self.y = np.array(y, dtype=float)
         self._gamma = gamma
-        stacked = stacked_form(layout, problem)
-        self._gradient = tuple(stacked.bind_gradient(self.y, g) for g in self._g)
         self._turn = 0
+        stacked = stacked_form(layout, problem)
+        self._abc = matrices is not None
         if matrices is None:
+            support = stacked.support
+            self._t = (np.array(t, dtype=float), np.empty(n))
+            self._on_support = tuple(_support_part(v, support) for v in self._t)
+            width = self._on_support[0][1].size
+            self._g = (np.empty(width), np.empty(width))
+            self._gradient = tuple(stacked.bind_support_gradient(self.y, g) for g in self._g)
             w = layout.weight_operator
-            self._mix_y, self._mix_t = w.bind(self._s, self.y), w.bind(self._s, self.t)
+            # per turn: W from the other v buffer into y, and from v into it
+            self._mix_y = (w.bind(self._t[1], self.y), w.bind(self._t[0], self.y))
+            self._mix_t = (w.bind(self._t[0], self._t[1]), w.bind(self._t[1], self._t[0]))
             self._gradient[0]()
         else:
+            self._t = (np.array(t, dtype=float),)
+            self._s = np.empty(n)
+            self._g = (np.zeros(n), np.zeros(n))
+            self._gradient = stacked.bind_gradient(self.y, self._g[0])
             a, b, c = matrices.operators(layout)
             self._a_y = a.bind(self.y, self._g[1])
             self._b_g = b.bind(self._g[0], self._s)
             self._c_y = c.bind(self.y, self._s)
-        self._abc = matrices is not None
+
+    @property
+    def t(self) -> np.ndarray:
+        """The tracking variable: the v buffer whose turn it is, or z."""
+        return self._t[self._turn]
 
     def step(self) -> None:
         if self._abc:
@@ -785,19 +891,25 @@ class _TrackingRounds:
             self._augdgm_round()
 
     def _augdgm_round(self) -> None:
-        y, v, s, turn = self.y, self.t, self._s, self._turn
-        np.multiply(v, self._gamma, out=s)
+        y, turn = self.y, self._turn
+        s = self._t[1 - turn]
+        np.multiply(self._t[turn], self._gamma, out=s)
         np.subtract(y, s, out=s)
-        self._mix_y()
+        self._mix_y[turn]()
         self._gradient[1 - turn]()
-        np.add(v, self._g[1 - turn], out=s)
-        np.subtract(s, self._g[turn], out=s)
-        self._mix_t()
+        gather, part, scatter = self._on_support[turn]
+        if gather is not None:
+            gather()
+        np.add(part, self._g[1 - turn], out=part)
+        np.subtract(part, self._g[turn], out=part)
+        if scatter is not None:
+            scatter()
+        self._mix_t[turn]()
         self._turn = 1 - turn
 
     def _abc_round(self) -> None:
-        y, z, s, a_y = self.y, self.t, self._s, self._g[1]
-        self._gradient[0]()
+        y, z, s, a_y = self.y, self._t[0], self._s, self._g[1]
+        self._gradient()
         self._b_g()
         np.multiply(s, self._gamma, out=s)
         self._a_y()
@@ -814,7 +926,14 @@ TRACKING_BUDGET = "gradient tracking needs max_iters >= 1 and merit_every >= 1"
 def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds,
            trace: RunTrace, what: str, max_iters: int, reference: np.ndarray | None,
            merit_every: int) -> tuple[np.ndarray, RunTrace]:
-    """The loop of both tracking solvers; see :func:`augdgm_solve`."""
+    """The loop of both tracking solvers; see :func:`augdgm_solve`.
+
+    A record's work is bound once, to buffers made here: the disagreement
+    of y and of the running average through
+    :meth:`~endnet.layout.EndLayout.bind_disagreement`, and the stacked
+    cost of each through its stacked form's ``bind_value``; the values are
+    those of :func:`abc_merit` and :func:`stacked_value`, bit for bit.
+    """
     if max_iters < 1 or merit_every < 1:
         raise OptimError(TRACKING_BUDGET)
     stacked = stacked_form(layout, problem)
@@ -824,7 +943,12 @@ def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds
         grad_star_norm = float(np.linalg.norm(stacked.gradient(hat_star)))
         f_star = stacked.value(hat_star)
     y = rounds.y
-    running = np.zeros_like(y)
+    running, spread = np.zeros_like(y), np.empty_like(y)
+    spread_y = layout.bind_disagreement(y, spread)
+    if reference is not None:
+        average = np.empty_like(y)
+        spread_average = layout.bind_disagreement(average, spread)
+        value_y, value_average = stacked.bind_value(y), stacked.bind_value(average)
 
     def step(k: int) -> np.ndarray:
         rounds.step()
@@ -832,11 +956,15 @@ def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds
         return y
 
     def record(s: int) -> None:
-        spread = float(np.linalg.norm(layout.disagreement(y)))
-        row = {"k": s, "consensus_err": spread}
+        spread_y()
+        spread_norm = float(np.linalg.norm(spread))
+        row = {"k": s, "consensus_err": spread_norm}
         if reference is not None:
-            row["merit_avg"] = abc_merit(layout, problem, running / s, grad_star_norm, f_star)
-            row["merit"] = _merit(spread, stacked.value(y), grad_star_norm, f_star)
+            np.divide(running, s, out=average)
+            spread_average()
+            row["merit_avg"] = _merit(float(np.linalg.norm(spread)), value_average(),
+                                      grad_star_norm, f_star)
+            row["merit"] = _merit(spread_norm, value_y(), grad_star_norm, f_star)
         trace.append(**row)
 
     # tracking numbers its steps from 1
@@ -909,8 +1037,13 @@ def augdgm_solve(
     of y and of the running average. ``running_average`` in the trace
     metadata is the average of all iterates. The rounds are
     :class:`_TrackingRounds` and the loop is :func:`~endnet.trace.run_steps`.
+    A step outside (0, :func:`augdgm_gamma_bound`) is warned about, as in
+    :func:`abc_solve`, when the problem declares a nonzero smoothness
+    constant.
     """
     _check_symmetric_doubly_stochastic(layout)
+    if problem.smooth_lipschitz:
+        warn_uncertified_step(gamma, augdgm_gamma_bound(problem))
     y = np.zeros(layout.stacked_dim)
     v = layout.weight_operator @ stacked_gradient(layout, problem, y)
     rounds = _TrackingRounds(layout, problem, gamma, y, v)

@@ -21,7 +21,7 @@ from endnet.cli import (
     main,
 )
 from endnet.layout import reweight
-from endnet.optim import augdgm_matrices
+from endnet.optim import augdgm_gamma_bound, augdgm_matrices
 from endnet.scenarios import SensorScenario, build_lasso
 
 
@@ -451,6 +451,33 @@ def test_admm_alpha_upper_end_is_checked_by_the_dry_run(tmp_path, capsys, alpha,
     if code == EXIT_CONFIG:
         assert (f"config error: field 'alpha': relaxation parameter {alpha} outside (0, 1)"
                 in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("algorithm", ["augdgm", "abc"])
+@pytest.mark.parametrize("factor, code", [(0.5, EXIT_OK), (1.5, EXIT_OK),
+                                          (3.0, EXIT_DIVERGENCE)])
+def test_uncertified_tracking_step_warns_in_the_dry_run_and_the_run(tmp_path, algorithm,
+                                                                    factor, code):
+    """A gamma past 1 / the smoothness constant is warned about by the dry
+    run, without a solve, and by the run, whose exit code stays the one the
+    step earns (before, augdgm ran 1.5x and diverged at 3x without a word,
+    and no dry run warned); a certified gamma is not."""
+    bound = augdgm_gamma_bound(cli.build_scenario(SEP_SCENARIO, None)["problem"])
+    cfg = _write_config(tmp_path, "step.json", {
+        "scenario": SEP_SCENARIO, "run": {"algorithm": algorithm, "gamma": factor * bound}})
+    runs = []
+    for extra, expected in ((["--dry-run"], EXIT_OK), ([], code)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                         *extra]) == expected
+        runs.append([str(w.message) for w in caught
+                     if "outside the certified interval" in str(w.message)])
+    if factor < 1.0:
+        assert runs == [[], []]
+    else:
+        assert runs == [[f"step size {factor * bound} outside the certified interval "
+                         f"(0, {bound:.6g})"]] * 2
 
 
 @pytest.mark.parametrize("scenario, run, field", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from endnet.optim import (
     abc_solve,
     abc_step,
     admm_solve,
+    augdgm_gamma_bound,
     augdgm_matrices,
     augdgm_solve,
     augdgm_step,
@@ -362,6 +365,23 @@ class TestGradientTracking:
                                 max_iters=3000, reference=ref, merit_every=500)
         assert np.allclose(lay.component_means(y), ref, atol=1e-8)
         assert trace.columns["merit"][-1] < 1e-10
+
+    @pytest.mark.parametrize("factor", [1.5, 3.0])
+    def test_step_outside_the_certified_interval_warns(self, factor):
+        """augdgm warns as abc does on a step past 1 / the smoothness
+        constant (before, 1.5x ran and 3x diverged without a word), with or
+        without a divergence after, and not on a certified step."""
+        prob = random_quadratic_problem(np.random.default_rng(8), 4, 2)
+        lay = doubly_stochastic_layout(4, 2)
+        bound = augdgm_gamma_bound(prob)
+        with pytest.warns(UserWarning, match=r"outside the certified interval \(0, "):
+            try:
+                augdgm_solve(lay, prob, factor * bound, max_iters=300)
+            except DivergenceError:
+                pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            augdgm_solve(lay, prob, 0.9 * bound, max_iters=5)
 
 
 class TestPushSum:
