@@ -762,15 +762,15 @@ class _GneRounds:
         n_state = stage.linear.shape[1]
         self._buffers = (np.zeros(stage.linear.shape[0]), np.zeros(stage.linear.shape[0]))
         self._buffers[0][:n_state] = np.concatenate((x, s_hat, z_hat, lam_hat))
-        self._views = tuple(_StageParts(*(b[sl] for sl in stage.parts)) for b in self._buffers)
+        self.views = tuple(_StageParts(*(b[sl] for sl in stage.parts)) for b in self._buffers)
         self._u = np.empty(lam_hat.size)
         self._scaled = np.empty(x.size)
         self._alpha_beta = alpha * stage.beta
         self._inequality = ops.game.sense == "inequality"
-        self._turn = 0
+        self.turn = 0  # the buffer that holds the state
         self._bound = []
         for a, b in ((0, 1), (1, 0)):
-            source, target = self._buffers[a], self._views[b]
+            source, target = self._buffers[a], self.views[b]
             self._bound.append((
                 stage.linear.bind(source[:n_state], self._buffers[b], offset=stage.offset),
                 stage.dual_lap.bind(self._u, target.lam, accumulate=True),
@@ -779,14 +779,14 @@ class _GneRounds:
     @property
     def state(self) -> _StageParts:
         """Views of the current buffer."""
-        return self._views[self._turn]
+        return self.views[self.turn]
 
     def step(self) -> _StageParts:
         """One round; returns views of the new buffer."""
-        old = self._views[self._turn]
-        linear, dual_lap, dual_push = self._bound[self._turn]
-        self._turn = 1 - self._turn
-        new = self._views[self._turn]
+        old = self.views[self.turn]
+        linear, dual_lap, dual_push = self._bound[self.turn]
+        self.turn = 1 - self.turn
+        new = self.views[self.turn]
         linear()
         grad = self.game.gradient(old.x, new.sigma_pairs)
         np.multiply(grad, self._alpha_beta, out=self._scaled)
@@ -913,13 +913,83 @@ def consensus_dual(ops: GneOperators, lam_hat: np.ndarray) -> np.ndarray:
 
 
 def kkt_residual(game: AggregativeGameSpec, x: np.ndarray, lam: np.ndarray) -> float:
-    A, a = game._constraints
-    drive = game.pseudo_gradient(x) + A.T @ lam
-    stat = float(np.linalg.norm(game.project(x - drive) - x))
-    gap = A @ x - a
-    if game.sense == "equality":
-        return stat + float(np.linalg.norm(gap))
-    return stat + float(np.linalg.norm(np.maximum(gap, 0.0))) + abs(float(lam @ gap))
+    return _bind_kkt_residual(game, np.array(x, dtype=float), np.array(lam, dtype=float))()
+
+
+def _bind_kkt_residual(game: AggregativeGameSpec, x: np.ndarray,
+                       lam: np.ndarray) -> Callable[[], float]:
+    """A call that returns the KKT residual of the fixed arrays ``x`` and
+    ``lam``: projected stationarity ‖P(x - F(x) - Aᵀlam) - x‖ plus the norm
+    of the constraint gap A x - a (for inequalities its positive part, plus
+    |lamᵀ(A x - a)|), computed in buffers made here."""
+    (A, a), (M, m) = game._constraints, game._aggregation
+    pair_rows = game._pair_rows
+    values, sigma = np.empty(m.size), np.empty(pair_rows.size)
+    drive, moved = np.empty(x.size), np.empty(x.size)
+    gap, excess = np.empty(a.size), np.empty(a.size)
+    aggregate = M.bind(x, values, offset=m)
+    push = A.T.bind(lam, drive)
+    constrain = A.bind(x, gap)
+    equality = game.sense == "equality"
+
+    def residual() -> float:
+        aggregate()
+        values.take(pair_rows, out=sigma)
+        push()
+        np.add(game.gradient(x, sigma), drive, out=drive)
+        np.subtract(x, drive, out=moved)
+        game._project_into(moved, moved)
+        np.subtract(moved, x, out=moved)
+        stat = float(np.linalg.norm(moved))
+        constrain()
+        np.subtract(gap, a, out=gap)
+        if equality:
+            return stat + float(np.linalg.norm(gap))
+        np.maximum(gap, 0.0, out=excess)
+        return stat + float(np.linalg.norm(excess)) + abs(float(lam @ gap))
+
+    return residual
+
+
+def _bind_gne_record(ops: GneOperators, now: _StageParts, alpha: float,
+                     reference: np.ndarray | None) -> Callable[[int], dict]:
+    """A call that returns :func:`gne_solve`'s trace row for the state
+    ``now`` (views of one of the rounds' buffers) at step s, each column
+    with the arithmetic of the unbound functions (:func:`consensus_dual`,
+    :func:`kkt_residual`, :meth:`GneState.sigma_hat` and the layouts'
+    ``disagreement``), in buffers made here."""
+    sig, dual = ops.sigma_layout, ops.lambda_layout
+    sums, lam = np.empty(dual.partition.total_dim), np.empty(dual.partition.total_dim)
+    counts = dual.copy_counts
+    sigma_hat, sigma_off = np.empty(sig.stacked_dim), np.empty(sig.stacked_dim)
+    lam_off = np.empty(dual.stacked_dim)
+    add_copies = dual.sum_operator.bind(now.lam, sums)
+    residual = _bind_kkt_residual(ops.game, now.x, lam)
+    aggregate = ops.B_hat.bind(now.x, sigma_hat)
+    sigma_spread = sig.bind_disagreement(sigma_hat, sigma_off)
+    lam_spread = dual.bind_disagreement(now.lam, lam_off)
+    to_reference = None if reference is None else np.empty(now.x.size)
+
+    def record(s: int) -> dict:
+        add_copies()
+        np.divide(sums, counts, out=lam)
+        # the primal step drives alpha*F + A^T lam_hat to zero, so the
+        # copies track alpha-scaled multipliers
+        np.divide(lam, alpha, out=lam)
+        row = {"k": s - 1, "residual": residual()}
+        aggregate()
+        np.add(now.s, sigma_hat, out=sigma_hat)
+        np.add(sigma_hat, ops.b_hat, out=sigma_hat)
+        sigma_spread()
+        lam_spread()
+        row["sigma_disagreement"] = float(np.linalg.norm(sigma_off))
+        row["lambda_disagreement"] = float(np.linalg.norm(lam_off))
+        if to_reference is not None:
+            np.subtract(now.x, reference, out=to_reference)
+            row["distance"] = float(np.linalg.norm(to_reference))
+        return row
+
+    return record
 
 
 def gne_solve(
@@ -946,7 +1016,6 @@ def gne_solve(
     if not (alpha > 0 and beta > 0):
         raise GameError(f"the primal-dual iteration needs positive steps, "
                         f"got alpha={alpha!r}, beta={beta!r}")
-    game = ops.game
     rounds = _rounds(ops, initial_gne_state(ops, x0), alpha, beta)
     trace = RunTrace(meta={"alpha": alpha, "beta": beta})
     cost = ops.sigma_layout.communication_cost("unicast") + ops.lambda_layout.communication_cost(
@@ -969,21 +1038,12 @@ def gne_solve(
         norms.push(now.s_norms)
         return now.x
 
+    rows = tuple(_bind_gne_record(ops, now, alpha, reference) for now in rounds.views)
+
     def record(s: int) -> bool:
-        now = rounds.state
-        # the primal step drives alpha*F + A^T lam_hat to zero, so the
-        # copies track alpha-scaled multipliers
-        lam = consensus_dual(ops, now.lam) / alpha
-        residual = kkt_residual(game, now.x, lam)
-        sigma_hat = now.s + ops.B_hat @ now.x + ops.b_hat
-        row = {"k": s - 1, "residual": residual,
-               "sigma_disagreement": float(
-                   np.linalg.norm(ops.sigma_layout.disagreement(sigma_hat))),
-               "lambda_disagreement": float(
-                   np.linalg.norm(ops.lambda_layout.disagreement(now.lam)))}
-        if reference is not None:
-            row["distance"] = float(np.linalg.norm(now.x - reference))
+        row = rows[rounds.turn](s)
         trace.append(**row)
+        residual = row["residual"]
         done = row["distance"] <= tol if reference is not None else residual <= tol
         return done and (residual_tol is None or residual <= residual_tol)
 

@@ -297,6 +297,7 @@ class AgentLoopStacked:
         self.stacked_dim = layout.stacked_dim
         self.l1 = _stacked_l1(layout, problem)
         self.support = slice(0, self.stacked_dim)
+        self.merit_constants = {}  # see _merit_constants
 
     def value(self, hat: np.ndarray) -> float:
         problem = self._problem()
@@ -365,6 +366,7 @@ class StackedQuadratic:
         self.support = _contiguous(rows)
         self._rows = CsrOperator(q[rows])
         self._c_rows = self.c_hat[rows]
+        self.merit_constants = {}  # see _merit_constants
 
     def value(self, hat: np.ndarray) -> float:
         return self.bind_value(np.ascontiguousarray(hat, dtype=float))()
@@ -1485,11 +1487,25 @@ def merit_v(layout: EndLayout, problem: SeparableProblem, hat: np.ndarray,
     """max of the copy-count-scaled disagreement (times the reference gradient
     norm) and the objective gap at the consensus projection."""
     hat = np.asarray(hat, dtype=float)
-    hat_star = layout.embed_consensus(np.asarray(reference, dtype=float))
-    grad_star = stacked_gradient(layout, problem, hat_star, sub=True)
-    scaled = layout.disagreement(hat) / layout.embed_consensus(layout.copy_counts)
+    grad_norm, ref_value, copies = _merit_constants(layout, problem,
+                                                    np.asarray(reference, dtype=float))
+    scaled = layout.disagreement(hat) / copies
     proj = layout.component_means(hat)
-    return max(
-        float(np.linalg.norm(scaled)) * float(np.linalg.norm(grad_star)),
-        abs(problem.total_value(proj) - problem.total_value(np.asarray(reference, float))),
-    )
+    return max(float(np.linalg.norm(scaled)) * grad_norm,
+               abs(problem.total_value(proj) - ref_value))
+
+
+def _merit_constants(layout: EndLayout, problem: SeparableProblem,
+                     reference: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """What :func:`merit_v` reads of the reference: the norm of the stacked
+    subgradient at its embedding, its total cost and the embedded copy
+    counts. Computed once per (layout, problem, reference) and kept on the
+    problem's stacked form, keyed on the reference's bytes."""
+    form = stacked_form(layout, problem)
+    key = (reference.tobytes(), reference.shape)
+    if key not in form.merit_constants:
+        grad = form.gradient(layout.embed_consensus(reference), True)
+        form.merit_constants[key] = (float(np.linalg.norm(grad)),
+                                     problem.total_value(reference),
+                                     layout.embed_consensus(layout.copy_counts))
+    return form.merit_constants[key]

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .design import DesignCriterion, design_layout
 from .games import AggregativeGameSpec, BoxSet, GameSpec
 from .graphs import Graph, bidirectional_bfs, is_connected_undirected, is_strongly_connected
-from .layout import ConnectivityMode, EndLayout, Partition, standard_layout
+from .layout import ConnectivityMode, CsrOperator, EndLayout, Partition, standard_layout
 from .optim import LassoSeparable, QuadraticSeparable
 
 
@@ -159,12 +160,55 @@ class UnicastInstance:
         return float(val)
 
 
+def _unicast_gradient(owners: np.ndarray, psi: np.ndarray, num_users: int,
+                      scale: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The rate game's pseudo-gradient ``gradient(x, sigma)``, compiled once.
+
+    Pair k of the sorted interference pattern is user ``owners[k]``'s copy
+    of a link with congestion coefficient ``psi[k]``; it adds
+    psi (s + x s (1 - s)) with s = sig(sigma_k) to that user's entry, on
+    top of -scale / (x + 1). With t = tanh(sigma / 2), s = (1 + t) / 2 and
+    s (1 - s) = (1 - t²) / 4, so per user the sum is a + x b with
+    a = Σ psi / 2 + Σ (psi / 2) t and b = Σ psi / 4 - Σ (psi / 4) t²: one
+    sparse map of [t; t²] onto those constants. tanh saturates, so no |sigma|
+    overflows. Each call returns a new array; the buffers are made here.
+    """
+    num_pairs = owners.size
+    rows = np.concatenate((owners, owners + num_users))
+    weigh = CsrOperator(sp.csr_matrix(
+        (np.concatenate((psi / 2.0, -psi / 4.0)), (rows, np.arange(2 * num_pairs))),
+        shape=(2 * num_users, 2 * num_pairs)))
+    per_user = np.bincount(owners, weights=psi, minlength=num_users)
+    powers, sums = np.empty(2 * num_pairs), np.empty(2 * num_users)
+    t, t2 = powers[:num_pairs], powers[num_pairs:]
+    a, b = sums[:num_users], sums[num_users:]
+    weigh_powers = weigh.bind(powers, sums,
+                              offset=np.concatenate((per_user / 2.0, per_user / 4.0)))
+    shift, xb = np.empty(num_users), np.empty(num_users)
+    # array operands: a ufunc call with a Python float operand takes longer
+    half, one = np.full(num_pairs, 0.5), np.ones(num_users)
+    minus_scale = np.full(num_users, -scale)
+    x_shape, sigma_shape = (num_users,), (num_pairs,)
+
+    def gradient(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        if x.shape != x_shape or sigma.shape != sigma_shape:
+            raise ValueError(f"actions of shape {x.shape} and pair values of shape "
+                             f"{sigma.shape}, expected {x_shape} and {sigma_shape}")
+        np.multiply(sigma, half, t)
+        np.tanh(t, t)
+        np.multiply(t, t, t2)
+        weigh_powers()
+        np.multiply(x, b, xb)
+        np.add(xb, a, xb)
+        np.add(x, one, shift)
+        np.divide(minus_scale, shift, shift)
+        return np.add(shift, xb)
+
+    return gradient
+
+
 def build_unicast(sc: UnicastScenario, weight_scheme: str = "metropolis") -> UnicastInstance:
     """Assemble the game and both layout arms from a unicast scenario."""
-    # imported here, not with the module: it adds ~6 MB of resident memory
-    # to every run, also to those that never build a unicast scenario
-    from scipy.special import expit
-
     labels = sc.link_labels()
     num_links = len(labels)
     if num_links == 0:
@@ -175,20 +219,10 @@ def build_unicast(sc: UnicastScenario, weight_scheme: str = "metropolis") -> Uni
         for i, seq in sc.paths.items()
     }
     interference = frozenset((p, i) for i, fp in footprints.items() for p in fp)
-    psi_by_label = {p: sc.psi[inv[p]] for p in inv}
-    scale = sc.utility_scale
-
     pairs = sorted(interference)
-    owner_idx = np.array([i - 1 for _, i in pairs], dtype=int)
-    psi_pairs = np.array([psi_by_label[p] for p, _ in pairs])
-
-    def gradient(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        # scalar actions and unit aggregation blocks: pair (p, i) adds
-        # psi_p (s + x_i s (1 - s)) with s = sig(sigma) to user i's entry
-        s = expit(sigma)
-        contrib = psi_pairs * s * (1.0 + x[owner_idx] * (1.0 - s))
-        return -scale / (x + 1.0) + np.bincount(owner_idx, weights=contrib,
-                                                minlength=x.shape[0])
+    gradient = _unicast_gradient(np.array([i - 1 for _, i in pairs], dtype=np.intp),
+                                 np.array([sc.psi[inv[p]] for p, _ in pairs]),
+                                 sc.num_users, sc.utility_scale)
 
     agg_blocks = {(p, i): np.array([[1.0]]) for i in sc.paths for p in footprints[i]}
     agg_offsets = {key: np.zeros(1) for key in agg_blocks}

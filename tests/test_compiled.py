@@ -34,6 +34,7 @@ from endnet.games import (
     _component_weights,
     build_gne_operators,
     certify_theorem1,
+    consensus_dual,
     extended_pseudo_gradient,
     gne_solve,
     gne_step,
@@ -2166,6 +2167,54 @@ def test_gne_step_is_the_solvers_round(name):
     for part in ("x", "s_hat", "z_hat", "lam_hat"):
         assert np.array_equal(getattr(final, part), getattr(state, part)), part
     assert trace.meta["us_per_step"] > 0
+
+
+def unbound_gne_row(ops, state, alpha, reference):
+    """gne_solve's trace row for ``state`` from the unbound functions: the
+    consensus multiplier, the KKT residual spelled out with the game's
+    compiled operators, sigma_hat and the layouts' disagreements."""
+    game = ops.game
+    lam = consensus_dual(ops, state.lam_hat) / alpha
+    A, a = game._constraints
+    drive = game.pseudo_gradient(state.x) + A.T @ lam
+    stat = float(np.linalg.norm(game.project(state.x - drive) - state.x))
+    gap = A @ state.x - a
+    if game.sense == "equality":
+        residual = stat + float(np.linalg.norm(gap))
+    else:
+        residual = stat + float(np.linalg.norm(np.maximum(gap, 0.0))) + abs(float(lam @ gap))
+    sigma_hat = state.sigma_hat(ops)
+    row = {"residual": residual,
+           "sigma_disagreement": float(np.linalg.norm(ops.sigma_layout.disagreement(sigma_hat))),
+           "lambda_disagreement": float(np.linalg.norm(
+               ops.lambda_layout.disagreement(state.lam_hat)))}
+    if reference is not None:
+        row["distance"] = float(np.linalg.norm(state.x - reference))
+    return row
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+@pytest.mark.parametrize("name", ["unicast", "blocks"])
+def test_gne_records_are_the_unbound_columns_bit_for_bit(name, arm):
+    """Each gne_solve record, bound once per buffer, equals the unbound
+    row on the same state, with and without a reference; consecutive
+    records read the two buffers in turn."""
+    ops, _ = gne_case(name, arm)
+    n = ops.game.total_action_dim
+    x0 = np.full(n, 0.3)
+    alpha, beta, iters = 0.1, 2e-3, 7
+    for reference in (None, np.linspace(0.0, 1.0, n)):
+        _, trace = gne_solve(ops, x0, alpha, beta, max_iters=iters, tol=0.0,
+                             reference=reference, check_every=1)
+        state = initial_gne_state(ops, x0)
+        for k in range(iters):
+            state = gne_step(ops, state, alpha, beta)
+            row = unbound_gne_row(ops, state, alpha, reference)
+            assert sorted(trace.columns) == sorted(["k", *row])
+            for column, value in row.items():
+                assert trace.columns[column][k] == value, (column, k)
+        assert kkt_residual(ops.game, state.x, consensus_dual(ops, state.lam_hat) / alpha) \
+            == row["residual"]
 
 
 @pytest.mark.parametrize("arm", ["standard", "customized"])

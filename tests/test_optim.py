@@ -572,6 +572,33 @@ class TestMeritV:
         gap = abs(prob.total_value(lay.component_means(hat)) - prob.total_value(ref))
         assert v == pytest.approx(max(expected, gap), rel=1e-9)
 
+    def test_reference_constants_once_per_reference_bit_for_bit(self, monkeypatch):
+        """merit_v equals its formula evaluated from scratch, bit for bit,
+        and costs the reference once per distinct value: a copy or a list
+        of the same values reads what the first call kept."""
+        prob = random_quadratic_problem(np.random.default_rng(12), 4, 2)
+        lay = doubly_stochastic_layout(4, 2)
+        ref = prob.solve_reference()
+        rng = np.random.default_rng(13)
+        cases = []
+        for reference in (ref, ref + 0.5, ref.copy(), list(ref + 0.5)):
+            y = np.asarray(reference, dtype=float)
+            for _ in range(3):
+                hat = lay.embed_consensus(ref) + rng.standard_normal(lay.stacked_dim)
+                grad_star = stacked_gradient(lay, prob, lay.embed_consensus(y), sub=True)
+                scaled = lay.disagreement(hat) / lay.embed_consensus(lay.copy_counts)
+                cases.append((hat, reference, max(
+                    float(np.linalg.norm(scaled)) * float(np.linalg.norm(grad_star)),
+                    abs(prob.total_value(lay.component_means(hat)) - prob.total_value(y)))))
+        evaluated = []
+        total_value = prob.total_value
+        monkeypatch.setattr(prob, "total_value",
+                            lambda y: evaluated.append(1) or total_value(y))
+        for hat, reference, expected in cases:
+            assert merit_v(lay, prob, hat, reference) == expected
+        # one cost at the consensus projection per call, one per distinct reference
+        assert len(evaluated) == len(cases) + 2
+
 
 def test_divergence_guard_trips_on_norm_and_nonfinite():
     guard = divergence_guard(np.array([3.0, 4.0]), "iterate")  # limit 6e6

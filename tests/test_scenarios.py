@@ -12,6 +12,7 @@ from endnet.scenarios import (
     ScenarioError,
     SensorScenario,
     UnicastScenario,
+    _sigmoid,
     build_lasso,
     build_random_quadratic_game,
     build_random_separable,
@@ -100,6 +101,55 @@ def test_unicast_fast_gradient_matches_generic():
             g = 1.0 / (1.0 + np.exp(-sigma_hat[ops.sigma_layout.block_slice(labels[link], i)][0]))
             generic[i - 1] += sc.psi[link] * (g + xi * g * (1.0 - g))
     assert np.max(np.abs(fast - generic)) <= 1e-12
+
+
+def closed_form_unicast_gradient(inst, x, sigma):
+    """Per pair (p, i) of the sorted pattern, psi_p (s + x_i s (1 - s)) with
+    s the scalar sigmoid of the pair's value, added to user i's
+    -scale / (x_i + 1)."""
+    sc = inst.scenario
+    link = {p: e for e, p in inst.labels.items()}
+    out = -sc.utility_scale / (x + 1.0)
+    for k, (p, i) in enumerate(sorted(inst.game.interference_sigma)):
+        s = _sigmoid(float(sigma[k]))
+        out[i - 1] += sc.psi[link[p]] * (s + x[i - 1] * s * (1.0 - s))
+    return out
+
+
+@pytest.mark.parametrize("scenario", [reference_scheme_unicast(0), sample_unicast(20, 0)])
+def test_compiled_unicast_gradient_matches_the_scalar_closed_form(scenario):
+    """The compiled gradient against the closed form at random rates in
+    [0, 1] and pair values of every magnitude up to 1e3 (both saturated
+    tails included), raising no floating-point error on the way."""
+    inst = build_unicast(scenario)
+    n, pairs = scenario.num_users, len(inst.game.interference_sigma)
+    rng = np.random.default_rng(11)
+    for scale in (0.0, 1e-3, 1.0, 30.0, 1e3):
+        for _ in range(20):
+            x = rng.uniform(0.0, 1.0, n)
+            sigma = rng.uniform(-scale, scale, pairs)
+            sigma[:2] = -scale, scale
+            with np.errstate(all="raise"):
+                fast = inst.game.gradient(x, sigma)
+            assert np.max(np.abs(fast - closed_form_unicast_gradient(inst, x, sigma))) <= 1e-13
+
+
+def test_compiled_unicast_gradient_returns_independent_arrays_and_checks_shapes():
+    inst = build_unicast(sample_unicast(20, 0))
+    gradient, pairs = inst.game.gradient, len(inst.game.interference_sigma)
+    rng = np.random.default_rng(12)
+    x1, x2 = rng.uniform(size=20), rng.uniform(size=20)
+    s1, s2 = rng.standard_normal(pairs), rng.standard_normal(pairs)
+    first = gradient(x1, s1)
+    kept = first.copy()
+    second = gradient(x2, s2)
+    assert first is not second and not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(gradient(x1, s1), kept)
+    for x, sigma in ((x1, s1[:1]), (x1, s1[:-1]), (x1, np.append(s1, 0.0)), (x1[:1], s1),
+                     (x1[:-1], s1)):
+        with pytest.raises(ValueError, match="shape"):
+            gradient(x, sigma)
 
 
 def test_unicast_path_validation():
