@@ -556,8 +556,8 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         if algorithm == "augdgm":
             hat, trace = augdgm_solve(layout, problem, **common)
         else:
-            # augdgm applies W itself: the two-matrix form, a few dense
-            # blocks per group, is built for abc only
+            # the two-matrix form: coefficients in the layout's own W, run
+            # on the weight operator augdgm applies
             hat, trace = abc_solve(layout, augdgm_matrices(layout), problem, **common)
         result["certified"] = {"gamma": gamma, "gamma_bound": bound}
         result["final_merit"] = trace.last("merit")

@@ -130,26 +130,6 @@ class GameSpec:
         return out
 
 
-def estimate_game_constants(
-    game: GameSpec, box: tuple[float, float], num_samples: int = 200, seed: int = 0
-) -> tuple[float, float]:
-    """Sampled strong-monotonicity and Lipschitz constants of the pseudo-gradient."""
-    rng = np.random.default_rng(seed)
-    n = sum(game.action_dims)
-    mu, theta = np.inf, 0.0
-    for _ in range(num_samples):
-        x = rng.uniform(box[0], box[1], n)
-        y = rng.uniform(box[0], box[1], n)
-        d = x - y
-        dn2 = float(d @ d)
-        if dn2 < 1e-16:
-            continue
-        df = game.pseudo_gradient(x) - game.pseudo_gradient(y)
-        mu = min(mu, float(df @ d) / dn2)
-        theta = max(theta, float(np.linalg.norm(df)) / np.sqrt(dn2))
-    return mu, theta
-
-
 def ne_step(layout: EndLayout, game: GameSpec, hat: np.ndarray, alpha: float) -> np.ndarray:
     """One round: mix all copies, projected gradient step on the own block."""
     if alpha <= 0:

@@ -157,6 +157,7 @@ class CsrOperator:
         self.shape = self.matrix.shape
         self._matvec = _csr_matvec if matvec is None else matvec
         self._transpose = None
+        self._copies: dict[int, sp.csr_matrix] = {}  # k -> I_k ⊗ M, see bind
 
     @property
     def T(self) -> "CsrOperator":
@@ -189,12 +190,15 @@ class CsrOperator:
         ``v`` and ``out`` are fixed arrays that the call reads and writes on
         every use; see :func:`_operand_rows` for their shapes, which are
         checked here and never again. k rows are one kernel call over
-        I_k ⊗ M, built here: each row of it holds the entries of a row of
-        M in the same order, so every row is summed as a single bound row
-        would be.
+        I_k ⊗ M, built on the first bind of k rows and kept for the next:
+        each row of it holds the entries of a row of M in the same order,
+        so every row is summed as a single bound row would be.
         """
         v2, out2 = _operand_rows(v, out, self.shape)
-        m = _diagonal_copies(self.matrix, len(v2))
+        k = len(v2)
+        if k not in self._copies:
+            self._copies[k] = _diagonal_copies(self.matrix, k)
+        m = self._copies[k]
         return _in_order(_resetter(out, offset, accumulate), partial(
             self._matvec, *m.shape, m.indptr, m.indices, m.data, v2.ravel(), out2.ravel()))
 
@@ -646,9 +650,9 @@ class EndLayout:
     def compiled_for(self, owner, build: Callable[[], object]):
         """``build()``, memoized per ``owner`` object for this layout.
 
-        Solvers keep their stacked forms of a problem or a matrix family
-        here; ``owner`` is held weakly, so an entry lives no longer than
-        the object it was compiled from.
+        Solvers keep their stacked forms of a problem here; ``owner`` is
+        held weakly, so an entry lives no longer than the object it was
+        compiled from.
         """
         try:
             return self._compiled[owner]
@@ -693,34 +697,6 @@ class EndLayout:
     @cached_property
     def _laplacian_blocks(self) -> dict[int, np.ndarray]:
         return self.group_blocks({g.lead: g.laplacian for g in self.groups})
-
-    # -- permutation between variable-major and agent-major orderings -----
-
-    @cached_property
-    def agent_major_permutation(self) -> np.ndarray:
-        """Index array perm with tilde = hat[perm]."""
-        perm = _ranges(self.block_slice(p, i) for i in self.agents for p in self.held_by(i))
-        if perm.size != self.stacked_dim:
-            raise LayoutError("permutation does not cover the stacked vector")
-        return perm
-
-    def permute_to_agent_major(self, hat: np.ndarray) -> np.ndarray:
-        return np.asarray(hat)[self.agent_major_permutation]
-
-    def permute_to_variable_major(self, tilde: np.ndarray) -> np.ndarray:
-        out = np.empty_like(np.asarray(tilde))
-        out[self.agent_major_permutation] = tilde
-        return out
-
-    def agent_slice_in_agent_major(self, i: int) -> slice:
-        """Slice of agent i's held blocks inside the agent-major vector."""
-        start = 0
-        for j in self.agents:
-            width = sum(self.partition.dim(p) for p in self.held_by(j))
-            if j == i:
-                return slice(start, start + width)
-            start += width
-        raise LayoutError(f"unknown agent {i}")
 
     # -- stacked linear operators -----------------------------------------
 
@@ -771,13 +747,6 @@ class EndLayout:
                 f"stacked vector has length {hat.shape}, expected ({self.stacked_dim},)"
             )
         return hat
-
-    def weight_matrix(self) -> sp.csr_matrix:
-        """Materialized sparse stacked weight operator (for tests/analysis)."""
-        return self.weight_operator.matrix.copy()
-
-    def laplacian_matrix(self) -> sp.csr_matrix:
-        return self.laplacian_operator.matrix.copy()
 
     # -- consensus structure ----------------------------------------------
 
@@ -1018,25 +987,6 @@ class EndLayout:
             interference=frozenset((p, i) for p, i in d["interference"]),
             design={p: graphs[k] for p, k in enumerate(indices, start=1)},
         )
-
-
-@dataclass
-class StackedVector:
-    """Convenience wrapper pairing a layout with a flat estimate vector."""
-
-    layout: EndLayout
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.layout.stacked_dim,):
-            raise LayoutError("data length does not match the layout")
-
-    def block(self, p: int, i: int) -> np.ndarray:
-        return self.data[self.layout.block_slice(p, i)]
-
-    def set_block(self, p: int, i: int, value: np.ndarray) -> None:
-        self.data[self.layout.block_slice(p, i)] = value
 
 
 def standard_layout(

@@ -3,9 +3,9 @@
 Four solver families on top of :class:`~endnet.layout.EndLayout`:
 
 * edge-constrained dual reformulation and the resulting ADMM;
-* the generic two-matrix first-order family (A, B, C matrices per
-  component) with a condition checker, ergodic-rate merit, and the
-  gradient-tracking instantiation;
+* the generic two-matrix first-order family (A, B, C polynomials in each
+  component group's weights) with a spectral condition checker, an
+  ergodic-rate bound, and the gradient-tracking instantiation;
 * push-sum subgradient descent over time-varying directed designs;
 * a dual pipeline for constraint-coupled problems driven by push-sum.
 """
@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial.polynomial import polyval
 
 from .graphs import Graph, column_stochastic_weights, intersect, restrict
 from .layout import BlockOperator, CsrOperator, EndLayout, _in_order, _ranges
@@ -643,85 +644,82 @@ def admm_solve(
 # -- generic two-matrix family ---------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class AbcMatrices:
-    """Mixing matrices for the generic first-order family: one block per
-    component group of the layout (:attr:`EndLayout.groups`), keyed by the
-    group's first component."""
+    """The generic first-order family: A, B and C as polynomials in each
+    component group's weight block W (:attr:`EndLayout.groups`), given by
+    their coefficients of I, W and W² (a round mixes through W twice), and
+    D = d·I. They run on the layout's one weight operator and are certified
+    on W's spectrum (:func:`abc_check`)."""
 
-    a_blocks: dict[int, np.ndarray]
-    b_blocks: dict[int, np.ndarray]
-    c_blocks: dict[int, np.ndarray]
-    d_blocks: dict[int, np.ndarray]
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    c: tuple[float, ...]
+    d: float = 1.0
 
-    def operators(self, layout: EndLayout) -> tuple[BlockOperator, BlockOperator, BlockOperator]:
-        """Stacked A, B and C on ``layout``, compiled once per layout."""
-        return layout.compiled_for(self, lambda: tuple(
-            layout.block_operator(layout.group_blocks(blocks))
-            for blocks in (self.a_blocks, self.b_blocks, self.c_blocks)))
+    def __post_init__(self):
+        if not all(1 <= len(coefs) <= 3 for coefs in (self.a, self.b, self.c)):
+            raise OptimError("A, B and C are polynomials of degree at most two in W")
 
     def gamma_bound(self, problem: SeparableProblem) -> float:
-        if problem.smooth_lipschitz is None:
-            raise OptimError("step bound needs the smoothness constant")
-        lam = min(float(np.min(np.linalg.eigvalsh((D + D.T) / 2)))
-                  for D in self.d_blocks.values())
-        return lam / problem.smooth_lipschitz
+        """d / the smoothness constant."""
+        return self.d * augdgm_gamma_bound(problem)
 
 
-def _psd_sqrt(M: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
-    vals = np.where(vals > -1e-10, np.maximum(vals, 0.0), vals)
-    if np.min(vals) < 0:
-        raise OptimError("matrix square root of an indefinite matrix")
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+def _group_spectra(layout: EndLayout, vectors: bool = False):
+    """(group, eigvalsh of its W), or (group, eigh of its W) with
+    ``vectors``: one decomposition per distinct W."""
+    found = {}  # keyed by the weights objects, which the layout holds
+    for g in layout.groups:
+        if id(g.weights) not in found:
+            found[id(g.weights)] = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(g.matrix)
+        yield g, found[id(g.weights)]
 
 
 def abc_check(matrices: AbcMatrices, layout: EndLayout, tol: float = 1e-8) -> list[str]:
-    """Check the five structural conditions; returns human-readable failures."""
+    """Check the five structural conditions; returns human-readable failures.
+
+    Each group's W must be symmetric with W1 = 1 (else that is the one
+    failure, under C1), so that every block is a symmetric polynomial p(W)
+    with p(1) on the consensus line. The conditions are then pointwise
+    tests at W's eigenvalues μ: C1 a = d·b, b ≥ 0 and d > 0; C2 d = 1 and
+    b(1) = 1; C3 c ≥ 0, c(1) = 0 and c = 0 at one μ only (μ = 1 simple;
+    zero within ``tol`` times max(max |c|, 1), as a rank is read from
+    singular values); C4 holds, as polynomials in one W commute; C5
+    1 − c/2 − d·b ≥ 0 (√B D √B = dB).
+    """
+    try:
+        _check_symmetric_doubly_stochastic(layout, tol)
+    except OptimError as err:
+        return [f"C1: {err}"]
     failures = []
-    for g in layout.groups:
-        n, name = g.copies, g.label
-        A, B = matrices.a_blocks[g.lead], matrices.b_blocks[g.lead]
-        C, D = matrices.c_blocks[g.lead], matrices.d_blocks[g.lead]
-        one = np.ones(n)
-        if np.max(np.abs(A - B @ D)) > tol:
+    a, b, c, d = matrices.a, matrices.b, matrices.c, matrices.d
+    if d <= tol:
+        failures.append("C1: D not positive definite")
+    if abs(d - 1.0) > tol:
+        failures.append("C2: consensus not fixed by D")
+    for g, mu in _group_spectra(layout):
+        name = g.label
+        am, bm, cm = (polyval(mu, coefs) for coefs in (a, b, c))
+        if np.max(np.abs(am - d * bm)) > tol:
             failures.append(f"C1: {name}: A != B D")
-        if np.max(np.abs(B - B.T)) > tol or np.min(np.linalg.eigvalsh((B + B.T) / 2)) < -tol:
+        if np.min(bm) < -tol:
             failures.append(f"C1: {name}: B not symmetric PSD")
-        if np.min(np.linalg.eigvalsh((D + D.T) / 2)) <= tol:
-            failures.append(f"C1: {name}: D not positive definite")
-        if np.max(np.abs(D @ one - one)) > tol or np.max(np.abs(B @ one - one)) > tol:
-            failures.append(f"C2: {name}: consensus not fixed by D or B")
-        cvals = np.linalg.eigvalsh((C + C.T) / 2)
-        if np.max(np.abs(C - C.T)) > tol or cvals[0] < -tol:
+        if abs(polyval(1.0, b) - 1.0) > tol:
+            failures.append(f"C2: {name}: consensus not fixed by B")
+        scale = max(float(np.max(np.abs(cm))), 1.0)
+        if np.min(cm) < -tol:
             failures.append(f"C3: {name}: C not symmetric PSD")
-        else:
-            sv = np.linalg.svd(C, compute_uv=False)
-            scale = max(sv[0], 1.0)
-            rank = int(np.sum(sv > tol * scale))
-            null_ok = float(np.max(np.abs(C @ one))) <= tol * scale
-            if rank != n - 1 or not null_ok:
-                failures.append(f"C3: {name}: null space of C is not the consensus line")
-        if np.max(np.abs(B @ C - C @ B)) > tol:
-            failures.append(f"C4: {name}: B and C do not commute")
-        try:
-            rootB = _psd_sqrt(B)
-            M = np.eye(n) - 0.5 * C - rootB @ D @ rootB
-            if np.min(np.linalg.eigvalsh((M + M.T) / 2)) < -tol:
-                failures.append(f"C5: {name}: I - C/2 - sqrt(B) D sqrt(B) not PSD")
-        except OptimError:
-            failures.append(f"C5: {name}: B has no PSD square root")
+        elif (np.sum(np.abs(cm) > tol * scale) != g.copies - 1
+              or abs(polyval(1.0, c)) > tol * scale):
+            failures.append(f"C3: {name}: null space of C is not the consensus line")
+        if np.min(bm) <= -1e-10 or np.min(1.0 - 0.5 * cm - d * bm) < -tol:
+            failures.append(f"C5: {name}: I - C/2 - sqrt(B) D sqrt(B) not PSD")
     return failures
 
 
-def abc_step(
-    layout: EndLayout,
-    matrices: AbcMatrices,
-    problem: SeparableProblem,
-    y: np.ndarray,
-    z: np.ndarray,
-    gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def abc_step(layout: EndLayout, matrices: AbcMatrices, problem: SeparableProblem,
+             y: np.ndarray, z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """One round of the two-matrix iteration: the round :func:`abc_solve`
     runs, on buffers of its own."""
     rounds = _TrackingRounds(layout, problem, gamma, y, z, matrices)
@@ -729,67 +727,43 @@ def abc_step(
     return rounds.y, rounds.t
 
 
-def abc_merit(layout: EndLayout, problem: SeparableProblem, hat: np.ndarray,
-              grad_star_norm: float, f_star: float) -> float:
-    return _merit(float(np.linalg.norm(layout.disagreement(hat))),
-                  stacked_value(layout, problem, hat), grad_star_norm, f_star)
-
-
 def _merit(spread: float, value: float, grad_star_norm: float, f_star: float) -> float:
     """The merit from the norm of the disagreement and the stacked cost."""
     return max(spread * grad_star_norm, abs(value - f_star))
 
 
-def abc_bound_constant(
-    layout: EndLayout,
-    matrices: AbcMatrices,
-    problem: SeparableProblem,
-    gamma: float,
-    y0: np.ndarray,
-    reference: np.ndarray,
-) -> float:
+def abc_bound_constant(layout: EndLayout, matrices: AbcMatrices, problem: SeparableProblem,
+                       gamma: float, y0: np.ndarray, reference: np.ndarray) -> float:
     """Constant of the ergodic O(1/k) bound: merit(avg_k) <= constant / (2k)."""
     hat_star = layout.embed_consensus(np.asarray(reference, dtype=float))
-    z_star = -stacked_gradient(layout, problem, hat_star)
-    z_arg = 2.0 * z_star
+    z_arg = -2.0 * stacked_gradient(layout, problem, hat_star)  # 2 z*
     diff = np.asarray(y0, dtype=float) - hat_star
-    d_norm2 = 0.0
-    for g in layout.groups:
-        block = g.blocks(diff)
-        d_norm2 += float(np.sum(block * np.matmul(matrices.d_blocks[g.lead], block)))
-    # ||B - consensus projector|| over the stacked space: per group the
-    # candidate values are the singular values of B_g - (1/n) 1 1', so take
-    # the max across groups (Kronecker with I preserves them)
-    # single-copy components have identically zero disagreement and a 1x1
-    # zero C block, so they cannot contribute to either constant
-    multi = [g for g in layout.groups if g.copies >= 2]
-    if not multi:
-        return d_norm2 / gamma
-    b_dev = max(
-        float(np.linalg.norm(
-            matrices.b_blocks[g.lead] - np.full((g.copies,) * 2, 1.0 / g.copies), 2))
-        for g in multi
-    )
-    lam_lower = min(
-        float(np.sort(np.linalg.eigvalsh(
-            (matrices.c_blocks[g.lead] + matrices.c_blocks[g.lead].T) / 2))[1])
-        for g in multi
-    )
+    d_norm2 = matrices.d * float(diff @ diff)
+    # ||B - consensus projector|| and C's smallest nonzero eigenvalue, from
+    # each group's spectrum: B_g - (1/n) 1 1' is b(1) - 1 on the consensus
+    # line and b(μ) at W's other eigenvalues. Single-copy components have
+    # no disagreement and a zero C, so they add to neither constant
+    b_dev, lam_lower = 0.0, np.inf
+    for g, mu in _group_spectra(layout):
+        if g.copies < 2:
+            continue
+        rest = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
+        b_dev = max(b_dev, abs(polyval(1.0, matrices.b) - 1.0),
+                    float(np.max(np.abs(polyval(rest, matrices.b)))))
+        lam_lower = min(lam_lower, float(np.sort(polyval(mu, matrices.c))[1]))
     if lam_lower <= 0:
         raise OptimError("ergodic bound needs C with one-dimensional null space")
     return d_norm2 / gamma + gamma * (b_dev / lam_lower) * float(z_arg @ z_arg)
 
 
 def abc_range_residual(layout: EndLayout, matrices: AbcMatrices, z: np.ndarray) -> float:
-    """Norm of the part of z outside range(B) (should stay ~0 from z0 = 0)."""
+    """Norm of the part of z outside range(B) (should stay ~0 from z0 = 0):
+    per group, its part on the eigenvectors of W at which b vanishes."""
     total = 0.0
-    for g in layout.groups:
-        B = matrices.b_blocks[g.lead]
-        vals, vecs = np.linalg.eigh((B + B.T) / 2.0)
-        null = vecs[:, np.abs(vals) <= 1e-12]
-        if null.size == 0:
-            continue
-        total += float(np.sum(np.matmul(null.T, g.blocks(z)) ** 2))
+    for g, (mu, vecs) in _group_spectra(layout, vectors=True):
+        null = vecs[:, np.abs(polyval(mu, matrices.b)) <= 1e-12]
+        if null.size:
+            total += float(np.sum(np.matmul(null.T, g.blocks(z)) ** 2))
     return float(np.sqrt(total))
 
 
@@ -802,18 +776,14 @@ def warn_uncertified_step(gamma: float, bound: float, stacklevel: int = 3) -> No
                       stacklevel=stacklevel)
 
 
-def abc_solve(
-    layout: EndLayout,
-    matrices: AbcMatrices,
-    problem: SeparableProblem,
-    gamma: float,
-    max_iters: int = 10000,
-    y0: np.ndarray | None = None,
-    reference: np.ndarray | None = None,
-    merit_every: int = 1,
-) -> tuple[np.ndarray, RunTrace]:
+def abc_solve(layout: EndLayout, matrices: AbcMatrices, problem: SeparableProblem,
+              gamma: float, max_iters: int = 10000, y0: np.ndarray | None = None,
+              reference: np.ndarray | None = None,
+              merit_every: int = 1) -> tuple[np.ndarray, RunTrace]:
     """Run the two-matrix iteration from z0 = 0 and track the ergodic merit;
-    the trace is as :func:`augdgm_solve`'s."""
+    the trace is as :func:`augdgm_solve`'s. W must be symmetric with
+    W1 = 1, as for AugDGM."""
+    _check_symmetric_doubly_stochastic(layout)
     bound = matrices.gamma_bound(problem)
     warn_uncertified_step(gamma, bound)
     y = np.zeros(layout.stacked_dim) if y0 is None else y0
@@ -842,13 +812,13 @@ class _TrackingRounds:
     before that, so the round needs no scratch vector.
 
     With ``matrices`` a round is ABC's y ← A y − γ B∇f(y) − z,
-    z ← z + C y, on a full-length gradient buffer (written off the support
-    once, when it is bound), with A y formed in a second buffer.
+    z ← z + C y, with A, B and C polynomials in W: the new y from the
+    powers of the last (the start's are formed here), then its full-length
+    gradient and, by two bound applies of W to the (2, n) operand
+    [y; ∇f(y)], its powers, and C y added to z from a scratch vector.
 
-    Each vector is formed in the order the formulas read, and C y is added
-    to z from the scratch vector, not accumulated into it, so that layouts
-    applied only in CSR give the iterates of the allocating expressions bit
-    for bit.
+    Each vector is formed in the order the formulas read, so that the
+    iterates are those of the allocating expressions bit for bit.
     """
 
     def __init__(self, layout: EndLayout, problem: SeparableProblem, gamma: float,
@@ -872,14 +842,21 @@ class _TrackingRounds:
             self._mix_t = (w.bind(self._t[0], self._t[1]), w.bind(self._t[1], self._t[0]))
             self._gradient[0]()
         else:
+            w = layout.weight_operator  # compiled before the buffers below are made
             self._t = (np.array(t, dtype=float),)
+            # powers[k] holds W^k [y; ∇f(y)]
+            powers = np.zeros((3, 2, n))
+            powers[0, 0] = self.y
+            self.y = powers[0, 0]
+            self._gradient = stacked.bind_gradient(self.y, powers[0, 1])
+            self._mix = _in_order(w.bind(powers[0], powers[1]), w.bind(powers[1], powers[2]))
             self._s = np.empty(n)
-            self._g = (np.zeros(n), np.zeros(n))
-            self._gradient = stacked.bind_gradient(self.y, self._g[0])
-            a, b, c = matrices.operators(layout)
-            self._a_y = a.bind(self.y, self._g[1])
-            self._b_g = b.bind(self._g[0], self._s)
-            self._c_y = c.bind(self.y, self._s)
+            ys, gs = powers[:, 0], powers[:, 1]
+            self._b_g = _bind_polynomial(matrices.b, gs, self._s)
+            self._a_y = _bind_polynomial(matrices.a, ys, self.y)
+            self._c_y = _bind_polynomial(matrices.c, ys, self._s)
+            self._gradient()
+            self._mix()
 
     @property
     def t(self) -> np.ndarray:
@@ -910,15 +887,39 @@ class _TrackingRounds:
         self._turn = 1 - turn
 
     def _abc_round(self) -> None:
-        y, z, s, a_y = self.y, self._t[0], self._s, self._g[1]
+        y, z, s = self.y, self._t[0], self._s
+        (form_b_g, b_g), (form_a_y, a_y), (form_c_y, c_y) = self._b_g, self._a_y, self._c_y
+        form_b_g()
+        np.multiply(b_g, self._gamma, out=s)
+        form_a_y()
+        np.subtract(a_y, s, out=y)
+        np.subtract(y, z, out=y)
         self._gradient()
-        self._b_g()
-        np.multiply(s, self._gamma, out=s)
-        self._a_y()
-        np.subtract(a_y, s, out=a_y)
-        np.subtract(a_y, z, out=y)
-        self._c_y()
-        np.add(z, s, out=z)
+        self._mix()
+        form_c_y()
+        np.add(z, c_y, out=z)
+
+
+def _bind_polynomial(coefs: Sequence[float], powers: Sequence[np.ndarray],
+                     out: np.ndarray) -> tuple[Callable[[], None], np.ndarray]:
+    """(call, result): after ``call()``, ``result`` holds Σ_k coefs[k] W^k v,
+    given powers[k] = W^k v, summed in ascending k into ``out``. A term is
+    scaled first unless its coefficient is 1: into ``out`` while the sum so
+    far is another array, else into a scratch vector made here. A lone term
+    with coefficient 1 is its own array."""
+    terms = [(c, p) for c, p in zip(coefs, powers) if c != 0.0] or [(0.0, powers[0])]
+    (c, result), calls = terms[0], []
+    if c != 1.0:
+        calls.append(partial(np.multiply, result, c, out))
+        result = out
+    for c, p in terms[1:]:
+        if c != 1.0:
+            scaled = np.empty_like(out) if result is out else out
+            calls.append(partial(np.multiply, p, c, scaled))
+            p = scaled
+        calls.append(partial(np.add, result, p, out))
+        result = out
+    return _in_order(*calls), result
 
 
 # what the tracking solvers need of their iteration budget and record interval
@@ -934,7 +935,8 @@ def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds
     of y and of the running average through
     :meth:`~endnet.layout.EndLayout.bind_disagreement`, and the stacked
     cost of each through its stacked form's ``bind_value``; the values are
-    those of :func:`abc_merit` and :func:`stacked_value`, bit for bit.
+    those of :meth:`~endnet.layout.EndLayout.disagreement` and
+    :func:`stacked_value`, bit for bit.
     """
     if max_iters < 1 or merit_every < 1:
         raise OptimError(TRACKING_BUDGET)
@@ -982,29 +984,23 @@ def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds
 def _check_symmetric_doubly_stochastic(layout: EndLayout, tol: float = 1e-10) -> None:
     for g in layout.groups:
         W = g.matrix
-        n = W.shape[0]
-        if np.max(np.abs(W - W.T)) > tol or np.max(np.abs(W @ np.ones(n) - 1.0)) > tol:
-            raise OptimError(
-                f"{g.label}: gradient tracking needs symmetric doubly "
-                "stochastic exchange weights"
-            )
+        if np.max(np.abs(W - W.T)) > tol or np.max(np.abs(W @ np.ones(len(W)) - 1.0)) > tol:
+            raise OptimError(f"{g.label}: gradient tracking needs symmetric doubly "
+                             "stochastic exchange weights")
 
 
 def augdgm_matrices(layout: EndLayout) -> AbcMatrices:
-    """The gradient-tracking choice A = B = W^2, C = (I - W)^2, D = I, one
-    block per component group."""
-    a, b, c, d = {}, {}, {}, {}
-    for g in layout.groups:
-        W, eye = g.matrix, np.eye(g.copies)
-        a[g.lead] = b[g.lead] = W @ W
-        c[g.lead] = (eye - W) @ (eye - W)
-        d[g.lead] = eye
-    return AbcMatrices(a, b, c, d)
+    """The gradient-tracking choice A = B = W², C = (I − W)², D = I, the
+    same on every layout. For symmetric W with W1 = 1, C1, C2 and C4 hold,
+    C3 asks that μ = 1 be simple and C5 reads 1 − (1 − μ)²/2 − μ² =
+    (3/2)(1 − μ)(μ + 1/3) ≥ 0 at W's eigenvalues μ: :func:`abc_check`
+    passes when each W's spectrum lies in [−1/3, 1] with 1 simple."""
+    return AbcMatrices(a=(0.0, 0.0, 1.0), b=(0.0, 0.0, 1.0), c=(1.0, -2.0, 1.0))
 
 
 def augdgm_gamma_bound(problem: SeparableProblem) -> float:
-    """The step bound of :func:`augdgm_matrices` without building them: with
-    D = I it is 1 / the smoothness constant."""
+    """The step bound of :func:`augdgm_matrices`: with D = I it is 1 / the
+    smoothness constant."""
     if problem.smooth_lipschitz is None:
         raise OptimError("step bound needs the smoothness constant")
     return 1.0 / problem.smooth_lipschitz

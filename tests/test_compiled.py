@@ -67,6 +67,7 @@ from endnet.layout import (
     weighted,
 )
 from endnet.optim import (
+    AbcMatrices,
     AgentLoopStacked,
     ConstraintCoupledProblem,
     LassoSeparable,
@@ -77,6 +78,7 @@ from endnet.optim import (
     _NegatedDual,
     _PushSumRounds,
     _TrackingRounds,
+    abc_check,
     abc_solve,
     abc_step,
     admm_solve,
@@ -375,7 +377,7 @@ def test_block_operators_match_component_loop(layout):
                      loop_apply_blocks(layout, layout._laplacian_blocks, hat))
         assert close(layout.block_operator(random_blocks) @ hat,
                      loop_apply_blocks(layout, random_blocks, hat))
-        assert close(layout.weight_matrix() @ hat,
+        assert close(layout.weight_operator.matrix @ hat,
                      loop_apply_blocks(layout, layout._weight_blocks, hat))
 
 
@@ -628,14 +630,18 @@ def test_bind_checks_its_operands_once():
 
 
 @pytest.mark.parametrize("rows", [2, 3])
-def test_csr_bind_of_k_rows_is_one_kernel_call(rows):
+def test_csr_bind_of_k_rows_is_one_kernel_call(rows, monkeypatch):
     """A CSR operator bound to k rows, overwriting, with an offset and
     accumulating, makes one kernel call over I_k ⊗ M and writes the bytes
     one bind per row writes; so does the CSR part of a stacked operator,
-    as push-sum's [z; mass] mix binds it."""
+    as push-sum's [z; mass] mix and abc's [y; ∇f] mix bind it. I_k ⊗ M is
+    built on the first bind of k rows and shared by the later ones."""
     layout = grouped_layout("designed", (1, 2, 1, 3), 6, 3)
     n = layout.stacked_dim
-    calls = []
+    calls, built = [], []
+    copies = layout_module._diagonal_copies
+    monkeypatch.setattr(layout_module, "_diagonal_copies",
+                        lambda m, k: built.append(k) or copies(m, k))
 
     def counted(*args):
         calls.append(args[:2])
@@ -662,6 +668,7 @@ def test_csr_bind_of_k_rows_is_one_kernel_call(rows):
     apply()
     assert len(calls) == 1
     assert np.array_equal(out, np.stack([layout.weight_operator @ row for row in v]))
+    assert sorted(built) == sorted(set(built)) and rows in built
 
 
 def test_csr_bind_rows_adds_into_each_row_as_one_bind_per_row(monkeypatch):
@@ -755,7 +762,8 @@ def test_tracking_solvers_on_shared_blocks_match_the_csr_path(dims):
 def test_single_component_groups_keep_their_csr_bit_for_bit(monkeypatch):
     """A designed layout groups nothing: its operators are the CSR matrices
     compiled before grouping, byte for byte, and so are its tracking
-    iterates. Each group builds its weight block once."""
+    iterates, abc's through the powers of that one W. Each group builds its
+    weight block once."""
     calls = []
     matrix = WeightedGraph.matrix
     monkeypatch.setattr(WeightedGraph, "matrix", lambda self: calls.append(1) or matrix(self))
@@ -784,13 +792,19 @@ def test_single_component_groups_keep_their_csr_bit_for_bit(monkeypatch):
         g_new = stacked.gradient(ref)
         v, g = old_w @ (v + g_new - g), g_new
     assert np.array_equal(y, ref)
-    old_abc = [CsrOperator(old_block_csr(layout, layout.group_blocks(blocks)))
-               for blocks in (matrices.a_blocks, matrices.b_blocks, matrices.c_blocks)]
     ref, z = np.zeros(layout.stacked_dim), np.zeros(layout.stacked_dim)
     for _ in range(200):
-        ref = old_abc[0] @ ref - gamma * (old_abc[1] @ stacked.gradient(ref)) - z
-        z = z + old_abc[2] @ ref
+        ref, z = abc_polynomial_round(old_w, ref, z, stacked.gradient(ref), gamma)
     assert np.array_equal(y_abc, ref)
+
+
+def abc_polynomial_round(w, y, z, g, gamma):
+    """One allocating round of abc with A = B = W², C = (I − W)², from the
+    gradient g at y, as sums of powers of W: y ← W(Wy) − γ W(Wg) − z,
+    z ← z + (y − 2Wy + W(Wy))."""
+    y = w @ (w @ y) - gamma * (w @ (w @ g)) - z
+    wy = w @ y
+    return y, z + (y - 2.0 * wy + w @ wy)
 
 
 def alloc_tracking_records(layout, problem, gamma, steps, reference, every, matrices=None):
@@ -798,13 +812,11 @@ def alloc_tracking_records(layout, problem, gamma, steps, reference, every, matr
     round that allocates its vectors, as the solvers ran before their rounds
     went in place; the disagreement is the component loop's."""
     stacked = stacked_form(layout, problem)
-    y = np.zeros(layout.stacked_dim)
+    y, w = np.zeros(layout.stacked_dim), layout.weight_operator
     if matrices is None:
-        w = layout.weight_operator
         g = stacked.gradient(y)
         t = w @ g
     else:
-        a_op, b_op, c_op = matrices.operators(layout)
         t = np.zeros(layout.stacked_dim)
     hat_star = layout.embed_consensus(reference)
     grad_star_norm = float(np.linalg.norm(stacked.gradient(hat_star)))
@@ -823,8 +835,7 @@ def alloc_tracking_records(layout, problem, gamma, steps, reference, every, matr
             g_new = stacked.gradient(y)
             t, g = w @ (t + g_new - g), g_new
         else:
-            y = a_op @ y - gamma * (b_op @ stacked.gradient(y)) - t
-            t = t + c_op @ y
+            y, t = abc_polynomial_round(w, y, t, stacked.gradient(y), gamma)
         path.append((y, t))
         running += y
         if k % every == 0 or k == steps:
@@ -868,6 +879,69 @@ def test_tracking_rounds_match_the_allocating_rounds(kind, dims):
         for name, column in zip(("consensus_err", "merit_avg", "merit"), zip(*records)):
             assert close(trace.columns[name], column), (solve.__name__, name)
         assert trace.meta["us_per_step"] > 0
+
+
+@pytest.mark.parametrize("kind, dims", [("standard", (2, 1, 2, 3, 1, 2)),
+                                        ("mixed", (1, 2, 1, 3, 1, 2))])
+def test_abc_runs_any_polynomial_as_its_dense_blocks(kind, dims):
+    """A lazy choice with constant terms and no unit coefficient,
+    A = B = ((I + W)/2)², C = ((I − W)/2)², passes the spectral checker,
+    and 200 abc_step rounds follow the recursion on its dense blocks
+    compiled per component, so every term of every block takes the scaled
+    path; its solve converges."""
+    layout = grouped_layout(kind, dims, 7, 4)
+    rng = np.random.default_rng(5)
+    problem = random_quadratic(rng, dims, [layout.needed_by(i) for i in layout.agents])
+    lazy = AbcMatrices(a=(0.25, 0.5, 0.25), b=(0.25, 0.5, 0.25), c=(0.25, -0.5, 0.25))
+    assert abc_check(lazy, layout) == []
+    halves = {g.lead: ((np.eye(g.copies) + g.matrix) / 2, (np.eye(g.copies) - g.matrix) / 2)
+              for g in layout.groups}
+    b_op, c_op = (CsrOperator(old_block_csr(layout, layout.group_blocks(
+        {lead: pair[j] @ pair[j] for lead, pair in halves.items()}))) for j in (0, 1))
+    stacked, gamma = stacked_form(layout, problem), 0.5 * lazy.gamma_bound(problem)
+    y = z = y_ref = z_ref = np.zeros(layout.stacked_dim)
+    for k in range(200):
+        y, z = abc_step(layout, lazy, problem, y, z, gamma)
+        y_ref = b_op @ y_ref - gamma * (b_op @ stacked.gradient(y_ref)) - z_ref
+        z_ref = z_ref + c_op @ y_ref
+        assert close(y, y_ref) and close(z, z_ref), k
+    reference = problem.solve_reference()
+    _, trace = abc_solve(layout, lazy, problem, gamma, max_iters=4000, reference=reference,
+                         merit_every=4000)
+    assert trace.columns["merit"][-1] < 1e-10
+
+
+def test_abc_compiles_only_the_weight_operator(monkeypatch):
+    """abc runs on the layout's one weight operator: a solve on a fresh
+    designed layout compiles one block operator (before, three of its own
+    from dense W², (I − W)² and I per group), and once that solve has
+    compiled the layout's forms, the next one's traced peak stays below 32
+    stacked vectors and two copies of W's CSR arrays (the old blocks took
+    twice that)."""
+    rng = np.random.default_rng(14)
+    num_agents, num_components = 30, 60
+    interference = random_interference(rng, num_components, num_agents, density=0.1)
+    footprints = [tuple(sorted(p for p, j in interference if j == i))
+                  for i in range(1, num_agents + 1)]
+    problem = random_quadratic(rng, (1,) * num_components, footprints)
+    crit = DesignCriterion(ConnectivityMode.undirected_connected(), objective="min_edges")
+    layout = design_layout(ring(num_agents), interference, Partition((1,) * num_components),
+                           crit)
+    matrices = augdgm_matrices(layout)
+    gamma = 0.5 * matrices.gamma_bound(problem)
+    compiled = []
+    block_operator = EndLayout.block_operator
+    monkeypatch.setattr(EndLayout, "block_operator",
+                        lambda self, blocks: compiled.append(1) or block_operator(self, blocks))
+    abc_solve(layout, matrices, problem, gamma, max_iters=10)
+    assert len(compiled) == 1
+    tracemalloc.start()
+    try:
+        abc_solve(layout, matrices, problem, gamma, max_iters=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 32 * layout.stacked_dim + 24 * layout.weight_operator.matrix.nnz
 
 
 def test_tracking_rounds_allocate_no_stacked_vector():
@@ -1012,17 +1086,15 @@ def test_support_forms_equal_the_full_row_forms(kind, problem_kind, dims, num_ag
         g_new = full_row_gradient(stacked, y)
         t, g = w @ (t + g_new - g), g_new
         assert np.array_equal(rounds.y, y) and np.array_equal(rounds.t, t)
-    matrices = augdgm_matrices(layout)
-    a, b, c = matrices.operators(layout)
-    rounds = _TrackingRounds(layout, problem, gamma, hat, z, matrices)
+    rounds = _TrackingRounds(layout, problem, gamma, hat, z, augdgm_matrices(layout))
     rounds.step()
-    y = a @ hat - gamma * (b @ full_row_gradient(stacked, hat)) - z
-    assert np.array_equal(rounds.y, y) and np.array_equal(rounds.t, z + c @ y)
+    y, z = abc_polynomial_round(w, hat, z, full_row_gradient(stacked, hat), gamma)
+    assert np.array_equal(rounds.y, y) and np.array_equal(rounds.t, z)
 
 
 def dense_null_space_is_consensus(layout):
     """The null-space check on the densified stacked Laplacian."""
-    lap = layout.laplacian_matrix().toarray()
+    lap = layout.laplacian_operator.matrix.toarray()
     if np.linalg.matrix_rank(lap, tol=1e-9) != layout.stacked_dim - layout.partition.total_dim:
         return False
     return all(np.linalg.norm(lap @ layout.embed_consensus(col)) <= 1e-9
@@ -1295,11 +1367,9 @@ def test_compiled_forms_follow_their_owner():
     assert lay.compiled_for(problem, lambda: None) is first
     other = random_quadratic(rng, lay.partition.dims, footprints)
     assert lay.compiled_for(other, lambda: other.stacked(lay)) is not first
-    matrices = augdgm_matrices(lay)
-    assert matrices.operators(lay) is matrices.operators(lay)
     del problem, first
     gc.collect()
-    assert len(lay._compiled) == 2  # other and matrices
+    assert len(lay._compiled) == 1  # other
     # the compiled forms are derived state: a layout still pickles, and
     # compiles afresh on the other side
     copy = pickle.loads(pickle.dumps(lay))

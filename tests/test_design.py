@@ -391,7 +391,7 @@ class TestSharedHost:
         fresh = EndLayout(agents=comm.nodes, partition=partition, comm=comm,
                           interference=interference,
                           design={p: weighted(comm, scheme) for p in partition.components})
-        a, b = lay.weight_matrix(), fresh.weight_matrix()
+        a, b = lay.weight_operator.matrix, fresh.weight_operator.matrix
         for attr in ("data", "indices", "indptr"):
             assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
         assert a.shape == b.shape

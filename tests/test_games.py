@@ -15,7 +15,6 @@ from endnet.games import (
     build_gne_operators,
     certify_theorem1,
     consensus_dual,
-    estimate_game_constants,
     gne_solve,
     gne_step,
     initial_gne_state,
@@ -351,15 +350,6 @@ class TestCertificate:
         cert = search_ne_step_size(lay, game, target=0.999)
         assert cert.rho <= 0.999
         assert certify_theorem1(lay, game, cert.alpha * 1.05).rho > 0.999
-
-    def test_estimated_constants_close(self):
-        G = np.array([[3.0, 1.0], [0.0, 2.0]])
-        game = quadratic_game(G, np.zeros(2))
-        mu, theta = estimate_game_constants(game, (-5.0, 5.0), num_samples=400, seed=0)
-        assert mu == pytest.approx(game.mu, rel=0.05)
-        assert theta == pytest.approx(game.theta, rel=0.05)
-        assert mu >= game.mu - 1e-9
-        assert theta <= game.theta + 1e-9
 
 
 def two_agent_aggregative(sense="equality", target=1.0):

@@ -18,7 +18,6 @@ from endnet.layout import (
     EndLayout,
     LayoutError,
     Partition,
-    StackedVector,
     reweight,
     standard_layout,
     weighted,
@@ -124,7 +123,7 @@ class TestStackedOperators:
                            for p in small_layout.partition.components})
         v = rng.standard_normal(small_layout.stacked_dim)
         assert np.allclose(small_layout.apply_weight(v), Wd @ v, atol=1e-12)
-        assert np.allclose(small_layout.weight_matrix().toarray(), Wd)
+        assert np.allclose(small_layout.weight_operator.matrix.toarray(), Wd)
 
     def test_laplacian_annihilates_embedding(self, small_layout):
         y = np.arange(3.0)
@@ -152,34 +151,6 @@ class TestProjections:
         assert abs(par @ perp) <= 1e-10
         assert np.allclose(par + perp, v)
         assert par @ par + perp @ perp == pytest.approx(v @ v, rel=1e-10)
-
-
-class TestPermutation:
-    def test_single_component_identity(self):
-        comm = ring(3)
-        lay = standard_layout(comm, full_interference(1, 3), Partition([2]))
-        v = np.arange(6.0)
-        assert np.allclose(lay.permute_to_agent_major(v), v)
-
-    def test_interleave_by_hand(self):
-        comm = Graph.undirected_graph([1, 2], [(1, 2)])
-        lay = standard_layout(comm, full_interference(2, 2), Partition([1, 1]))
-        # variable-major: y11 y21 | y12 y22 ; agent-major: y11 y12 | y21 y22
-        hat = np.array([11.0, 21.0, 12.0, 22.0])
-        assert np.allclose(lay.permute_to_agent_major(hat), [11.0, 12.0, 21.0, 22.0])
-
-    def test_round_trip_exact(self, small_layout):
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(small_layout.stacked_dim)
-        assert np.array_equal(
-            small_layout.permute_to_variable_major(small_layout.permute_to_agent_major(v)), v)
-
-    def test_embed_agent_major_blocks(self, small_layout):
-        y = np.array([1.0, 2.0, 3.0])
-        tilde = small_layout.permute_to_agent_major(small_layout.embed_consensus(y))
-        for i in small_layout.agents:
-            ti = tilde[small_layout.agent_slice_in_agent_major(i)]
-            assert np.allclose(ti, y)  # every agent holds both components here
 
 
 class TestEmbed:
@@ -245,14 +216,6 @@ class TestCommunicationCost:
 
     def test_mean_estimate_count(self, small_layout):
         assert small_layout.mean_estimate_count() == 2.0
-
-
-class TestStackedVector:
-    def test_block_access(self, small_layout):
-        sv = StackedVector(small_layout, np.zeros(small_layout.stacked_dim))
-        sv.set_block(1, 2, np.array([5.0, 6.0]))
-        assert np.allclose(sv.block(1, 2), [5.0, 6.0])
-        assert np.count_nonzero(sv.data) == 2
 
 
 class TestJson:

@@ -1,9 +1,13 @@
 import warnings
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from endnet.graphs import Graph
+from endnet.graphs import Graph, WeightedGraph
 from endnet.layout import Partition, standard_layout
 from endnet.optim import (
     AbcMatrices,
@@ -13,7 +17,6 @@ from endnet.optim import (
     QuadraticSeparable,
     abc_bound_constant,
     abc_check,
-    abc_merit,
     abc_range_residual,
     abc_solve,
     abc_step,
@@ -36,6 +39,7 @@ from endnet.optim import (
     stacked_value,
     tracking_sum_residual,
 )
+from endnet.scenarios import build_random_separable
 from endnet.trace import DivergenceError, divergence_guard
 
 
@@ -237,23 +241,118 @@ def doubly_stochastic_layout(num_agents, num_components):
                            Partition([1] * num_components))
 
 
+def dense_blocks(matrices, layout):
+    """A, B, C and D of ``matrices`` as dense blocks per component group,
+    keyed by the group's lead: the polynomials evaluated on each group's W."""
+    blocks = {name: {} for name in "abcd"}
+    for g in layout.groups:
+        W, eye = g.matrix, np.eye(g.copies)
+        powers = (eye, W, W @ W)
+        for name in "abc":
+            blocks[name][g.lead] = sum(c * P for c, P in zip(getattr(matrices, name), powers))
+        blocks["d"][g.lead] = matrices.d * eye
+    return blocks
+
+
+def psd_sqrt(M):
+    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
+    vals = np.where(vals > -1e-10, np.maximum(vals, 0.0), vals)
+    if np.min(vals) < 0:
+        raise ValueError("matrix square root of an indefinite matrix")
+    return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+
+
+def dense_abc_check(blocks, layout, tol=1e-8):
+    """The five conditions on dense blocks per group, with eigh, SVD and a
+    matrix square root: abc_check as it was before it read W's spectrum,
+    kept as the reference the spectral checker is held to."""
+    failures = []
+    for g in layout.groups:
+        n, name = g.copies, g.label
+        A, B, C, D = (blocks[key][g.lead] for key in "abcd")
+        one = np.ones(n)
+        if np.max(np.abs(A - B @ D)) > tol:
+            failures.append(f"C1: {name}: A != B D")
+        if np.max(np.abs(B - B.T)) > tol or np.min(np.linalg.eigvalsh((B + B.T) / 2)) < -tol:
+            failures.append(f"C1: {name}: B not symmetric PSD")
+        if np.min(np.linalg.eigvalsh((D + D.T) / 2)) <= tol:
+            failures.append(f"C1: {name}: D not positive definite")
+        if np.max(np.abs(D @ one - one)) > tol or np.max(np.abs(B @ one - one)) > tol:
+            failures.append(f"C2: {name}: consensus not fixed by D or B")
+        cvals = np.linalg.eigvalsh((C + C.T) / 2)
+        if np.max(np.abs(C - C.T)) > tol or cvals[0] < -tol:
+            failures.append(f"C3: {name}: C not symmetric PSD")
+        else:
+            sv = np.linalg.svd(C, compute_uv=False)
+            scale = max(sv[0], 1.0)
+            rank = int(np.sum(sv > tol * scale))
+            null_ok = float(np.max(np.abs(C @ one))) <= tol * scale
+            if rank != n - 1 or not null_ok:
+                failures.append(f"C3: {name}: null space of C is not the consensus line")
+        if np.max(np.abs(B @ C - C @ B)) > tol:
+            failures.append(f"C4: {name}: B and C do not commute")
+        try:
+            rootB = psd_sqrt(B)
+            M = np.eye(n) - 0.5 * C - rootB @ D @ rootB
+            if np.min(np.linalg.eigvalsh((M + M.T) / 2)) < -tol:
+                failures.append(f"C5: {name}: I - C/2 - sqrt(B) D sqrt(B) not PSD")
+        except ValueError:
+            failures.append(f"C5: {name}: B has no PSD square root")
+    return failures
+
+
+def conditions(failures):
+    """The conditions (C1 to C5) a list of failures names."""
+    return {msg.split(":")[0] for msg in failures}
+
+
+def random_doubly_stochastic(rng, n, parts, laziness):
+    """A random symmetric doubly stochastic n × n matrix with nonnegative
+    entries: I weighted by ``laziness`` plus a random convex combination of
+    symmetrized permutation matrices, each of which maps every one of
+    ``parts`` contiguous node ranges to itself, so that more than one part
+    gives a disconnected graph."""
+    bounds = np.linspace(0, n, parts + 1).astype(int)
+    W = laziness * np.eye(n)
+    for theta in (1.0 - laziness) * rng.dirichlet(np.ones(3)):
+        perm = np.concatenate([a + rng.permutation(b - a) for a, b in zip(bounds, bounds[1:])])
+        P = np.eye(n)[perm]
+        W += theta * (P + P.T) / 2.0
+    return W
+
+
+def layout_on(W, dims):
+    """A layout of components of ``dims`` on n = len(W) agents whose
+    components all share the weight block W (one group per dimension)."""
+    n = len(W)
+    comm = Graph.undirected_graph(range(1, n + 1),
+                                  [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    lay = standard_layout(comm, full_interference(len(dims), n), Partition(dims))
+    shared = WeightedGraph.from_matrix(comm, W)
+    return dataclasses.replace(lay, design={p: shared for p in lay.design})
+
+
 class TestAbcChecker:
     def test_tracking_matrices_pass(self):
         lay = doubly_stochastic_layout(4, 2)
-        assert abc_check(augdgm_matrices(lay), lay) == []
+        m = augdgm_matrices(lay)
+        assert abc_check(m, lay) == []
+        assert dense_abc_check(dense_blocks(m, lay), lay) == []
 
     def test_zero_c_fails_null_space(self):
         lay = doubly_stochastic_layout(3, 1)
         m = augdgm_matrices(lay)
-        m.c_blocks = {1: np.zeros((3, 3))}
-        assert any("C3" in msg for msg in abc_check(m, lay))
+        blocks = dense_blocks(m, lay)
+        blocks["c"] = {1: np.zeros((3, 3))}
+        assert any("C3" in msg for msg in dense_abc_check(blocks, lay))
+        assert any("C3" in msg for msg in abc_check(dataclasses.replace(m, c=(0.0,)), lay))
 
     def test_random_asymmetric_fails_commutation(self):
         lay = doubly_stochastic_layout(3, 1)
         rng = np.random.default_rng(2)
-        m = augdgm_matrices(lay)
-        m.b_blocks = {1: np.abs(rng.standard_normal((3, 3)))}
-        msgs = abc_check(m, lay)
+        blocks = dense_blocks(augdgm_matrices(lay), lay)
+        blocks["b"] = {1: np.abs(rng.standard_normal((3, 3)))}
+        msgs = dense_abc_check(blocks, lay)
         assert any("C4" in msg or "C1" in msg for msg in msgs)
 
     def test_gamma_bound_is_inverse_lipschitz_for_identity_d(self):
@@ -261,6 +360,91 @@ class TestAbcChecker:
         prob = random_quadratic_problem(np.random.default_rng(3), 4, 1)
         m = augdgm_matrices(lay)
         assert m.gamma_bound(prob) == pytest.approx(1.0 / prob.smooth_lipschitz)
+
+    @given(st.integers(2, 7), st.integers(1, 2), st.floats(0.0, 0.9), st.integers(0, 2**16))
+    @example(2, 1, 0.1, 0)  # [[ε, 1-ε], [1-ε, ε]]: eigenvalue 2ε - 1 < -1/3
+    @example(6, 2, 0.5, 1)  # two parts: eigenvalue 1 twice
+    @settings(max_examples=80, deadline=None)
+    def test_spectral_checker_flags_what_the_dense_reference_flags(self, n, parts, laziness,
+                                                                   seed):
+        """On random symmetric doubly stochastic W, abc_check on W's
+        spectrum flags the conditions the dense reference flags on W², (I −
+        W)² and I: C5 exactly when W has an eigenvalue below −1/3, and C3
+        exactly when the eigenvalue 1 is repeated, as on a disconnected
+        graph."""
+        W = random_doubly_stochastic(np.random.default_rng(seed), n, min(parts, n), laziness)
+        lay = layout_on(W, (1, 2))
+        m = augdgm_matrices(lay)
+        flagged = conditions(abc_check(m, lay))
+        assert flagged == conditions(dense_abc_check(dense_blocks(m, lay), lay))
+        mu = np.linalg.eigvalsh(W)
+        margin = 1e-6
+        if mu[0] < -1.0 / 3.0 - margin or mu[0] > -1.0 / 3.0 + margin:
+            assert ("C5" in flagged) == (mu[0] < -1.0 / 3.0)
+        if abs(mu[-2] - 1.0) < 1e-12 or mu[-2] < 1.0 - 1e-3:
+            assert ("C3" in flagged) == (abs(mu[-2] - 1.0) < 1e-12)
+        assert flagged <= {"C3", "C5"}
+
+    def test_blocks_are_polynomials_of_degree_at_most_two(self):
+        """A round mixes through W twice, so a cubic block is refused up
+        front instead of losing its last term."""
+        with pytest.raises(OptimError, match="degree at most two"):
+            AbcMatrices(a=(0.0, 0.0, 0.0, 1.0), b=(0.0, 0.0, 1.0), c=(1.0, -2.0, 1.0))
+        with pytest.raises(OptimError, match="degree at most two"):
+            AbcMatrices(a=(1.0,), b=(), c=(1.0, -1.0))
+
+    @given(st.integers(2, 7), st.floats(0.0, 0.9), st.integers(0, 2**16))
+    @example(4, 1.0, 0)  # W = 11'/n: 0 is an eigenvalue n - 1 times, so B has a null space
+    @settings(max_examples=40, deadline=None)
+    def test_spectral_bound_and_range_residual_match_the_dense_forms(self, n, averaging,
+                                                                      seed):
+        """abc_bound_constant and abc_range_residual read from W's spectrum
+        equal the dense forms they replaced (on W², (I − W)² and I), on
+        connected random W blended with the averaging matrix 11'/n."""
+        rng = np.random.default_rng(seed)
+        W = (averaging * np.full((n, n), 1.0 / n)
+             + (1.0 - averaging) * random_doubly_stochastic(rng, n, 1, 0.2))
+        mu = np.linalg.eigvalsh(W)
+        if mu[-2] > 1.0 - 1e-3:  # disconnected, or nearly: C's null space is not a line
+            return
+        lay = layout_on(W, (1, 1))
+        m = augdgm_matrices(lay)
+        blocks = dense_blocks(m, lay)
+        prob = random_quadratic_problem(rng, n, 2)
+        ref = prob.solve_reference()
+        y0, z = rng.standard_normal(lay.stacked_dim), rng.standard_normal(lay.stacked_dim)
+        gamma = 0.5 * m.gamma_bound(prob)
+        assert abc_bound_constant(lay, m, prob, gamma, y0, ref) == pytest.approx(
+            dense_bound_constant(blocks, lay, prob, gamma, y0, ref), rel=1e-9)
+        assert abc_range_residual(lay, m, z) == pytest.approx(
+            dense_range_residual(blocks, lay, z), rel=1e-9, abs=1e-12)
+
+
+def dense_bound_constant(blocks, layout, problem, gamma, y0, reference):
+    """abc_bound_constant on dense blocks per group, as it was computed
+    before it read W's spectrum: D-weighted distance, the spectral norm of
+    B - 11'/n and the second eigenvalue of C."""
+    hat_star = layout.embed_consensus(reference)
+    z_arg = -2.0 * stacked_gradient(layout, problem, hat_star)
+    diff = y0 - hat_star
+    d_norm2 = sum(float(np.sum(g.blocks(diff) * np.matmul(blocks["d"][g.lead], g.blocks(diff))))
+                  for g in layout.groups)
+    multi = [g for g in layout.groups if g.copies >= 2]
+    b_dev = max(float(np.linalg.norm(blocks["b"][g.lead] - np.full((g.copies,) * 2,
+                                                                   1.0 / g.copies), 2))
+                for g in multi)
+    lam_lower = min(float(np.linalg.eigvalsh(blocks["c"][g.lead])[1]) for g in multi)
+    return d_norm2 / gamma + gamma * (b_dev / lam_lower) * float(z_arg @ z_arg)
+
+
+def dense_range_residual(blocks, layout, z):
+    """abc_range_residual on dense blocks: z's part on B's null eigenvectors."""
+    total = 0.0
+    for g in layout.groups:
+        vals, vecs = np.linalg.eigh(blocks["b"][g.lead])
+        null = vecs[:, np.abs(vals) <= 1e-12]
+        total += float(np.sum(np.matmul(null.T, g.blocks(z)) ** 2))
+    return float(np.sqrt(total))
 
 
 class TestAbcSolve:
@@ -311,6 +495,25 @@ class TestAbcSolve:
         for _ in range(200):
             y, z = abc_step(self.lay, self.matrices, self.prob, y, z, self.gamma)
             assert abc_range_residual(self.lay, self.matrices, z) <= 1e-9
+
+    def test_rejects_weights_that_are_not_symmetric_doubly_stochastic(self):
+        """Column weights on a directed 5-ring (the CLI's random_separable
+        5 x 6 seed-1 problem): before, abc ran its 200 steps to a consensus
+        error of 6.0 without a word, while augdgm raised."""
+        problem, reference = build_random_separable(5, 6, 0.5, 1)
+        comm = Graph.directed_graph(range(1, 6), [(i, i % 5 + 1) for i in range(1, 6)])
+        interference = frozenset((p, i) for i, fp in enumerate(problem.footprints, start=1)
+                                 for p in fp)
+        lay = standard_layout(comm, interference, Partition(problem.component_dims),
+                              weight_scheme="column")
+        gamma = 0.5 * augdgm_gamma_bound(problem)
+        with pytest.raises(OptimError, match="symmetric doubly stochastic"):
+            abc_solve(lay, augdgm_matrices(lay), problem, gamma, max_iters=200,
+                      reference=reference, merit_every=10)
+        with pytest.raises(OptimError, match="symmetric doubly stochastic"):
+            augdgm_solve(lay, problem, gamma, max_iters=200)
+        assert any(msg.startswith("C1:") and "symmetric doubly stochastic" in msg
+                   for msg in abc_check(augdgm_matrices(lay), lay))
 
     def test_out_of_range_gamma_warns(self):
         with pytest.warns(UserWarning):
