@@ -597,8 +597,8 @@ class GneOperators:
 
     Aggregation and constraint operators are compiled
     :class:`~endnet.layout.CsrOperator` matrices; the Laplacians are the
-    layouts' :class:`~endnet.layout.BlockOperator` objects, whose ``matrix``
-    the fused step composes.
+    layouts' :class:`~endnet.layout.BlockOperator` objects, which a step
+    applies as they are, scaled, and never composes with another map.
     """
 
     game: AggregativeGameSpec
@@ -661,69 +661,68 @@ class _StageParts(NamedTuple):
     """Where each vector of a step sits in a round's output buffer: the new
     state [x; s; z; lam] first, then what the step reads on the way."""
 
-    x: slice            # x - beta (B^T L_s sigma_hat + A^T lam), then x_next
-    s: slice            # s_next
-    z: slice            # z_next = z + beta L_l lam
+    x: slice            # x - B^T s - beta A^T lam, then x_next
+    s: slice            # s, then s_next = s - beta L_s sigma_hat
+    z: slice            # z, then z_next = z + beta L_l lam
     lam: slice          # lam - beta (A x + a), then lam_next
-    sigma_pairs: slice  # sigma_hat = s + B x + b at the pair rows the gradient reads
-    lap_sigma: slice    # beta L_s sigma_hat
+    sigma: slice        # sigma_hat = s + B x + b
+    sigma_pairs: slice  # sigma_hat at the pair rows the gradient reads
     s_norms: slice      # per-component sums of the copies of s over sqrt(copies)
 
 
 class _Stage(NamedTuple):
-    """The linear maps of one step with step size ``beta``.
+    """The maps of one step with step size ``beta``.
 
     ``linear`` is one sparse operator from the state w = [x; s; z; lam] to
-    the vectors listed in :class:`_StageParts` (plus ``offset``). The dual
-    update lam - beta (L_l (2 z_next - z) - A (2 x_next - x) + a) is then
-    the lam part, plus ``dual_lap`` = -beta L_l applied once to
-    2 z_next - z, plus ``dual_push`` = 2 beta A applied to x_next: the
-    product L_l^2, whose nonzeros grow with the square of the exchange
-    graphs' degrees, is never formed.
+    the vectors listed in :class:`_StageParts` (plus ``offset``). It holds
+    B̂, Â, identities, the pair rows and the sum rows, and no Laplacian:
+    the Laplacians are the layouts' own operators, scaled, each applied
+    once per round to the vector it acts on.
 
-    The shifted estimates are updated as s - beta L_s sigma_hat, a
-    subtraction of the (scaled) Laplacian image, which keeps their
-    per-component sums at roundoff.
+    * ``lap_sigma`` = -beta L_s adds -beta L_s sigma_hat into the copy of
+      s, so the shifted estimates lose a Laplacian image and keep their
+      per-component sums at roundoff. B^T s_next added into the x part
+      then leaves x - beta (B^T L_s sigma_hat + A^T lam).
+    * ``lap_lambda`` = beta L_l adds beta L_l lam into the copy of z, and
+      beta L_l (z - 2 z_next) into the lam part, which with ``dual_push`` =
+      2 beta A applied to x_next makes the dual update
+      lam - beta (L_l (2 z_next - z) - A (2 x_next - x) + a).
+
+    No product of two of these maps is formed, so the stage stores the
+    nonzeros of the maps it is built from.
     """
 
     beta: float
     linear: CsrOperator
     offset: np.ndarray
     parts: _StageParts
-    dual_lap: BlockOperator  # -beta L_l
-    dual_push: CsrOperator   # 2 beta A
+    lap_sigma: BlockOperator   # -beta L_s
+    lap_lambda: BlockOperator  # beta L_l
+    dual_push: CsrOperator     # 2 beta A
 
     @classmethod
     def build(cls, ops: GneOperators, beta: float) -> "_Stage":
         B, A = ops.B_hat.matrix, ops.A_hat.matrix
-        Ls, Ll = ops.L_sigma.matrix, ops.L_lambda.matrix
-        n_x, n_s, n_l = B.shape[1], Ls.shape[0], Ll.shape[0]
+        (n_s, n_x), n_l = B.shape, A.shape[0]
         pairs = ops.sigma_pair_index
         copies = ops.sigma_layout.copy_counts
-        LB = Ls @ B
         eye = sp.identity
-        blocks = [
-            [eye(n_x) - beta * (B.T @ LB), -beta * (B.T @ Ls), None, -beta * A.T],
-            [sp.csr_matrix((n_s, n_x)), None, None, None],
-            [None, None, eye(n_l), beta * Ll],
+        linear = sp.bmat([
+            [eye(n_x), -B.T, None, -beta * A.T],
+            [None, eye(n_s), None, None],
+            [None, None, eye(n_l), None],
             [-beta * A, None, None, eye(n_l)],
+            [B, eye(n_s), None, None],
             [B[pairs], eye(n_s, format="csr")[pairs], None, None],
-            [beta * LB, beta * Ls, None, None],
             [None, sp.diags(1.0 / np.sqrt(copies)) @ ops.sigma_layout.sum_operator.matrix,
              None, None],
-        ]
-        for row in blocks:  # bmat needs the zero blocks spelled out
-            rows = next(b.shape[0] for b in row if b is not None)
-            for j, cols in enumerate((n_x, n_s, n_l, n_l)):
-                if row[j] is None:
-                    row[j] = sp.csr_matrix((rows, cols))
-        Lsb = Ls @ ops.b_hat
-        offset = np.concatenate([-beta * (B.T @ Lsb), np.zeros(n_s + n_l), -beta * ops.a_hat,
-                                 ops.b_hat[pairs], beta * Lsb, np.zeros(copies.size)])
-        ends = np.cumsum([row[0].shape[0] for row in blocks]).tolist()
+        ], format="csr")
+        offset = np.concatenate([np.zeros(n_x + n_s + n_l), -beta * ops.a_hat, ops.b_hat,
+                                 ops.b_hat[pairs], np.zeros(copies.size)])
+        ends = np.cumsum((n_x, n_s, n_l, n_l, n_s, pairs.size, copies.size)).tolist()
         parts = _StageParts(*(slice(a, b) for a, b in zip([0] + ends[:-1], ends)))
-        return cls(beta, CsrOperator(sp.bmat(blocks, format="csr")), offset, parts,
-                   ops.L_lambda.scaled(-beta), CsrOperator(2 * beta * A))
+        return cls(beta, CsrOperator(linear), offset, parts, ops.L_sigma.scaled(-beta),
+                   ops.L_lambda.scaled(beta), CsrOperator(2 * beta * A))
 
 
 class _GneRounds:
@@ -733,7 +732,8 @@ class _GneRounds:
     round is the first part of one buffer, and the round writes the stage's
     linear image of it into the other, finishes the new state there and
     leaves the incoming s's component sums in its ``s_norms`` part. Every
-    operator is bound to both directions here.
+    operator is bound to both directions here, and every operand of a ufunc
+    is an array made here.
     """
 
     def __init__(self, ops: GneOperators, stage: _Stage, alpha: float, x: np.ndarray,
@@ -743,17 +743,23 @@ class _GneRounds:
         self._buffers = (np.zeros(stage.linear.shape[0]), np.zeros(stage.linear.shape[0]))
         self._buffers[0][:n_state] = np.concatenate((x, s_hat, z_hat, lam_hat))
         self.views = tuple(_StageParts(*(b[sl] for sl in stage.parts)) for b in self._buffers)
-        self._u = np.empty(lam_hat.size)
+        self._u = np.empty(lam_hat.size)  # z - 2 z_next
         self._scaled = np.empty(x.size)
-        self._alpha_beta = alpha * stage.beta
+        self._alpha_beta = np.full(x.size, alpha * stage.beta)
+        self._two = np.full(lam_hat.size, 2.0)
+        self._zero = np.zeros(lam_hat.size)
         self._inequality = ops.game.sense == "inequality"
         self.turn = 0  # the buffer that holds the state
         self._bound = []
         for a, b in ((0, 1), (1, 0)):
-            source, target = self._buffers[a], self.views[b]
+            source, target = self.views[a], self.views[b]
             self._bound.append((
-                stage.linear.bind(source[:n_state], self._buffers[b], offset=stage.offset),
-                stage.dual_lap.bind(self._u, target.lam, accumulate=True),
+                stage.linear.bind(self._buffers[a][:n_state], self._buffers[b],
+                                  offset=stage.offset),
+                stage.lap_sigma.bind(target.sigma, target.s, accumulate=True),
+                ops.B_hat.T.bind(target.s, target.x, accumulate=True),
+                stage.lap_lambda.bind(source.lam, target.z, accumulate=True),
+                stage.lap_lambda.bind(self._u, target.lam, accumulate=True),
                 stage.dual_push.bind(target.x, target.lam, accumulate=True)))
 
     @property
@@ -764,21 +770,23 @@ class _GneRounds:
     def step(self) -> _StageParts:
         """One round; returns views of the new buffer."""
         old = self.views[self.turn]
-        linear, dual_lap, dual_push = self._bound[self.turn]
+        linear, lap_sigma, to_x, lap_z, lap_dual, dual_push = self._bound[self.turn]
         self.turn = 1 - self.turn
         new = self.views[self.turn]
         linear()
+        lap_sigma()
+        to_x()
+        lap_z()
         grad = self.game.gradient(old.x, new.sigma_pairs)
         np.multiply(grad, self._alpha_beta, out=self._scaled)
         np.subtract(new.x, self._scaled, out=new.x)
         self.game._project_into(new.x, new.x)
-        np.subtract(old.s, new.lap_sigma, out=new.s)
-        np.multiply(new.z, 2.0, out=self._u)
-        np.subtract(self._u, old.z, out=self._u)
-        dual_lap()
+        np.multiply(new.z, self._two, out=self._u)
+        np.subtract(old.z, self._u, out=self._u)
+        lap_dual()
         dual_push()
         if self._inequality:
-            np.maximum(new.lam, 0.0, out=new.lam)
+            np.maximum(new.lam, self._zero, out=new.lam)
         return new
 
 
@@ -1126,6 +1134,7 @@ def _reference_loop(game: AggregativeGameSpec, x0: np.ndarray, step: float, max_
               push.bind(parts[dst][1], parts[dst][2], accumulate=True))
              for src, dst in ((0, 1), (1, 0))]
     scaled, delta = np.empty(n_x), np.empty(n)
+    steps, zero = np.full(n_x, step), np.zeros(n_l)
     inequality = game.sense == "inequality"
     turn = 0
 
@@ -1136,12 +1145,12 @@ def _reference_loop(game: AggregativeGameSpec, x0: np.ndarray, step: float, max_
         turn = 1 - turn
         _, x, lam, sigma = parts[turn]
         linear()
-        np.multiply(game.gradient(old_x, sigma), step, out=scaled)
+        np.multiply(game.gradient(old_x, sigma), steps, out=scaled)
         np.subtract(x, scaled, out=x)
         game._project_into(x, x)
         dual_push()
         if inequality:
-            np.maximum(lam, 0.0, out=lam)
+            np.maximum(lam, zero, out=lam)
         return x
 
     def converged(s: int) -> bool:

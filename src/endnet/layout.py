@@ -148,8 +148,10 @@ class CsrOperator:
     with the kernel's signature, such as the public-interface fallback.
 
     Stacked exchange operators are :class:`BlockOperator` objects, which
-    keep one of these for the components they do not apply densely; fused
-    solver maps and problem Hessians are plain ``CsrOperator`` objects.
+    keep one of these for the components they do not apply densely. Solver
+    maps fused from a problem's own matrices, which never take in an
+    exchange operator, and problem Hessians are plain ``CsrOperator``
+    objects.
     """
 
     def __init__(self, matrix, matvec: Callable | None = None):
@@ -371,8 +373,9 @@ class BlockOperator:
     C-contiguous copy of the block's transpose made here. Every other
     component is in the CSR operator ``sparse`` (None when there is none),
     so without one the groups cover every entry. ``matrix``, the whole
-    operator in CSR, is built on first use, for composing with other sparse
-    matrices.
+    operator in CSR, is built on first use; no solver step reads it, as
+    each binds the operator itself. It is there for the checks that need
+    the matrix, such as the Lanczos test of the gne preconditioner.
     """
 
     def __init__(self, n: int, sparse: CsrOperator | None,

@@ -381,11 +381,12 @@ class StackedQuadratic:
         _, rows, scatter = _support_part(half, self.support)
         product = self._rows.bind(hat, rows)
         c_rows, const, l1 = self._c_rows, self.const, self.l1
+        halves = np.full(rows.size, 0.5)
         magnitude = None if l1 is None else np.empty(hat.size)
 
         def value() -> float:
             product()
-            np.multiply(rows, 0.5, rows)
+            np.multiply(rows, halves, rows)
             np.add(rows, c_rows, rows)
             if scatter is not None:
                 scatter()

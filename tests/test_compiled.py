@@ -2053,18 +2053,67 @@ def test_preconditioner_check_memory_is_linear():
     assert peak < 0.1 * 8 * n * n
 
 
-def test_gne_stage_stores_no_squared_laplacian():
-    """The step's operators on the 20-user standard arm store a bounded
-    multiple of the nonzeros of the maps they are built from; a stored
-    L̂_λ² alone took 10,024 of 23,212."""
+def stage_nonzeros(stage):
+    """Nonzeros the stage stores in its own sparse maps; its BlockOperator
+    fields are the layouts' Laplacians, scaled."""
+    return sum(f.matrix.nnz for f in stage if isinstance(f, CsrOperator))
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_gne_stage_stores_no_laplacian(arm, monkeypatch):
+    """The stage's sparse maps on a 20-user network hold B̂ and Â at most
+    three times each, one identity entry per stacked entry, and the σ̂, pair
+    and sum rows of the σ copies: no term grows with nnz(L̂). Neither
+    building the stage nor 200 solver rounds composes a layout operator into
+    a CSR matrix. On the standard arm a stage holding products with L̂
+    stored 9,616 nonzeros, against 3,058 without."""
     inst = build_unicast(sample_unicast(20, 0))
-    ops = build_gne_operators(inst.game, *inst.standard)
-    stage = ops.stage(inst.scenario.beta)
-    stored = sum(f.matrix.nnz for f in stage if isinstance(f, (CsrOperator, BlockOperator)))
-    inputs = sum(op.matrix.nnz for op in (ops.L_sigma, ops.L_lambda, ops.A_hat, ops.B_hat))
+    ops = build_gne_operators(inst.game, *getattr(inst, arm))
+
+    def composed(self):
+        raise AssertionError("a layout operator was composed into a CSR matrix")
+
+    monkeypatch.setattr(BlockOperator, "matrix", property(composed))
+    beta = inst.scenario.beta
+    stage = ops.stage(beta)
     stacked = (ops.game.total_action_dim + ops.sigma_layout.stacked_dim
                + 2 * ops.lambda_layout.stacked_dim)
-    assert stored <= 2 * (inputs + stacked)
+    inputs = ops.A_hat.matrix.nnz + ops.B_hat.matrix.nnz
+    sums = ops.sigma_layout.sum_operator.matrix.nnz
+    assert stage_nonzeros(stage) <= 3 * inputs + stacked + 3 * sums
+    _, trace = gne_solve(ops, np.zeros(ops.game.total_action_dim), 0.1, beta,
+                         max_iters=200, tol=0.0, check_every=50)
+    assert trace.steps == 200
+
+
+def test_gne_stage_is_linear_in_the_layout_at_200_users():
+    """On the 200-user standard arm the Laplacians are I_P ⊗ L for one
+    200 × 200 L with 10,252 nonzeros and P = 306: a stage holding products
+    with them stored 6.49M nonzeros and peaked at 318 MB traced while
+    building."""
+    inst = build_unicast(sample_unicast(200, 0))
+    ops = build_gne_operators(inst.game, *inst.standard)
+    tracemalloc.start()
+    try:
+        stage = games._Stage.build(ops, inst.scenario.beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stage_nonzeros(stage) <= 500_000
+    assert peak <= 30 * 2**20
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized", "row"])
+@pytest.mark.parametrize("name", ["unicast", "blocks"])
+def test_gne_rounds_track_the_operator_by_operator_steps(name, arm):
+    """500 rounds from a zero start against the round written operator by
+    operator: drift that one step cannot show stays at roundoff."""
+    ops, _ = gne_case(name, arm)
+    state = loop = initial_gne_state(ops, np.zeros(ops.game.total_action_dim))
+    for _ in range(500):
+        state, loop = gne_step(ops, state, 0.1, 1e-2), loop_gne_step(ops, loop, 0.1, 1e-2)
+    for part in ("x", "s_hat", "z_hat", "lam_hat"):
+        assert close(getattr(state, part), getattr(loop, part)), part
 
 
 @pytest.mark.parametrize("arm", ["standard", "customized"])
