@@ -298,11 +298,11 @@ def _build_coupled_qp(cfg: dict, seed: int) -> dict:
     y_star = rng.uniform(-0.2, 0.2, size=d)
     offset = centers.sum(axis=0) - n * y_star
 
-    def oracle(i: int, blocks) -> np.ndarray:
-        return np.clip(centers[i - 1] - blocks[1], -bound, bound)
+    flat = centers.ravel()
 
-    def cost(i: int, x: np.ndarray) -> float:
-        return 0.5 * float(np.sum((x - centers[i - 1]) ** 2))
+    def oracle(r: np.ndarray) -> np.ndarray:
+        # each A_{1,i} is the identity: agent i's price is its multiplier copy
+        return np.clip(flat - r, -bound, bound)
 
     ccp = ConstraintCoupledProblem(
         x_dims=(d,) * n,
@@ -311,7 +311,6 @@ def _build_coupled_qp(cfg: dict, seed: int) -> dict:
         con_blocks={(1, i): np.eye(d) for i in range(1, n + 1)},
         con_offsets={(1, i): offset / n for i in range(1, n + 1)},
         argmin_oracle=oracle,
-        cost=cost,
     )
     comm = _comm_graph(cfg.get("topology", "ring"), n)
     interference = frozenset((1, i) for i in range(1, n + 1))

@@ -42,6 +42,10 @@ class SeparableProblem:
     ``smooth_gradient`` (dict keyed by component). ``l1_weight`` returns the
     coefficient of the 1-norm term on a block (zero by default), which the
     subgradient selector and the stacked proximal inner loop of ADMM use.
+
+    A solver runs a problem through its compiled ``stacked(layout)`` form,
+    never agent by agent; only :class:`QuadraticSeparable` (Lasso among
+    them) ships one, :class:`StackedQuadratic`.
     """
 
     def __init__(self, component_dims: Sequence[int], footprints: Sequence[Sequence[int]],
@@ -81,9 +85,9 @@ class SeparableProblem:
     def l1_weight(self, i: int, p: int) -> float:
         return 0.0
 
-    def stacked(self, layout: EndLayout) -> "AgentLoopStacked":
+    def stacked(self, layout: EndLayout):
         """Evaluator of the stacked cost and gradient on ``layout``."""
-        return AgentLoopStacked(layout, self)
+        raise NotImplementedError
 
     def subgradient(self, i: int, blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Smooth gradient plus the sign selector on any 1-norm terms."""
@@ -277,65 +281,6 @@ def _stacked_l1(layout: EndLayout, problem: SeparableProblem) -> np.ndarray | No
     return l1 if l1.any() else None
 
 
-class AgentLoopStacked:
-    """Stacked cost and gradient through a problem's per-agent oracles.
-
-    The generic form for a user-written :class:`SeparableProblem`: one
-    oracle call per agent on its own estimate blocks. Quadratic problems
-    (Lasso among them) compile to :class:`StackedQuadratic` instead; this
-    loop stays their reference. ``l1`` holds the stacked 1-norm weights
-    (None when the problem has none). Its ``support`` is every entry.
-    """
-
-    def __init__(self, layout: EndLayout, problem: SeparableProblem):
-        # weak, so that the layout's memo of this form does not keep the
-        # problem alive
-        self._problem = weakref.ref(problem)
-        self.plan = [
-            (i, {p: layout.block_slice(p, i) for p in problem.footprint(i)})
-            for i in range(1, problem.num_agents + 1)
-        ]
-        self.stacked_dim = layout.stacked_dim
-        self.l1 = _stacked_l1(layout, problem)
-        self.support = slice(0, self.stacked_dim)
-        self.merit_constants = {}  # see _merit_constants
-
-    def value(self, hat: np.ndarray) -> float:
-        problem = self._problem()
-        return sum(
-            problem.value(i, {p: hat[s] for p, s in slices.items()})
-            for i, slices in self.plan
-        )
-
-    def gradient(self, hat: np.ndarray, sub: bool = False) -> np.ndarray:
-        problem = self._problem()
-        out = np.zeros(self.stacked_dim)
-        for i, slices in self.plan:
-            blocks = {p: hat[s] for p, s in slices.items()}
-            grads = (problem.subgradient(i, blocks) if sub
-                     else problem.smooth_gradient(i, blocks))
-            for p, g in grads.items():
-                out[slices[p]] = g
-        return out
-
-    def bind_gradient(self, hat: np.ndarray, out: np.ndarray,
-                      sub: bool = False) -> Callable[[], None]:
-        """A call that writes the gradient at ``hat`` (the subgradient with
-        ``sub``) into ``out``."""
-        def apply() -> None:
-            out[...] = self.gradient(hat, sub)
-
-        return apply
-
-    def bind_support_gradient(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        """:meth:`bind_gradient`, the support being every entry."""
-        return self.bind_gradient(hat, out)
-
-    def bind_value(self, hat: np.ndarray) -> Callable[[], float]:
-        """A call that returns :meth:`value` at the fixed array ``hat``."""
-        return partial(self.value, hat)
-
-
 class StackedQuadratic:
     """A :class:`QuadraticSeparable` compiled for one layout.
 
@@ -354,12 +299,12 @@ class StackedQuadratic:
     """
 
     def __init__(self, layout: EndLayout, problem: "QuadraticSeparable"):
-        self.q_hat, self.c_hat = _scatter_quadratics(layout.stacked_dim, (
+        q_hat, self.c_hat = _scatter_quadratics(layout.stacked_dim, (
             (_ranges(layout.block_slice(p, i) for p in fp), H, c)
             for i, (H, c, fp, _) in enumerate(problem._dense, start=1)))
         self.const = float(sum(problem.constants))
         self.l1 = _stacked_l1(layout, problem)
-        q = self.q_hat.matrix
+        q = q_hat.matrix
         on = (np.diff(q.indptr) > 0) | (self.c_hat != 0.0)
         if self.l1 is not None:
             on |= self.l1 != 0.0
@@ -476,7 +421,7 @@ def _scatter_quadratics(n: int, placed) -> tuple[CsrOperator, np.ndarray]:
     return CsrOperator(matrix), c_sum
 
 
-def stacked_form(layout: EndLayout, problem: SeparableProblem):
+def stacked_form(layout: EndLayout, problem: SeparableProblem | ConstraintCoupledProblem):
     """The problem's stacked evaluator for ``layout``, compiled once per pair."""
     return layout.compiled_for(problem, lambda: problem.stacked(layout))
 
@@ -559,14 +504,21 @@ def _regularized_argmin(stacked, problem: SeparableProblem, degree: np.ndarray,
                         tol: float = 1e-10, max_iters: int = 10000):
     """rhs ↦ argmin of the stacked cost + ½ ŷᵀ diag(degree) ŷ − rhsᵀŷ.
 
-    Every agent's local problem at once: an l1-free quadratic is one sparse
-    factorization of Q̂ + diag(degree), made here; any other stacked form
-    runs one accelerated proximal-gradient loop on the stacked vector.
+    Every agent's local problem at once: without 1-norm weights it is one
+    sparse factorization of Q̂ + diag(degree), made here, with Q̂ assembled
+    from the stacked form's support rows (every other row of Q̂ is empty);
+    with them it runs one accelerated proximal-gradient loop on the stacked
+    vector.
     """
-    if isinstance(stacked, StackedQuadratic) and stacked.l1 is None:
+    if stacked.l1 is None:
         from scipy.sparse.linalg import splu  # imported here: it adds ~2 MB of resident memory
 
-        factor = splu(sp.csc_matrix(stacked.q_hat.matrix + sp.diags(degree)))
+        rows, n = stacked._rows.matrix, degree.size
+        lengths = np.zeros(n, dtype=rows.indptr.dtype)
+        lengths[stacked.support] = np.diff(rows.indptr)
+        q_hat = sp.csr_matrix((rows.data, rows.indices, np.append(0, np.cumsum(lengths))),
+                              shape=(n, n))
+        factor = splu(sp.csc_matrix(q_hat + sp.diags(degree)))
         return lambda rhs: factor.solve(rhs - stacked.c_hat)
     if problem.smooth_lipschitz is None:
         raise OptimError("inner solver needs a declared smoothness constant")
@@ -1145,8 +1097,8 @@ class _PushSumRounds:
     maxima: the same values, bit for bit, as a reduction after every round.
     """
 
-    def __init__(self, layout: EndLayout, problem: SeparableProblem, state: PushSumState,
-                 invariants: bool = False):
+    def __init__(self, layout: EndLayout, problem: SeparableProblem | ConstraintCoupledProblem,
+                 state: PushSumState, invariants: bool = False):
         n = layout.stacked_dim
         self.layout = layout
         self._buffers = (np.zeros(3 * n), np.zeros(3 * n))
@@ -1342,13 +1294,23 @@ def pushsum_solve(
 # -- constraint-coupled problems via the dual ------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ConstraintCoupledProblem:
-    """Σ f_i(x_i) subject to per-component affine coupling constraints.
+    """Σ_i f_i(x_i) subject to Σ_i A_{p,i} x_i = Σ_i a_{p,i} for every component p.
 
-    ``argmin_oracle(i, y_blocks)`` returns a minimizer of
-    f_i(x_i) + Σ_p <y_p, A_{p,i} x_i - a_{p,i}> over agent i's (compact)
-    domain; ``cost(i, x_i)`` evaluates f_i.
+    Agent i's action x_i has ``x_dims[i - 1]`` entries. ``con_blocks[(p, i)]``
+    is A_{p,i} (dim_p × x_dim_i) and ``con_offsets[(p, i)]`` is a_{p,i}
+    (dim_p,), given only for p on agent i's footprint and zero where
+    absent; an entry off it or of another shape is an :class:`OptimError`
+    naming its (p, i).
+
+    ``argmin_oracle(r)`` is the price oracle, one call for every agent: r
+    holds, agent by agent in ``x_dims`` order, r_i = Σ_p A_{p,i}ᵀ y_p, and
+    it returns every agent's minimizer of f_i(x_i) + ⟨r_i, x_i⟩ over its
+    compact domain, stacked the same way. Agent i's inner problem
+    min f_i(x_i) + Σ_p ⟨y_p, A_{p,i} x_i − a_{p,i}⟩ depends on the
+    multipliers y only through r_i. A problem compares by identity, so a
+    layout compiles it once.
     """
 
     x_dims: tuple[int, ...]
@@ -1356,66 +1318,99 @@ class ConstraintCoupledProblem:
     footprints: tuple[tuple[int, ...], ...]
     con_blocks: Mapping[tuple[int, int], np.ndarray]
     con_offsets: Mapping[tuple[int, int], np.ndarray]
-    argmin_oracle: Callable[[int, Mapping[int, np.ndarray]], np.ndarray]
-    cost: Callable[[int, np.ndarray], float]
+    argmin_oracle: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "con_blocks", dict(self.con_blocks))
-        object.__setattr__(self, "con_offsets", dict(self.con_offsets))
-        for (p, i) in self.con_blocks:
-            if p not in self.footprints[i - 1]:
-                raise OptimError(f"constraint block {(p, i)} off the interference pattern")
+        if len(self.x_dims) != len(self.footprints):
+            raise OptimError(f"{len(self.x_dims)} action dims for "
+                             f"{len(self.footprints)} footprints")
+        for i, fp in enumerate(self.footprints, start=1):
+            for p in fp:
+                if not 1 <= p <= len(self.component_dims):
+                    raise OptimError(f"agent {i}: component {p} outside "
+                                     f"1..{len(self.component_dims)}")
+        self.con_blocks = self._checked(self.con_blocks, "constraint block", 2)
+        self.con_offsets = self._checked(self.con_offsets, "constraint offset", 1)
+
+    def _checked(self, entries: Mapping, what: str, ndim: int) -> dict:
+        """``entries`` as float arrays of shape (dim_p, x_dim_i)[:ndim]."""
+        checked = {}
+        for (p, i), value in entries.items():
+            if not (1 <= i <= self.num_agents and p in self.footprints[i - 1]):
+                raise OptimError(f"{what} {(p, i)} off the interference pattern")
+            value = np.asarray(value, dtype=float)
+            shape = (self.component_dims[p - 1], self.x_dims[i - 1])[:ndim]
+            if value.shape != shape:
+                raise OptimError(f"{what} {(p, i)} has shape {value.shape}, expected {shape}")
+            checked[(p, i)] = value
+        return checked
 
     @property
     def num_agents(self) -> int:
         return len(self.x_dims)
 
-    def dual_value(self, i: int, blocks: Mapping[int, np.ndarray]) -> tuple[float, np.ndarray]:
-        x = self.argmin_oracle(i, blocks)
-        val = self.cost(i, x)
-        for p in self.footprints[i - 1]:
-            A = self.con_blocks.get((p, i))
-            a = self.con_offsets.get((p, i))
-            gap = (A @ x if A is not None else 0.0) - (a if a is not None else 0.0)
-            val += float(blocks[p] @ gap)
-        return val, x
-
-    def constraint_gap(self, p: int, xs: Mapping[int, np.ndarray]) -> np.ndarray:
-        gap = np.zeros(self.component_dims[p - 1])
-        for (pp, i), A in self.con_blocks.items():
-            if pp == p:
-                gap += A @ xs[i]
-        for (pp, i), a in self.con_offsets.items():
-            if pp == p:
-                gap -= a
-        return gap
+    def stacked(self, layout: EndLayout) -> "StackedDual":
+        return StackedDual(layout, self)
 
 
-class _NegatedDual(SeparableProblem):
-    """-Σ φ_i as a separable minimization problem for the push-sum driver."""
+class StackedDual:
+    """The negated dual −Σ_i φ_i of a :class:`ConstraintCoupledProblem`,
+    compiled for one layout.
 
-    def __init__(self, ccp: ConstraintCoupledProblem):
-        super().__init__(ccp.component_dims, ccp.footprints)
-        self.ccp = ccp
-        self.last_primal: dict[int, np.ndarray] = {}
+    Â (stacked_dim × Σ x_dims, in CSR) holds A_{p,i} on the rows of agent
+    i's copy of p and the columns of x_i, and â holds a_{p,i} on that copy.
+    At stacked multipliers ŷ a subgradient is â − Âx with x = oracle(Âᵀŷ):
+    one bound kernel, one oracle call and one bound kernel with an offset.
+    ``x`` holds the minimizers of the last call, one buffer for every binding.
+    """
 
-    def value(self, i, blocks):
-        val, _ = self.ccp.dual_value(i, blocks)
-        return -val
+    def __init__(self, layout: EndLayout, problem: ConstraintCoupledProblem):
+        self._problem = weakref.ref(problem)  # the layout's memo must not keep it alive
+        starts = list(accumulate(problem.x_dims, initial=0))
+        n, width = layout.stacked_dim, starts[-1]
+        rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        for (p, i), A in problem.con_blocks.items():
+            r, c = np.nonzero(A)
+            rows.append(layout.block_slice(p, i).start + r)
+            cols.append(starts[i - 1] + c)
+            vals.append(A[r, c])
+        a_hat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(n, width))
+        self.offsets = np.zeros(n)
+        for (p, i), a in problem.con_offsets.items():
+            self.offsets[layout.block_slice(p, i)] = a
+        self._prices = CsrOperator(a_hat.T)
+        self._negated = CsrOperator(-a_hat)
+        self._r, self.x = np.zeros(width), np.zeros(width)
 
-    def smooth_gradient(self, i, blocks):
-        # dual subgradient: the constraint gap at the local inner minimizer
-        x = self.ccp.argmin_oracle(i, blocks)
-        self.last_primal[i] = x
-        out = {}
-        for p in self.footprint(i):
-            A = self.ccp.con_blocks.get((p, i))
-            a = self.ccp.con_offsets.get((p, i))
-            g = (A @ x if A is not None else np.zeros(self.dim(p)))
-            if a is not None:
-                g = g - a
-            out[p] = -g
-        return out
+    def primal(self, hat: np.ndarray) -> np.ndarray:
+        """The inner minimizers oracle(Âᵀŷ) at the stacked multipliers ``hat``."""
+        self.bind_gradient(np.ascontiguousarray(hat, dtype=float), np.empty(self.offsets.size))()
+        return self.x.copy()
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """â − Âx: the subgradient of −Σ_i φ_i whose inner minimizers are x."""
+        return self._negated.affine(x, self.offsets)
+
+    def bind_gradient(self, hat: np.ndarray, out: np.ndarray,
+                      sub: bool = False) -> Callable[[], None]:
+        """A call that writes â − Âx into ``out`` for the fixed array
+        ``hat``, with x = oracle(Âᵀŷ) left in ``x``. The dual has no 1-norm
+        part, so ``sub`` changes nothing."""
+        prices = self._prices.bind(hat, self._r)
+        gap = self._negated.bind(self.x, out, offset=self.offsets)
+        oracle, r, x = self._problem().argmin_oracle, self._r, self.x
+
+        def apply() -> None:
+            prices()
+            minimizers = oracle(r)
+            if np.shape(minimizers) != x.shape:
+                raise OptimError(f"price oracle returned shape {np.shape(minimizers)}, "
+                                 f"expected {x.shape}")
+            x[...] = minimizers
+            gap()
+
+        return apply
 
 
 def constraint_coupled_solve(
@@ -1428,27 +1423,33 @@ def constraint_coupled_solve(
 ) -> tuple[np.ndarray, dict[int, np.ndarray], RunTrace]:
     """Maximize the coupled dual with push-sum and recover the primal.
 
-    Returns the consensus dual estimate, the inner minimizers evaluated at
-    that dual (the step-weighted ergodic averages are kept in the trace
-    metadata), and the run trace. As in :func:`pushsum_solve`, the
-    divergence guard tests the iterate the run ends with; the loop is
-    :func:`~endnet.trace.run_steps`.
+    A round is a :class:`_PushSumRounds` round on the problem's
+    :class:`StackedDual`: one price kernel r = Âᵀŷ, one call of the price
+    oracle x = ``ccp.argmin_oracle(r)`` for every agent, and one gap kernel
+    â − Âx. The primal gap of a record is max|S(Âx̄ − â)| at the
+    step-weighted ergodic average x̄, S summing each component's copies.
+
+    Returns the consensus dual estimate, the inner minimizers at that dual
+    (one oracle call) and the run trace, whose metadata keeps x̄ as
+    ``x_ergodic``; both primal results are keyed by agent. As in
+    :func:`pushsum_solve`, the divergence guard tests the iterate the run
+    ends with; the loop is :func:`~endnet.trace.run_steps`.
     """
     if max_iters < 1:
         raise OptimError("push-sum needs max_iters >= 1")
-    dual = _NegatedDual(ccp)
-    rounds = _PushSumRounds(layout, dual, pushsum_init(layout))
+    form = stacked_form(layout, ccp)
+    rounds = _PushSumRounds(layout, ccp, pushsum_init(layout))
     trace = RunTrace()
-    x_acc = {i: np.zeros(ccp.x_dims[i - 1]) for i in range(1, ccp.num_agents + 1)}
-    weight_acc = 0.0
+    x_sum, scaled = np.zeros(form.x.size), np.empty(form.x.size)
+    weight = 0.0
 
     def step(k: int) -> np.ndarray:
-        nonlocal weight_acc
+        nonlocal weight
         gk = gamma(k)
         z = rounds.step(design_schedule(k), gk)
-        for i, x in dual.last_primal.items():
-            x_acc[i] += gk * x
-        weight_acc += gk
+        np.multiply(form.x, gk, out=scaled)
+        np.add(x_sum, scaled, out=x_sum)
+        weight += gk
         return z
 
     def record(s: int) -> None:
@@ -1457,23 +1458,18 @@ def constraint_coupled_solve(
                "consensus_err": float(np.linalg.norm(layout.disagreement(rounds.y)))}
         if reference_dual is not None:
             row["dual_distance"] = float(np.max(np.abs(means - reference_dual)))
-        x_avg = {i: v / weight_acc for i, v in x_acc.items()}
-        row["primal_gap"] = max(
-            float(np.max(np.abs(ccp.constraint_gap(p, x_avg))))
-            for p in layout.partition.components
-        )
+        gap = layout.sum_operator @ form.residual(x_sum / weight)
+        row["primal_gap"] = float(np.max(np.abs(gap)))
         trace.append(**row)
 
     run_steps(trace, max_iters, step, record,
               divergence_guard(rounds.z, "push-sum dual iterate"), every=100,
               guard_each_step=False)
-    trace.meta["x_ergodic"] = {i: v / weight_acc for i, v in x_acc.items()}
+    cuts = np.cumsum(ccp.x_dims)[:-1]
+    trace.meta["x_ergodic"] = dict(enumerate(np.split(x_sum / weight, cuts), start=1))
     y_mean = layout.component_means(rounds.z)
-    x_final = {}
-    for i in range(1, ccp.num_agents + 1):
-        blocks = {p: y_mean[dual.component_slice(p)] for p in ccp.footprints[i - 1]}
-        x_final[i] = ccp.argmin_oracle(i, blocks)
-    return y_mean, x_final, trace
+    x_final = form.primal(layout.embed_consensus(y_mean))
+    return y_mean, dict(enumerate(np.split(x_final, cuts), start=1)), trace
 
 
 # -- scaled merit used by the sensing experiments --------------------------

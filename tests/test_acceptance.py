@@ -409,20 +409,16 @@ def test_subgraph_heuristics_near_exact_and_relay_recovered():
 def test_coupled_constraint_dual_recovers_multiplier_and_primal():
     """Two-agent resource split with a hand-computable multiplier."""
     c1, c2 = 0.3, 0.9
+    centers = np.array([c1, c2])
 
-    def oracle(i, blocks):
-        c = c1 if i == 1 else c2
-        return np.clip([c - blocks[1][0] / 2.0], -5.0, 5.0)
-
-    def cost(i, x):
-        c = c1 if i == 1 else c2
-        return float((x[0] - c) ** 2)
+    def oracle(r):
+        return np.clip(centers - r / 2.0, -5.0, 5.0)
 
     problem = ConstraintCoupledProblem(
         x_dims=(1, 1), component_dims=(1,), footprints=((1,), (1,)),
         con_blocks={(1, 1): np.array([[1.0]]), (1, 2): np.array([[1.0]])},
         con_offsets={(1, 1): np.array([0.5]), (1, 2): np.array([0.5])},
-        argmin_oracle=oracle, cost=cost)
+        argmin_oracle=oracle)
     y_star = c1 + c2 - 1.0
     x_star = np.array([c1 + (1 - c1 - c2) / 2.0, c2 + (1 - c1 - c2) / 2.0])
     comm = Graph.directed_graph([1, 2], [(1, 2), (2, 1)]).with_self_loops()

@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endnet import cli, games
+from endnet import optim as optim_module
 from endnet import layout as layout_module
 from endnet.design import DesignCriterion, design_layout
 from endnet.games import (
@@ -68,14 +70,12 @@ from endnet.layout import (
 )
 from endnet.optim import (
     AbcMatrices,
-    AgentLoopStacked,
     ConstraintCoupledProblem,
     LassoSeparable,
     OptimError,
     QuadraticSeparable,
     SeparableProblem,
     StackedQuadratic,
-    _NegatedDual,
     _PushSumRounds,
     _TrackingRounds,
     abc_check,
@@ -1011,19 +1011,38 @@ def support_problem(kind, layout, rng):
                               problem.linears, problem.constants)
 
 
-def full_row_gradient(stacked, hat, sub=False):
+def placed_quadratic(layout, problem):
+    """Q̂ (in CSR), ĉ, the constant and l̂ (None without 1-norm weights) of
+    a quadratic's stack, placed from each agent's dense H_i, c_i and
+    weights on the entries of its own copies: built apart from the
+    compiled form, from the problem's own blocks."""
+    n = layout.stacked_dim
+    q_hat, c_hat, l1 = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    for i, (H, c, fp, _) in enumerate(problem._dense, start=1):
+        idx = np.concatenate([np.zeros(0, dtype=int)]
+                             + [np.arange(n)[layout.block_slice(p, i)] for p in fp])
+        q_hat[np.ix_(idx, idx)] += H
+        c_hat[idx] += c
+        for p in fp:
+            l1[layout.block_slice(p, i)] = problem.l1_weight(i, p)
+    return SimpleNamespace(q_hat=CsrOperator(sp.csr_matrix(q_hat)), c_hat=c_hat,
+                           const=float(sum(problem.constants)),
+                           l1=l1 if l1.any() else None)
+
+
+def full_row_gradient(full, hat, sub=False):
     """Q̂ŷ accumulated onto ĉ over every row (plus l̂ ⊙ sign ŷ with ``sub``),
     as the stacked gradient was formed before it ran on its support."""
-    g = stacked.q_hat.affine(hat, stacked.c_hat)
-    if sub and stacked.l1 is not None:
-        g += stacked.l1 * np.sign(hat)
+    g = full.q_hat.affine(hat, full.c_hat)
+    if sub and full.l1 is not None:
+        g += full.l1 * np.sign(hat)
     return g
 
 
-def full_row_value(stacked, hat):
-    val = stacked.const + float(hat @ (0.5 * (stacked.q_hat @ hat) + stacked.c_hat))
-    if stacked.l1 is not None:
-        val += float(stacked.l1 @ np.abs(hat))
+def full_row_value(full, hat):
+    val = full.const + float(hat @ (0.5 * (full.q_hat @ hat) + full.c_hat))
+    if full.l1 is not None:
+        val += float(full.l1 @ np.abs(hat))
     return val
 
 
@@ -1052,14 +1071,15 @@ def test_support_forms_equal_the_full_row_forms(kind, problem_kind, dims, num_ag
     problem = support_problem(problem_kind, layout, rng)
     stacked, n = stacked_form(layout, problem), layout.stacked_dim
     support = stacked.support
-    rows_used = np.diff(stacked.q_hat.matrix.indptr) > 0
+    full = placed_quadratic(layout, problem)
+    rows_used = np.diff(full.q_hat.matrix.indptr) > 0
     if kind == "full":
         assert support == slice(0, n)
     if problem_kind == "linear-only":
         assert not rows_used[support].all()
     hat, v, z = (rng.standard_normal(n) for _ in range(3))
 
-    expected = full_row_gradient(stacked, hat)
+    expected = full_row_gradient(full, hat)
     off = np.ones(n, dtype=bool)
     off[support] = False
     out, on_support = np.empty(n), np.empty(n - off.sum())
@@ -1068,10 +1088,10 @@ def test_support_forms_equal_the_full_row_forms(kind, problem_kind, dims, num_ag
     assert np.array_equal(out, expected) and np.array_equal(stacked.gradient(hat), expected)
     assert np.array_equal(on_support, expected[support])
     assert not expected[off].any()
-    sub = full_row_gradient(stacked, hat, sub=True)
+    sub = full_row_gradient(full, hat, sub=True)
     stacked.bind_gradient(hat, out, sub=True)()
     assert np.array_equal(out, sub) and np.array_equal(stacked.gradient(hat, sub=True), sub)
-    assert stacked.bind_value(hat)() == stacked.value(hat) == full_row_value(stacked, hat)
+    assert stacked.bind_value(hat)() == stacked.value(hat) == full_row_value(full, hat)
     spread = np.empty(n)
     layout.bind_disagreement(hat, spread)()
     assert np.array_equal(spread, hat - layout.sum_operator.T @ (
@@ -1079,16 +1099,16 @@ def test_support_forms_equal_the_full_row_forms(kind, problem_kind, dims, num_ag
 
     w, gamma = layout.weight_operator, 0.3
     rounds = _TrackingRounds(layout, problem, gamma, hat, v)
-    y, t, g = hat, v, full_row_gradient(stacked, hat)
+    y, t, g = hat, v, full_row_gradient(full, hat)
     for _ in range(2):  # both v buffers take a turn
         rounds.step()
         y = w @ (y - gamma * t)
-        g_new = full_row_gradient(stacked, y)
+        g_new = full_row_gradient(full, y)
         t, g = w @ (t + g_new - g), g_new
         assert np.array_equal(rounds.y, y) and np.array_equal(rounds.t, t)
     rounds = _TrackingRounds(layout, problem, gamma, hat, z, augdgm_matrices(layout))
     rounds.step()
-    y, z = abc_polynomial_round(w, hat, z, full_row_gradient(stacked, hat), gamma)
+    y, z = abc_polynomial_round(w, hat, z, full_row_gradient(full, hat), gamma)
     assert np.array_equal(rounds.y, y) and np.array_equal(rounds.t, z)
 
 
@@ -1215,6 +1235,38 @@ def test_consensus_structure_matches_component_loop(layout):
 # -- stacked problems -------------------------------------------------------
 
 
+class AgentLoopStacked:
+    """The per-agent reference of a stacked form: one ``value`` and one
+    ``smooth_gradient`` (or ``subgradient``) call per agent on its own
+    estimate blocks, each written into that agent's copies. ``l1`` holds
+    the stacked 1-norm weights (None when the problem has none)."""
+
+    def __init__(self, layout, problem):
+        self.problem = problem
+        self.plan = [(i, {p: layout.block_slice(p, i) for p in problem.footprint(i)})
+                     for i in range(1, problem.num_agents + 1)]
+        self.stacked_dim = layout.stacked_dim
+        l1 = np.zeros(layout.stacked_dim)
+        for i, slices in self.plan:
+            for p, s in slices.items():
+                l1[s] = problem.l1_weight(i, p)
+        self.l1 = l1 if l1.any() else None
+
+    def value(self, hat):
+        return sum(self.problem.value(i, {p: hat[s] for p, s in slices.items()})
+                   for i, slices in self.plan)
+
+    def gradient(self, hat, sub=False):
+        out = np.zeros(self.stacked_dim)
+        for i, slices in self.plan:
+            blocks = {p: hat[s] for p, s in slices.items()}
+            grads = (self.problem.subgradient(i, blocks) if sub
+                     else self.problem.smooth_gradient(i, blocks))
+            for p, g in grads.items():
+                out[slices[p]] = g
+        return out
+
+
 def random_quadratic(rng, dims, footprints):
     """Random quadratic with the given block sizes and footprints, and constants."""
     quads, lins = [], []
@@ -1332,12 +1384,18 @@ def test_total_value_matches_agent_loop():
 
 
 def test_no_shipped_problem_or_cli_solver_loops_over_agents(monkeypatch):
-    """Every shipped problem compiles to a StackedQuadratic, so no CLI
-    algorithm but the coupled dual builds the per-agent adapter."""
-    def refuse(self, layout, problem):
-        raise AssertionError(f"{type(problem).__name__} went through AgentLoopStacked")
+    """Every shipped problem runs through its compiled stacked form: no CLI
+    algorithm, the coupled dual included, evaluates an agent on its own,
+    and the package keeps no per-agent adapter."""
+    assert not hasattr(optim_module, "AgentLoopStacked")
+    assert not hasattr(optim_module, "_NegatedDual")
 
-    monkeypatch.setattr(AgentLoopStacked, "__init__", refuse)
+    def refuse(self, i, *args):
+        raise AssertionError(f"{type(self).__name__} evaluated agent {i} on its own")
+
+    for owner, name in ((SeparableProblem, "subgradient"), (QuadraticSeparable, "value"),
+                        (QuadraticSeparable, "smooth_gradient")):
+        monkeypatch.setattr(owner, name, refuse)
     sensors = {"num_sensors": 8, "num_sources": 3, "comm_radius_min": 0.45,
                "comm_radius_width": 0.1}
     cells = [({"kind": "random_separable", "num_agents": 5, "num_components": 6,
@@ -1346,6 +1404,8 @@ def test_no_shipped_problem_or_cli_solver_loops_over_agents(monkeypatch):
     cells += [({"kind": kind, **sensors}, {"algorithm": "pushsum", "max_iters": 200,
                                            "step_scale": 0.05})
               for kind in ("regression", "lasso")]
+    cells.append(({"kind": "coupled_qp", "num_agents": 5, "dim": 2, "seed": 1},
+                  {"algorithm": "dual", "max_iters": 200}))
     for scenario, run in cells:
         bundle = cli.build_scenario(scenario)
         for arm in ("standard", "customized"):
@@ -2538,10 +2598,10 @@ def test_pushsum_and_tracking_iterates_match_the_product_first_gradient(arm):
     before: the iterates agree to RTOL."""
     arms, problem, snapshots = pushsum_layouts(7)
     layout = arms[arm]
-    stacked = stacked_form(layout, problem)
+    full = placed_quadratic(layout, problem)
 
     def gradient(y):
-        return stacked.q_hat.matrix @ y + stacked.c_hat
+        return full.q_hat.matrix @ y + full.c_hat
 
     slots = [loop_design_weights(layout, snap) for snap in snapshots]
     ops = [layout.block_operator(slot) for slot in slots]
@@ -2559,7 +2619,7 @@ def test_pushsum_and_tracking_iterates_match_the_product_first_gradient(arm):
                             (1, 2, 1, 3), 7, 4)
     rng = np.random.default_rng(4)
     problem = random_quadratic(rng, (1, 2, 1, 3), [layout.needed_by(i) for i in layout.agents])
-    stacked, w = stacked_form(layout, problem), layout.weight_operator.matrix
+    full, w = placed_quadratic(layout, problem), layout.weight_operator.matrix
     step = 0.5 / problem.smooth_lipschitz
     y, _ = augdgm_solve(layout, problem, step, max_iters=500, merit_every=100)
     ref = np.zeros(layout.stacked_dim)
@@ -2573,45 +2633,87 @@ def test_pushsum_and_tracking_iterates_match_the_product_first_gradient(arm):
 
 
 def coupled_problem():
-    """Three agents with actions in R^2 sharing a 2-dim and a 1-dim resource
-    row; agent i minimizes |x_i - c_i|^2 on the box [-5, 5]^2."""
+    """Four agents sharing a 2-dim and a 1-dim resource row; agents 1 to 3
+    act in R^2 and agent 4 in R, and agent i minimizes |x_i - c_i|^2 on a
+    box [-5, 5]. Returns the problem, whose oracle runs on stacked prices,
+    and the per-agent oracle local(i, y_blocks) it replaced."""
     rng = np.random.default_rng(10)
-    footprints = ((1,), (1, 2), (2,))
-    dims = (2, 1)
-    con_blocks = {(p, i): rng.standard_normal((dims[p - 1], 2))
+    footprints = ((1,), (1, 2), (2,), (1, 2))
+    dims, x_dims = (2, 1), (2, 2, 2, 1)
+    con_blocks = {(p, i): rng.standard_normal((dims[p - 1], x_dims[i - 1]))
                   for i, fp in enumerate(footprints, start=1) for p in fp}
-    con_offsets = {(1, 1): rng.standard_normal(2), (2, 3): rng.standard_normal(1)}
-    centers = rng.standard_normal((3, 2))
+    con_offsets = {(1, 1): rng.standard_normal(2), (2, 3): rng.standard_normal(1),
+                   (1, 4): rng.standard_normal(2)}
+    centers = [rng.standard_normal(d) for d in x_dims]
+    flat = np.concatenate(centers)
 
-    def oracle(i, blocks):
+    def oracle(r):
+        return np.clip(flat - r / 2.0, -5.0, 5.0)
+
+    def local(i, blocks):
         pull = sum(con_blocks[(p, i)].T @ blocks[p] for p in footprints[i - 1])
         return np.clip(centers[i - 1] - pull / 2.0, -5.0, 5.0)
 
-    return ConstraintCoupledProblem(
-        x_dims=(2, 2, 2), component_dims=dims, footprints=footprints,
-        con_blocks=con_blocks, con_offsets=con_offsets, argmin_oracle=oracle,
-        cost=lambda i, x: float(np.sum((x - centers[i - 1]) ** 2)))
+    ccp = ConstraintCoupledProblem(
+        x_dims=x_dims, component_dims=dims, footprints=footprints,
+        con_blocks=con_blocks, con_offsets=con_offsets, argmin_oracle=oracle)
+    return ccp, local
 
 
-def test_constraint_coupled_solve_matches_component_loop():
-    ccp = coupled_problem()
+class NegatedDual(SeparableProblem):
+    """-Σ_i φ_i agent by agent: the per-agent oracle at agent i's multiplier
+    blocks, and minus its constraint gap A_{p,i} x_i - a_{p,i} on each
+    component of its footprint as the gradient. ``last_primal`` keeps each
+    agent's last minimizer."""
+
+    def __init__(self, ccp, local):
+        super().__init__(ccp.component_dims, ccp.footprints)
+        self.ccp, self.local = ccp, local
+        self.last_primal = {}
+
+    def stacked(self, layout):
+        return AgentLoopStacked(layout, self)
+
+    def smooth_gradient(self, i, blocks):
+        x = self.last_primal[i] = self.local(i, blocks)
+        out = {}
+        for p in self.footprint(i):
+            A = self.ccp.con_blocks.get((p, i))
+            a = self.ccp.con_offsets.get((p, i))
+            g = A @ x if A is not None else np.zeros(self.dim(p))
+            if a is not None:
+                g = g - a
+            out[p] = -g
+        return out
+
+
+@pytest.mark.parametrize("kind", ["standard", "designed"])
+def test_constraint_coupled_solve_matches_component_loop(kind):
+    """300 rounds of the compiled dual against push-sum over the component
+    loops with one oracle call per agent: the multiplier means, the last
+    records, the ergodic and the final minimizers agree to RTOL."""
+    ccp, local = coupled_problem()
     interference = frozenset((p, i) for i, fp in enumerate(ccp.footprints, start=1)
                              for p in fp)
-    comm = ring(3)
-    crit = DesignCriterion(ConnectivityMode.strongly_connected(), objective="min_nodes",
-                           augment=True)
-    layout = design_layout(comm, interference, Partition(ccp.component_dims), crit,
-                           weight_scheme="column")
+    comm = ring(4)
+    if kind == "standard":
+        layout = standard_layout(comm, interference, Partition(ccp.component_dims),
+                                 weight_scheme="column")
+    else:
+        crit = DesignCriterion(ConnectivityMode.strongly_connected(), objective="min_nodes",
+                               augment=True)
+        layout = design_layout(comm, interference, Partition(ccp.component_dims), crit,
+                               weight_scheme="column")
     edges = sorted(e for e in comm.edges if e[0] != e[1])
     snapshots = [Graph.directed_graph(comm.nodes, edges[t::3]) for t in range(3)]
     gamma, iters = power_step_schedule(0.5, 0.6), 300
     y_mean, x_final, trace = constraint_coupled_solve(
         layout, ccp, example_design_schedule(layout, snapshots), gamma, max_iters=iters)
 
-    dual = _NegatedDual(ccp)
+    dual = NegatedDual(ccp, local)
     z = np.zeros(layout.stacked_dim)
     q = {p: np.ones(layout.copies(p)) for p in layout.partition.components}
-    x_acc = {i: np.zeros(2) for i in (1, 2, 3)}
+    x_acc = {i: np.zeros(d) for i, d in enumerate(ccp.x_dims, start=1)}
     for k in range(iters):
         z, q, y, _ = loop_pushsum_step(layout, loop_design_weights(layout, snapshots[k % 3]),
                                        dual, z, q, gamma(k))
@@ -2619,10 +2721,49 @@ def test_constraint_coupled_solve_matches_component_loop():
             x_acc[i] += gamma(k) * x
     y_ref = loop_component_means(layout, z)
     weight = sum(gamma(k) for k in range(iters))
+    x_avg = {i: v / weight for i, v in x_acc.items()}
+    gaps = []
+    for p in layout.partition.components:
+        gap = -sum(a for (pp, _), a in ccp.con_offsets.items() if pp == p)
+        gaps.append(np.max(np.abs(gap + sum(A @ x_avg[i] for (pp, i), A in ccp.con_blocks.items()
+                                            if pp == p))))
     assert close(y_mean, y_ref)
     assert close(trace.last("consensus_err"),
                  np.linalg.norm(y - loop_consensus_projection(layout, y)))
-    for i in (1, 2, 3):
-        assert close(trace.meta["x_ergodic"][i], x_acc[i] / weight), i
+    assert close(trace.last("primal_gap"), max(gaps))
+    assert sorted(x_final) == sorted(trace.meta["x_ergodic"]) == [1, 2, 3, 4]
+    for i in x_acc:
+        assert close(trace.meta["x_ergodic"][i], x_avg[i]), i
         blocks = {p: y_ref[layout.partition.component_slice(p)] for p in ccp.footprints[i - 1]}
-        assert close(x_final[i], ccp.argmin_oracle(i, blocks)), i
+        assert close(x_final[i], local(i, blocks)), i
+
+
+@pytest.mark.parametrize("arm", ["standard", "customized"])
+def test_coupled_dual_calls_its_oracle_once_a_round(arm):
+    """Through ``cli.run_solver`` the coupled dual calls its price oracle
+    once a round, for every agent at once, and once more for the final
+    minimizers."""
+    bundle = cli.build_scenario({"kind": "coupled_qp", "num_agents": 6, "dim": 2, "seed": 3})
+    ccp, shapes = bundle["problem"], []
+
+    def counted(r):
+        shapes.append(r.shape)
+        return ccp.argmin_oracle(r)
+
+    bundle = {**bundle, "problem": dataclasses.replace(ccp, argmin_oracle=counted)}
+    result = cli.run_solver(bundle, {"algorithm": "dual", "max_iters": 250}, arm)
+    assert result["iterations"] == 250
+    assert shapes == [(12,)] * 251
+
+
+def test_coupled_dual_rejects_a_misshapen_oracle_result():
+    """An oracle whose result does not have the stacked actions' shape is an
+    OptimError, not a broadcast."""
+    ccp, _ = coupled_problem()
+    bad = dataclasses.replace(ccp, argmin_oracle=lambda r: 0.0)
+    layout = standard_layout(ring(4), frozenset((p, i) for i, fp in enumerate(ccp.footprints, 1)
+                                                for p in fp),
+                             Partition(ccp.component_dims), weight_scheme="column")
+    with pytest.raises(OptimError, match=r"price oracle returned shape \(\), expected \(7,\)"):
+        constraint_coupled_solve(layout, bad, lambda k: layout.weight_operator,
+                                 power_step_schedule(), max_iters=3)

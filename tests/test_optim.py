@@ -693,19 +693,16 @@ class TestPushSum:
 class TestConstraintCoupled:
     def make_problem(self, c1=0.3, c2=0.9):
         # min (x1-c1)^2 + (x2-c2)^2  s.t.  x1 + x2 = 1, boxes [-5, 5]
-        def oracle(i, blocks):
-            c = c1 if i == 1 else c2
-            return np.clip([c - blocks[1][0] / 2.0], -5.0, 5.0)
+        centers = np.array([c1, c2])
 
-        def cost(i, x):
-            c = c1 if i == 1 else c2
-            return float((x[0] - c) ** 2)
+        def oracle(r):
+            return np.clip(centers - r / 2.0, -5.0, 5.0)
 
         return ConstraintCoupledProblem(
             x_dims=(1, 1), component_dims=(1,), footprints=((1,), (1,)),
             con_blocks={(1, 1): np.array([[1.0]]), (1, 2): np.array([[1.0]])},
             con_offsets={(1, 1): np.array([0.5]), (1, 2): np.array([0.5])},
-            argmin_oracle=oracle, cost=cost)
+            argmin_oracle=oracle)
 
     def test_two_agent_qp_recovers_multiplier_and_primal(self):
         c1, c2 = 0.3, 0.9
@@ -724,13 +721,12 @@ class TestConstraintCoupled:
         assert abs(x_avg[2][0] - x_star[1]) < 1e-4
 
     def test_zero_constraints_dual_constant(self):
-        def oracle(i, blocks):
+        def oracle(r):
             return np.zeros(1)
 
         prob = ConstraintCoupledProblem(
             x_dims=(1,), component_dims=(1,), footprints=((1,),),
-            con_blocks={}, con_offsets={}, argmin_oracle=oracle,
-            cost=lambda i, x: 0.0)
+            con_blocks={}, con_offsets={}, argmin_oracle=oracle)
         comm = Graph.directed_graph([1], [(1, 1)])
         lay = standard_layout(comm, {(1, 1)}, Partition([1]), weight_scheme="column")
         y, _, _ = constraint_coupled_solve(
@@ -747,12 +743,25 @@ class TestConstraintCoupled:
                                      lambda k: constant_design_weights(lay),
                                      power_step_schedule(1e9, 0.6), max_iters=5)
 
-    def test_off_pattern_block_rejected(self):
-        with pytest.raises(OptimError):
-            ConstraintCoupledProblem(
-                x_dims=(1,), component_dims=(1, 1), footprints=((1,),),
-                con_blocks={(2, 1): np.eye(1)}, con_offsets={},
-                argmin_oracle=lambda i, b: np.zeros(1), cost=lambda i, x: 0.0)
+    @pytest.mark.parametrize("fields, message", [
+        ({"con_blocks": {(2, 1): np.eye(1)}}, r"constraint block \(2, 1\) off"),
+        ({"con_offsets": {(2, 1): np.ones(1)}}, r"constraint offset \(2, 1\) off"),
+        ({"con_blocks": {(1, 2): np.eye(1)}}, r"constraint block \(1, 2\) off"),
+        ({"x_dims": (1,), "component_dims": (2, 1), "footprints": ((1,),),
+          "con_blocks": {(1, 1): np.eye(3)}},
+         r"constraint block \(1, 1\) has shape \(3, 3\), expected \(2, 1\)"),
+        ({"con_offsets": {(1, 1): np.ones(2)}},
+         r"constraint offset \(1, 1\) has shape \(2,\), expected \(1,\)"),
+        ({"x_dims": (1, 1)}, "2 action dims for 1 footprints"),
+        ({"footprints": ((3,),)}, r"agent 1: component 3 outside 1\.\.2"),
+    ], ids=["block-off-footprint", "offset-off-footprint", "block-agent-out-of-range",
+            "block-shape", "offset-shape", "footprint-count", "component-out-of-range"])
+    def test_off_pattern_block_rejected(self, fields, message):
+        """Each malformed entry is an OptimError that names it."""
+        base = dict(x_dims=(1,), component_dims=(1, 1), footprints=((1,),),
+                    con_blocks={}, con_offsets={}, argmin_oracle=lambda r: np.zeros(1))
+        with pytest.raises(OptimError, match=message):
+            ConstraintCoupledProblem(**{**base, **fields})
 
 
 class TestMeritV:
