@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -302,7 +303,7 @@ def _build_coupled_qp(cfg: dict, seed: int) -> dict:
 
     def oracle(r: np.ndarray) -> np.ndarray:
         # each A_{1,i} is the identity: agent i's price is its multiplier copy
-        return np.clip(flat - r, -bound, bound)
+        return np.minimum(np.maximum(flat - r, -bound), bound)
 
     ccp = ConstraintCoupledProblem(
         x_dims=(d,) * n,
@@ -465,6 +466,20 @@ def _arm_layout(bundle: dict, arm: str):
     return bundle["layouts"][0 if arm == "standard" else 1]
 
 
+def _gne_arm(bundle: dict, run_cfg: dict, arm: str):
+    """The arm's gne operators and step beta, and whether beta keeps the
+    preconditioner positive definite, warned about if not."""
+    inst = bundle["instance"]
+    ops = build_gne_operators(inst.game, *(inst.standard if arm == "standard"
+                                           else inst.customized))
+    beta = _read(run_cfg, "beta", float, inst.scenario.beta)
+    positive = preconditioner_positive(ops, beta)
+    if not positive:
+        warnings.warn(f"step size beta={beta} is not certified: the primal-dual "
+                      f"preconditioner is not positive definite", stacklevel=2)
+    return ops, beta, positive
+
+
 # -- solver dispatch --------------------------------------------------------
 
 
@@ -485,11 +500,8 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
 
     if algorithm == "gne":
         inst = bundle["instance"]
-        pair = inst.standard if arm == "standard" else inst.customized
-        ops = build_gne_operators(inst.game, pair[0], pair[1])
-        sc = inst.scenario
-        alpha = _read(run_cfg, "alpha", float, sc.alpha)
-        beta = _read(run_cfg, "beta", float, sc.beta)
+        ops, beta, positive = _gne_arm(bundle, run_cfg, arm)
+        alpha = _read(run_cfg, "alpha", float, inst.scenario.alpha)
         x0 = np.zeros(inst.game.total_action_dim)
         reference = reference_s = None
         if run_cfg.get("reference", True):
@@ -512,11 +524,11 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         )
         # both exchange layers talk every iteration
         result["unicast_cost"] = trace.meta["unicast_cost_per_iter"]
-        result["broadcast_cost"] = (pair[0].communication_cost("broadcast")
-                                    + pair[1].communication_cost("broadcast"))
+        result["broadcast_cost"] = (ops.sigma_layout.communication_cost("broadcast")
+                                    + ops.lambda_layout.communication_cost("broadcast"))
         result["certified"] = {
             "alpha": alpha, "beta": beta,
-            "preconditioner_positive": preconditioner_positive(ops, beta),
+            "preconditioner_positive": positive,
         }
         result["final_merit"] = trace.last("residual")
         result["reference_s"] = reference_s
@@ -689,6 +701,8 @@ def cmd_run(args) -> int:
             # the certified bound of both is 1 / the smoothness constant: no solve needed
             warn_uncertified_step(_read(run_cfg, "gamma", float),
                                   augdgm_gamma_bound(bundle["problem"]), stacklevel=2)
+        elif algorithm == "gne":
+            _gne_arm(bundle, run_cfg, arm)
         print(f"config ok: kind={bundle['kind']}, arm={arm}, algorithm={algorithm}")
         return EXIT_OK
     start = time.perf_counter()

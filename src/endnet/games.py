@@ -76,25 +76,79 @@ class HalfspaceSet:
         return v - slack * self.normal / float(self.normal @ self.normal)
 
 
+class _Actions:
+    """Actions stacked agent by agent (``action_dims``), agent i's in
+    ``domains[i]`` (unconstrained when absent): what both game specs share.
+    Each compiles its projection in ``__post_init__``."""
+
+    @property
+    def num_agents(self) -> int:
+        return len(self.action_dims)
+
+    @property
+    def total_action_dim(self) -> int:
+        return sum(self.action_dims)
+
+    def domain(self, i: int):
+        return self.domains.get(i, RealsSet())
+
+    def action_slice(self, i: int) -> slice:
+        start = sum(self.action_dims[: i - 1])
+        return slice(start, start + self.action_dims[i - 1])
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Projection of a stacked action vector onto the product of domains."""
+        return self._project_into(v, None)
+
+    def _project_into(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """:meth:`project` written into ``out``, which may be ``v`` itself
+        (None: a new array)."""
+        lower, upper, others = self._projection
+        out = np.maximum(v, lower, out=out)
+        np.minimum(out, upper, out=out)
+        for sl, dom in others:  # their bounds are infinite
+            out[sl] = dom.project(out[sl])
+        return out
+
+    def _compile_projection(self) -> None:
+        """Bounds of the box and unconstrained domains; the others by slice."""
+        lower = np.full(self.total_action_dim, -np.inf)
+        upper = np.full(self.total_action_dim, np.inf)
+        others = []
+        for i in range(1, self.num_agents + 1):
+            dom, sl = self.domain(i), self.action_slice(i)
+            if isinstance(dom, BoxSet):
+                lower[sl], upper[sl] = dom.lower, dom.upper
+            elif not isinstance(dom, RealsSet):
+                others.append((sl, dom))
+        object.__setattr__(self, "_projection", (lower, upper, tuple(others)))
+
+
 # -- Nash games ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    """A game given by per-agent partial-gradient oracles.
+@dataclass(frozen=True, eq=False)
+class GameSpec(_Actions):
+    """A game given by one stacked partial-gradient oracle.
 
-    ``gradient(i, blocks)`` receives exactly the action blocks named by the
-    interference pattern (keys are agent/component ids) and returns the
-    partial gradient of agent ``i``'s cost in its own action.
+    ``gradient(v)`` takes, for each pair (p, i) of the sorted
+    ``interference``, agent i's value of agent p's action
+    (``action_dims[p - 1]`` entries per pair), and returns every agent's
+    partial gradient of its own cost in its own action, stacked in agent
+    order. Compared by identity, so a layout can memoize what it compiles
+    for a game.
     """
 
     action_dims: tuple[int, ...]
-    gradient: Callable[[int, Mapping[int, np.ndarray]], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
     interference: frozenset[tuple[int, int]]
     domains: Mapping[int, object] = field(default_factory=dict)
     mu: float | None = None
     theta: float | None = None
     estimated_constants: bool = False
+    # compiled once: the projection, and the entries of x each pair reads
+    _projection: tuple = field(init=False, repr=False)
+    _pair_actions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "interference", frozenset(self.interference))
@@ -102,45 +156,36 @@ class GameSpec:
         if self.mu is not None and self.theta is not None:
             if self.mu <= 0 or self.theta < self.mu:
                 raise GameError("need 0 < mu <= theta")
-        n = len(self.action_dims)
-        for i in range(1, n + 1):
+        for i in range(1, self.num_agents + 1):
             if (i, i) not in self.interference:
                 raise GameError(f"agent {i} must interfere with itself")
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.action_dims)
-
-    def domain(self, i: int):
-        return self.domains.get(i, RealsSet())
+        self._compile_projection()
+        object.__setattr__(self, "_pair_actions", _ranges(
+            self.action_slice(p) for p, _ in sorted(self.interference)))
 
     def footprint(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(p for (p, j) in self.interference if j == i))
 
-    def action_slice(self, i: int) -> slice:
-        start = sum(self.action_dims[: i - 1])
-        return slice(start, start + self.action_dims[i - 1])
-
     def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
         """Stacked partial gradients evaluated on the true actions."""
-        out = np.empty_like(x, dtype=float)
-        for i in range(1, self.num_agents + 1):
-            blocks = {p: x[self.action_slice(p)] for p in self.footprint(i)}
-            out[self.action_slice(i)] = self.gradient(i, blocks)
-        return out
+        return self.gradient(x[self._pair_actions])
 
 
 def ne_step(layout: EndLayout, game: GameSpec, hat: np.ndarray, alpha: float) -> np.ndarray:
-    """One round: mix all copies, projected gradient step on the own block."""
+    """One round: mix all copies, then one gather of the pairs' copies, one
+    oracle call and one projected gradient step on the own blocks."""
     if alpha <= 0:
         raise GameError("step size must be positive")
+    # compiled once per game: agent i's copy of p for each pair (p, i) in
+    # sorted order, then every agent's own copy
+    pairs, own_blocks = layout.compiled_for(game, lambda: (
+        _ranges(layout.block_slice(p, i) for p, i in sorted(game.interference)),
+        _ranges(layout.block_slice(i, i) for i in range(1, game.num_agents + 1))))
     mixed = layout.apply_weight(hat)
-    out = mixed.copy()
-    for i, slices in layout.footprint_slices(game.interference):
-        grad = game.gradient(i, {p: mixed[s] for p, s in slices.items()})
-        own = slices[i]
-        out[own] = game.domain(i).project(mixed[own] - alpha * grad)
-    return out
+    own = mixed[own_blocks]
+    own -= alpha * game.gradient(mixed[pairs])
+    mixed[own_blocks] = game._project_into(own, own)
+    return mixed
 
 
 @dataclass(eq=False)
@@ -447,7 +492,7 @@ def ne_solve(
 
 
 @dataclass(frozen=True)
-class AggregativeGameSpec:
+class AggregativeGameSpec(_Actions):
     """Aggregative game with affine aggregation and affine coupling constraints.
 
     Matrices are given blockwise and must vanish off the two interference
@@ -473,13 +518,11 @@ class AggregativeGameSpec:
     domains: Mapping[int, object] = field(default_factory=dict)
     # compiled once in __post_init__: the stacked aggregation (blocks in
     # sorted order) and the rows of it each pair reads, the stacked
-    # constraints, elementwise bounds of the box and unconstrained domains,
-    # and the (slice, set) of every other domain
+    # constraints and the projection onto the domains
     _aggregation: tuple[CsrOperator, np.ndarray] = field(init=False, repr=False, compare=False)
     _pair_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _constraints: tuple[CsrOperator, np.ndarray] = field(init=False, repr=False, compare=False)
-    _bounds: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _other_domains: tuple = field(init=False, repr=False, compare=False)
+    _projection: tuple = field(init=False, repr=False, compare=False)
     # finished centralized reference solves, keyed on their arguments; see
     # solve_vgne_centralized
     _references: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -509,17 +552,7 @@ class AggregativeGameSpec:
             slice(starts[q], starts[q] + self.sigma_dims[q]) for q, _ in pairs))
         object.__setattr__(self, "_constraints",
                            self._stack(self.lambda_dims, self.con_blocks, self.con_offsets))
-        lower = np.full(self.total_action_dim, -np.inf)
-        upper = np.full(self.total_action_dim, np.inf)
-        others = []
-        for i in range(1, self.num_agents + 1):
-            dom, sl = self.domain(i), self.action_slice(i)
-            if isinstance(dom, BoxSet):
-                lower[sl], upper[sl] = dom.lower, dom.upper
-            elif not isinstance(dom, RealsSet):
-                others.append((sl, dom))
-        object.__setattr__(self, "_bounds", (lower, upper))
-        object.__setattr__(self, "_other_domains", tuple(others))
+        self._compile_projection()
 
     def _stack(self, dims, blocks, offsets) -> tuple[CsrOperator, np.ndarray]:
         """(M, m) with M x + m stacking Σ_i (M_{q,i} x_i + m_{q,i}) over the
@@ -538,21 +571,6 @@ class AggregativeGameSpec:
                            shape=(offset.shape[0], self.total_action_dim))
         return CsrOperator(op), offset
 
-    @property
-    def num_agents(self) -> int:
-        return len(self.action_dims)
-
-    def domain(self, i: int):
-        return self.domains.get(i, RealsSet())
-
-    def action_slice(self, i: int) -> slice:
-        start = sum(self.action_dims[: i - 1])
-        return slice(start, start + self.action_dims[i - 1])
-
-    @property
-    def total_action_dim(self) -> int:
-        return sum(self.action_dims)
-
     def aggregation(self, x: np.ndarray) -> dict[int, np.ndarray]:
         """True aggregation values, one block per component."""
         M, m = self._aggregation
@@ -569,20 +587,6 @@ class AggregativeGameSpec:
         """True pseudo-gradient: every pair reads the exact aggregation."""
         M, m = self._aggregation
         return self.gradient(x, M.affine(x, m)[self._pair_rows])
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Projection of a stacked action vector onto the product of domains."""
-        return self._project_into(v, None)
-
-    def _project_into(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """:meth:`project` written into ``out``, which may be ``v`` itself
-        (None: a new array)."""
-        lower, upper = self._bounds
-        out = np.maximum(v, lower, out=out)
-        np.minimum(out, upper, out=out)
-        for sl, dom in self._other_domains:  # their bounds are infinite
-            out[sl] = dom.project(out[sl])
-        return out
 
 
 def _block_starts(dims: Mapping[int, int]) -> dict[int, int]:

@@ -628,25 +628,6 @@ class EndLayout:
         return slice(self._component_starts[p - 1], self._component_starts[p])
 
     @cached_property
-    def _footprint_plans(self) -> dict:
-        return {}
-
-    def footprint_slices(
-        self, interference: frozenset[tuple[int, int]]
-    ) -> tuple[tuple[int, dict[int, slice]], ...]:
-        """Per agent named by an interference pattern (ascending), the slice of
-        its own copy of each component it interferes with (ascending)."""
-        plan = self._footprint_plans.get(interference)
-        if plan is None:
-            needs: dict[int, list[int]] = {}
-            for p, i in sorted(interference):
-                needs.setdefault(i, []).append(p)
-            plan = tuple((i, {p: self.block_slice(p, i) for p in ps})
-                         for i, ps in sorted(needs.items()))
-            self._footprint_plans[interference] = plan
-        return plan
-
-    @cached_property
     def _compiled(self) -> weakref.WeakKeyDictionary:
         return weakref.WeakKeyDictionary()
 

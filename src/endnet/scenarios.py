@@ -578,6 +578,8 @@ def build_random_quadratic_game(
     The interaction pattern is Bernoulli(``sparsity``) off the diagonal;
     the linear map is shifted until its symmetric part is positive
     definite, so the equilibrium is the unique zero of the joint gradient.
+    The oracle is one sparse map over the pairs with offset g: row i holds
+    agent i's row of G on its pairs (j, i), in ascending j, summed onto g_i.
     """
     if not (0.0 <= sparsity <= 1.0):
         raise ScenarioError("sparsity must be in [0, 1]")
@@ -597,18 +599,15 @@ def build_random_quadratic_game(
         if mask[i, j] or i == j
     )
 
-    def gradient(i: int, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        val = g[i - 1]
-        for j in range(num_agents):
-            if G[i - 1, j] != 0.0:
-                val += G[i - 1, j] * float(blocks[j + 1][0])
-        return np.array([val])
-
+    pairs = np.array(sorted(interference)) - 1
+    weigh = CsrOperator(sp.csr_matrix(
+        (G[pairs[:, 1], pairs[:, 0]], (pairs[:, 1], np.arange(len(pairs)))),
+        shape=(num_agents, len(pairs))))
     mu = float(np.linalg.eigvalsh((G + G.T) / 2.0).min())
     theta = float(np.linalg.norm(G, 2))
     game = GameSpec(
         action_dims=(1,) * num_agents,
-        gradient=gradient,
+        gradient=lambda v: weigh.affine(v, g),
         interference=interference,
         mu=mu,
         theta=theta,

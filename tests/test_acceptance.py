@@ -412,7 +412,7 @@ def test_coupled_constraint_dual_recovers_multiplier_and_primal():
     centers = np.array([c1, c2])
 
     def oracle(r):
-        return np.clip(centers - r / 2.0, -5.0, 5.0)
+        return np.minimum(np.maximum(centers - r / 2.0, -5.0), 5.0)
 
     problem = ConstraintCoupledProblem(
         x_dims=(1, 1), component_dims=(1,), footprints=((1,), (1,)),

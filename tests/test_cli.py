@@ -480,6 +480,30 @@ def test_uncertified_tracking_step_warns_in_the_dry_run_and_the_run(tmp_path, al
                          f"(0, {bound:.6g})"]] * 2
 
 
+@pytest.mark.parametrize("beta", [None, 1.0])
+def test_uncertified_gne_beta_warns_in_the_dry_run_and_the_run(tmp_path, beta):
+    """A beta that leaves the primal-dual preconditioner indefinite is warned
+    about by the dry run, which builds the operators but runs nothing, and
+    by the run (before, only the run's summary reported it, after the
+    solve); the default beta is not."""
+    run = {"max_iters": 200, "reference": False} | ({} if beta is None else {"beta": beta})
+    cfg = _write_config(tmp_path, "beta.json", {"scenario": UNICAST_PRESET, "run": run})
+    runs = []
+    for extra in (["--dry-run"], []):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                         *extra]) == EXIT_OK
+        runs.append([str(w.message) for w in caught if "preconditioner" in str(w.message)])
+    if beta is None:
+        assert runs == [[], []]
+    else:
+        assert runs == [[f"step size beta={beta} is not certified: the primal-dual "
+                         f"preconditioner is not positive definite"]] * 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["certified"]["preconditioner_positive"] is (beta is None)
+
+
 @pytest.mark.parametrize("scenario, run, field", [
     (SEP_SCENARIO, {"algorithm": "augdgm", "gamma": True}, "gamma"),
     (UNICAST_PRESET, {"alpha": True}, "alpha"),

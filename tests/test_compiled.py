@@ -31,6 +31,7 @@ from endnet.games import (
     BallSet,
     BoxSet,
     GameError,
+    GameSpec,
     GneState,
     HalfspaceSet,
     _component_weights,
@@ -191,15 +192,47 @@ def loop_xi_norm(cert, layout, v):
     return float(np.sqrt(total))
 
 
-def loop_ne_step(layout, game, hat, alpha):
+def loop_ne_step(layout, game, agent_gradient, hat, alpha):
+    """The per-agent step: agent i's partial gradient is
+    ``agent_gradient(i, blocks)`` at its copies of the actions it needs
+    (``blocks`` keyed by agent), and each own block is projected on its own."""
     mixed = loop_apply_blocks(layout, {p: layout.design[p].matrix()
                                        for p in layout.partition.components}, hat)
     out = mixed.copy()
     for i in range(1, game.num_agents + 1):
         blocks = {p: mixed[layout.block_slice(p, i)] for p in game.footprint(i)}
         own = layout.block_slice(i, i)
-        out[own] = game.domain(i).project(mixed[own] - alpha * game.gradient(i, blocks))
+        out[own] = game.domain(i).project(mixed[own] - alpha * agent_gradient(i, blocks))
     return out
+
+
+def pair_stacked_gradient(action_dims, interference, agent_gradient):
+    """The stacked ``GameSpec`` oracle made of a per-agent one: agent i
+    reads pair (p, i)'s entries of ``v`` as its value of x_p."""
+    where, needs, at = {}, {}, 0
+    for p, i in sorted(interference):
+        where[p, i] = slice(at, at + action_dims[p - 1])
+        needs.setdefault(i, []).append(p)
+        at += action_dims[p - 1]
+    return lambda v: np.concatenate([agent_gradient(i, {p: v[where[p, i]] for p in needs[i]})
+                                     for i in range(1, len(action_dims) + 1)])
+
+
+def affine_agent_gradient(game):
+    """The per-agent loop over the rows of an affine game's G x + g, with g
+    and G read off its pseudo-gradient at 0 and at the unit vectors."""
+    n = game.total_action_dim
+    g = game.pseudo_gradient(np.zeros(n))
+    G = np.column_stack([game.pseudo_gradient(e) - g for e in np.eye(n)])
+
+    def gradient(i, blocks):
+        rows = game.action_slice(i)
+        val = g[rows].copy()
+        for p, x in blocks.items():
+            val += G[rows, game.action_slice(p)] @ x
+        return val
+
+    return gradient
 
 
 def loop_gne_step(ops, state, alpha, beta):
@@ -1411,6 +1444,18 @@ def test_no_shipped_problem_or_cli_solver_loops_over_agents(monkeypatch):
         for arm in ("standard", "customized"):
             result = cli.run_solver(bundle, run, arm)
             assert np.isfinite(result["final_merit"]), (scenario["kind"], run, arm)
+    # ne calls the game's one stacked oracle once a step, on both arms
+    assert not hasattr(EndLayout, "footprint_slices")
+    bundle = cli.build_scenario({"kind": "random_game", "num_agents": 6, "sparsity": 0.5,
+                                 "seed": 1})
+    calls, oracle = [], bundle["game"].gradient
+    bundle["game"] = dataclasses.replace(bundle["game"],
+                                         gradient=lambda v: calls.append(v.size) or oracle(v))
+    for arm in ("standard", "customized"):
+        calls.clear()
+        result = cli.run_solver(bundle, {"algorithm": "ne", "max_iters": 20}, arm)
+        assert np.isfinite(result["final_merit"]), arm
+        assert len(calls) == result["iterations"] == 20, arm
     inst = build_lasso(SensorScenario(**sensors))
     for layout in (inst.standard, inst.customized):
         assert isinstance(inst.problem.stacked(layout), StackedQuadratic)
@@ -1611,20 +1656,58 @@ def test_admm_on_lasso_matches_agent_loop(arm):
 # -- equilibrium seeking ----------------------------------------------------
 
 
+def ne_arms(interference, partition):
+    """The standard layout and a designed one on the complete graph of
+    ``partition``'s agents."""
+    n = len(partition.dims)
+    full = Graph.undirected_graph(range(1, n + 1), [(u, v) for u in range(1, n + 1)
+                                                    for v in range(u + 1, n + 1)])
+    crit = DesignCriterion(ConnectivityMode.undirected_connected(), objective="min_edges")
+    return (standard_layout(full, interference, partition, weight_scheme="metropolis"),
+            design_layout(full, interference, partition, crit, weight_scheme="metropolis"))
+
+
+def two_dim_game(rng, n=6):
+    """A game of 2-entry actions in box, ball and unconstrained domains whose
+    per-agent gradient is affine in the pairs plus tanh of the own action,
+    and its per-agent oracle."""
+    interference = random_interference(rng, n, n) | {(i, i) for i in range(1, n + 1)}
+    G = {pair: rng.standard_normal((2, 2)) for pair in interference}
+    h = rng.standard_normal((n, 2))
+
+    def agent_gradient(i, blocks):
+        val = h[i - 1] + np.tanh(blocks[i])
+        for p, x in blocks.items():
+            val = val + G[p, i] @ x
+        return val
+
+    domains = {i: BoxSet(-0.5, np.array([0.3, 0.8])) if i % 3 == 1
+               else BallSet(np.array([0.2, -0.1]), 0.6) for i in range(1, n + 1) if i % 3}
+    game = GameSpec(action_dims=(2,) * n, interference=interference, domains=domains,
+                    gradient=pair_stacked_gradient((2,) * n, interference, agent_gradient))
+    return game, agent_gradient
+
+
 def test_ne_step_and_xi_norm_match_loops():
+    """On both arms, for the random game and for a game of 2-entry actions
+    in box and ball domains."""
     for seed in range(5):
-        game, _ = build_random_quadratic_game(6, 0.4, seed, shift=5.0)
-        crit = DesignCriterion(ConnectivityMode.undirected_connected(), objective="min_edges")
-        full = Graph.undirected_graph(range(1, 7), [(u, v) for u in range(1, 7)
-                                                    for v in range(u + 1, 7)])
-        layout = design_layout(full, game.interference, Partition((1,) * 6), crit,
-                               weight_scheme="metropolis")
-        cert = certify_theorem1(layout, game, 1e-3)
         rng = np.random.default_rng(seed)
-        for _ in range(5):
-            hat = rng.standard_normal(layout.stacked_dim)
-            assert close(ne_step(layout, game, hat, 0.01), loop_ne_step(layout, game, hat, 0.01))
-            assert close(cert.xi_norm(layout, hat), loop_xi_norm(cert, layout, hat))
+        game, _ = build_random_quadratic_game(6, 0.4, seed, shift=5.0)
+        agent_gradient = affine_agent_gradient(game)
+        for layout in ne_arms(game.interference, Partition((1,) * 6)):
+            cert = certify_theorem1(layout, game, 1e-3)
+            for _ in range(5):
+                hat = rng.standard_normal(layout.stacked_dim)
+                assert close(ne_step(layout, game, hat, 0.01),
+                             loop_ne_step(layout, game, agent_gradient, hat, 0.01))
+                assert close(cert.xi_norm(layout, hat), loop_xi_norm(cert, layout, hat))
+        game, agent_gradient = two_dim_game(rng)
+        for layout in ne_arms(game.interference, Partition((2,) * 6)):
+            for _ in range(5):
+                hat = rng.standard_normal(layout.stacked_dim)
+                assert close(ne_step(layout, game, hat, 0.1),
+                             loop_ne_step(layout, game, agent_gradient, hat, 0.1))
 
 
 def loop_certificate(layout, game, alpha, tol=1e-8):

@@ -44,12 +44,10 @@ def quadratic_game(G, h, domains=None):
     """Game with pseudo-gradient G x + h, one scalar action per agent."""
     n = G.shape[0]
 
-    def grad(i, blocks):
-        row = G[i - 1]
-        val = h[i - 1]
-        for p, x in blocks.items():
-            val = val + row[p - 1] * x[0]
-        return np.array([val])
+    def grad(v):
+        # pair (p, i) of the full pattern is entry (p - 1) n + i - 1: agent
+        # i's value of x_p, which row i of G weighs by G[i, p]
+        return h + np.einsum("ip,pi->i", G, v.reshape(n, n))
 
     sym = (G + G.T) / 2.0
     return GameSpec(
@@ -121,21 +119,20 @@ class TestProjectionSets:
 class TestGameSpec:
     def test_missing_self_interference_rejected(self):
         with pytest.raises(GameError):
-            GameSpec(action_dims=(1, 1), gradient=lambda i, b: np.zeros(1),
+            GameSpec(action_dims=(1, 1), gradient=lambda v: np.zeros(2),
                      interference=frozenset({(1, 1), (2, 1)}))
 
     def test_bad_constants_rejected(self):
         with pytest.raises(GameError):
-            GameSpec(action_dims=(1,), gradient=lambda i, b: np.zeros(1),
+            GameSpec(action_dims=(1,), gradient=lambda v: np.zeros(1),
                      interference=frozenset({(1, 1)}), mu=2.0, theta=1.0)
 
     def test_pseudo_gradient_matches_finite_difference(self):
         # f_1 = x1^2 + x1 x2 - x1, f_2 = 2 x2^2 - x1 x2
-        def grad(i, blocks):
-            x1, x2 = blocks[1][0], blocks[2][0]
-            if i == 1:
-                return np.array([2 * x1 + x2 - 1.0])
-            return np.array([4 * x2 - x1])
+        def grad(v):
+            # the pairs (1, 1), (1, 2), (2, 1), (2, 2): agent 1 reads x1 and
+            # x2 at v[0] and v[2], agent 2 at v[1] and v[3]
+            return np.array([2 * v[0] + v[2] - 1.0, 4 * v[3] - v[1]])
 
         def f(i, x):
             return x[0] ** 2 + x[0] * x[1] - x[0] if i == 1 else 2 * x[1] ** 2 - x[0] * x[1]
@@ -153,7 +150,7 @@ class TestGameSpec:
                 assert F[i - 1] == pytest.approx(num, abs=1e-6)
 
     def test_footprint(self):
-        game = GameSpec(action_dims=(1, 1, 1), gradient=lambda i, b: np.zeros(1),
+        game = GameSpec(action_dims=(1, 1, 1), gradient=lambda v: np.zeros(3),
                         interference=frozenset({(1, 1), (2, 2), (3, 3), (2, 1)}))
         assert game.footprint(1) == (1, 2)
         assert game.footprint(3) == (3,)
@@ -320,7 +317,7 @@ class TestCertificate:
         assert any("unconstrained" in note for note in cert.notes)
 
     def test_requires_constants(self):
-        game = GameSpec(action_dims=(1,), gradient=lambda i, b: np.zeros(1),
+        game = GameSpec(action_dims=(1,), gradient=lambda v: np.zeros(1),
                         interference=frozenset({(1, 1)}))
         lay = star_layout(1)
         with pytest.raises(GameError):

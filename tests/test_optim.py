@@ -696,7 +696,7 @@ class TestConstraintCoupled:
         centers = np.array([c1, c2])
 
         def oracle(r):
-            return np.clip(centers - r / 2.0, -5.0, 5.0)
+            return np.minimum(np.maximum(centers - r / 2.0, -5.0), 5.0)
 
         return ConstraintCoupledProblem(
             x_dims=(1, 1), component_dims=(1,), footprints=((1,), (1,)),
