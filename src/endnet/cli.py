@@ -199,11 +199,12 @@ def write_json(path: str, obj) -> None:
 
 
 def dump_json(path: str, data) -> None:
-    """JSON-native ``data`` written as every file of the CLI is: indented by
-    one, keys sorted, a newline at the end. The text is encoded whole and
-    written once, not chunk by chunk as ``json.dump`` writes it."""
+    """JSON-native ``data`` written as every file of the CLI is: keys
+    sorted, a newline at the end, and no indent, which would select
+    ``json``'s pure-Python encoder over its C one. The text is encoded whole
+    and written once, not chunk by chunk as ``json.dump`` writes it."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def emit_plot_script(csv_path: str, columns: list[str]) -> str:

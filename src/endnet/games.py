@@ -20,6 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .graphs import is_rooted, is_strongly_connected, laplacian
 from .layout import BlockOperator, CsrOperator, EndLayout, _ranges
 from .trace import RowBlocks, RunTrace, divergence_guard, run_steps
 
@@ -176,16 +177,22 @@ def ne_step(layout: EndLayout, game: GameSpec, hat: np.ndarray, alpha: float) ->
     oracle call and one projected gradient step on the own blocks."""
     if alpha <= 0:
         raise GameError("step size must be positive")
+    mixed = layout.apply_weight(hat)
+    _own_step(layout, game, mixed, alpha)
+    return mixed
+
+
+def _own_step(layout: EndLayout, game: GameSpec, mixed: np.ndarray, alpha: float) -> None:
+    """The part of :func:`ne_step` after the mixing, in place on the mixed
+    copies ``mixed``."""
     # compiled once per game: agent i's copy of p for each pair (p, i) in
     # sorted order, then every agent's own copy
     pairs, own_blocks = layout.compiled_for(game, lambda: (
         _ranges(layout.block_slice(p, i) for p, i in sorted(game.interference)),
         _ranges(layout.block_slice(i, i) for i in range(1, game.num_agents + 1))))
-    mixed = layout.apply_weight(hat)
     own = mixed[own_blocks]
     own -= alpha * game.gradient(mixed[pairs])
     mixed[own_blocks] = game._project_into(own, own)
-    return mixed
 
 
 @dataclass(eq=False)
@@ -262,8 +269,6 @@ def _component_weights(layout: EndLayout, game: GameSpec, i: int, W: np.ndarray)
 
     if np.max(np.abs(W @ np.ones(n) - 1.0)) > tol:
         return None, None, None, f"component {i}: weights not row stochastic"
-    from .graphs import is_rooted
-
     if not is_rooted(layout.design[i].graph, i):
         return None, None, None, f"component {i}: exchange graph not rooted at owner"
 
@@ -276,8 +281,6 @@ def _component_weights(layout: EndLayout, game: GameSpec, i: int, W: np.ndarray)
         q = np.full(n, 1.0 / n)
         sigma = float(np.linalg.norm(W - np.outer(np.ones(n), q), 2))
         return np.eye(n), q, sigma, None
-
-    from .graphs import is_strongly_connected
 
     has_self_loops = np.all(np.diag(W) > 0)
     if is_strongly_connected(layout.design[i].graph) and has_self_loops:
@@ -319,6 +322,25 @@ def _component_weights(layout: EndLayout, game: GameSpec, i: int, W: np.ndarray)
     return None, None, None, f"component {i}: no weight construction applies"
 
 
+def _certified_weights(layout: EndLayout, game: GameSpec, i: int, W: np.ndarray, tol: float):
+    """(Q_i, q_i, sigma_i, note) for component i with weight block W, its
+    weights checked against the certificate's identities; note is None when
+    they hold. Without weights that hold, Q_i = I, q_i is uniform and
+    sigma_i = 1."""
+    Q, q, sigma, note = _component_weights(layout, game, i, W)
+    n = W.shape[0]
+    if note is not None:
+        return np.eye(n), np.full(n, 1.0 / n), 1.0, note
+    pos = layout.holders(i).index(i)
+    ok = (
+        np.min(np.linalg.eigvalsh(Q)) > 0
+        and abs((np.ones(n) @ Q)[pos] - 1.0) <= tol
+        and np.max(np.abs(np.ones(n) @ Q @ W @ (np.eye(n) - np.outer(np.ones(n), q)))) <= tol
+        and sigma < 1.0
+    )
+    return Q, q, sigma, None if ok else f"component {i}: weight identities failed numerically"
+
+
 def _at_step(base: NeTheorem1Certificate, alpha: float) -> NeTheorem1Certificate:
     """``base`` completed for step size ``alpha``: M_alpha and its rate."""
     mu, theta = base.mu, base.theta
@@ -340,38 +362,24 @@ def _step_free_certificate(layout: EndLayout, game: GameSpec,
                            tol: float = 1e-8) -> NeTheorem1Certificate:
     """The certificate without a step size (``alpha``, ``rho`` and
     ``m_alpha`` are nan): per component weights, checked identities and the
-    constants built from them. Each component group's weight block is read
-    once."""
+    constants built from them. Each component group's weight block is
+    formed once, used for its members and dropped."""
     if game.mu is None or game.theta is None:
         raise GameError("certificate needs monotonicity and Lipschitz constants")
-    weights = layout.group_blocks({g.lead: g.matrix for g in layout.groups})
+    found: dict[int, tuple] = {}  # component -> (Q, q, sigma, note)
+    for g in layout.groups:
+        W = g.weights.matrix()
+        for i in g.members:
+            found[i] = _certified_weights(layout, game, i, W, tol)
     q_matrices: dict[int, np.ndarray] = {}
     perron: dict[int, np.ndarray] = {}
     sigmas: dict[int, float] = {}
     notes: list[str] = []
-    certified = True
     for i in range(1, game.num_agents + 1):
-        W = weights[i]
-        Q, q, sigma, note = _component_weights(layout, game, i, W)
+        q_matrices[i], perron[i], sigmas[i], note = found[i]
         if note is not None:
             notes.append(note)
-            certified = False
-            n = layout.copies(i)
-            Q, q, sigma = np.eye(n), np.full(n, 1.0 / n), 1.0
-        else:
-            n = W.shape[0]
-            pos = layout.holders(i).index(i)
-            ok = (
-                np.min(np.linalg.eigvalsh(Q)) > 0
-                and abs((np.ones(n) @ Q)[pos] - 1.0) <= tol
-                and np.max(np.abs(np.ones(n) @ Q @ W @ (np.eye(n) - np.outer(np.ones(n), q))))
-                <= tol
-                and sigma < 1.0
-            )
-            if not ok:
-                notes.append(f"component {i}: weight identities failed numerically")
-                certified = False
-        q_matrices[i], perron[i], sigmas[i] = Q, q, sigma
+    certified = not notes
 
     lam_min_xi = min(float(np.min(np.linalg.eigvalsh(Q))) for Q in q_matrices.values())
     own_diag = max(
@@ -454,29 +462,39 @@ def ne_solve(
 
     With a reference equilibrium the trace records the weighted distance
     and the per-step squared contraction ratio. The loop is
-    :func:`~endnet.trace.run_steps`.
+    :func:`~endnet.trace.run_steps`. Each step is :func:`ne_step` on two
+    buffers made here, the weight operator bound into them, and the
+    record's differences go to a third: a step allocates no stacked vector.
     """
     if max_iters < 1:
         raise GameError("the pseudo-gradient iteration needs max_iters >= 1")
-    hat = np.zeros(layout.stacked_dim) if hat0 is None else np.asarray(hat0, float).copy()
+    if alpha <= 0:
+        raise GameError("step size must be positive")
+    hat = np.zeros(layout.stacked_dim) if hat0 is None else np.array(hat0, float)
     ref_hat = None if reference is None else layout.embed_consensus(np.asarray(reference, float))
     trace = RunTrace(meta={"alpha": alpha})
+    buffers = (hat, np.empty_like(hat))  # the iterate and the one before, swapped each step
+    mix = tuple(layout.weight_operator.bind(buffers[j], buffers[1 - j]) for j in (0, 1))
     prev = hat
     prev_dist = None
+    diff = np.empty_like(hat)
 
     def step(k: int) -> np.ndarray:
         nonlocal prev, hat
-        prev, hat = hat, ne_step(layout, game, hat, alpha)
+        mix[k % 2]()
+        prev, hat = buffers[k % 2], buffers[1 - k % 2]
+        _own_step(layout, game, hat, alpha)
         return hat
 
     def record(s: int) -> bool:
         nonlocal prev_dist
-        row = {"k": s - 1, "step": float(np.linalg.norm(hat - prev))}
+        row = {"k": s - 1, "step": float(np.linalg.norm(np.subtract(hat, prev, diff)))}
         if ref_hat is not None:
+            np.subtract(hat, ref_hat, diff)
             if certificate is not None:
-                dist = certificate.xi_norm(layout, hat - ref_hat)
+                dist = certificate.xi_norm(layout, diff)
             else:
-                dist = float(np.linalg.norm(hat - ref_hat))
+                dist = float(np.linalg.norm(diff))
             row["distance"] = dist
             if prev_dist is not None and prev_dist > 0:
                 row["ratio"] = (dist / prev_dist) ** 2
@@ -628,7 +646,7 @@ class GneOperators:
         A = self.A_hat.matrix
         gram = (A.T @ A).toarray()
         top = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-        return top + max((float(np.linalg.norm(g.laplacian, 2)) ** 2
+        return top + max((float(np.linalg.norm(laplacian(g.weights), 2)) ** 2
                           for g in self.lambda_layout.groups), default=0.0)
 
     def stage(self, beta: float) -> "_Stage":

@@ -9,11 +9,14 @@ indexed by the receiver and columns by the sender.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -23,7 +26,6 @@ class GraphError(ValueError):
 
 
 class _AdjacencyIndex(NamedTuple):
-    position: dict[int, int]  # node id -> position in the ascending ordering
     inbound: dict[int, tuple[int, ...]]  # node id -> senders, ascending
     outbound: dict[int, tuple[int, ...]]  # node id -> receivers, ascending
 
@@ -86,25 +88,24 @@ class Graph:
 
     @cached_property
     def _index(self) -> _AdjacencyIndex:
-        """Node positions and sorted neighbour tuples, built in one pass over
-        the sorted edges (so each neighbour list comes out ascending)."""
+        """Sorted neighbour tuples, built in one pass over the sorted edges
+        (so each neighbour list comes out ascending)."""
         inbound: dict[int, list[int]] = {v: [] for v in self.nodes}
         outbound: dict[int, list[int]] = {v: [] for v in self.nodes}
         for u, v in sorted(self.edges):
             outbound[u].append(v)
             inbound[v].append(u)
         return _AdjacencyIndex(
-            {v: k for k, v in enumerate(self.nodes)},
             {v: tuple(us) for v, us in inbound.items()},
             {u: tuple(vs) for u, vs in outbound.items()},
         )
 
     def index(self, v: int) -> int:
         """Position of v in the ascending node ordering."""
-        try:
-            return self._index.position[v]
-        except KeyError:
-            raise GraphError(f"unknown node id {v}") from None
+        k = bisect_left(self.nodes, v)
+        if k == len(self.nodes) or self.nodes[k] != v:
+            raise GraphError(f"unknown node id {v}")
+        return k
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         try:
@@ -123,11 +124,8 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix A with A[recv, send] = 1 iff (send, recv) is an edge."""
-        n = self.num_nodes
-        pos = self._index.position
-        a = np.zeros((n, n))
-        for u, v in self.edges:
-            a[pos[v], pos[u]] = 1.0
+        a = np.zeros((self.num_nodes, self.num_nodes))
+        a[_entry_positions(self)] = 1.0
         return a
 
     def with_self_loops(self) -> "Graph":
@@ -162,58 +160,114 @@ class Graph:
                    directed=bool(d.get("directed", True)))
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """A graph together with compliant positive edge weights.
+def _entry_positions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The positions (receiver, sender) of g's edges in the ascending node
+    order, as two arrays in ascending (receiver, sender) order: the rows
+    and columns of a weight matrix compliant with g."""
+    nodes = np.asarray(g.nodes)
+    flat = np.fromiter(chain.from_iterable(g.edges), dtype=nodes.dtype, count=2 * len(g.edges))
+    senders, receivers = np.searchsorted(nodes, flat.reshape(-1, 2).T)
+    key = receivers * len(nodes) + senders
+    key.sort()
+    return np.divmod(key, len(nodes))
 
-    ``weights`` is keyed (receiver, sender); an entry must exist exactly for
-    the stored edges (sender, receiver).
+
+@dataclass(frozen=True, eq=False, init=False)
+class WeightedGraph:
+    """A graph together with compliant positive edge weights, held in one
+    read-only array form: W[rows[k], cols[k]] = values[k] for each stored
+    edge, where ``rows`` and ``cols`` are the positions of its receiver and
+    sender in the ascending node order, in ascending (row, col) order.
+
+    The constructor takes ``weights`` keyed (receiver, sender), with an
+    entry exactly for each stored edge (sender, receiver); ``weights``
+    reads them back as a read-only mapping in ascending key order.
     """
 
     graph: Graph
-    weights: Mapping[tuple[int, int], float] = field(default_factory=dict)
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
-        for (recv, send), w in self.weights.items():
-            if (send, recv) not in self.graph.edges:
+    def __init__(self, graph: Graph, weights: Mapping[tuple[int, int], float] | None = None):
+        weights = {} if weights is None else weights
+        for recv, send in weights:
+            if (send, recv) not in graph.edges:
                 raise GraphError(f"weight for ({recv},{send}) has no matching edge")
-            if w <= 0:
-                raise GraphError(f"weight for ({recv},{send}) must be positive")
-        for send, recv in self.graph.edges:
-            if (recv, send) not in self.weights:
+        for send, recv in graph.edges:
+            if (recv, send) not in weights:
                 raise GraphError(f"edge ({send},{recv}) is missing a weight")
+        nodes = graph.nodes
+        self._assign(graph, lambda rows, cols: [weights[nodes[r], nodes[c]]
+                                                for r, c in zip(rows.tolist(), cols.tolist())])
+
+    @classmethod
+    def _weighed(cls, graph: Graph, weigh: Callable) -> "WeightedGraph":
+        """``graph`` with the weights ``weigh(rows, cols)`` on the entries of
+        its array form."""
+        wg = cls.__new__(cls)
+        wg._assign(graph, weigh)
+        return wg
+
+    def _assign(self, graph: Graph, weigh: Callable) -> None:
+        """Set the array form, with positive weights ``weigh(rows, cols)``."""
+        rows, cols = _entry_positions(graph)
+        values = np.array(weigh(rows, cols), dtype=float)
+        bad = np.flatnonzero(values <= 0)
+        if bad.size:
+            nodes, k = graph.nodes, bad[0]
+            raise GraphError(f"weight for ({nodes[rows[k]]},{nodes[cols[k]]}) must be positive")
+        for name, value in zip(("graph", "rows", "cols", "values"), (graph, rows, cols, values)):
+            if name != "graph":
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self.values, other.values)
+
+    __hash__ = None
+
+    def __getstate__(self):
+        # the mapping view is derived state, rebuilt on demand after unpickling
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def nodes(self) -> tuple[int, ...]:
         return self.graph.nodes
+
+    def _items(self) -> Iterator[tuple[int, int, float]]:
+        """(receiver, sender, weight) per entry, in the order of the arrays."""
+        nodes = np.asarray(self.graph.nodes)
+        return zip(nodes[self.rows].tolist(), nodes[self.cols].tolist(), self.values.tolist())
+
+    @cached_property
+    def weights(self) -> Mapping[tuple[int, int], float]:
+        """The weights keyed (receiver, sender), in ascending key order."""
+        return MappingProxyType({(r, s): w for r, s, w in self._items()})
 
     def weight(self, recv: int, send: int) -> float:
         return self.weights.get((recv, send), 0.0)
 
     def matrix(self) -> np.ndarray:
         """Dense weight matrix W with W[recv, send] ordering by ascending node id."""
-        n = self.graph.num_nodes
-        pos = self.graph._index.position
-        w = np.zeros((n, n))
-        for (recv, send), val in self.weights.items():
-            w[pos[recv], pos[send]] = val
+        w = np.zeros((self.graph.num_nodes,) * 2)
+        w[self.rows, self.cols] = self.values
         return w
 
     @classmethod
     def from_matrix(cls, graph: Graph, w: np.ndarray) -> "WeightedGraph":
-        pos = graph.nodes
-        weights = {}
-        for i, recv in enumerate(pos):
-            for j, send in enumerate(pos):
-                if w[i, j] != 0.0:
-                    weights[(recv, send)] = float(w[i, j])
-        edges = frozenset((send, recv) for (recv, send) in weights)
-        return cls(Graph(graph.nodes, edges, directed=graph.directed), weights)
+        w = np.asarray(w, dtype=float)
+        rows, cols = np.nonzero(w)
+        nodes = np.asarray(graph.nodes)
+        edges = frozenset(zip(nodes[cols].tolist(), nodes[rows].tolist()))
+        return cls._weighed(Graph(graph.nodes, edges, directed=graph.directed),
+                            lambda r, c: w[r, c])
 
     def to_json_dict(self) -> dict:
         d = self.graph.to_json_dict()
-        d["weights"] = {f"{r},{s}": w for (r, s), w in sorted(self.weights.items())}
+        d["weights"] = {f"{r},{s}": w for r, s, w in self._items()}
         return d
 
     @classmethod
@@ -268,10 +322,28 @@ class GraphSequence:
         return Graph(self.snapshots[0].nodes, frozenset(edges), directed=True)
 
 
+def laplacian_entries(wg: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of the in-degree Laplacian L = D - W in the array
+    form of ``wg`` (rows, columns and values in ascending (row, col) order):
+    -W off the diagonal, and on it the sum of the row's stored weights (in
+    column order, self-loop included) minus the self-loop's weight."""
+    n = wg.graph.num_nodes
+    stored = wg.rows * n + wg.cols
+    key = np.union1d(stored, np.arange(n) * (n + 1))  # row * n + col, the diagonal added
+    values = np.zeros(key.size)
+    values[np.searchsorted(key, stored)] = -wg.values
+    values[key % (n + 1) == 0] += np.bincount(wg.rows, weights=wg.values, minlength=n)
+    keep = values != 0.0
+    return (*np.divmod(key[keep], n), values[keep])
+
+
 def laplacian(wg: WeightedGraph) -> np.ndarray:
-    """In-degree Laplacian L = D - W, so that L @ 1 = 0."""
-    w = wg.matrix()
-    return np.diag(w.sum(axis=1)) - w
+    """In-degree Laplacian L = D - W, so that L @ 1 = 0: the dense matrix of
+    :func:`laplacian_entries`."""
+    lap = np.zeros((wg.graph.num_nodes,) * 2)
+    rows, cols, values = laplacian_entries(wg)
+    lap[rows, cols] = values
+    return lap
 
 
 def reachable(succ: Mapping[int, Iterable[int]], r: int) -> set[int]:
@@ -462,51 +534,34 @@ def intersect(a: Graph, b: Graph) -> Graph:
 def metropolis_hastings_weights(g: Graph) -> WeightedGraph:
     """Symmetric doubly stochastic weights w_ij = 1 / (1 + max(deg_i, deg_j)).
 
-    Requires an undirected graph; self-loops get the complementary mass.
+    Requires an undirected graph; self-loops get the complementary mass:
+    the sum of the row's other weights, in ascending sender order,
+    subtracted from 1.
     """
     if g.directed:
         raise GraphError("Metropolis-Hastings weights require an undirected graph")
-    # one pass over the edge list; on an undirected graph the edges leaving
-    # v are those entering it, so each list holds v's neighbours
-    neighbors: dict[int, list[int]] = {v: [] for v in g.nodes}
-    for u, v in g.edges:
-        if u != v:
-            neighbors[u].append(v)
-    deg = {v: len(us) for v, us in neighbors.items()}
-    share = [1.0 / (1.0 + d) for d in range(max(deg.values()) + 1)]  # share[d] = 1/(1+d)
-    w = {}
-    for v, us in neighbors.items():
-        us.sort()
-        dv = deg[v]
-        off = 0.0
-        for u in us:  # ascending, so the diagonal sums in a fixed order
-            du = deg[u]
-            w[(v, u)] = x = share[du if du > dv else dv]  # 1/(1+max(dv, du))
-            off += x
-        w[(v, v)] = 1.0 - off
-    return WeightedGraph(g.with_self_loops(), w)
+
+    def weigh(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        off, n = rows != cols, g.num_nodes
+        degree = np.bincount(rows[off], minlength=n)
+        values = np.empty(rows.size)
+        values[off] = w = 1.0 / (1.0 + np.maximum(degree[rows[off]], degree[cols[off]]))
+        values[~off] = 1.0 - np.bincount(rows[off], weights=w, minlength=n)
+        return values
+
+    return WeightedGraph._weighed(g.with_self_loops(), weigh)
 
 
 def row_stochastic_weights(g: Graph) -> WeightedGraph:
     """Uniform row-stochastic weights over in-neighborhoods (self-loops added)."""
-    gl = g.with_self_loops()
-    w = {}
-    for v, nbrs in gl._index.inbound.items():
-        for u in nbrs:
-            w[(v, u)] = 1.0 / len(nbrs)
-    return WeightedGraph(gl, w)
+    return WeightedGraph._weighed(g.with_self_loops(), lambda r, c: 1.0 / np.bincount(r)[r])
 
 
 def column_stochastic_weights(g: Graph) -> WeightedGraph:
     """Uniform column-stochastic weights over out-neighborhoods (self-loops added)."""
-    gl = g.with_self_loops()
-    w = {}
-    for u, outs in gl._index.outbound.items():
-        for v in outs:
-            w[(v, u)] = 1.0 / len(outs)
-    return WeightedGraph(gl, w)
+    return WeightedGraph._weighed(g.with_self_loops(), lambda r, c: 1.0 / np.bincount(c)[c])
 
 
 def uniform_weights(g: Graph) -> WeightedGraph:
     """Unit weight on every edge."""
-    return WeightedGraph(g, {(v, u): 1.0 for (u, v) in g.edges})
+    return WeightedGraph._weighed(g, lambda r, c: np.ones(r.size))

@@ -28,6 +28,8 @@ from .graphs import (
     column_stochastic_weights,
     is_rooted,
     is_strongly_connected,
+    laplacian,
+    laplacian_entries,
     metropolis_hastings_weights,
     reachable,
     row_stochastic_weights,
@@ -284,7 +286,8 @@ class ComponentGroup:
     """Components of a layout that share one ``WeightedGraph`` object and one
     dimension. Their part of a stacked operator is I_m ⊗ M ⊗ I_d for one
     holders × holders block M, so every derived block is built once for the
-    group and shared by its members.
+    group and shared by its members. No block is kept here: the layout's
+    operators read the weights' array form.
     """
 
     members: tuple[int, ...]  # ascending
@@ -320,17 +323,6 @@ class ComponentGroup:
         return (np.asarray(self.starts)[:, None] + np.arange(width)).ravel()
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The shared weight block W, read-only."""
-        return _read_only(self.weights.matrix())
-
-    @cached_property
-    def laplacian(self) -> np.ndarray:
-        """The shared in-degree Laplacian D - W, read-only."""
-        w = self.matrix
-        return _read_only(np.diag(w.sum(axis=1)) - w)
-
-    @cached_property
     def product_order(self) -> np.ndarray:
         """The members' entries of a stacked vector in the order of the rows
         and columns of the group's product: member by member, then
@@ -344,21 +336,23 @@ class ComponentGroup:
         return np.asarray(hat)[self.index].reshape(len(self.members), self.copies, self.dim)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a dense block as rows, columns and values, in
+    row-major order: the array form of :class:`WeightedGraph`."""
+    r, c = np.nonzero(m)
+    return r, c, m[r, c]
 
 
 def _kron_csr(n: int, parts) -> sp.csr_matrix:
-    """⊕ (M ⊗ I_dim) as an n × n CSR matrix, from (start, dim, M) per component."""
+    """⊕ (M ⊗ I_dim) as an n × n CSR matrix, from (start, dim, rows, cols,
+    values) per component, M's entries in row-major order."""
     rows, cols, vals = [], [], []
-    for start, dim, m in parts:
+    for start, dim, r, c, v in parts:
         # entry (r, c) of M becomes the dim x dim identity block (r, c)
-        r, c = np.nonzero(m)
         k = np.arange(dim)
         rows.append((start + r[:, None] * dim + k).ravel())
         cols.append((start + c[:, None] * dim + k).ravel())
-        vals.append(np.repeat(m[r, c], dim))
+        vals.append(np.repeat(v, dim))
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
@@ -391,7 +385,7 @@ class BlockOperator:
     def matrix(self) -> sp.csr_matrix:
         if not self._dense:
             return self._sparse.matrix
-        full = _kron_csr(self.shape[0], ((start, g.dim, mt.T) for g, mt in self._dense
+        full = _kron_csr(self.shape[0], ((start, g.dim, *_entries(mt.T)) for g, mt in self._dense
                                          for start in g.starts))
         return full if self._sparse is None else full + self._sparse.matrix
 
@@ -667,21 +661,6 @@ class EndLayout:
                            tuple(self.component_slice(p).start for p in ms))
             for ms in members.values())
 
-    def group_blocks(self, blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Per-component blocks from one block per group, keyed by its lead."""
-        if set(blocks) != {g.lead for g in self.groups}:
-            raise LayoutError("expected one block per component group, keyed by its "
-                              "first component")
-        return {p: blocks[g.lead] for g in self.groups for p in g.members}
-
-    @cached_property
-    def _weight_blocks(self) -> dict[int, np.ndarray]:
-        return self.group_blocks({g.lead: g.matrix for g in self.groups})
-
-    @cached_property
-    def _laplacian_blocks(self) -> dict[int, np.ndarray]:
-        return self.group_blocks({g.lead: g.laplacian for g in self.groups})
-
     # -- stacked linear operators -----------------------------------------
 
     def block_operator(self, blocks: Mapping[int, np.ndarray]) -> BlockOperator:
@@ -689,10 +668,13 @@ class EndLayout:
 
         A group of several components (see :attr:`groups`) whose members are
         all given one block is applied as one dense product; every other
-        component goes into one CSR matrix. Which path a component takes
-        follows from the layout and the blocks, never from a size.
+        component goes into one CSR matrix, its block's nonzeros read in
+        row-major order: a dense block and the same block in the array form
+        that :meth:`group_operator` takes give the same CSR. Which path a
+        component takes follows from the layout and the blocks, never from a
+        size.
         """
-        dense, sparse = [], []
+        dense, sparse = [], {}
         for g in self.groups:
             first = blocks[g.lead]
             if len(g.members) > 1 and all(
@@ -700,22 +682,46 @@ class EndLayout:
                     for p in g.members[1:]):
                 dense.append((g, np.array(first, dtype=float)))
             else:
-                sparse.extend(g.members)
+                sparse.update((p, _entries(np.asarray(blocks[p], dtype=float)))
+                              for p in g.members)
+        return self._compile(dense, sparse)
+
+    def group_operator(self, entries: Callable[[ComponentGroup], tuple]) -> BlockOperator:
+        """⊕_p (M_p ⊗ I) for one holders × holders block M per component
+        group, given in the array form of :class:`WeightedGraph` by
+        ``entries(group)`` = (rows, cols, values). A group of several
+        components is applied as one dense product on its block, densified
+        here; every other group's entries go straight into one CSR matrix."""
+        dense, sparse = [], {}
+        for g in self.groups:
+            rows, cols, values = entries(g)
+            if len(g.members) > 1:
+                block = np.zeros((g.copies, g.copies))
+                block[rows, cols] = values
+                dense.append((g, block))
+            else:
+                sparse[g.lead] = rows, cols, values
+        return self._compile(dense, sparse)
+
+    def _compile(self, dense: list[tuple[ComponentGroup, np.ndarray]],
+                 sparse: Mapping[int, tuple]) -> BlockOperator:
+        """The operator of the dense groups and, in one CSR matrix, of the
+        components keyed in ``sparse`` by their blocks' array forms."""
         n = self.stacked_dim
         csr = None
         if sparse:
             csr = CsrOperator(_kron_csr(n, [
-                (self.component_slice(p).start, self.partition.dim(p),
-                 np.asarray(blocks[p], dtype=float)) for p in sorted(sparse)]))
+                (self.component_slice(p).start, self.partition.dim(p), *sparse[p])
+                for p in sorted(sparse)]))
         return BlockOperator(n, csr, dense)
 
     @cached_property
     def weight_operator(self) -> BlockOperator:
-        return self.block_operator(self._weight_blocks)
+        return self.group_operator(lambda g: (g.weights.rows, g.weights.cols, g.weights.values))
 
     @cached_property
     def laplacian_operator(self) -> BlockOperator:
-        return self.block_operator(self._laplacian_blocks)
+        return self.group_operator(lambda g: laplacian_entries(g.weights))
 
     def apply_weight(self, hat: np.ndarray) -> np.ndarray:
         """Block-diagonal application of (W_p kron I) per component."""
@@ -866,9 +872,10 @@ class EndLayout:
                 raise LayoutError(f"component {p} not rooted at {roots[p]}")
         rank = 0
         for g in self.groups:
-            if np.linalg.norm(g.laplacian @ np.ones(g.copies)) > 1e-9:
+            lap = laplacian(g.weights)
+            if np.linalg.norm(lap @ np.ones(g.copies)) > 1e-9:
                 return False
-            rank += len(g.members) * g.dim * int(np.linalg.matrix_rank(g.laplacian, tol=1e-9))
+            rank += len(g.members) * g.dim * int(np.linalg.matrix_rank(lap, tol=1e-9))
         return rank == self.stacked_dim - self.partition.total_dim
 
     def verify_disagreement_bound(
@@ -885,12 +892,14 @@ class EndLayout:
         for g in self.groups:
             if not is_strongly_connected(g.weights.graph):
                 raise LayoutError(f"{g.label} not strongly connected")
-            w = g.matrix
-            if np.linalg.norm(w.sum(axis=0) - w.sum(axis=1)) > 1e-10:
+            w = g.weights
+            if np.linalg.norm(np.bincount(w.cols, weights=w.values, minlength=g.copies)
+                              - np.bincount(w.rows, weights=w.values, minlength=g.copies)) > 1e-10:
                 raise LayoutError(f"{g.label} weights are not balanced")
             if g.copies < 2:
                 continue
-            eigs = np.linalg.eigvalsh(g.laplacian + g.laplacian.T)
+            lap = laplacian(w)
+            eigs = np.linalg.eigvalsh(lap + lap.T)
             lam = min(lam, eigs[1])
         rng = np.random.default_rng(seed)
         for _ in range(num_samples):

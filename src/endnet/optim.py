@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from numpy.polynomial.polynomial import polyval
 
 from .graphs import Graph, column_stochastic_weights, intersect, restrict
-from .layout import BlockOperator, CsrOperator, EndLayout, _in_order, _ranges
+from .layout import BlockOperator, ComponentGroup, CsrOperator, EndLayout, _in_order, _ranges
 from .trace import BLOCK_ROWS, RowBlocks, RunTrace, divergence_guard, run_steps
 
 
@@ -442,15 +442,25 @@ def stacked_gradient(layout: EndLayout, problem: SeparableProblem, hat: np.ndarr
 
 def _design_edges(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Holder positions (u, v) of the proper edges u→v of a group's exchange
-    graph, in ascending (u, v) order, and the number of each edge's reverse."""
-    a = group.weights.graph.adjacency().T  # a[u, v] = 1 iff v receives from u
-    np.fill_diagonal(a, 0.0)
-    if not np.array_equal(a, a.T):
+    graph, in ascending (u, v) order, and the number of each edge's reverse.
+    They are read off the weights' entries (receiver, sender): on an
+    undirected graph, the same pairs in the same order."""
+    w = group.weights
+    proper = w.rows != w.cols
+    u, v = w.rows[proper], w.cols[proper]
+    number = _transposition(u, v)
+    if number is None:
         raise OptimError(f"{group.label}: design graph not undirected")
-    u, v = np.nonzero(a)
-    number = np.zeros(a.shape, dtype=np.intp)
-    number[u, v] = np.arange(u.size)
-    return u, v, number[v, u]
+    return u, v, number
+
+
+def _transposition(rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+    """The order that lists the entries (rows, cols), given in ascending
+    order, as the entries of their transpose: entry k's mirror (col, row)
+    is entry order[k]. None when some entry has no mirror."""
+    order = np.lexsort((rows, cols))
+    symmetric = np.array_equal(rows[order], cols) and np.array_equal(cols[order], rows)
+    return order if symmetric else None
 
 
 def dual_reformulate(layout: EndLayout) -> list[tuple[int, int, int]]:
@@ -621,12 +631,16 @@ class AbcMatrices:
 
 def _group_spectra(layout: EndLayout, vectors: bool = False):
     """(group, eigvalsh of its W), or (group, eigh of its W) with
-    ``vectors``: one decomposition per distinct W."""
+    ``vectors``: one decomposition per distinct W, kept until the last
+    group that shares it. Each W is formed densely for its decomposition
+    and dropped."""
+    last = {id(g.weights): g for g in layout.groups}  # the last group of each W
     found = {}  # keyed by the weights objects, which the layout holds
     for g in layout.groups:
-        if id(g.weights) not in found:
-            found[id(g.weights)] = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(g.matrix)
-        yield g, found[id(g.weights)]
+        key = id(g.weights)
+        if key not in found:
+            found[key] = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(g.weights.matrix())
+        yield g, (found.pop(key) if last[key] is g else found[key])
 
 
 def abc_check(matrices: AbcMatrices, layout: EndLayout, tol: float = 1e-8) -> list[str]:
@@ -935,9 +949,15 @@ def _track(layout: EndLayout, problem: SeparableProblem, rounds: _TrackingRounds
 
 
 def _check_symmetric_doubly_stochastic(layout: EndLayout, tol: float = 1e-10) -> None:
+    """Each group's W, read from the weights' entries, must store the mirror
+    of every entry, and be symmetric and sum to 1 along its rows within
+    ``tol``."""
     for g in layout.groups:
-        W = g.matrix
-        if np.max(np.abs(W - W.T)) > tol or np.max(np.abs(W @ np.ones(len(W)) - 1.0)) > tol:
+        w = g.weights
+        order = _transposition(w.rows, w.cols)
+        row_sums = np.bincount(w.rows, weights=w.values, minlength=g.copies)
+        if (order is None or np.max(np.abs(w.values[order] - w.values), initial=0.0) > tol
+                or np.max(np.abs(row_sums - 1.0)) > tol):
             raise OptimError(f"{g.label}: gradient tracking needs symmetric doubly "
                              "stochastic exchange weights")
 
@@ -1226,13 +1246,14 @@ def example_design_schedule(
     def at(k: int) -> BlockOperator:
         t = k % period
         if t not in cache:
-            blocks = {}
-            for group in layout.groups:
+            def entries(group: ComponentGroup) -> tuple:
                 base = group.weights.graph
                 snap = restrict(comm_sequence[t], list(base.nodes))
-                g = intersect(base, snap.with_self_loops()).with_self_loops()
-                blocks[group.lead] = column_stochastic_weights(g).matrix()
-            cache[t] = layout.block_operator(layout.group_blocks(blocks))
+                w = column_stochastic_weights(
+                    intersect(base, snap.with_self_loops()).with_self_loops())
+                return w.rows, w.cols, w.values
+
+            cache[t] = layout.group_operator(entries)
         return cache[t]
 
     return at

@@ -53,6 +53,7 @@ from endnet.graphs import (
     WeightedGraph,
     column_stochastic_weights,
     intersect,
+    laplacian,
     restrict,
 )
 from endnet.layout import (
@@ -405,13 +406,13 @@ def test_block_operators_match_component_loop(layout):
                      loop_apply_blocks(layout, shared_blocks, hat))
         hat = rng.standard_normal(layout.stacked_dim)
         assert close(layout.apply_weight(hat),
-                     loop_apply_blocks(layout, layout._weight_blocks, hat))
+                     loop_apply_blocks(layout, weight_blocks(layout), hat))
         assert close(layout.apply_laplacian(hat),
-                     loop_apply_blocks(layout, layout._laplacian_blocks, hat))
+                     loop_apply_blocks(layout, laplacian_blocks(layout), hat))
         assert close(layout.block_operator(random_blocks) @ hat,
                      loop_apply_blocks(layout, random_blocks, hat))
         assert close(layout.weight_operator.matrix @ hat,
-                     loop_apply_blocks(layout, layout._weight_blocks, hat))
+                     loop_apply_blocks(layout, weight_blocks(layout), hat))
 
 
 def grouped_layout(kind, dims, num_agents, seed):
@@ -431,6 +432,31 @@ def grouped_layout(kind, dims, num_agents, seed):
     mixed = dataclasses.replace(lay, design={p: shared if rng.uniform() < 0.5 else wg
                                              for p, wg in lay.design.items()})
     return mixed if kind == "mixed" else reweight(mixed, "column")
+
+
+def group_blocks(layout, blocks):
+    """Per-component blocks from one block per component group, keyed by
+    the group's first component."""
+    return {p: blocks[g.lead] for g in layout.groups for p in g.members}
+
+
+def weight_blocks(layout):
+    """Each component's weight block W_p, dense."""
+    return {p: layout.design[p].matrix() for p in layout.partition.components}
+
+
+def laplacian_blocks(layout):
+    """Each component's Laplacian block D_p - W_p, dense."""
+    return {p: laplacian(layout.design[p]) for p in layout.partition.components}
+
+
+def same_operator(a, b):
+    """Two block operators with the same dense groups and blocks and the
+    same CSR part, byte for byte."""
+    return ([g for g, _ in a._dense] == [g for g, _ in b._dense]
+            and all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(a._dense, b._dense))
+            and (a._sparse is None) == (b._sparse is None)
+            and (a._sparse is None or same_csr_bytes(a._sparse.matrix, b._sparse.matrix)))
 
 
 def dense_block_matrix(layout, blocks):
@@ -470,7 +496,9 @@ def test_grouped_operator_matches_component_loop(kind, dims, num_agents, seed):
     """The grouped operator's products, transpose, affine form and matrix
     against the per-component loop, for one block per group (the groups of
     several take the dense path), one random block per component, and the
-    layout's weights and Laplacians."""
+    layout's weights and Laplacians; the layout's weight and Laplacian
+    operators, built from the weights' array form, are the ones compiled
+    from their dense blocks, byte for byte."""
     layout = grouped_layout(kind, tuple(dims), num_agents, seed)
     covered = sorted(p for g in layout.groups for p in g.members)
     assert covered == list(layout.partition.components)
@@ -481,12 +509,15 @@ def test_grouped_operator_matches_component_loop(kind, dims, num_agents, seed):
         assert np.array_equal(everything[g.index], np.concatenate(
             [everything[layout.component_slice(p)] for p in g.members]))
     rng = np.random.default_rng(seed)
-    per_group = layout.group_blocks({g.lead: rng.standard_normal((g.copies,) * 2)
-                                     for g in layout.groups})
+    per_group = group_blocks(layout, {g.lead: rng.standard_normal((g.copies,) * 2)
+                                      for g in layout.groups})
     per_component = {p: rng.standard_normal((layout.copies(p),) * 2)
                      for p in layout.partition.components}
     shared = {g.lead for g in layout.groups if len(g.members) > 1}
-    for blocks in (per_group, per_component, layout._weight_blocks, layout._laplacian_blocks):
+    assert same_operator(layout.weight_operator, layout.block_operator(weight_blocks(layout)))
+    assert same_operator(layout.laplacian_operator,
+                         layout.block_operator(laplacian_blocks(layout)))
+    for blocks in (per_group, per_component, weight_blocks(layout), laplacian_blocks(layout)):
         op = layout.block_operator(blocks)
         assert {g.lead for g, _ in op._dense} == (set() if blocks is per_component else shared)
         transposed = {p: b.T for p, b in blocks.items()}
@@ -515,8 +546,8 @@ def test_bound_apply_matches_the_csr_operator(kind, dims, num_agents, seed):
     bound with an offset."""
     layout = grouped_layout(kind, tuple(dims), num_agents, seed)
     rng = np.random.default_rng(seed)
-    per_group = layout.group_blocks({g.lead: rng.standard_normal((g.copies,) * 2)
-                                     for g in layout.groups})
+    per_group = group_blocks(layout, {g.lead: rng.standard_normal((g.copies,) * 2)
+                                      for g in layout.groups})
     per_component = {p: rng.standard_normal((layout.copies(p),) * 2)
                      for p in layout.partition.components}
     n = layout.stacked_dim
@@ -794,9 +825,9 @@ def test_tracking_solvers_on_shared_blocks_match_the_csr_path(dims):
 
 def test_single_component_groups_keep_their_csr_bit_for_bit(monkeypatch):
     """A designed layout groups nothing: its operators are the CSR matrices
-    compiled before grouping, byte for byte, and so are its tracking
-    iterates, abc's through the powers of that one W. Each group builds its
-    weight block once."""
+    compiled before grouping from dense W and D - W blocks, byte for byte,
+    and so are its tracking iterates, abc's through the powers of that one
+    W. The solves form no dense weight block."""
     calls = []
     matrix = WeightedGraph.matrix
     monkeypatch.setattr(WeightedGraph, "matrix", lambda self: calls.append(1) or matrix(self))
@@ -809,13 +840,17 @@ def test_single_component_groups_keep_their_csr_bit_for_bit(monkeypatch):
     gamma = 0.5 * matrices.gamma_bound(problem)
     y, _ = augdgm_solve(layout, problem, gamma, max_iters=200)
     y_abc, _ = abc_solve(layout, matrices, problem, gamma, max_iters=200)
-    assert len(calls) == len(layout.groups)
+    assert calls == []
 
-    old_w = CsrOperator(old_block_csr(layout, layout._weight_blocks))
+    w_blocks = weight_blocks(layout)
+    old_w = CsrOperator(old_block_csr(layout, w_blocks))
     assert same_csr_bytes(layout.weight_operator.matrix, old_w.matrix)
     assert same_csr_bytes(layout.weight_operator.T.matrix, old_w.T.matrix)
-    assert same_csr_bytes(layout.laplacian_operator.matrix,
-                          old_block_csr(layout, layout._laplacian_blocks))
+    # every group has fewer than 8 holders, so numpy sums each dense row of
+    # W in column order, as the Laplacian's entries are summed
+    assert max(g.copies for g in layout.groups) < 8
+    assert same_csr_bytes(layout.laplacian_operator.matrix, old_block_csr(
+        layout, {p: np.diag(w.sum(axis=1)) - w for p, w in w_blocks.items()}))
     stacked = stacked_form(layout, problem)
     ref = np.zeros(layout.stacked_dim)
     g = stacked.gradient(ref)
@@ -927,10 +962,10 @@ def test_abc_runs_any_polynomial_as_its_dense_blocks(kind, dims):
     problem = random_quadratic(rng, dims, [layout.needed_by(i) for i in layout.agents])
     lazy = AbcMatrices(a=(0.25, 0.5, 0.25), b=(0.25, 0.5, 0.25), c=(0.25, -0.5, 0.25))
     assert abc_check(lazy, layout) == []
-    halves = {g.lead: ((np.eye(g.copies) + g.matrix) / 2, (np.eye(g.copies) - g.matrix) / 2)
-              for g in layout.groups}
-    b_op, c_op = (CsrOperator(old_block_csr(layout, layout.group_blocks(
-        {lead: pair[j] @ pair[j] for lead, pair in halves.items()}))) for j in (0, 1))
+    halves = {g.lead: ((np.eye(g.copies) + w) / 2, (np.eye(g.copies) - w) / 2)
+              for g in layout.groups for w in [g.weights.matrix()]}
+    b_op, c_op = (CsrOperator(old_block_csr(layout, group_blocks(
+        layout, {lead: pair[j] @ pair[j] for lead, pair in halves.items()}))) for j in (0, 1))
     stacked, gamma = stacked_form(layout, problem), 0.5 * lazy.gamma_bound(problem)
     y = z = y_ref = z_ref = np.zeros(layout.stacked_dim)
     for k in range(200):
@@ -950,7 +985,8 @@ def test_abc_compiles_only_the_weight_operator(monkeypatch):
     from dense W², (I − W)² and I per group), and once that solve has
     compiled the layout's forms, the next one's traced peak stays below 32
     stacked vectors and two copies of W's CSR arrays (the old blocks took
-    twice that)."""
+    twice that). Block operators are counted where every one is compiled,
+    from dense blocks or from the weights' array form."""
     rng = np.random.default_rng(14)
     num_agents, num_components = 30, 60
     interference = random_interference(rng, num_components, num_agents, density=0.1)
@@ -963,9 +999,9 @@ def test_abc_compiles_only_the_weight_operator(monkeypatch):
     matrices = augdgm_matrices(layout)
     gamma = 0.5 * matrices.gamma_bound(problem)
     compiled = []
-    block_operator = EndLayout.block_operator
-    monkeypatch.setattr(EndLayout, "block_operator",
-                        lambda self, blocks: compiled.append(1) or block_operator(self, blocks))
+    compile_operator = EndLayout._compile
+    monkeypatch.setattr(EndLayout, "_compile", lambda self, dense, sparse: compiled.append(1)
+                        or compile_operator(self, dense, sparse))
     abc_solve(layout, matrices, problem, gamma, max_iters=10)
     assert len(compiled) == 1
     tracemalloc.start()
@@ -1193,8 +1229,9 @@ def test_tracking_setup_memory_is_linear_on_a_shared_layout(monkeypatch):
     one W², (I - W)² and I per component would take 3 P N² doubles (1.9 GB),
     and one CSR weight operator per component took ~830 MB of traced peak.
     Matrices, step bound, weight operator and one tracking step stay within
-    16 doubles per entry of N² + the stacked dimension (~29 MB measured),
-    and W is built once."""
+    16 doubles per entry of N² + the stacked dimension (~29 MB measured).
+    W is densified once, as the weight operator's one dense block, from
+    the weights' array form: ``WeightedGraph.matrix`` is never called."""
     n, num_components = 200, 2000
     footprints = [tuple(range(i, num_components + 1, n)) for i in range(1, n + 1)]
     problem = QuadraticSeparable(
@@ -1215,9 +1252,40 @@ def test_tracking_setup_memory_is_linear_on_a_shared_layout(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) == len(layout.groups) == 1
+    assert calls == [] and len(layout.groups) == len(layout.weight_operator._dense) == 1
     assert peak < 16 * 8 * (n * n + layout.stacked_dim)
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(v))
+
+
+def test_designed_operators_build_from_the_arrays_in_linear_memory(monkeypatch):
+    """A designed layout of 300 scalar components on a 120-node ring is 300
+    single-component groups of tens of holders each. Its weight and
+    Laplacian operators are built from the weights' array form: they call
+    ``WeightedGraph.matrix`` zero times, and their build stays within 16
+    doubles per stored entry plus stacked entry, where dense W and D - W
+    blocks per group took about 2 Σ copies² doubles."""
+    rng = np.random.default_rng(21)
+    num_agents, num_components = 120, 300
+    interference = random_interference(rng, num_components, num_agents, density=0.05)
+    crit = DesignCriterion(ConnectivityMode.undirected_connected(), objective="min_edges")
+    layout = design_layout(ring(num_agents), interference, Partition((1,) * num_components),
+                           crit)
+    assert len(layout.groups) == num_components
+    nnz = sum(len(g.weights.graph.edges) for g in layout.groups)  # one entry per edge
+    # the dense blocks would outweigh the bound below many times over
+    assert sum(g.copies ** 2 for g in layout.groups) > 4 * (nnz + layout.stacked_dim)
+    calls = []
+    matrix = WeightedGraph.matrix
+    monkeypatch.setattr(WeightedGraph, "matrix", lambda self: calls.append(1) or matrix(self))
+    tracemalloc.start()
+    try:
+        weights, lap = layout.weight_operator, layout.laplacian_operator
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 16 * 8 * (nnz + layout.stacked_dim)
+    assert weights.matrix.nnz == nnz and not weights._dense and not lap._dense
 
 
 def test_csr_kernel_matches_public_fallback():
@@ -1753,8 +1821,9 @@ def loop_certificate(layout, game, alpha, tol=1e-8):
 @pytest.mark.parametrize("scheme", ["metropolis", "row"])
 def test_certificate_matches_per_step_build_and_reads_weights_once(scheme, monkeypatch):
     """Certificates over a grid of step sizes equal, bit for bit, a build
-    from scratch per step size; a certificate reads each component group's
-    weight block once, and a whole step-size search reads none again."""
+    from scratch per step size. A certificate forms each component group's
+    weight block once, for all of its members, and keeps none: the next
+    certificate forms them again, and a step-size search forms them once."""
     calls = []
     matrix = WeightedGraph.matrix
     monkeypatch.setattr(WeightedGraph, "matrix", lambda self: calls.append(1) or matrix(self))
@@ -1767,7 +1836,8 @@ def test_certificate_matches_per_step_build_and_reads_weights_once(scheme, monke
             calls.clear()
             certs = [certify_theorem1(layout, game, float(a))
                      for a in np.geomspace(1e-6, 10.0, 25)]
-            assert len(calls) == len(layout.groups)
+            assert len(calls) == 25 * len(layout.groups)
+            calls.clear()
             try:
                 search_ne_step_size(layout, game)
             except GameError:
@@ -2363,10 +2433,10 @@ def test_pushsum_step_matches_component_loop(arm, monkeypatch):
     arms, problem, snapshots = pushsum_layouts(7)
     layout = arms[arm]
     assert max(layout.copies(p) for p in layout.partition.components) > 1
-    compiles = []
-    compile_blocks = EndLayout.block_operator
-    monkeypatch.setattr(EndLayout, "block_operator",
-                        lambda self, blocks: compiles.append(1) or compile_blocks(self, blocks))
+    compiles = []  # every block operator is compiled here, from any route
+    compile_operator = EndLayout._compile
+    monkeypatch.setattr(EndLayout, "_compile", lambda self, dense, sparse: compiles.append(1)
+                        or compile_operator(self, dense, sparse))
     schedule = example_design_schedule(layout, snapshots)
     assert not compiles  # slots compile on their first round, inside the solve
     gamma = power_step_schedule(0.05, 0.6)

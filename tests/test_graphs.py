@@ -31,6 +31,7 @@ from endnet.graphs import (
     row_stochastic_weights,
     shortest_path_tree,
     tree_path,
+    uniform_weights,
 )
 
 
@@ -232,9 +233,120 @@ def undirected_graphs(draw):
 @given(g=undirected_graphs())
 @settings(max_examples=150, deadline=None)
 def test_metropolis_from_the_edge_list_matches_the_per_node_formula(g):
+    """The same entries, bit for bit; the weights read back in ascending
+    (receiver, sender) order, not the formula's node-by-node order."""
     mh = metropolis_hastings_weights(g)
     assert mh.graph == g.with_self_loops()
-    assert list(mh.weights.items()) == list(per_node_metropolis(g).items())
+    assert sorted(mh.weights.items()) == sorted(per_node_metropolis(g).items())
+    assert list(mh.weights) == sorted(mh.weights)
+
+
+# -- the weight schemes against the dict loops they replaced ------------------
+
+
+def dict_metropolis(g):
+    """metropolis_hastings_weights as the per-node dict loop it replaced,
+    keyed (receiver, sender)."""
+    neighbors = {v: [] for v in g.nodes}
+    for u, v in g.edges:
+        if u != v:
+            neighbors[u].append(v)
+    deg = {v: len(us) for v, us in neighbors.items()}
+    share = [1.0 / (1.0 + d) for d in range(max(deg.values()) + 1)]
+    w = {}
+    for v, us in neighbors.items():
+        us.sort()
+        dv = deg[v]
+        off = 0.0
+        for u in us:
+            du = deg[u]
+            w[(v, u)] = x = share[du if du > dv else dv]
+            off += x
+        w[(v, v)] = 1.0 - off
+    return w
+
+
+def dict_row(g):
+    """row_stochastic_weights as the dict loop it replaced (self-loops added)."""
+    gl = g.with_self_loops()
+    return {(v, u): 1.0 / len(gl.in_neighbors(v)) for v in gl.nodes for u in gl.in_neighbors(v)}
+
+
+def dict_column(g):
+    """column_stochastic_weights as the dict loop it replaced (self-loops added)."""
+    gl = g.with_self_loops()
+    return {(v, u): 1.0 / len(gl.out_neighbors(u))
+            for u in gl.nodes for v in gl.out_neighbors(u)}
+
+
+def dict_uniform(g):
+    """uniform_weights as the dict loop it replaced."""
+    return {(v, u): 1.0 for (u, v) in g.edges}
+
+
+def assert_same_weights(wg, graph, weights):
+    """``wg`` is ``graph`` with the dict ``weights``, bit for bit: its dense
+    matrix and its JSON text as the dict wrote them."""
+    pos = {v: k for k, v in enumerate(graph.nodes)}
+    dense = np.zeros((graph.num_nodes, graph.num_nodes))
+    for (r, s), w in weights.items():
+        dense[pos[r], pos[s]] = w
+    doc = graph.to_json_dict()
+    doc["weights"] = {f"{r},{s}": w for (r, s), w in sorted(weights.items())}
+    assert wg.graph == graph
+    assert wg.matrix().tobytes() == dense.tobytes()
+    assert json.dumps(wg.to_json_dict()) == json.dumps(doc)
+    assert WeightedGraph(graph, weights) == wg
+    assert WeightedGraph.from_json_dict(doc) == wg
+
+
+@st.composite
+def directed_graphs(draw):
+    """Directed graphs on up to 9 scattered ids, isolated nodes allowed,
+    with or without some self-loops."""
+    nodes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True))
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        edges += [(v, v) for v in draw(st.lists(st.sampled_from(nodes), unique=True))]
+    return Graph.directed_graph(draw(st.permutations(nodes)), edges)
+
+
+@given(g=undirected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_metropolis_matches_the_dict_loop_bit_for_bit(g):
+    assert_same_weights(metropolis_hastings_weights(g), g.with_self_loops(), dict_metropolis(g))
+
+
+@pytest.mark.parametrize("g", [Graph.complete(range(1, 5)), Graph.complete(range(1, 11)),
+                               Graph.complete(range(1, 51)),
+                               Graph.undirected_graph(range(1, 201), [(i, i % 200 + 1)
+                                                                      for i in range(1, 201)])],
+                         ids=["complete4", "complete10", "complete50", "ring200"])
+def test_metropolis_matches_the_dict_loop_on_long_rows(g):
+    """Rows of 8 and more weights, whose diagonal sums run long."""
+    assert_same_weights(metropolis_hastings_weights(g), g.with_self_loops(), dict_metropolis(g))
+
+
+@given(g=directed_graphs())
+@settings(max_examples=150, deadline=None)
+def test_row_column_and_uniform_match_the_dict_loops_bit_for_bit(g):
+    assert_same_weights(row_stochastic_weights(g), g.with_self_loops(), dict_row(g))
+    assert_same_weights(column_stochastic_weights(g), g.with_self_loops(), dict_column(g))
+    assert_same_weights(uniform_weights(g), g, dict_uniform(g))
+
+
+def test_weights_are_read_only_and_pickle_without_their_view():
+    wg = metropolis_hastings_weights(Graph.undirected_graph([1, 2, 3], [(1, 2), (2, 3)]))
+    assert list(wg.weights) == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+    with pytest.raises(TypeError):
+        wg.weights[(1, 1)] = 1.0
+    for a in (wg.rows, wg.cols, wg.values):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    back = pickle.loads(pickle.dumps(wg))
+    assert "weights" in vars(wg) and "weights" not in vars(back)
+    assert back == wg and back.weights == wg.weights
 
 
 class TestWeightCompliance:

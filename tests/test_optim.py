@@ -246,7 +246,7 @@ def dense_blocks(matrices, layout):
     keyed by the group's lead: the polynomials evaluated on each group's W."""
     blocks = {name: {} for name in "abcd"}
     for g in layout.groups:
-        W, eye = g.matrix, np.eye(g.copies)
+        W, eye = g.weights.matrix(), np.eye(g.copies)
         powers = (eye, W, W @ W)
         for name in "abc":
             blocks[name][g.lead] = sum(c * P for c, P in zip(getattr(matrices, name), powers))
