@@ -92,9 +92,9 @@ def _not_whole(value) -> bool:
 def _read(cfg: dict, key: str, kind, default=_REQUIRED):
     """``kind(cfg.get(key, default))``, where a missing required key or a
     value ``kind`` cannot convert is a ConfigError that names the key; so is
-    a bool for an int or float field, or a fractional number for an int
-    field. A default of None makes the field optional and passes None
-    through."""
+    a bool for an int or float field, a fractional number for an int field,
+    or anything but a JSON array for a list field. A default of None makes
+    the field optional and passes None through."""
     if key in cfg:
         value = cfg[key]
     elif default is _REQUIRED:
@@ -104,7 +104,8 @@ def _read(cfg: dict, key: str, kind, default=_REQUIRED):
     if value is None and default is None:
         return None
     try:
-        if kind is int and _not_whole(value) or kind is float and isinstance(value, bool):
+        if (kind is int and _not_whole(value) or kind is float and isinstance(value, bool)
+                or kind is list and not isinstance(value, list)):
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError) as exc:

@@ -920,17 +920,18 @@ class EndLayout:
         unicast: one unit per scalar sent over one edge; broadcast: one unit
         per scalar broadcast by an agent holding a block with at least one
         out-neighbor. Each component group's exchange graph is counted once,
-        times its members and dimension, in one pass over its edges.
+        times its members and dimension, from its weights' array form: an
+        edge u→v with u ≠ v is an entry off the diagonal, u its column.
         """
         if mode == "unicast":
-            def per_copy(g: Graph) -> int:
-                return sum(u != v for u, v in g.edges)
+            def per_copy(w: WeightedGraph) -> int:
+                return np.count_nonzero(w.rows != w.cols)
         elif mode == "broadcast":
-            def per_copy(g: Graph) -> int:
-                return len({u for u, v in g.edges if u != v})
+            def per_copy(w: WeightedGraph) -> int:
+                return np.count_nonzero(np.bincount(w.cols[w.rows != w.cols]))
         else:
             raise LayoutError(f"unknown communication mode {mode!r}")
-        return float(sum(len(grp.members) * grp.dim * per_copy(grp.weights.graph)
+        return float(sum(len(grp.members) * grp.dim * per_copy(grp.weights)
                          for grp in self.groups))
 
     def mean_estimate_count(self) -> float:

@@ -2,7 +2,7 @@
 
 Four solver families on top of :class:`~endnet.layout.EndLayout`:
 
-* edge-constrained dual reformulation and the resulting ADMM;
+* edge-based ADMM on the design graphs' adjacency;
 * the generic two-matrix first-order family (A, B, C polynomials in each
   component group's weights) with a spectral condition checker, an
   ergodic-rate bound, and the gradient-tracking instantiation;
@@ -437,21 +437,30 @@ def stacked_gradient(layout: EndLayout, problem: SeparableProblem, hat: np.ndarr
     return stacked_form(layout, problem).gradient(np.asarray(hat, dtype=float), sub)
 
 
-# -- dual reformulation and ADMM -------------------------------------------
+# -- edge-based ADMM -------------------------------------------------------
 
 
 def _design_edges(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Holder positions (u, v) of the proper edges u→v of a group's exchange
-    graph, in ascending (u, v) order, and the number of each edge's reverse.
-    They are read off the weights' entries (receiver, sender): on an
-    undirected graph, the same pairs in the same order."""
+    """The adjacency of a group's exchange graph in the array form of
+    :class:`~endnet.graphs.WeightedGraph`: the holder positions (u, v) of
+    its proper edges u→v, in ascending (u, v) order, with unit values. They
+    are read off the weights' entries (receiver, sender): on an undirected
+    graph, the same pairs in the same order."""
     w = group.weights
     proper = w.rows != w.cols
     u, v = w.rows[proper], w.cols[proper]
-    number = _transposition(u, v)
-    if number is None:
+    if _transposition(u, v) is None:
         raise OptimError(f"{group.label}: design graph not undirected")
-    return u, v, number
+    return u, v, np.ones(u.size)
+
+
+def _design_adjacency(layout: EndLayout) -> tuple[BlockOperator, int]:
+    """⊕_p (A_p ⊗ I) for A_p the adjacency of component p's exchange graph
+    (:func:`_design_edges`), and the number of directed design edges
+    (p, i→j)."""
+    entries = {g.lead: _design_edges(g) for g in layout.groups}
+    edges = sum(len(g.members) * entries[g.lead][0].size for g in layout.groups)
+    return layout.group_operator(lambda g: entries[g.lead]), edges
 
 
 def _transposition(rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
@@ -461,53 +470,6 @@ def _transposition(rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
     order = np.lexsort((rows, cols))
     symmetric = np.array_equal(rows[order], cols) and np.array_equal(cols[order], rows)
     return order if symmetric else None
-
-
-def dual_reformulate(layout: EndLayout) -> list[tuple[int, int, int]]:
-    """Edge consensus constraints equivalent to the original problem.
-
-    Returns one (p, i, j) triple per proper design edge, meaning
-    "agent i's and agent j's copies of component p must agree". Requires
-    undirected (symmetric) design graphs.
-    """
-    constraints = []
-    for g in layout.groups:
-        u, v, _ = _design_edges(g)
-        nodes = np.asarray(g.weights.graph.nodes)
-        edges = list(zip(nodes[u].tolist(), nodes[v].tolist()))
-        constraints.extend((p, i, j) for p in g.members for i, j in edges)
-    return sorted(constraints)
-
-
-def _edge_plan(layout: EndLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The directed design edges (p, i→j) × dim as one index space.
-
-    Entry e of an edge vector belongs to agent i's copy at stacked entry
-    ``src[e]`` and reads agent j's copy at ``dst[e]``; ``rev[e]`` is the
-    same coordinate of edge (p, j→i). Each group's shared edges are
-    broadcast over its members, and a copy's edges come in ascending
-    neighbour order. Also returns the number of directed edges.
-    """
-    src, dst, rev = [], [], []
-    offset = count = 0
-    for g in layout.groups:
-        u, v, r = _design_edges(g)
-        k, width = np.arange(g.dim), u.size * g.dim
-        starts = np.asarray(g.starts)[:, None, None]
-        src.append((starts + (u * g.dim)[:, None] + k).ravel())
-        dst.append((starts + (v * g.dim)[:, None] + k).ravel())
-        bases = offset + width * np.arange(len(g.members))[:, None, None]
-        rev.append((bases + (r * g.dim)[:, None] + k).ravel())
-        offset += width * len(g.members)
-        count += u.size * len(g.members)
-    return np.concatenate(src), np.concatenate(dst), np.concatenate(rev), count
-
-
-def edge_constraint_residual(layout: EndLayout, hat: np.ndarray) -> float:
-    """Largest violation among the pairwise design-edge constraints."""
-    src, dst, _, _ = _edge_plan(layout)
-    hat = np.asarray(hat, dtype=float)
-    return float(np.max(np.abs(hat[src] - hat[dst]), initial=0.0))
 
 
 def _regularized_argmin(stacked, problem: SeparableProblem, degree: np.ndarray,
@@ -560,35 +522,47 @@ def admm_solve(
     tol: float = 1e-10,
     reference: np.ndarray | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Edge-based ADMM on the dual reformulation.
+    """Edge-based ADMM on the edge-consensus reformulation (Shi et al., 2014).
 
-    One multiplier z per directed design edge (p, i→j). Each step solves
-    every agent's regularized local argmin at once, with agent i's linear
-    term on its copy of p the sum of z over its edges, then exchanges
-    z ← (1−α) z − α z_rev + 2α ŷ_dst. The relaxation parameter must lie
-    strictly inside (0, 1). The loop is :func:`~endnet.trace.run_steps`.
+    Each step solves every agent's regularized local argmin at once, with
+    linear term r. The multipliers z_{i→j}, one per directed design edge and
+    exchanged as z ← (1−α) z − α z_rev + 2α ŷ_dst, enter only as
+    r_i = Σ_j z_{i→j} and q_i = Σ_j z_{j→i}. Summing the exchange gives
+    r ← (1−α) r − α q + 2α Âŷ and q ← (1−α) q − α r + 2α deg ⊙ ŷ, for Â ⊗ I
+    the design adjacency and deg its row sums, so r and q are the state.
+    The relaxation parameter must lie strictly inside (0, 1). The loop is
+    :func:`~endnet.trace.run_steps`.
     """
     if not 0.0 < alpha < 1.0:
         raise OptimError(f"relaxation parameter {alpha} outside (0, 1)")
     if max_iters < 1:
         raise OptimError("ADMM needs max_iters >= 1")
-    src, dst, rev, edges = _edge_plan(layout)
+    adjacency, edges = _design_adjacency(layout)
     n = layout.stacked_dim
+    degree = adjacency @ np.ones(n)
     # quadratic penalty of 1/2 per incident edge: with the multiplier
     # exchange used below, any other scaling shifts the fixed point away
     # from the consensus optimum
-    argmin = _regularized_argmin(stacked_form(layout, problem), problem,
-                                 np.bincount(src, minlength=n).astype(float))
-    z = np.zeros(src.size)
-    hat = np.zeros(n)
+    argmin = _regularized_argmin(stacked_form(layout, problem), problem, degree)
+    # the multiplier sums as the rows r and q, and the same rows swapped
+    sums, buffer = np.zeros((2, n)), np.empty((2, n))
+    r, q, swapped, own_term = sums[0], sums[1], sums[::-1], buffer[1]
+    hat, prev = np.zeros(n), np.zeros(n)
+    add_exchange = adjacency.scaled(2.0 * alpha).bind(hat, r, accumulate=True)
+    own = 2.0 * alpha * degree
     ref_hat = None if reference is None else layout.embed_consensus(np.asarray(reference, float))
     trace = RunTrace(meta={"alpha": alpha, "messages_per_iter": float(edges)})
-    prev = hat
 
     def step(k: int) -> np.ndarray:
-        nonlocal z, prev, hat
-        prev, hat = hat, argmin(np.bincount(src, weights=z, minlength=n))
-        z = (1.0 - alpha) * z - alpha * z[rev] + 2.0 * alpha * hat[dst]
+        np.copyto(prev, hat)
+        np.copyto(hat, argmin(r))
+        # [r; q] ← (1−α) [r; q] − α [q; r] + 2α [Âŷ; deg ⊙ ŷ]
+        np.multiply(swapped, alpha, out=buffer)
+        np.multiply(sums, 1.0 - alpha, out=sums)
+        np.subtract(sums, buffer, out=sums)
+        add_exchange()
+        np.multiply(own, hat, out=own_term)
+        np.add(q, own_term, out=q)
         return hat
 
     def record(s: int) -> bool:

@@ -919,6 +919,21 @@ def test_experiment_seeds_must_be_integers(tmp_path, capsys, seeds):
     assert "config error: field 'seeds': expected integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, block", [("seeds", {"seeds": "12"}),
+                                          ("values", {"sweep": {"parameter": "num_agents",
+                                                                "values": "45"}})])
+def test_experiment_list_fields_must_be_arrays(tmp_path, capsys, field, block):
+    """A string is iterable, but a seed or sweep list given as one is a
+    config error, not one cell per character."""
+    cfg = _write_config(tmp_path, "exp.json", {
+        "scenario": {k: v for k, v in SEP_SCENARIO.items() if k != "seed"},
+        "run": {"algorithm": "augdgm", "max_iters": 10, "merit_every": 5}, **block})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: field {field!r}: expected list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_deterministic_across_jobs(tmp_path):
     cfg = _write_config(tmp_path, "exp.json", {
         "scenario": {k: v for k, v in SEP_SCENARIO.items() if k != "seed"},

@@ -80,6 +80,7 @@ from endnet.optim import (
     StackedQuadratic,
     _PushSumRounds,
     _TrackingRounds,
+    _design_adjacency,
     abc_check,
     abc_solve,
     abc_step,
@@ -88,8 +89,6 @@ from endnet.optim import (
     augdgm_solve,
     augdgm_step,
     constraint_coupled_solve,
-    dual_reformulate,
-    edge_constraint_residual,
     example_design_schedule,
     power_step_schedule,
     pushsum_dgd_step,
@@ -105,6 +104,7 @@ from endnet.scenarios import (
     build_lasso,
     build_regression,
     build_random_quadratic_game,
+    build_random_separable,
     build_unicast,
     reference_scheme_unicast,
     sample_unicast,
@@ -645,9 +645,10 @@ def test_broadcast_cost_counts_holders_with_a_proper_out_edge(num_nodes, num_com
 
 def test_communication_accounting_walks_each_group_once(monkeypatch):
     """On a standard layout of 2,000 components over 200 agents (one group)
-    each cost makes one pass over the shared graph's edges, not one per
-    component: broadcast reads no neighbour list and builds no adjacency
-    index, and the copy count reads no exchange graph at all."""
+    each cost reads the shared weights' arrays once, not one graph per
+    component, and makes no pass over the edge set: broadcast reads no
+    neighbour list and builds no adjacency index, and the copy count reads
+    no exchange graph at all."""
     interference = frozenset((p, p % 200 + 1) for p in range(1, 2001))
     layout = standard_layout(ring(200), interference, Partition((1,) * 2000))
     assert len(layout.groups) == 1
@@ -660,11 +661,40 @@ def test_communication_accounting_walks_each_group_once(monkeypatch):
                         lambda self, v: reads.append(v) or out_neighbors(self, v))
     monkeypatch.setattr(CountedEdges, "passes", 0)
     assert layout.communication_cost("broadcast") == 2000 * 200
-    assert CountedEdges.passes == 1 and not reads and "_index" not in graph.__dict__
+    assert CountedEdges.passes == 0 and not reads and "_index" not in graph.__dict__
     assert layout.communication_cost("unicast") == 2000 * 400
-    assert CountedEdges.passes == 2
     assert layout.mean_estimate_count() == 2000
-    assert CountedEdges.passes == 2
+    assert CountedEdges.passes == 0
+
+
+def edge_set_communication_cost(layout, mode):
+    """Both costs by the pass over each group's edge set that the layout
+    made before it counted on the weights' arrays."""
+    if mode == "unicast":
+        def per_copy(g):
+            return sum(u != v for u, v in g.edges)
+    else:
+        def per_copy(g):
+            return len({u for u, v in g.edges if u != v})
+    return float(sum(len(grp.members) * grp.dim * per_copy(grp.weights.graph)
+                     for grp in layout.groups))
+
+
+@given(st.sampled_from(["standard", "designed", "mixed"]),
+       st.sampled_from([None, "row", "column"]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       st.integers(3, 6), st.integers(0, 2**16))
+@example("standard", "column", [1, 2, 1], 4, 0)
+@settings(max_examples=40, deadline=None)
+def test_communication_cost_matches_the_edge_set_pass(kind, scheme, dims, num_agents, seed):
+    """Unicast and broadcast costs from the weights' arrays against the pass
+    over each group's edge set, on standard, designed and mixed layouts, and
+    on their row- and column-stochastic reweightings, which add self-loops."""
+    layout = grouped_layout(kind, tuple(dims), num_agents, seed)
+    if scheme is not None:
+        layout = reweight(layout, scheme)
+    for mode in ("unicast", "broadcast"):
+        assert layout.communication_cost(mode) == edge_set_communication_cost(layout, mode), mode
 
 
 def test_bind_checks_its_operands_once():
@@ -1181,6 +1211,29 @@ def test_support_forms_equal_the_full_row_forms(kind, problem_kind, dims, num_ag
     assert np.array_equal(rounds.y, y) and np.array_equal(rounds.t, z)
 
 
+def test_admm_state_is_linear_in_the_stacked_dimension():
+    """ADMM keeps two stacked multiplier sums, not one multiplier per
+    directed design edge: on the complete graph of 30 agents (870 directed
+    edges for each of 60 components, against 1,800 stacked entries) 20
+    steps, set-up included, stay within 40 doubles per stacked entry of
+    traced peak (0.26 MB measured). The per-edge multipliers and their
+    index plan peaked at 2.6 MB, ~180 doubles per stacked entry."""
+    problem, _ = build_random_separable(30, 60, 0.05, 0)
+    interference = frozenset((p, i) for i, fp in enumerate(problem.footprints, start=1)
+                             for p in fp)
+    layout = standard_layout(Graph.complete(range(1, 31)), interference, Partition((1,) * 60))
+    layout.disagreement(np.zeros(layout.stacked_dim)), stacked_form(layout, problem)
+    import scipy.sparse.linalg  # noqa: F401  (its first import would be traced)
+    tracemalloc.start()
+    try:
+        hat, trace = admm_solve(layout, problem, 0.5, max_iters=20, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20 and np.all(np.isfinite(hat))
+    assert peak <= 40 * layout.stacked_dim * 8
+
+
 def dense_null_space_is_consensus(layout):
     """The null-space check on the densified stacked Laplacian."""
     lap = layout.laplacian_operator.matrix.toarray()
@@ -1555,7 +1608,9 @@ def test_compiled_forms_follow_their_owner():
 
 
 def loop_dual_reformulate(layout):
-    """dual_reformulate as a loop over every component's sorted edges."""
+    """The edge consensus constraints (p, i, j), "agent i's and agent j's
+    copies of component p agree", by a loop over every component's sorted
+    edges."""
     constraints = []
     for p in layout.partition.components:
         g = layout.design[p].graph
@@ -1569,11 +1624,12 @@ def loop_dual_reformulate(layout):
 
 
 def loop_edge_residual(layout, hat):
-    worst = 0.0
+    """Each copy's summed edge residual Σ_j (ŷ_i − ŷ_j) over its constraints."""
+    out = np.zeros_like(hat)
     for (p, i, j) in loop_dual_reformulate(layout):
-        d = hat[layout.block_slice(p, i)] - hat[layout.block_slice(p, j)]
-        worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+        out[layout.block_slice(p, i)] += hat[layout.block_slice(p, i)] - hat[
+            layout.block_slice(p, j)]
+    return out
 
 
 def loop_quadratic_argmin(problem, i, components, degrees, linear):
@@ -1672,13 +1728,22 @@ def loop_admm_solve(layout, problem, alpha, argmin, max_iters, tol=0.0, referenc
 
 @pytest.mark.parametrize("layout", layouts(), ids=lambda lay: f"dims{lay.partition.dims}")
 def test_edge_residual_and_constraints_match_edge_loop(layout):
-    assert dual_reformulate(layout) == loop_dual_reformulate(layout)
+    """ADMM's design adjacency Â ⊗ I and its row sums deg against the edge
+    constraints' loop: (deg − Â) ŷ is each copy's summed edge residual,
+    zero on consensus, and the edge count is the number of constraints."""
+    adjacency, edges = _design_adjacency(layout)
+    degree = adjacency @ np.ones(layout.stacked_dim)
+    constraints = loop_dual_reformulate(layout)
+    counts = np.zeros(layout.stacked_dim)
+    for (p, i, j) in constraints:
+        counts[layout.block_slice(p, i)] += 1.0
+    assert edges == len(constraints) and np.array_equal(degree, counts)
     rng = np.random.default_rng(14)
     for _ in range(5):
         hat = rng.standard_normal(layout.stacked_dim)
-        assert edge_constraint_residual(layout, hat) == loop_edge_residual(layout, hat)
+        assert close(degree * hat - adjacency @ hat, loop_edge_residual(layout, hat))
     consensus = layout.embed_consensus(rng.standard_normal(layout.partition.total_dim))
-    assert edge_constraint_residual(layout, consensus) == 0.0
+    assert close(degree * consensus, adjacency @ consensus)
 
 
 @pytest.mark.parametrize("layout", layouts(), ids=lambda lay: f"dims{lay.partition.dims}")
