@@ -17,6 +17,7 @@ import os
 import sys
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,56 +83,201 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
+# the JSON name of each field type, for messages
+_JSON_TYPES = {int: "int", float: "float", bool: "bool", str: "str", list: "list",
+               dict: "object"}
 
-def _not_whole(value) -> bool:
-    """Whether ``value`` is a bool, or a float with a fractional part (or not
-    finite): values that ``int`` would change instead of refusing."""
-    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+# the bounds a field can carry besides a tuple of the strings it takes
+_POSITIVE = "positive"
+_RELAXATION = "in (0, 1)"
+_EXPONENT = "in (1/2, 1]"
+_INTEGERS = "integers"
 
 
-def _read(cfg: dict, key: str, kind, default=_REQUIRED):
-    """``kind(cfg.get(key, default))``, where a missing required key or a
-    value ``kind`` cannot convert is a ConfigError that names the key; so is
-    a bool for an int or float field, a fractional number for an int field,
-    or anything but a JSON array for a list field. A default of None makes
-    the field optional and passes None through."""
-    if key in cfg:
-        value = cfg[key]
-    elif default is _REQUIRED:
-        raise ConfigError(f"missing field {key!r}")
-    else:
-        value = default
-    if value is None and default is None:
+class _Field(NamedTuple):
+    """One config field: its JSON type, its default (``_REQUIRED`` when it
+    must be given; None when it is optional, and then null reads as absent)
+    and the bound a solver needs: ``_POSITIVE``, ``_RELAXATION``,
+    ``_EXPONENT``, ``_INTEGERS`` (a list of ints) or the tuple of strings it
+    takes. ``note`` says why a positive field must be."""
+
+    kind: type
+    default: object = _REQUIRED
+    bound: object = None
+    note: str = ""
+
+
+def _as(kind: type, raw):
+    """``raw`` as a value of JSON type ``kind``, or None when it is not one:
+    a bool is not a number, and an int is a whole number (40.0 reads as 40)."""
+    if kind not in (int, float):
+        return raw if isinstance(raw, kind) else None
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         return None
-    try:
-        if (kind is int and _not_whole(value) or kind is float and isinstance(value, bool)
-                or kind is list and not isinstance(value, list)):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r}: expected {kind.__name__}, got {value!r}") from exc
+    if kind is int and not (isinstance(raw, int) or raw.is_integer()):
+        return None
+    return kind(raw)
 
 
-def _read_positive(cfg: dict, key: str, kind, default=_REQUIRED, note: str | None = None):
-    """``_read``, where a value that is not above zero (for an int field:
-    not a whole number above zero) is also a ConfigError that names the key,
-    with ``note`` appended when given."""
-    raw = cfg.get(key, default)
-    if not (kind is int and _not_whole(raw)):
-        value = _read(cfg, key, kind, default)
-        if value > 0:
-            return value
-    whole = " and whole" if kind is int else ""
-    why = f" ({note})" if note else ""
-    raise ConfigError(f"field {key!r}: must be positive{whole}, got {raw!r}{why}")
-
-
-def _block(cfg: dict, key: str) -> dict:
-    """The JSON object under ``key`` (empty when absent)."""
-    value = cfg.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a JSON object")
+def _value(key: str, field: _Field, raw):
+    """``raw`` as the value of field ``key``: converted to its type and
+    checked against its bound, or a ConfigError naming the key. An int field
+    that must be positive reads a fraction or a bool as out of bound."""
+    bound = field.bound
+    if raw is None and field.default is None:
+        return None
+    if isinstance(bound, tuple):
+        if isinstance(raw, str) and raw in bound:
+            return raw
+        raise ConfigError(f"unknown {key} {raw!r} (expected {' or '.join(bound)})")
+    value = _as(field.kind, raw)
+    positive = bound in (_POSITIVE, _RELAXATION)
+    if value is None and not (positive and field.kind is int and isinstance(raw, (int, float))):
+        raise ConfigError(f"field {key!r}: expected {_JSON_TYPES[field.kind]}, got {raw!r}")
+    if positive and not (value is not None and value > 0):
+        whole = " and whole" if field.kind is int else ""
+        why = f" ({field.note})" if field.note else ""
+        raise ConfigError(f"field {key!r}: must be positive{whole}, got {raw!r}{why}")
+    if bound == _RELAXATION and value >= 1.0:
+        raise ConfigError(f"field {key!r}: relaxation parameter {value} outside (0, 1)")
+    if bound == _EXPONENT and not 0.5 < value <= 1.0:
+        raise ConfigError(f"field {key!r}: must be in (1/2, 1], got {raw!r}")
+    if bound == _INTEGERS:
+        value = [_as(int, item) for item in value]
+        if None in value:
+            raise ConfigError(f"field {key!r}: expected integers, got {raw!r}")
     return value
+
+
+def _resolve(cfg: dict, fields: dict, what: str, selector: str | None = None) -> dict:
+    """The value of each of ``fields`` in the config block ``cfg``, which is
+    ``what`` (for messages): read by :func:`_value`, or its default when
+    absent. A key that is neither a field nor ``selector``, or a missing
+    required field, is a ConfigError naming it."""
+    unknown = sorted(set(cfg) - set(fields) - {selector})
+    if unknown:
+        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in {what} "
+                          f"(expected {', '.join(fields)})")
+    values = {}
+    for key, field in fields.items():
+        if key in cfg:
+            values[key] = _value(key, field, cfg[key])
+        elif field.default is _REQUIRED:
+            raise ConfigError(f"missing field {key!r} in {what}")
+        else:
+            values[key] = field.default
+    return values
+
+
+# -- config spec ------------------------------------------------------------
+#
+# Every field of every config block, declared once. A scenario kind names
+# its default algorithm, and an algorithm the scenario kinds it runs on.
+
+_ARMS = ("standard", "customized")
+_SEED = _Field(int, 0)
+_TOPOLOGY = _Field(str, "ring", ("ring", "complete"))
+_SENSOR = {
+    "num_sensors": _Field(int), "num_sources": _Field(int),
+    "sensing_radius": _Field(float, 0.2), "comm_radius_min": _Field(float, 0.1),
+    "comm_radius_width": _Field(float, 0.1), "output_dim": _Field(int, 10),
+    "noise_var": _Field(float, 0.1), "emit_fraction": _Field(float, 0.3), "seed": _SEED,
+    "max_resample": _Field(int, 200),
+}
+
+# kind: (default algorithm, the fields besides "kind")
+_SCENARIOS = {
+    "unicast": ("gne", {
+        "num_users": _Field(int), "max_path_len": _Field(int, 4),
+        "extra_edge_prob": _Field(float, 0.25), "relay_prob": _Field(float, 0.1),
+        "alpha": _Field(float, 0.1, _POSITIVE), "beta": _Field(float, 1e-3, _POSITIVE),
+        "seed": _SEED}),
+    "regression": ("pushsum", _SENSOR),
+    "lasso": ("pushsum", _SENSOR),
+    "random_game": ("ne", {
+        "num_agents": _Field(int, 5), "sparsity": _Field(float, 0.4),
+        "shift": _Field(float, 1.0), "topology": _TOPOLOGY, "seed": _SEED}),
+    "random_separable": ("augdgm", {
+        "num_agents": _Field(int, 6), "num_components": _Field(int, 8),
+        "sparsity": _Field(float, 0.5), "topology": _TOPOLOGY, "seed": _SEED}),
+    "coupled_qp": ("dual", {
+        "num_agents": _Field(int, 4), "dim": _Field(int, 1), "box_bound": _Field(float, 10.0),
+        "topology": _TOPOLOGY, "seed": _SEED}),
+}
+
+# the fields of a unicast scenario that names a preset network
+_UNICAST_PRESET = {"preset": _Field(str, _REQUIRED, ("reference",)), "seed": _SEED}
+
+_TRACKING = {
+    "gamma": _Field(float, None, _POSITIVE),
+    "max_iters": _Field(int, 2000, _POSITIVE, TRACKING_BUDGET),
+    "merit_every": _Field(int, 10, _POSITIVE, TRACKING_BUDGET),
+}
+_STEP_SCHEDULE = {
+    "step_scale": _Field(float, 1.0, _POSITIVE), "step_exponent": _Field(float, 0.51, _EXPONENT),
+}
+
+# algorithm: (the scenario kinds it runs on, the run fields besides
+# "algorithm"); a default of None is worked out from the instance
+_ALGORITHMS = {
+    "gne": (("unicast",), {
+        "alpha": _Field(float, None, _POSITIVE), "beta": _Field(float, None, _POSITIVE),
+        "reference": _Field(bool, True), "reference_step": _Field(float, 0.05, _POSITIVE),
+        "reference_max_iters": _Field(int, 500000, _POSITIVE),
+        "max_iters": _Field(int, 200000, _POSITIVE), "tol": _Field(float, 1e-2),
+        "residual_tol": _Field(float, None), "check_every": _Field(int, 50, _POSITIVE)}),
+    "ne": (("random_game",), {
+        "alpha": _Field(float, None, _POSITIVE), "rho_target": _Field(float, 0.999),
+        "max_iters": _Field(int, 10000, _POSITIVE), "tol": _Field(float, 1e-10)}),
+    "augdgm": (("random_separable",), _TRACKING),
+    "abc": (("random_separable",), _TRACKING),
+    "admm": (("random_separable",), {
+        "alpha": _Field(float, 0.5, _RELAXATION), "max_iters": _Field(int, 5000, _POSITIVE),
+        "tol": _Field(float, 1e-10)}),
+    "pushsum": (("regression", "lasso"), {
+        **_STEP_SCHEDULE, "max_iters": _Field(int, 20000, _POSITIVE),
+        "stop_tol": _Field(float, 1e-2), "check_every": _Field(int, 100, _POSITIVE)}),
+    "dual": (("coupled_qp",), {**_STEP_SCHEDULE, "max_iters": _Field(int, 5000, _POSITIVE)}),
+}
+
+# the top level of each command's config
+_COMMANDS = {
+    "design": {"scenario": _Field(dict)},
+    "run": {"scenario": _Field(dict), "run": _Field(dict, {}),
+            "arm": _Field(str, "customized", _ARMS)},
+    "experiment": {"scenario": _Field(dict), "sweep": _Field(dict, {}),
+                   "seeds": _Field(list, None, _INTEGERS), "run": _Field(dict, {})},
+    "validate": {"layout_file": _Field(str),
+                 "mode": _Field(str, "undirected", ("undirected", "strong", "rooted")),
+                 "roots": _Field(dict, None)},
+}
+
+# an experiment's sweep: the scenario field it sets, and the values it takes
+_SWEEP = {"parameter": _Field(str, None), "values": _Field(list, [None])}
+
+
+def _resolve_scenario(cfg) -> tuple[str, dict]:
+    """The kind of a scenario block and its values."""
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError("scenario block must be an object with a 'kind' field")
+    kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario kind {kind!r} (expected {', '.join(_SCENARIOS)})")
+    if kind == "unicast" and "preset" in cfg:
+        return kind, _resolve(cfg, _UNICAST_PRESET, "a unicast scenario with a preset", "kind")
+    return kind, _resolve(cfg, _SCENARIOS[kind][1], f"a {kind} scenario", "kind")
+
+
+def _resolve_run(kind: str, run_cfg: dict) -> tuple[str, dict]:
+    """The algorithm a run block selects on a scenario kind, and its values."""
+    algorithm = run_cfg.get("algorithm", _SCENARIOS[kind][0])
+    if not isinstance(algorithm, str) or algorithm not in _ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r} "
+                          f"(expected one of {', '.join(_ALGORITHMS)})")
+    kinds, fields = _ALGORITHMS[algorithm]
+    if kind not in kinds:
+        raise ConfigError(f"{algorithm} solver requires a {' or '.join(kinds)} scenario")
+    return algorithm, _resolve(run_cfg, fields, f"a run of {algorithm}", "algorithm")
 
 
 # -- output helpers ---------------------------------------------------------
@@ -233,51 +379,13 @@ def emit_plot_script(csv_path: str, columns: list[str]) -> str:
 
 # -- scenario construction --------------------------------------------------
 
-_SENSOR_FIELDS = {
-    "num_sensors": int, "num_sources": int, "sensing_radius": float,
-    "comm_radius_min": float, "comm_radius_width": float, "output_dim": int,
-    "noise_var": float, "emit_fraction": float, "seed": int, "max_resample": int,
-}
-
-
-# the fields each scenario kind reads, besides "kind"; a unicast preset
-# reads only its seed
-_SCENARIO_FIELDS = {
-    "unicast": ("num_users", "max_path_len", "extra_edge_prob", "relay_prob", "alpha",
-                "beta", "seed"),
-    "unicast preset": ("preset", "seed"),
-    "regression": tuple(_SENSOR_FIELDS),
-    "lasso": tuple(_SENSOR_FIELDS),
-    "random_game": ("num_agents", "sparsity", "shift", "topology", "seed"),
-    "random_separable": ("num_agents", "num_components", "sparsity", "topology", "seed"),
-    "coupled_qp": ("num_agents", "dim", "box_bound", "topology", "seed"),
-}
-_PRESETS = ("reference",)
-
-
-def _check_scenario_fields(cfg: dict, kind: str) -> None:
-    """Reject a field the scenario kind does not read, naming it."""
-    form, what = kind, f"{kind} scenario"
-    if kind == "unicast" and "preset" in cfg:
-        if cfg["preset"] not in _PRESETS:
-            raise ConfigError(f"unknown preset {cfg['preset']!r} "
-                              f"(expected {', '.join(_PRESETS)})")
-        form, what = "unicast preset", "unicast scenario with a preset"
-    allowed = _SCENARIO_FIELDS[form]
-    unknown = sorted(set(cfg) - {"kind", *allowed})
-    if unknown:
-        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a "
-                          f"{what} (expected {', '.join(allowed)})")
-
 
 def _comm_graph(topology: str, n: int) -> Graph:
     nodes = range(1, n + 1)
     if topology == "complete":
         return Graph.complete(nodes)
-    if topology == "ring":
-        edges = sorted({(min(i, i % n + 1), max(i, i % n + 1)) for i in nodes})
-        return Graph.undirected_graph(nodes, edges)
-    raise ConfigError(f"unknown topology {topology!r} (expected ring or complete)")
+    edges = sorted({(min(i, i % n + 1), max(i, i % n + 1)) for i in nodes})
+    return Graph.undirected_graph(nodes, edges)  # a ring
 
 
 def _undirected_arms(comm, interference, partition, scheme="metropolis"):
@@ -290,12 +398,9 @@ def _undirected_arms(comm, interference, partition, scheme="metropolis"):
     return std, cust
 
 
-def _build_coupled_qp(cfg: dict, seed: int) -> dict:
+def _build_coupled_qp(n: int, d: int, bound: float, topology: str, seed: int) -> dict:
     """Seeded quadratic resource-allocation problem with one coupling row
     per component and a closed-form multiplier for reference."""
-    n = _read(cfg, "num_agents", int, 4)
-    d = _read(cfg, "dim", int, 1)
-    bound = _read(cfg, "box_bound", float, 10.0)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-1.0, 1.0, size=(n, d))
     y_star = rng.uniform(-0.2, 0.2, size=d)
@@ -315,7 +420,7 @@ def _build_coupled_qp(cfg: dict, seed: int) -> dict:
         con_offsets={(1, i): offset / n for i in range(1, n + 1)},
         argmin_oracle=oracle,
     )
-    comm = _comm_graph(cfg.get("topology", "ring"), n)
+    comm = _comm_graph(topology, n)
     interference = frozenset((1, i) for i in range(1, n + 1))
     std, cust = _undirected_arms(comm, interference, Partition((d,)))
     return {"kind": "coupled_qp", "problem": ccp, "reference_dual": y_star,
@@ -325,53 +430,34 @@ def _build_coupled_qp(cfg: dict, seed: int) -> dict:
 def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
     """Turn a scenario config block into problem objects plus both layout
     arms; returns a bundle dict keyed by scenario kind."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("scenario block must be an object with a 'kind' field")
-    kind = cfg["kind"]
-    if not isinstance(kind, str) or kind not in _DEFAULT_ALGORITHM:
-        raise ConfigError(f"unknown scenario kind {kind!r}")
-    _check_scenario_fields(cfg, kind)
-    seed = int(seed_override) if seed_override is not None else _read(cfg, "seed", int, 0)
+    kind, v = _resolve_scenario(cfg)
+    if seed_override is not None:
+        v["seed"] = int(seed_override)
+    seed = v["seed"]
     if kind == "unicast":
-        if "preset" in cfg:
-            sc = reference_scheme_unicast(seed)
-        else:
-            sc = sample_unicast(
-                _read(cfg, "num_users", int), seed,
-                max_path_len=_read(cfg, "max_path_len", int, 4),
-                extra_edge_prob=_read(cfg, "extra_edge_prob", float, 0.25),
-                relay_prob=_read(cfg, "relay_prob", float, 0.1),
-                alpha=_read_positive(cfg, "alpha", float, 0.1),
-                beta=_read_positive(cfg, "beta", float, 1e-3),
-            )
+        sc = reference_scheme_unicast(seed) if "preset" in v else sample_unicast(**v)
         inst = build_unicast(sc)
         return {"kind": kind, "instance": inst,
                 "layouts": (inst.standard[0], inst.customized[0]),
                 "mode": ConnectivityMode.undirected_connected()}
     if kind in ("regression", "lasso"):
-        fields = {k: _read(cfg, k, convert) for k, convert in _SENSOR_FIELDS.items()
-                  if k in cfg or k in ("num_sensors", "num_sources")}
-        fields["seed"] = seed
-        sc = SensorScenario(**fields)
+        sc = SensorScenario(**v)
         inst = build_regression(sc) if kind == "regression" else build_lasso(sc)
         return {"kind": kind, "instance": inst,
                 "layouts": (inst.standard, inst.customized),
                 "mode": ConnectivityMode.strongly_connected()}
+    n = v["num_agents"]
     if kind == "random_game":
-        n = _read(cfg, "num_agents", int, 5)
-        game, x_star = build_random_quadratic_game(
-            n, _read(cfg, "sparsity", float, 0.4), seed,
-            shift=_read(cfg, "shift", float, 1.0))
-        comm = _comm_graph(cfg.get("topology", "ring"), n)
+        game, x_star = build_random_quadratic_game(n, v["sparsity"], seed, shift=v["shift"])
+        comm = _comm_graph(v["topology"], n)
         std, cust = _undirected_arms(comm, game.interference, Partition((1,) * n))
         return {"kind": kind, "game": game, "reference": x_star,
                 "layouts": (std, cust),
                 "mode": ConnectivityMode.undirected_connected()}
     if kind == "random_separable":
-        n = _read(cfg, "num_agents", int, 6)
-        m = _read(cfg, "num_components", int, 8)
-        problem, y_star = build_random_separable(n, m, _read(cfg, "sparsity", float, 0.5), seed)
-        comm = _comm_graph(cfg.get("topology", "ring"), n)
+        m = v["num_components"]
+        problem, y_star = build_random_separable(n, m, v["sparsity"], seed)
+        comm = _comm_graph(v["topology"], n)
         interference = frozenset(
             (p, i) for i, fp in enumerate(problem.footprints, start=1) for p in fp
         )
@@ -379,102 +465,21 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> dict:
         return {"kind": kind, "problem": problem, "reference": y_star,
                 "layouts": (std, cust),
                 "mode": ConnectivityMode.undirected_connected()}
-    return _build_coupled_qp(cfg, seed)  # the one kind left
-
-
-_DEFAULT_ALGORITHM = {
-    "unicast": "gne",
-    "regression": "pushsum",
-    "lasso": "pushsum",
-    "random_game": "ne",
-    "random_separable": "augdgm",
-    "coupled_qp": "dual",
-}
-
-
-# the scenario kinds each algorithm runs on
-_ALGORITHM_KINDS = {
-    "gne": ("unicast",),
-    "ne": ("random_game",),
-    "augdgm": ("random_separable",),
-    "abc": ("random_separable",),
-    "admm": ("random_separable",),
-    "pushsum": ("regression", "lasso"),
-    "dual": ("coupled_qp",),
-}
-
-# the run-config fields each algorithm reads, besides "algorithm"
-_RUN_FIELDS = {
-    "gne": ("alpha", "beta", "reference", "reference_step", "reference_max_iters",
-            "max_iters", "tol", "residual_tol", "check_every"),
-    "ne": ("alpha", "rho_target", "max_iters", "tol"),
-    "augdgm": ("gamma", "max_iters", "merit_every"),
-    "abc": ("gamma", "max_iters", "merit_every"),
-    "admm": ("alpha", "max_iters", "tol"),
-    "pushsum": ("step_scale", "step_exponent", "max_iters", "stop_tol", "check_every"),
-    "dual": ("step_scale", "step_exponent", "max_iters"),
-}
-
-# the run-config fields that must be positive (steps, iteration budgets,
-# record and check intervals), with their types
-_POSITIVE_RUN_FIELDS = {
-    "gne": {"alpha": float, "beta": float, "reference_step": float,
-            "reference_max_iters": int, "max_iters": int, "check_every": int},
-    "ne": {"alpha": float, "max_iters": int},
-    "augdgm": {"gamma": float, "max_iters": int, "merit_every": int},
-    "abc": {"gamma": float, "max_iters": int, "merit_every": int},
-    "admm": {"alpha": float, "max_iters": int},
-    "pushsum": {"step_scale": float, "max_iters": int, "check_every": int},
-    "dual": {"step_scale": float, "max_iters": int},
-}
-
-# why a solver needs its positive int fields, added to the message
-_POSITIVE_NOTES = {
-    "augdgm": TRACKING_BUDGET,
-    "abc": TRACKING_BUDGET,
-}
-
-
-def _check_run(kind: str, run_cfg: dict, arm: str) -> str:
-    """The algorithm a run config selects on a scenario kind, once the arm,
-    the algorithm's name, its fit to the kind, the names of the run's
-    fields, the sign of those that must be positive and the upper end of
-    ADMM's relaxation parameter are checked."""
-    if arm not in ("standard", "customized"):
-        raise ConfigError(f"unknown arm {arm!r} (expected standard or customized)")
-    algorithm = run_cfg.get("algorithm", _DEFAULT_ALGORITHM[kind])
-    if not isinstance(algorithm, str) or algorithm not in _ALGORITHM_KINDS:
-        raise ConfigError(f"unknown algorithm {algorithm!r} "
-                          f"(expected one of {', '.join(_ALGORITHM_KINDS)})")
-    kinds = _ALGORITHM_KINDS[algorithm]
-    if kind not in kinds:
-        raise ConfigError(f"{algorithm} solver requires a {' or '.join(kinds)} scenario")
-    unknown = sorted(set(run_cfg) - {"algorithm", *_RUN_FIELDS[algorithm]})
-    if unknown:
-        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))} in a run of "
-                          f"{algorithm} (expected {', '.join(_RUN_FIELDS[algorithm])})")
-    for key, convert in _POSITIVE_RUN_FIELDS[algorithm].items():
-        if key in run_cfg:
-            note = _POSITIVE_NOTES.get(algorithm) if convert is int else None
-            _read_positive(run_cfg, key, convert, note=note)
-    if algorithm == "admm" and "alpha" in run_cfg:
-        alpha = _read(run_cfg, "alpha", float)
-        if alpha >= 1.0:
-            raise ConfigError(f"field 'alpha': relaxation parameter {alpha} outside (0, 1)")
-    return algorithm
+    return _build_coupled_qp(n, v["dim"], v["box_bound"], v["topology"], seed)  # the one kind left
 
 
 def _arm_layout(bundle: dict, arm: str):
-    return bundle["layouts"][0 if arm == "standard" else 1]
+    return bundle["layouts"][_ARMS.index(arm)]
 
 
-def _gne_arm(bundle: dict, run_cfg: dict, arm: str):
-    """The arm's gne operators and step beta, and whether beta keeps the
-    preconditioner positive definite, warned about if not."""
+def _gne_arm(bundle: dict, beta: float | None, arm: str):
+    """The arm's gne operators and step beta (the scenario's when None), and
+    whether beta keeps the preconditioner positive definite, warned about if
+    not."""
     inst = bundle["instance"]
     ops = build_gne_operators(inst.game, *(inst.standard if arm == "standard"
                                            else inst.customized))
-    beta = _read(run_cfg, "beta", float, inst.scenario.beta)
+    beta = float(inst.scenario.beta) if beta is None else beta
     positive = preconditioner_positive(ops, beta)
     if not positive:
         warnings.warn(f"step size beta={beta} is not certified: the primal-dual "
@@ -489,7 +494,7 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
     """Dispatch one (scenario, arm) cell to its solver and collect a
     uniform result record."""
     kind = bundle["kind"]
-    algorithm = _check_run(kind, run_cfg, arm)
+    algorithm, run = _resolve_run(kind, run_cfg)
     layout = _arm_layout(bundle, arm)
     result = {
         "kind": kind,
@@ -502,27 +507,26 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
 
     if algorithm == "gne":
         inst = bundle["instance"]
-        ops, beta, positive = _gne_arm(bundle, run_cfg, arm)
-        alpha = _read(run_cfg, "alpha", float, inst.scenario.alpha)
+        ops, beta, positive = _gne_arm(bundle, run["beta"], arm)
+        alpha = float(inst.scenario.alpha) if run["alpha"] is None else run["alpha"]
         x0 = np.zeros(inst.game.total_action_dim)
         reference = reference_s = None
-        if run_cfg.get("reference", True):
+        if run["reference"]:
             start = time.perf_counter()
             # once per arm: a second arm on the same game reads the first
             # arm's result, which the game keeps
             reference, _ = solve_vgne_centralized(
-                inst.game, x0,
-                step=_read(run_cfg, "reference_step", float, 0.05),
-                max_iters=_read(run_cfg, "reference_max_iters", int, 500000),
+                inst.game, x0, step=run["reference_step"],
+                max_iters=run["reference_max_iters"],
             )
             reference_s = time.perf_counter() - start
         state, trace = gne_solve(
             ops, x0, alpha, beta,
-            max_iters=_read(run_cfg, "max_iters", int, 200000),
-            tol=_read(run_cfg, "tol", float, 1e-2),
+            max_iters=run["max_iters"],
+            tol=run["tol"],
             reference=reference,
-            residual_tol=_read(run_cfg, "residual_tol", float, None),
-            check_every=_read(run_cfg, "check_every", int, 50),
+            residual_tol=run["residual_tol"],
+            check_every=run["check_every"],
         )
         # both exchange layers talk every iteration
         result["unicast_cost"] = trace.meta["unicast_cost_per_iter"]
@@ -537,17 +541,14 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = state.x
     elif algorithm == "ne":
         game = bundle["game"]
-        if "alpha" in run_cfg:
-            alpha = _read(run_cfg, "alpha", float)
-            cert = None
-        else:
-            cert = search_ne_step_size(layout, game,
-                                       target=_read(run_cfg, "rho_target", float, 0.999))
+        alpha, cert = run["alpha"], None
+        if alpha is None:
+            cert = search_ne_step_size(layout, game, target=run["rho_target"])
             alpha = cert.alpha
         hat, trace = ne_solve(
             layout, game, alpha,
-            max_iters=_read(run_cfg, "max_iters", int, 10000),
-            tol=_read(run_cfg, "tol", float, 1e-10),
+            max_iters=run["max_iters"],
+            tol=run["tol"],
             reference=bundle["reference"],
             certificate=cert,
         )
@@ -559,12 +560,12 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
     elif algorithm in ("augdgm", "abc"):
         problem = bundle["problem"]
         bound = augdgm_gamma_bound(problem)
-        gamma = _read(run_cfg, "gamma", float, 0.5 * bound)
+        gamma = float(0.5 * bound) if run["gamma"] is None else run["gamma"]
         common = dict(
             gamma=gamma,
-            max_iters=_read(run_cfg, "max_iters", int, 2000),
+            max_iters=run["max_iters"],
             reference=bundle["reference"],
-            merit_every=_read(run_cfg, "merit_every", int, 10),
+            merit_every=run["merit_every"],
         )
         if algorithm == "augdgm":
             hat, trace = augdgm_solve(layout, problem, **common)
@@ -577,55 +578,42 @@ def run_solver(bundle: dict, run_cfg: dict, arm: str) -> dict:
         result["solution"] = layout.component_means(hat)
     elif algorithm == "admm":
         problem = bundle["problem"]
-        alpha = _read(run_cfg, "alpha", float, 0.5)
         hat, trace = admm_solve(
-            layout, problem, alpha,
-            max_iters=_read(run_cfg, "max_iters", int, 5000),
-            tol=_read(run_cfg, "tol", float, 1e-10),
+            layout, problem, run["alpha"],
+            max_iters=run["max_iters"],
+            tol=run["tol"],
             reference=bundle["reference"],
         )
-        result["certified"] = {"alpha": alpha}
+        result["certified"] = {"alpha": run["alpha"]}
         result["final_merit"] = trace.last("distance")
         result["solution"] = layout.component_means(hat)
     elif algorithm == "pushsum":
         inst = bundle["instance"]
         problem = inst.problem
         reference = problem.solve_reference()
-        gamma = power_step_schedule(
-            _read(run_cfg, "step_scale", float, 1.0),
-            _read(run_cfg, "step_exponent", float, 0.51),
-        )
+        gamma = power_step_schedule(run["step_scale"], run["step_exponent"])
         weights = constant_design_weights(layout)
         state, trace = pushsum_solve(
             layout, lambda k: weights, problem, gamma,
-            max_iters=_read(run_cfg, "max_iters", int, 20000),
+            max_iters=run["max_iters"],
             reference=reference,
-            stop_tol=_read(run_cfg, "stop_tol", float, 1e-2),
+            stop_tol=run["stop_tol"],
             merit=lambda hat: merit_v(layout, problem, hat, reference),
-            check_every=_read(run_cfg, "check_every", int, 100),
+            check_every=run["check_every"],
         )
-        result["certified"] = {
-            "step_scale": _read(run_cfg, "step_scale", float, 1.0),
-            "step_exponent": _read(run_cfg, "step_exponent", float, 0.51),
-        }
+        result["certified"] = {key: run[key] for key in _STEP_SCHEDULE}
         result["final_merit"] = trace.last("merit")
         result["solution"] = layout.component_means(state.y)
     elif algorithm == "dual":
         ccp = bundle["problem"]
-        gamma = power_step_schedule(
-            _read(run_cfg, "step_scale", float, 1.0),
-            _read(run_cfg, "step_exponent", float, 0.51),
-        )
+        gamma = power_step_schedule(run["step_scale"], run["step_exponent"])
         weights = constant_design_weights(layout)
         y_mean, x_final, trace = constraint_coupled_solve(
             layout, ccp, lambda k: weights, gamma,
-            max_iters=_read(run_cfg, "max_iters", int, 5000),
+            max_iters=run["max_iters"],
             reference_dual=bundle["reference_dual"],
         )
-        result["certified"] = {
-            "step_scale": _read(run_cfg, "step_scale", float, 1.0),
-            "step_exponent": _read(run_cfg, "step_exponent", float, 0.51),
-        }
+        result["certified"] = {key: run[key] for key in _STEP_SCHEDULE}
         result["final_merit"] = trace.last("dual_distance")
         result["solution"] = y_mean
         trace.meta.pop("x_ergodic", None)
@@ -661,10 +649,13 @@ def _per_agent_counts(layout: EndLayout) -> dict[int, int]:
 
 def cmd_design(args) -> int:
     cfg = _load_config(args.config)
-    bundle = build_scenario(cfg.get("scenario", cfg), args.seed)
+    if "scenario" in cfg:
+        cfg = _resolve(cfg, _COMMANDS["design"], "a design config")["scenario"]
+    # else the config is the scenario block itself
+    bundle = build_scenario(cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
     report = {"kind": bundle["kind"], "arms": {}}
-    for arm in ("standard", "customized"):
+    for arm in _ARMS:
         layout = _arm_layout(bundle, arm)
         path = os.path.join(args.out, f"{arm}_layout.json")
         dump_json(path, layout.to_json_dict())  # JSON-native already
@@ -690,25 +681,22 @@ def cmd_design(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    scenario_cfg = cfg.get("scenario")
-    if scenario_cfg is None:
-        raise ConfigError("run config needs a 'scenario' block")
-    run_cfg = _block(cfg, "run")
-    arm = cfg.get("arm", "customized")
-    bundle = build_scenario(scenario_cfg, args.seed)
+    cfg = _resolve(_load_config(args.config), _COMMANDS["run"], "a run config")
+    arm = cfg["arm"]
+    bundle = build_scenario(cfg["scenario"], args.seed)
     if args.dry_run:
-        algorithm = _check_run(bundle["kind"], run_cfg, arm)
-        if algorithm in ("augdgm", "abc") and "gamma" in run_cfg:
+        # the values run_solver reads, without a solve
+        algorithm, run = _resolve_run(bundle["kind"], cfg["run"])
+        if algorithm in ("augdgm", "abc") and run["gamma"] is not None:
             # the certified bound of both is 1 / the smoothness constant: no solve needed
-            warn_uncertified_step(_read(run_cfg, "gamma", float),
-                                  augdgm_gamma_bound(bundle["problem"]), stacklevel=2)
+            warn_uncertified_step(run["gamma"], augdgm_gamma_bound(bundle["problem"]),
+                                  stacklevel=2)
         elif algorithm == "gne":
-            _gne_arm(bundle, run_cfg, arm)
+            _gne_arm(bundle, run["beta"], arm)
         print(f"config ok: kind={bundle['kind']}, arm={arm}, algorithm={algorithm}")
         return EXIT_OK
     start = time.perf_counter()
-    result = run_solver(bundle, run_cfg, arm)
+    result = run_solver(bundle, cfg["run"], arm)
     wall = time.perf_counter() - start
     os.makedirs(args.out, exist_ok=True)
     trace = result.pop("trace")
@@ -732,7 +720,7 @@ def _experiment_cell(job: tuple[dict, dict, int, object]) -> dict:
     scenario_cfg, run_cfg, seed, value = job
     bundle = build_scenario(scenario_cfg, seed)
     row = {"value": value, "seed": seed}
-    for arm in ("standard", "customized"):
+    for arm in _ARMS:
         start = time.perf_counter()
         res = run_solver(bundle, run_cfg, arm)
         wall = time.perf_counter() - start
@@ -756,29 +744,29 @@ _EXPERIMENT_COLUMNS = [
 ]
 
 
-def cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    if "scenario" not in cfg:
-        raise ConfigError("experiment config needs a 'scenario' block")
-    base = _block(cfg, "scenario")
-    sweep = _block(cfg, "sweep")
-    parameter = _read(sweep, "parameter", str, None)
-    values = _read(sweep, "values", list, [None])
-    seeds = _read(cfg, "seeds", list, [int(args.seed) if args.seed is not None else 0])
-    try:
-        if any(_not_whole(seed) for seed in seeds):
-            raise ValueError(seeds)
-        seeds = [int(seed) for seed in seeds]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'seeds': expected integers, got {seeds!r}") from exc
-    run_cfg = _block(cfg, "run")
+def _experiment_jobs(cfg: dict, seed: int | None) -> tuple[dict, dict, list]:
+    """An experiment config's values, its sweep's values and its cells
+    (scenario block, run block, seed, sweep value), once the scenario and
+    run blocks of every sweep value are checked; ``seed`` is the seed when
+    the config lists none."""
+    cfg = _resolve(cfg, _COMMANDS["experiment"], "an experiment config")
+    sweep = _resolve(cfg["sweep"], _SWEEP, "a sweep")
+    if cfg["seeds"] is None:
+        cfg["seeds"] = [0 if seed is None else int(seed)]
     jobs = []
-    for value in values:
-        scenario_cfg = dict(base)
-        if parameter is not None:
-            scenario_cfg[parameter] = value
-        for seed in seeds:
-            jobs.append((scenario_cfg, run_cfg, seed, value))
+    for value in sweep["values"]:
+        scenario_cfg = dict(cfg["scenario"])
+        if sweep["parameter"] is not None:
+            scenario_cfg[sweep["parameter"]] = value
+        kind, _ = _resolve_scenario(scenario_cfg)
+        _resolve_run(kind, cfg["run"])
+        jobs += [(scenario_cfg, cfg["run"], s, value) for s in cfg["seeds"]]
+    return cfg, sweep, jobs
+
+
+def cmd_experiment(args) -> int:
+    cfg, sweep, jobs = _experiment_jobs(_load_config(args.config), args.seed)
+    parameter = sweep["parameter"]
     if args.jobs > 1:
         # imported here: the process pool machinery is only needed with --jobs > 1
         from concurrent.futures import ProcessPoolExecutor
@@ -796,8 +784,8 @@ def cmd_experiment(args) -> int:
         emit_plot_script(csv_path, header)
     summary = {
         "parameter": parameter,
-        "values": values,
-        "seeds": list(seeds),
+        "values": sweep["values"],
+        "seeds": cfg["seeds"],
         "wall_seconds": {
             f"{row['value']}/{row['seed']}": {
                 "standard": row["std_wall_seconds"],
@@ -821,11 +809,8 @@ _MODES = {
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    layout_file = cfg.get("layout_file")
-    if layout_file is None:
-        raise ConfigError("validate config needs a 'layout_file' field")
-    path = layout_file
+    cfg = _resolve(_load_config(args.config), _COMMANDS["validate"], "a validate config")
+    path = cfg["layout_file"]
     if not os.path.isabs(path):
         path = os.path.join(os.path.dirname(os.path.abspath(args.config)), path)
     try:
@@ -835,19 +820,16 @@ def cmd_validate(args) -> int:
         raise ConfigError(f"cannot read layout {path}: {exc}") from exc
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"layout file {path} is malformed: {exc}") from exc
-    mode_name = cfg.get("mode", "undirected")
-    if mode_name == "rooted":
-        roots = cfg.get("roots")
-        if not isinstance(roots, dict):
+    if cfg["mode"] == "rooted":
+        roots = cfg["roots"]
+        if roots is None:
             raise ConfigError("rooted mode needs a 'roots' mapping {component: root}")
         try:
             mode = ConnectivityMode.rooted({int(p): int(r) for p, r in roots.items()})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"'roots' must map component ids to agent ids: {exc}") from exc
-    elif mode_name in _MODES:
-        mode = _MODES[mode_name]()
     else:
-        raise ConfigError(f"unknown connectivity mode {mode_name!r}")
+        mode = _MODES[cfg["mode"]]()
     violations = layout.validate(mode)
     if violations:
         for v in violations:

@@ -138,9 +138,13 @@ class Graph:
         return Graph(self.nodes, frozenset(sym), directed=False)
 
     def to_json_dict(self) -> dict:
+        """Nodes ascending, and edges as [u, v] pairs in ascending (u, v)
+        order, sorted as one array."""
+        pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                            count=2 * len(self.edges)).reshape(-1, 2)
         return {
             "nodes": list(self.nodes),
-            "edges": sorted([u, v] for (u, v) in self.edges),
+            "edges": pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist(),
             "directed": self.directed,
         }
 

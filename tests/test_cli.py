@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -265,6 +266,57 @@ RANDOM_GAME_4 = {"kind": "random_game", "num_agents": 4, "sparsity": 0.4, "seed"
 COUPLED_QP_4 = {"kind": "coupled_qp", "num_agents": 4, "dim": 2, "seed": 0}
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("run", {"scenario": SEP_SCENARIO, "run": {"algorithm": "admm", "tol": "abc"}},
+     "field 'tol': expected float, got 'abc'"),
+    ("run", {"scenario": RANDOM_GAME_4, "run": {"rho_target": "x"}},
+     "field 'rho_target': expected float, got 'x'"),
+    ("run", {"scenario": UNICAST_PRESET, "run": {"tol": "x"}},
+     "field 'tol': expected float, got 'x'"),
+    ("run", {"scenario": UNICAST_PRESET, "run": {"residual_tol": "x"}},
+     "field 'residual_tol': expected float, got 'x'"),
+    ("run", {"scenario": REGRESSION_8, "run": {"stop_tol": "x"}},
+     "field 'stop_tol': expected float, got 'x'"),
+    ("run", {"scenario": REGRESSION_8, "run": {"step_exponent": "x"}},
+     "field 'step_exponent': expected float, got 'x'"),
+    ("run", {"scenario": REGRESSION_8, "run": {"step_exponent": 0.2}},
+     "field 'step_exponent': must be in (1/2, 1], got 0.2"),
+    ("run", {"scenario": REGRESSION_8, "run": {"step_exponent": 2}},
+     "field 'step_exponent': must be in (1/2, 1], got 2"),
+    ("run", {"scenario": UNICAST_PRESET, "run": {"reference": "no"}},
+     "field 'reference': expected bool, got 'no'"),
+    ("run", {"scenario": SEP_SCENARIO, "run": {"algorithm": "augdgm", "max_iters": "40"}},
+     "field 'max_iters': expected int, got '40'"),
+    ("run", {"scenario": SEP_SCENARIO, "rnu": {"algorithm": "admm"}, "armm": "standard"},
+     "unknown field(s) 'armm', 'rnu' in a run config (expected scenario, run, arm)"),
+    ("experiment", {"scenario": {k: v for k, v in SEP_SCENARIO.items() if k != "seed"},
+                    "sweep": {"parameter": "num_agents", "valuse": [4, 5]},
+                    "run": {"algorithm": "augdgm", "max_iters": 10}},
+     "unknown field(s) 'valuse' in a sweep (expected parameter, values)"),
+], ids=["admm-tol", "ne-rho_target", "gne-tol", "gne-residual_tol", "pushsum-stop_tol",
+        "pushsum-step_exponent", "step_exponent-low", "step_exponent-high", "gne-reference",
+        "string-max_iters", "top-level-keys", "sweep-key"])
+def test_dry_run_and_run_refuse_the_same_configs(tmp_path, capsys, monkeypatch, command, cfg,
+                                                 message):
+    """A config the run refuses is refused by the dry run with the same
+    line, before anything is solved (before: "config ok" from the dry run,
+    then the run refused it, for gne after its reference solve; or the run
+    read a string as a number, a string as true, or ignored misspelt
+    top-level keys; and a misspelt sweep key failed on the scenario field it
+    left unset). An experiment has no dry run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference solve started")
+
+    monkeypatch.setattr(cli, "solve_vgne_centralized", refuse)
+    path = _write_config(tmp_path, "bad.json", cfg)
+    for extra in ([["--dry-run"], []] if command == "run" else [[]]):
+        capsys.readouterr()
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                     *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scenario, run, field", [
     (UNICAST_PRESET, {"check_every": 0}, "check_every"),
     (UNICAST_PRESET, {"alpha": 0}, "alpha"),
@@ -358,15 +410,22 @@ class _FieldsRead(dict):
       "comm_radius_width": 0.1}, {"max_iters": 600}),
     ({"kind": "coupled_qp", "num_agents": 4, "dim": 2, "seed": 0}, {"max_iters": 50}),
 ], ids=["gne", "ne", "augdgm", "abc", "admm", "pushsum", "dual"])
-def test_run_fields_are_the_fields_each_solver_reads(scenario, run):
-    """The fields ``_check_run`` accepts for an algorithm are the ones its
-    solver branch looks up, neither more nor fewer."""
+def test_run_fields_are_the_fields_each_solver_reads(monkeypatch, scenario, run):
+    """``run_solver`` looks up no run field that its algorithm's spec entry
+    does not declare, and its solver branch reads every value the resolver
+    returns for the entry, so the entry declares no field the solver
+    ignores."""
     bundle = cli.build_scenario(scenario, None)
     run_cfg = _FieldsRead(run)
+    resolved, resolve = [], cli._resolve
+    monkeypatch.setattr(cli, "_resolve",
+                        lambda *args: resolved.append(_FieldsRead(resolve(*args))) or resolved[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = cli.run_solver(bundle, run_cfg, "customized")
-    assert run_cfg.read == {"algorithm", *cli._RUN_FIELDS[result["algorithm"]]}
+    declared = cli._ALGORITHMS[result["algorithm"]][1]
+    assert run_cfg.read <= {"algorithm", *declared}
+    assert [values.read for values in resolved] == [set(declared)]
 
 
 def test_augdgm_step_bound_builds_no_tracking_matrices(monkeypatch):
@@ -947,3 +1006,57 @@ def test_experiment_deterministic_across_jobs(tmp_path):
                  "--jobs", "2"]) == EXIT_OK
     assert (out1 / "experiment.csv").read_bytes() == (
         out2 / "experiment.csv").read_bytes()
+
+
+# -- README ------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_field_lists():
+    """The README's config field lists: for each label (a kind, "unicast
+    preset", an algorithm, a command or the sweep) the (name, JSON type) of
+    each field, in order."""
+    text = README.read_text()
+    section = text[text.index("### Config fields"):text.index("### Examples")]
+    lists = {}
+    for item in re.split(r"\n- ", section)[1:]:
+        head, _, body = " ".join(item.split("\n\n")[0].split()).partition(":")
+        for name in re.findall(r"`(\w+)`", head):
+            key = f"{name} preset" if "preset" in head else name
+            assert key not in lists, key
+            lists[key] = re.findall(r"`(\w+)` \((\w+)", body)
+    return lists
+
+
+def test_readme_lists_every_config_field_with_its_type():
+    """The README lists the fields of each block the CLI reads, by name and
+    JSON type, in the order the spec declares them."""
+    spec = {**{kind: fields for kind, (_, fields) in cli._SCENARIOS.items()},
+            "unicast preset": cli._UNICAST_PRESET,
+            **{algorithm: fields for algorithm, (_, fields) in cli._ALGORITHMS.items()},
+            **cli._COMMANDS, "sweep": cli._SWEEP}
+    assert _readme_field_lists() == {
+        key: [(name, cli._JSON_TYPES[field.kind]) for name, field in fields.items()]
+        for key, fields in spec.items()}
+
+
+def test_readme_examples_pass_their_commands_checks(tmp_path):
+    """The README's run example passes the dry run, its experiment example's
+    blocks pass for each sweep value, and its validate example's mode is
+    one validate takes."""
+    examples = [json.loads(block) for block in
+                re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)]
+    commands = sorted("experiment" if "sweep" in example else
+                      "validate" if "layout_file" in example else "run"
+                      for example in examples)
+    assert commands == ["experiment", "run", "validate"]
+    for example in examples:
+        if "sweep" in example:
+            _, sweep, jobs = cli._experiment_jobs(example, None)
+            assert len(jobs) == len(sweep["values"]) * len(example["seeds"])
+        elif "layout_file" in example:
+            cli._resolve(example, cli._COMMANDS["validate"], "a validate config")
+        else:
+            path = _write_config(tmp_path, "run.json", example)
+            assert main(["run", "--config", path, "--dry-run"]) == EXIT_OK
