@@ -91,6 +91,7 @@ _JSON_TYPES = {int: "int", float: "float", bool: "bool", str: "str", list: "list
 _POSITIVE = "positive"
 _RELAXATION = "in (0, 1)"
 _EXPONENT = "in (1/2, 1]"
+_NON_NEGATIVE = "non-negative"
 _INTEGERS = "integers"
 
 
@@ -98,8 +99,9 @@ class _Field(NamedTuple):
     """One config field: its JSON type, its default (``_REQUIRED`` when it
     must be given; None when it is optional, and then null reads as absent)
     and the bound a solver needs: ``_POSITIVE``, ``_RELAXATION``,
-    ``_EXPONENT``, ``_INTEGERS`` (a list of ints) or the tuple of strings it
-    takes. ``note`` says why a positive field must be."""
+    ``_EXPONENT``, ``_NON_NEGATIVE``, ``_INTEGERS`` (a list of non-negative
+    ints) or the tuple of strings it takes. ``note`` says why a positive
+    field must be."""
 
     kind: type
     default: object = _REQUIRED
@@ -146,6 +148,8 @@ def _value(key: str, field: _Field, raw):
         value = [_as(int, item) for item in value]
         if None in value:
             raise ConfigError(f"field {key!r}: expected integers, got {raw!r}")
+    if bound == _NON_NEGATIVE and value < 0 or bound == _INTEGERS and min(value, default=0) < 0:
+        raise ConfigError(f"field {key!r}: must be non-negative, got {raw!r}")
     return value
 
 
@@ -175,7 +179,8 @@ def _resolve(cfg: dict, fields: dict, what: str, selector: str | None = None) ->
 # its default algorithm, and an algorithm the scenario kinds it runs on.
 
 _ARMS = ("standard", "customized")
-_SEED = _Field(int, 0)
+# numpy's generators take no negative seed
+_SEED = _Field(int, 0, _NON_NEGATIVE)
 _TOPOLOGY = _Field(str, "ring", ("ring", "complete"))
 _SENSOR = {
     "num_sensors": _Field(int), "num_sources": _Field(int),
@@ -897,6 +902,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _setup_logging()
+        if args.seed is not None:
+            _value("--seed", _SEED, args.seed)
         return args.handler(args)
     except DesignInfeasible as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ Two algorithm families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -576,18 +576,14 @@ class AggregativeGameSpec(_Actions):
         """(M, m) with M x + m stacking Σ_i (M_{q,i} x_i + m_{q,i}) over the
         blocks q in sorted order."""
         starts = _block_starts(dims)
-        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+        entries = []
         for (q, i), blk in blocks.items():
             r, c = np.nonzero(blk)
-            rows.append(starts[q] + r)
-            cols.append(self.action_slice(i).start + c)
-            vals.append(blk[r, c])
+            entries.append((starts[q] + r, self.action_slice(i).start + c, blk[r, c]))
         offset = np.zeros(sum(dims.values()))
         for (q, _), vec in offsets.items():
             offset[starts[q]:starts[q] + dims[q]] += vec
-        op = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(offset.shape[0], self.total_action_dim))
-        return CsrOperator(op), offset
+        return CsrOperator(_csr((offset.shape[0], self.total_action_dim), entries)), offset
 
     def aggregation(self, x: np.ndarray) -> dict[int, np.ndarray]:
         """True aggregation values, one block per component."""
@@ -607,6 +603,15 @@ class AggregativeGameSpec(_Actions):
         return self.gradient(x, M.affine(x, m)[self._pair_rows])
 
 
+def _csr(shape: tuple[int, int], entries) -> sp.csr_matrix:
+    """The ``shape`` matrix with the (rows, columns, values) ``entries``, in
+    canonical CSR, as ``sp.bmat`` would assemble them without its cost per
+    block."""
+    empty = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    rows, cols, vals = (np.concatenate(part) for part in zip(empty, *entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def _block_starts(dims: Mapping[int, int]) -> dict[int, int]:
     """Start of each block in a vector stacking the blocks in sorted order."""
     order = sorted(dims)
@@ -621,17 +626,19 @@ class GneOperators:
     :class:`~endnet.layout.CsrOperator` matrices; the Laplacians are the
     layouts' :class:`~endnet.layout.BlockOperator` objects, which a step
     applies as they are, scaled, and never composes with another map.
+    Without layouts and Laplacians (None) every block has a single holder,
+    as in :func:`solve_vgne_centralized`: B̂ and Â are the game's own.
     """
 
     game: AggregativeGameSpec
-    sigma_layout: EndLayout
-    lambda_layout: EndLayout
+    sigma_layout: EndLayout | None
+    lambda_layout: EndLayout | None
     B_hat: CsrOperator
     b_hat: np.ndarray
     A_hat: CsrOperator
     a_hat: np.ndarray
-    L_sigma: BlockOperator
-    L_lambda: BlockOperator
+    L_sigma: BlockOperator | None
+    L_lambda: BlockOperator | None
     # the copies the game's gradient reads: agent i's copy of block q for
     # each pair (q, i) of the sorted aggregation interference pattern
     sigma_pair_index: np.ndarray
@@ -660,7 +667,7 @@ def _scatter_blocks(layout: EndLayout, blocks: Mapping[tuple[int, int], np.ndarr
                     offsets: Mapping[tuple[int, int], np.ndarray], scale: Mapping[int, float],
                     game: AggregativeGameSpec) -> tuple[CsrOperator, np.ndarray]:
     """Stack per-copy blocks (q, i) -> scale_q * M_{q,i} x_i into one operator."""
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    entries = []
     offset = np.zeros(layout.stacked_dim)
     for q in layout.partition.components:
         for i in layout.holders(q):
@@ -668,15 +675,11 @@ def _scatter_blocks(layout: EndLayout, blocks: Mapping[tuple[int, int], np.ndarr
             M = blocks.get((q, i))
             if M is not None:
                 r, c = np.nonzero(M)
-                rows.append(sl.start + r)
-                cols.append(game.action_slice(i).start + c)
-                vals.append(scale[q] * M[r, c])
+                entries.append((sl.start + r, game.action_slice(i).start + c, scale[q] * M[r, c]))
             off = offsets.get((q, i))
             if off is not None:
                 offset[sl] += scale[q] * off
-    op = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(layout.stacked_dim, game.total_action_dim))
-    return CsrOperator(op), offset
+    return CsrOperator(_csr((layout.stacked_dim, game.total_action_dim), entries)), offset
 
 
 class _StageParts(NamedTuple):
@@ -710,79 +713,93 @@ class _Stage(NamedTuple):
       2 beta A applied to x_next makes the dual update
       lam - beta (L_l (2 z_next - z) - A (2 x_next - x) + a).
 
-    No product of two of these maps is formed, so the stage stores the
-    nonzeros of the maps it is built from.
+    Either Laplacian is None when the operators have none. No product of
+    two of these maps is formed, so the stage stores the nonzeros of the
+    maps it is built from.
     """
 
     beta: float
     linear: CsrOperator
     offset: np.ndarray
     parts: _StageParts
-    lap_sigma: BlockOperator   # -beta L_s
-    lap_lambda: BlockOperator  # beta L_l
-    dual_push: CsrOperator     # 2 beta A
+    lap_sigma: BlockOperator | None   # -beta L_s
+    lap_lambda: BlockOperator | None  # beta L_l
+    dual_push: CsrOperator            # 2 beta A
 
     @classmethod
     def build(cls, ops: GneOperators, beta: float) -> "_Stage":
-        B, A = ops.B_hat.matrix, ops.A_hat.matrix
+        A, B = ops.A_hat.matrix.tocoo(), ops.B_hat.matrix.tocoo()
         (n_s, n_x), n_l = B.shape, A.shape[0]
-        pairs = ops.sigma_pair_index
-        copies = ops.sigma_layout.copy_counts
-        eye = sp.identity
-        linear = sp.bmat([
-            [eye(n_x), -B.T, None, -beta * A.T],
-            [None, eye(n_s), None, None],
-            [None, None, eye(n_l), None],
-            [-beta * A, None, None, eye(n_l)],
-            [B, eye(n_s), None, None],
-            [B[pairs], eye(n_s, format="csr")[pairs], None, None],
-            [None, sp.diags(1.0 / np.sqrt(copies)) @ ops.sigma_layout.sum_operator.matrix,
-             None, None],
-        ], format="csr")
-        offset = np.concatenate([np.zeros(n_x + n_s + n_l), -beta * ops.a_hat, ops.b_hat,
-                                 ops.b_hat[pairs], np.zeros(copies.size)])
-        ends = np.cumsum((n_x, n_s, n_l, n_l, n_s, pairs.size, copies.size)).tolist()
+        pairs, layout = ops.sigma_pair_index, ops.sigma_layout
+        # each coordinate's copy sum of s over the root of its copy count
+        norms = (sp.csr_matrix((0, n_s)) if layout is None else sp.diags(
+            1.0 / np.sqrt(layout.copy_counts)) @ layout.sum_operator.matrix).tocoo()
+        at_pairs = ops.B_hat.matrix[pairs].tocoo()
+        ends = np.cumsum((n_x, n_s, n_l, n_l, n_s, pairs.size, norms.shape[0])).tolist()
         parts = _StageParts(*(slice(a, b) for a, b in zip([0] + ends[:-1], ends)))
-        return cls(beta, CsrOperator(linear), offset, parts, ops.L_sigma.scaled(-beta),
-                   ops.L_lambda.scaled(beta), CsrOperator(2 * beta * A))
+        s, lam = n_x, n_x + n_s + n_l  # where s and lam start in the state
+        state, copies, pair = np.arange(lam + n_l), np.arange(n_s), np.arange(pairs.size)
+        entries = [(state, state, np.ones(state.size)),  # the state, then added into it:
+                   (A.col, lam + A.row, -beta * A.data),  # -beta A^T lam into x
+                   (parts.lam.start + A.row, A.col, -beta * A.data),  # -beta A x into lam
+                   (parts.sigma.start + B.row, B.col, B.data),  # sigma_hat = B x + s (+ b)
+                   (parts.sigma.start + copies, s + copies, np.ones(n_s)),
+                   (parts.sigma_pairs.start + at_pairs.row, at_pairs.col, at_pairs.data),
+                   (parts.sigma_pairs.start + pair, s + pairs, np.ones(pairs.size)),
+                   (parts.s_norms.start + norms.row, s + norms.col, norms.data)]
+        if ops.L_sigma is not None:
+            # -B^T s into x; without L_s, s never moves, and the round adds no B^T s_next
+            entries.append((B.col, s + B.row, -B.data))
+        linear = _csr((ends[-1], state.size), entries)
+        offset = np.concatenate([np.zeros(n_x + n_s + n_l), -beta * ops.a_hat, ops.b_hat,
+                                 ops.b_hat[pairs], np.zeros(norms.shape[0])])
+        return cls(beta, CsrOperator(linear), offset, parts,
+                   None if ops.L_sigma is None else ops.L_sigma.scaled(-beta),
+                   None if ops.L_lambda is None else ops.L_lambda.scaled(beta),
+                   CsrOperator(2 * beta * ops.A_hat.matrix))
 
 
 class _GneRounds:
     """Primal-dual rounds run in place, on buffers allocated once.
 
     Two buffers laid out as :class:`_StageParts` take turns: the state of a
-    round is the first part of one buffer, and the round writes the stage's
-    linear image of it into the other, finishes the new state there and
-    leaves the incoming s's component sums in its ``s_norms`` part. Every
-    operator is bound to both directions here, and every operand of a ufunc
-    is an array made here.
+    round is the first part of one buffer (``states``), and the round
+    writes the stage's linear image of it into the other, finishes the new
+    state there and leaves the incoming s's component sums in its
+    ``s_norms`` part. Every operator the stage has is bound to both
+    directions here, and every operand of a ufunc is an array made here.
     """
 
     def __init__(self, ops: GneOperators, stage: _Stage, alpha: float, x: np.ndarray,
                  s_hat: np.ndarray, z_hat: np.ndarray, lam_hat: np.ndarray):
         self.game = ops.game
         n_state = stage.linear.shape[1]
-        self._buffers = (np.zeros(stage.linear.shape[0]), np.zeros(stage.linear.shape[0]))
-        self._buffers[0][:n_state] = np.concatenate((x, s_hat, z_hat, lam_hat))
-        self.views = tuple(_StageParts(*(b[sl] for sl in stage.parts)) for b in self._buffers)
-        self._u = np.empty(lam_hat.size)  # z - 2 z_next
-        self._scaled = np.empty(x.size)
-        self._alpha_beta = np.full(x.size, alpha * stage.beta)
-        self._two = np.full(lam_hat.size, 2.0)
+        buffers = (np.zeros(stage.linear.shape[0]), np.zeros(stage.linear.shape[0]))
+        buffers[0][:n_state] = np.concatenate((x, s_hat, z_hat, lam_hat))
+        self.states = tuple(b[:n_state] for b in buffers)
+        self.views = tuple(_StageParts(*(b[sl] for sl in stage.parts)) for b in buffers)
+        u = np.empty(lam_hat.size)  # z - 2 z_next
+        two = np.full(lam_hat.size, 2.0)
         self._zero = np.zeros(lam_hat.size)
         self._inequality = ops.game.sense == "inequality"
+        self._scaled = np.empty(x.size)
+        self._alpha_beta = np.full(x.size, alpha * stage.beta)
         self.turn = 0  # the buffer that holds the state
         self._bound = []
         for a, b in ((0, 1), (1, 0)):
             source, target = self.views[a], self.views[b]
-            self._bound.append((
-                stage.linear.bind(self._buffers[a][:n_state], self._buffers[b],
-                                  offset=stage.offset),
-                stage.lap_sigma.bind(target.sigma, target.s, accumulate=True),
-                ops.B_hat.T.bind(target.s, target.x, accumulate=True),
-                stage.lap_lambda.bind(source.lam, target.z, accumulate=True),
-                stage.lap_lambda.bind(self._u, target.lam, accumulate=True),
-                stage.dual_push.bind(target.x, target.lam, accumulate=True)))
+            before = [stage.linear.bind(self.states[a], buffers[b], offset=stage.offset)]
+            after = []
+            if stage.lap_sigma is not None:
+                before += [stage.lap_sigma.bind(target.sigma, target.s, accumulate=True),
+                           ops.B_hat.T.bind(target.s, target.x, accumulate=True)]
+            if stage.lap_lambda is not None:
+                before.append(stage.lap_lambda.bind(source.lam, target.z, accumulate=True))
+                after += [partial(np.multiply, target.z, two, u),
+                          partial(np.subtract, source.z, u, u),
+                          stage.lap_lambda.bind(u, target.lam, accumulate=True)]
+            after.append(stage.dual_push.bind(target.x, target.lam, accumulate=True))
+            self._bound.append((tuple(before), tuple(after)))
 
     @property
     def state(self) -> _StageParts:
@@ -792,21 +809,17 @@ class _GneRounds:
     def step(self) -> _StageParts:
         """One round; returns views of the new buffer."""
         old = self.views[self.turn]
-        linear, lap_sigma, to_x, lap_z, lap_dual, dual_push = self._bound[self.turn]
+        before, after = self._bound[self.turn]
         self.turn = 1 - self.turn
         new = self.views[self.turn]
-        linear()
-        lap_sigma()
-        to_x()
-        lap_z()
+        for call in before:
+            call()
         grad = self.game.gradient(old.x, new.sigma_pairs)
         np.multiply(grad, self._alpha_beta, out=self._scaled)
         np.subtract(new.x, self._scaled, out=new.x)
         self.game._project_into(new.x, new.x)
-        np.multiply(new.z, self._two, out=self._u)
-        np.subtract(old.z, self._u, out=self._u)
-        lap_dual()
-        dual_push()
+        for call in after:
+            call()
         if self._inequality:
             np.maximum(new.lam, self._zero, out=new.lam)
         return new
@@ -850,12 +863,8 @@ class GneState:
 
 def initial_gne_state(ops: GneOperators, x0: np.ndarray) -> GneState:
     x0 = np.asarray(x0, dtype=float)
-    return GneState(
-        x=x0.copy(),
-        s_hat=np.zeros(ops.sigma_layout.stacked_dim),
-        z_hat=np.zeros(ops.lambda_layout.stacked_dim),
-        lam_hat=np.zeros(ops.lambda_layout.stacked_dim),
-    )
+    return GneState(x=x0.copy(), s_hat=np.zeros(ops.b_hat.size),
+                    z_hat=np.zeros(ops.a_hat.size), lam_hat=np.zeros(ops.a_hat.size))
 
 
 def extended_pseudo_gradient(ops: GneOperators, x: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
@@ -1105,7 +1114,10 @@ def solve_vgne_centralized(
     max_iters: int = 2000000,
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference equilibrium via a centralized projected primal-dual loop.
+    """Reference equilibrium via a centralized projected primal-dual loop:
+    the gne round on one-holder operators (B̂ = M, Â = A, no Laplacians),
+    with alpha = 1 and beta = ``step``, run until the state moves by less
+    than ``tol`` (max-norm) in a round or ``max_iters`` rounds ran.
 
     The finished (x, lam) is kept on the game, keyed on x0 and the other
     arguments, so a second call with the same arguments (the other layout
@@ -1129,57 +1141,24 @@ def solve_vgne_centralized(
 
 def _reference_loop(game: AggregativeGameSpec, x0: np.ndarray, step: float, max_iters: int,
                     tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The loop of :func:`solve_vgne_centralized`, run in place.
-
-    One fused operator maps the state [x; lam] to [x - step A^T lam;
-    lam - step (A x + a); sigma at the pairs the gradient reads], and two
-    buffers laid out that way take turns, the new state being the first part
-    of one. A step subtracts step * gradient from the x part and projects
-    it, then adds 2 step A x_next to the lam part, which makes it
-    lam + step (A (2 x_next - x) - a), and clips it for inequality
-    constraints.
-    """
-    A, a = game._constraints
-    M, m = game._aggregation
-    n_x, n_l = A.shape[1], A.shape[0]
-    n = n_x + n_l
-    fused = CsrOperator(sp.bmat([[sp.identity(n_x), -step * A.matrix.T],
-                                 [-step * A.matrix, sp.identity(n_l)],
-                                 [M.matrix[game._pair_rows], None]], format="csr"))
-    offset = np.concatenate((np.zeros(n_x), -step * a, m[game._pair_rows]))
-    buffers = (np.zeros(fused.shape[0]), np.zeros(fused.shape[0]))
-    buffers[0][:n_x] = x0
-    # per buffer: the state, then its x, lam and sigma parts
-    parts = [(b[:n], b[:n_x], b[n_x:n], b[n:]) for b in buffers]
-    push = CsrOperator(2.0 * step * A.matrix)
-    bound = [(fused.bind(parts[src][0], buffers[dst], offset=offset),
-              push.bind(parts[dst][1], parts[dst][2], accumulate=True))
-             for src, dst in ((0, 1), (1, 0))]
-    scaled, delta = np.empty(n_x), np.empty(n)
-    steps, zero = np.full(n_x, step), np.zeros(n_l)
-    inequality = game.sense == "inequality"
-    turn = 0
+    """The loop of :func:`solve_vgne_centralized`: the gne round on the
+    game's one-holder operators (:class:`GneOperators` without layouts).
+    Without Laplacians s and z stay zero, so the largest change of the state
+    in a round, which stops the loop below ``tol``, is that of (x, lam)."""
+    (A, a), (M, m) = game._constraints, game._aggregation
+    ops = GneOperators(game, None, None, M, m, A, a, None, None, game._pair_rows)
+    rounds = _rounds(ops, initial_gne_state(ops, x0), 1.0, step)
+    states = rounds.states
+    delta = np.empty(states[0].size)
 
     def advance(k: int) -> np.ndarray:
-        nonlocal turn
-        linear, dual_push = bound[turn]
-        old_x = parts[turn][1]
-        turn = 1 - turn
-        _, x, lam, sigma = parts[turn]
-        linear()
-        np.multiply(game.gradient(old_x, sigma), steps, out=scaled)
-        np.subtract(x, scaled, out=x)
-        game._project_into(x, x)
-        dual_push()
-        if inequality:
-            np.maximum(lam, zero, out=lam)
-        return x
+        return rounds.step().x
 
     def converged(s: int) -> bool:
-        np.subtract(parts[turn][0], parts[1 - turn][0], out=delta)
+        np.subtract(states[rounds.turn], states[1 - rounds.turn], out=delta)
         return np.abs(delta, out=delta).max() < tol
 
     run_steps(RunTrace(), max_iters, advance, converged,
               divergence_guard(x0, "reference primal iterate"))
-    _, x, lam, _ = parts[turn]
-    return x.copy(), lam.copy()
+    now = rounds.state
+    return now.x.copy(), now.lam.copy()

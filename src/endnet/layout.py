@@ -755,6 +755,11 @@ class EndLayout:
                                          shape=(self.partition.total_dim, self.stacked_dim)))
 
     @cached_property
+    def _coordinates(self) -> np.ndarray:
+        """Each stacked entry's full-variable coordinate: Sᵀ is a gather."""
+        return self.sum_operator.matrix.tocsc().indices.astype(np.intp)
+
+    @cached_property
     def copy_counts(self) -> np.ndarray:
         """Number of copies of the component owning each full-variable coordinate."""
         return np.concatenate([np.full(self.partition.dim(p), float(self.copies(p)))
@@ -770,7 +775,7 @@ class EndLayout:
 
     def consensus_projection(self, hat: np.ndarray) -> np.ndarray:
         """Replace every copy by the per-component arithmetic mean."""
-        return self.sum_operator.T @ self.component_means(hat)
+        return self.component_means(hat).take(self._coordinates)
 
     def consensus_matrix(self) -> sp.csr_matrix:
         """Sparse projector onto the consensus space (per-component averaging)."""
@@ -787,17 +792,17 @@ class EndLayout:
     def bind_disagreement(self, hat: np.ndarray, out: np.ndarray) -> Callable[[], None]:
         """A call that writes the disagreement of ``hat`` into ``out``, for
         these two fixed stacked vectors, with the arithmetic of
-        :meth:`consensus_projection`: the sum operator and its transpose are
-        bound to buffers of the full variable made here."""
+        :meth:`consensus_projection`, in a buffer of the full variable made
+        here."""
         total = self.partition.total_dim
         sums, means, counts = np.empty(total), np.empty(total), self.copy_counts
         add_copies = self.sum_operator.bind(hat, sums)
-        spread_means = self.sum_operator.T.bind(means, out)
+        coordinates = self._coordinates
 
         def apply() -> None:
             add_copies()
             np.divide(sums, counts, means)
-            spread_means()
+            means.take(coordinates, None, out, "wrap")
             np.subtract(hat, out, out)
 
         return apply
@@ -809,7 +814,7 @@ class EndLayout:
             raise LayoutError(
                 f"variable has length {y.shape}, expected ({self.partition.total_dim},)"
             )
-        return self.sum_operator.T @ y
+        return y.take(self._coordinates)
 
     # -- validity ----------------------------------------------------------
 

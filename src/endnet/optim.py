@@ -255,18 +255,27 @@ class LassoSeparable(QuadraticSeparable):
             weights = np.zeros(c.size)
         L = sum(float(np.linalg.norm(G, 2)) ** 2 for G in self.design_matrices)
         step = 1.0 / L
-        y = np.zeros(c.size)
-        x_prev = y.copy()
-        momentum = 1.0
-        for _ in range(max_iters):
-            v = y - step * (H @ y + c)
-            x = np.sign(v) * np.maximum(np.abs(v) - step * weights, 0.0)
-            momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-            y = x + ((momentum - 1.0) / momentum_next) * (x - x_prev)
-            if np.max(np.abs(x - x_prev)) < tol:
-                return x
-            x_prev, momentum = x, momentum_next
-        return x_prev
+        return _accelerated_proximal_gradient(lambda y: H @ y + c, step, step * weights, tol,
+                                              max_iters)[0]
+
+
+def _accelerated_proximal_gradient(gradient: Callable, step: float, threshold: np.ndarray,
+                                   tol: float, max_iters: int) -> tuple[np.ndarray, bool]:
+    """Accelerated proximal gradient from zero, soft-thresholding at
+    ``threshold``: the last iterate, and whether it moved by less than
+    ``tol`` (max-norm) before ``max_iters`` steps ran out."""
+    y = prev = np.zeros(threshold.size)
+    momentum = 1.0
+    for _ in range(max_iters):
+        v = y - step * gradient(y)
+        x = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+        momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
+        y = x + ((momentum - 1.0) / momentum_next) * (x - prev)
+        delta = float(np.max(np.abs(x - prev)))
+        prev, momentum = x, momentum_next
+        if delta < tol:
+            return x, True
+    return prev, False
 
 
 # -- stacked evaluation ------------------------------------------------------
@@ -495,21 +504,14 @@ def _regularized_argmin(stacked, problem: SeparableProblem, degree: np.ndarray,
     if problem.smooth_lipschitz is None:
         raise OptimError("inner solver needs a declared smoothness constant")
     step = 1.0 / (problem.smooth_lipschitz + float(np.max(degree, initial=0.0)))
-    threshold = step * (np.zeros(degree.size) if stacked.l1 is None else stacked.l1)
+    threshold = step * stacked.l1
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        y = prev = np.zeros(degree.size)
-        momentum = 1.0
-        for _ in range(max_iters):
-            v = y - step * (stacked.gradient(y) + degree * y - rhs)
-            x = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
-            momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-            y = x + ((momentum - 1.0) / momentum_next) * (x - prev)
-            delta = float(np.max(np.abs(x - prev)))
-            prev, momentum = x, momentum_next
-            if delta < tol:
-                return x
-        raise OptimError(f"inner proximal solver did not reach {tol}")
+        x, converged = _accelerated_proximal_gradient(
+            lambda y: stacked.gradient(y) + degree * y - rhs, step, threshold, tol, max_iters)
+        if not converged:
+            raise OptimError(f"inner proximal solver did not reach {tol}")
+        return x
 
     return solve
 

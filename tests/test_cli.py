@@ -978,6 +978,37 @@ def test_experiment_seeds_must_be_integers(tmp_path, capsys, seeds):
     assert "config error: field 'seeds': expected integers" in capsys.readouterr().err
 
 
+def _negative_seed(tmp_path, where):
+    """Arguments giving seed -1 in ``where`` (the scenario block, the
+    experiment's seeds or ``--seed``), and the message naming that field."""
+    scenario = {**SEP_SCENARIO, "seed": -1} if where == "scenario" else SEP_SCENARIO
+    seeds = {"seeds": [0, -1]} if where == "seeds" else {}
+    cfg = _write_config(tmp_path, "neg.json", {
+        "scenario": scenario, "run": {"algorithm": "augdgm", "max_iters": 10}, **seeds})
+    args = ["--config", cfg, "--out", str(tmp_path / "out")]
+    args += ["--seed", "-1"] if where == "--seed" else []
+    field = "seed" if where == "scenario" else where
+    return args, f"config error: field {field!r}: must be non-negative, got "
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("where", ["scenario", "--seed"])
+def test_negative_seed_is_config_error_in_a_run(tmp_path, capsys, where, dry_run):
+    """numpy refuses a negative seed; the CLI says which field gave it."""
+    args, message = _negative_seed(tmp_path, where)
+    assert main(["run", *args] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["scenario", "seeds", "--seed"])
+def test_negative_seed_is_config_error_in_an_experiment(tmp_path, capsys, where):
+    args, message = _negative_seed(tmp_path, where)
+    assert main(["experiment", *args]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, block", [("seeds", {"seeds": "12"}),
                                           ("values", {"sweep": {"parameter": "num_agents",
                                                                 "values": "45"}})])

@@ -98,7 +98,7 @@ from endnet.optim import (
     stacked_gradient,
     stacked_value,
 )
-from endnet.trace import BLOCK_ROWS, DivergenceError, divergence_guard
+from endnet.trace import BLOCK_ROWS, DivergenceError, RunTrace, divergence_guard, run_steps
 from endnet.scenarios import (
     SensorScenario,
     build_lasso,
@@ -2236,6 +2236,90 @@ def test_reference_loop_matches_the_allocating_loop(name, tol):
     assert close(x, x_ref) and close(lam, lam_ref)
     assert fast_calls == slow_calls
     assert (fast_calls[0] == budget) == (tol == 0.0)
+
+
+def in_place_reference_loop(game, x0, step, max_iters, tol):
+    """The centralized primal-dual loop as it ran before it ran the gne
+    round: one fused operator maps [x; lam] to [x - step Aᵀlam;
+    lam - step (A x + a); σ at the pairs], on two buffers of its own that
+    take turns, and the stop test reads the largest change of [x; lam]."""
+    A, a = game._constraints
+    M, m = game._aggregation
+    n_x, n_l = A.shape[1], A.shape[0]
+    n = n_x + n_l
+    fused = CsrOperator(sp.bmat([[sp.identity(n_x), -step * A.matrix.T],
+                                 [-step * A.matrix, sp.identity(n_l)],
+                                 [M.matrix[game._pair_rows], None]], format="csr"))
+    offset = np.concatenate((np.zeros(n_x), -step * a, m[game._pair_rows]))
+    buffers = (np.zeros(fused.shape[0]), np.zeros(fused.shape[0]))
+    buffers[0][:n_x] = x0
+    parts = [(b[:n], b[:n_x], b[n_x:n], b[n:]) for b in buffers]
+    push = CsrOperator(2.0 * step * A.matrix)
+    bound = [(fused.bind(parts[src][0], buffers[dst], offset=offset),
+              push.bind(parts[dst][1], parts[dst][2], accumulate=True))
+             for src, dst in ((0, 1), (1, 0))]
+    scaled, delta = np.empty(n_x), np.empty(n)
+    steps, zero = np.full(n_x, step), np.zeros(n_l)
+    turn = 0
+
+    def advance(k):
+        nonlocal turn
+        linear, dual_push = bound[turn]
+        old_x = parts[turn][1]
+        turn = 1 - turn
+        _, x, lam, sigma = parts[turn]
+        linear()
+        np.multiply(game.gradient(old_x, sigma), steps, out=scaled)
+        np.subtract(x, scaled, out=x)
+        game._project_into(x, x)
+        dual_push()
+        if game.sense == "inequality":
+            np.maximum(lam, zero, out=lam)
+        return x
+
+    def converged(s):
+        np.subtract(parts[turn][0], parts[1 - turn][0], out=delta)
+        return np.abs(delta, out=delta).max() < tol
+
+    run_steps(RunTrace(), max_iters, advance, converged,
+              divergence_guard(x0, "reference primal iterate"))
+    _, x, lam, _ = parts[turn]
+    return x.copy(), lam.copy()
+
+
+def uncoupled_box_game():
+    """Two agents with gradient 3 x_i - 2 + σ, σ = x_1 + x_2, on the box
+    [0.5, 1] and with no coupling constraint: the equilibrium is the lower
+    corner, and there is no multiplier."""
+    one = np.array([[1.0]])
+    return AggregativeGameSpec(
+        action_dims=(1, 1), sigma_dims={1: 1}, lambda_dims={},
+        gradient=lambda x, sigma: 3 * x - 2 + sigma,
+        agg_blocks={(1, 1): one, (1, 2): one}, agg_offsets={},
+        con_blocks={}, con_offsets={},
+        interference_sigma=frozenset({(1, 1), (1, 2)}), interference_lambda=frozenset(),
+        domains={1: BoxSet(0.5, 1.0), 2: BoxSet(0.5, 1.0)})
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+@pytest.mark.parametrize("name", ["unicast-inequality", "unicast-equality",
+                                  "blocks-equality", "blocks-inequality", "uncoupled"])
+def test_reference_is_the_in_place_loop_bit_for_bit(name, tol):
+    """The reference runs the gne round on one-holder operators: the same
+    (x, lam) bit for bit as the loop it replaced, after the same number of
+    gradient calls, also for a game without coupling constraints."""
+    game, step = (uncoupled_box_game(), 0.1) if name == "uncoupled" else reference_case(name)
+    x0 = np.linspace(0.0, 0.5, game.total_action_dim)
+    budget = 1500 if tol == 0.0 else 50000
+    fast, fast_calls = counting(game)
+    slow, slow_calls = counting(game)
+    x, lam = solve_vgne_centralized(fast, x0, step=step, max_iters=budget, tol=tol)
+    x_ref, lam_ref = in_place_reference_loop(slow, x0, step, budget, tol)
+    assert np.array_equal(x, x_ref) and np.array_equal(lam, lam_ref)
+    assert fast_calls == slow_calls
+    assert (fast_calls[0] == budget) == (tol == 0.0)
+    if name == "uncoupled":
+        assert np.array_equal(x, [0.5, 0.5]) and lam.shape == (0,)
 
 
 def test_reference_loop_memory_does_not_grow_with_the_iterations():
